@@ -14,25 +14,25 @@ import json
 import os
 import sys
 
-from .conditioning import block_split, constant_schedule, step_switch
-from .diffusion import SamplerConfig, build_schedule, sample
 from .harness import (
     ConfigurationError,
+    SweepConfig,
     aggregate,
-    backend_for_record,
+    load_config,
     load_sweep_config,
+    open_checkpoint,
     read_runs_csv,
     run_sweep,
+    sample_run,
 )
 from .metrics import evaluate
-from .neural import NeuralDenoiser, TrainConfig, init_model, load_checkpoint, save_checkpoint, train
+from .neural import TrainConfig, init_model, save_checkpoint, train
 from .report import emit_report
 from .worldgen import (
-    condition_of,
-    gaussian_of,
     generate_suite,
     mixture_data_sampler,
     read_suite,
+    suite_training_pairs,
     validate_suite,
     write_suite,
 )
@@ -102,90 +102,51 @@ def _cmd_suite_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-_TRAIN_DEFAULTS = {
-    "suite": None,
-    "suite_seed": 0,
-    "conditions": ["event1", "event2", "concat"],
-    "frames": 16,
-    "sigma": 0.5,
-    "w_mix": 0.5,
-    "hidden": 64,
-    "n_blocks": 8,
-    "t_emb_dim": 16,
-    "init_seed": 0,
-    "diffusion_steps": 50,
-    "beta_min": 1e-4,
-    "beta_max": 0.02,
-    "learning_rate": 1e-3,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-    "batch_size": 128,
-    "steps": 20_000,
-    "seed": 0,
-    "ema_decay": None,
+# `train` config keys.  The data keys are the SweepConfig fields that a
+# sweep through the checkpoint must match, so they take SweepConfig's
+# defaults; the model keys take init_model's and the optimizer keys
+# TrainConfig's.
+_TRAIN_DATA_KEYS = ("suite", "suite_seed", "frames", "sigma", "w_mix", "beta_min", "beta_max")
+_TRAIN_MODEL_KEYS = ("hidden", "n_blocks", "t_emb_dim")
+_TRAIN_OPTIMIZER_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+_TRAIN_KEYS = {
+    *_TRAIN_DATA_KEYS, "diffusion_steps", *_TRAIN_MODEL_KEYS, "init_seed", *_TRAIN_OPTIMIZER_KEYS
 }
-
-
-def _load_train_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise ConfigurationError("config file must hold a key-value object")
-    unknown = set(loaded) - set(_TRAIN_DEFAULTS)
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    config = dict(_TRAIN_DEFAULTS)
-    config.update(loaded)
-    return config
+# truncated to int, so 16.0 reads as 16
+_TRAIN_COUNT_KEYS = (
+    "frames", "diffusion_steps", "hidden", "n_blocks", "t_emb_dim", "init_seed",
+    "batch_size", "steps", "seed",
+)
 
 
 def _cmd_train(args) -> int:
-    config = _load_train_config(args.config)
-    if config["suite"] is not None:
-        records = _read_suite_checked(config["suite"])
-    else:
-        records = generate_suite(config["suite_seed"])
-    if not records:
-        raise ConfigurationError("the prompt suite is empty")
-    bad = set(config["conditions"]) - {"event1", "event2", "concat"}
-    if bad:
-        raise ConfigurationError(f"unknown condition kinds: {sorted(bad)}")
+    config = load_config(args.config, _TRAIN_KEYS)
 
-    d = records[0].feature_dim
-    frames = int(config["frames"])
-    dim = frames * (2 + 2 * d)
+    def given(keys) -> dict:
+        return {key: config[key] for key in keys if key in config}
+
     try:
-        sched = build_schedule(int(config["diffusion_steps"]), config["beta_min"], config["beta_max"])
-        pairs = [
-            (condition_of(r, w), gaussian_of(r, w, frames, config["sigma"], config["w_mix"]))
-            for r in records
-            for w in config["conditions"]
-        ]
-        sampler = mixture_data_sampler(pairs)
+        config.update({key: int(config[key]) for key in _TRAIN_COUNT_KEYS if key in config})
+        steps = config.get("diffusion_steps", SweepConfig.n_steps)
+        data = SweepConfig(n_steps=steps, **given(_TRAIN_DATA_KEYS))
+        sched = data.noise_schedule()
+        if data.suite is not None:
+            records = _read_suite_checked(data.suite)
+        else:
+            records = generate_suite(data.suite_seed)
+        if not records:
+            raise ConfigurationError("the prompt suite is empty")
+        d = records[0].feature_dim
+        sampler = mixture_data_sampler(
+            suite_training_pairs(records, data.frames, data.sigma, data.w_mix)
+        )
         model = init_model(
-            dim,
-            hidden=int(config["hidden"]),
-            n_blocks=int(config["n_blocks"]),
-            t_emb_dim=int(config["t_emb_dim"]),
+            data.frames * (2 + 2 * d),
             cond_width=3 + 2 * d,
-            seed=int(config["init_seed"]),
+            seed=config.get("init_seed", 0),
+            **given(_TRAIN_MODEL_KEYS),
         )
-        train_cfg = TrainConfig(
-            learning_rate=config["learning_rate"],
-            beta1=config["beta1"],
-            beta2=config["beta2"],
-            eps=config["eps"],
-            batch_size=int(config["batch_size"]),
-            steps=int(config["steps"]),
-            seed=int(config["seed"]),
-            ema_decay=config["ema_decay"],
-        )
+        train_cfg = TrainConfig(**given(_TRAIN_OPTIMIZER_KEYS))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(str(exc)) from exc
 
@@ -217,48 +178,30 @@ def _write_trajectory_csv(path: str, traj) -> None:
             writer.writerow([m] + [repr(float(v)) for v in traj[m]])
 
 
+_SAMPLE_MODES = {"step": "step_switch", "block": "block_split"}
+
+
 def _cmd_sample(args) -> int:
     records = _read_suite_checked(args.suite)
-    by_id = {r.id: r for r in records}
-    record = by_id.get(args.prompt_id)
+    record = next((r for r in records if r.id == args.prompt_id), None)
     if record is None:
         raise ConfigurationError(f"prompt id {args.prompt_id!r} not in {args.suite}")
 
-    sched = build_schedule(args.n_steps)
-    frame_dim = 2 + 2 * record.feature_dim
+    model = None
     frames = args.frames
-    if args.backend == "analytic":
-        if args.mode == "block":
-            raise ConfigurationError(
-                "block mode needs a block-structured (checkpoint) backend"
-            )
-        backend = backend_for_record(record, sched, frames, args.sigma, args.w_mix)
-        model = None
-    else:
-        if not os.path.exists(args.backend):
-            raise ConfigurationError(f"checkpoint not found: {args.backend}")
-        model = load_checkpoint(args.backend)
-        if model.dim % frame_dim != 0:
-            raise ConfigurationError(
-                f"checkpoint dimension {model.dim} is not a multiple of the "
-                f"frame dimension {frame_dim}"
-            )
-        frames = model.dim // frame_dim
-        backend = NeuralDenoiser(model, sched, (frames, frame_dim))
-
-    cond1 = condition_of(record, "event1")
-    cond2 = condition_of(record, "event2")
-    if args.mode == "step":
-        schedule = step_switch(args.x, args.n_steps, cond1, cond2)
-        assign = None
-    else:
-        assign = block_split(args.x, model.n_blocks, cond1, cond2)
-        # conditioning enters through the assignment; the schedule only
-        # pins the step count
-        schedule = constant_schedule(args.n_steps, condition_of(record, "concat"))
-
-    sampler_cfg = SamplerConfig(n_steps=args.n_steps, seed=args.seed)
-    traj = sample(backend, schedule, sampler_cfg, block_assign=assign)
+    if args.backend != "analytic":
+        model = open_checkpoint(args.backend, records)
+        frames = model.dim // (2 + 2 * record.feature_dim)
+    cfg = SweepConfig(
+        mode=_SAMPLE_MODES[args.mode],
+        grid=(args.x,),
+        backend=args.backend,
+        n_steps=args.n_steps,
+        frames=frames,
+        sigma=args.sigma,
+        w_mix=args.w_mix,
+    )
+    traj = sample_run(cfg, record, model, cfg.noise_schedule(), args.x, None, args.seed)
     metrics = evaluate(traj, *record.events)
 
     os.makedirs(args.out, exist_ok=True)

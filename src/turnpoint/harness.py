@@ -26,14 +26,14 @@ from .conditioning import (
 )
 from .diffusion import NoiseSchedule, SamplerConfig, build_schedule, sample
 from .metrics import MetricsRecord, evaluate
-from .neural import NeuralDenoiser, load_checkpoint
+from .neural import DenoiserModel, NeuralDenoiser, load_checkpoint
 from .worldgen import (
     PromptRecord,
     condition_of,
     embed_event,
-    gaussian_of,
     generate_suite,
     read_suite,
+    suite_training_pairs,
 )
 
 __all__ = [
@@ -47,8 +47,11 @@ __all__ = [
     "AggregateRow",
     "fnv1a64",
     "derive_seed",
+    "load_config",
     "load_sweep_config",
+    "open_checkpoint",
     "backend_for_record",
+    "sample_run",
     "run_sweep",
     "write_runs_csv",
     "read_runs_csv",
@@ -121,7 +124,6 @@ class SweepConfig:
     out_dir: str = "sweep-out"
     workers: int = 1
     n_steps: int = 50
-    sampler_kind: str = "ancestral"
     guidance_scale: float = 1.0
     frames: int = 16
     sigma: float = 0.5
@@ -148,20 +150,32 @@ class SweepConfig:
             raise ConfigurationError(
                 "block_split mode needs a block-structured (checkpoint) backend"
             )
+        if self.guidance_scale != 1.0 and self.backend == "analytic":
+            raise ConfigurationError(
+                "guidance_scale other than 1 needs a checkpoint backend: the "
+                "analytic backend has no unconditioned distribution"
+            )
         if self.frames < 4:
             raise ConfigurationError("frames must be at least 4 for the metrics")
         if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ConfigurationError("sigma must be finite and >= 0")
 
+    def noise_schedule(self) -> NoiseSchedule:
+        """The schedule every run of this config samples with."""
+        try:
+            return build_schedule(self.n_steps, self.beta_min, self.beta_max)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+
 
 _SWEEP_KEYS = {f.name for f in fields(SweepConfig)}
 
 
-def load_sweep_config(path: str | None = None, **overrides) -> SweepConfig:
-    """Build a :class:`SweepConfig` from a JSON file plus overrides.
+def load_config(path: str | None, keys, **overrides) -> dict:
+    """Read a flat JSON config object and apply ``overrides`` on top.
 
-    The file is a flat object whose keys mirror the dataclass fields;
-    ``None``-valued overrides are ignored so CLI flags can pass through.
+    ``None``-valued overrides are ignored so CLI flags can pass through;
+    keys outside ``keys`` are rejected.
     """
     data: dict = {}
     if path is not None:
@@ -176,11 +190,17 @@ def load_sweep_config(path: str | None = None, **overrides) -> SweepConfig:
             raise ConfigurationError("config file must hold a key-value object")
         data.update(loaded)
     data.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(data) - _SWEEP_KEYS
+    unknown = set(data) - set(keys)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    return data
+
+
+def load_sweep_config(path: str | None = None, **overrides) -> SweepConfig:
+    """Build a :class:`SweepConfig` from a JSON file plus overrides; the
+    file's keys mirror the dataclass fields."""
     try:
-        return SweepConfig(**data)
+        return SweepConfig(**load_config(path, _SWEEP_KEYS, **overrides))
     except TypeError as exc:
         raise ConfigurationError(str(exc)) from exc
 
@@ -288,12 +308,69 @@ def backend_for_record(
     """Analytic backend with this prompt's three conditions registered."""
     frame_dim = 2 + 2 * record.feature_dim
     backend = AnalyticDenoiser(sched, (n_frames, frame_dim))
-    for which in ("event1", "event2", "concat"):
-        backend.register(
-            condition_of(record, which),
-            gaussian_of(record, which, n_frames, sigma, w_mix),
-        )
+    for cond, mixture in suite_training_pairs([record], n_frames, sigma, w_mix):
+        backend.register(cond, mixture)
     return backend
+
+
+def open_checkpoint(path: str, records) -> DenoiserModel:
+    """Load the checkpoint at ``path`` and check that it can denoise
+    ``records``: one feature dimension across the suite, the matching
+    condition width, and a dimension made of whole frames."""
+    if not os.path.exists(path):
+        raise ConfigurationError(f"checkpoint not found: {path}")
+    model = load_checkpoint(path)
+    feature_dims = sorted({r.feature_dim for r in records})
+    if len(feature_dims) != 1:
+        raise ConfigurationError(
+            f"a checkpoint needs one feature dimension, the suite has {feature_dims}"
+        )
+    (d,) = feature_dims
+    if model.cond_width != 3 + 2 * d:
+        raise ConfigurationError(
+            f"checkpoint condition width {model.cond_width} does not match "
+            f"{3 + 2 * d} for feature dimension {d}"
+        )
+    frame_dim = 2 + 2 * d
+    if model.dim % frame_dim != 0:
+        raise ConfigurationError(
+            f"checkpoint dimension {model.dim} is not a multiple of the "
+            f"frame dimension {frame_dim}"
+        )
+    return model
+
+
+def sample_run(cfg: SweepConfig, record, model, sched, x, setting, seed) -> np.ndarray:
+    """Sample one trajectory of ``record`` at ratio ``x`` as ``cfg.mode``
+    prescribes, through ``model`` or, when it is None, the analytic backend.
+
+    ``sched`` is ``cfg.noise_schedule()``; ``setting`` picks the qualitative
+    schedule (1-4).  A non-finite trajectory raises ``FloatingPointError``.
+    """
+    if model is None:
+        backend = backend_for_record(record, sched, cfg.frames, cfg.sigma, cfg.w_mix)
+    else:
+        backend = NeuralDenoiser(model, sched, (cfg.frames, 2 + 2 * record.feature_dim))
+    cond1 = condition_of(record, "event1")
+    cond2 = condition_of(record, "event2")
+    assign = None
+    if cfg.mode == "step_switch":
+        schedule = step_switch(x, cfg.n_steps, cond1, cond2)
+    elif cfg.mode == "block_split":
+        # conditioning enters through the assignment only; the constant
+        # schedule just pins the step count
+        assign = block_split(x, model.n_blocks, cond1, cond2)
+        schedule = constant_schedule(cfg.n_steps, condition_of(record, "concat"))
+    else:
+        embeddings = map(embed_event, record.events)
+        schedule = qualitative_settings(x, *embeddings, cfg.n_steps)[setting - 1]
+    sampler_cfg = SamplerConfig(
+        n_steps=cfg.n_steps, guidance_scale=cfg.guidance_scale, seed=seed
+    )
+    traj = sample(backend, schedule, sampler_cfg, block_assign=assign)
+    if not np.isfinite(traj).all():
+        raise FloatingPointError("the sampled trajectory is not finite")
+    return traj
 
 
 @dataclass(frozen=True)
@@ -307,40 +384,12 @@ class _Job:
     seed: int
 
 
-def _execute_job(job: _Job, cfg: SweepConfig, records_by_id, model) -> RunRecord:
+def _execute_job(job: _Job, cfg: SweepConfig, records_by_id, model, sched) -> RunRecord:
     record = records_by_id[job.prompt_id]
     start = time.perf_counter()
     try:
-        sched = build_schedule(cfg.n_steps, cfg.beta_min, cfg.beta_max)
-        frame_dim = 2 + 2 * record.feature_dim
-        if model is None:
-            backend = backend_for_record(record, sched, cfg.frames, cfg.sigma, cfg.w_mix)
-        else:
-            backend = NeuralDenoiser(model, sched, (cfg.frames, frame_dim))
-        e1, e2 = record.events
-        cond1 = condition_of(record, "event1")
-        cond2 = condition_of(record, "event2")
-        assign = None
-        if cfg.mode == "step_switch":
-            schedule = step_switch(job.x, cfg.n_steps, cond1, cond2)
-        elif cfg.mode == "block_split":
-            # conditioning enters through the assignment only; the constant
-            # schedule just pins the step count
-            assign = block_split(job.x, model.n_blocks, cond1, cond2)
-            schedule = constant_schedule(cfg.n_steps, condition_of(record, "concat"))
-        else:
-            schedules = qualitative_settings(
-                job.x, embed_event(e1), embed_event(e2), cfg.n_steps
-            )
-            schedule = schedules[job.setting - 1]
-        sampler_cfg = SamplerConfig(
-            n_steps=cfg.n_steps,
-            sampler_kind=cfg.sampler_kind,
-            guidance_scale=cfg.guidance_scale,
-            seed=job.seed,
-        )
-        traj = sample(backend, schedule, sampler_cfg, block_assign=assign)
-        metrics = evaluate(traj, e1, e2)
+        traj = sample_run(cfg, record, model, sched, job.x, job.setting, job.seed)
+        metrics = evaluate(traj, *record.events)
         error = None
     except Exception as exc:  # failed runs are recorded, not fatal
         metrics = None
@@ -364,14 +413,13 @@ def _execute_job(job: _Job, cfg: SweepConfig, records_by_id, model) -> RunRecord
 _WORKER_STATE: tuple | None = None
 
 
-def _init_worker(cfg, records_by_id, model) -> None:
+def _init_worker(*state) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = (cfg, records_by_id, model)
+    _WORKER_STATE = state
 
 
 def _run_in_worker(job: _Job) -> RunRecord:
-    cfg, records_by_id, model = _WORKER_STATE
-    return _execute_job(job, cfg, records_by_id, model)
+    return _execute_job(job, *_WORKER_STATE)
 
 
 def _plan_jobs(cfg: SweepConfig, records) -> list[_Job]:
@@ -429,15 +477,14 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
         raise ConfigurationError("the prompt suite contains duplicate ids")
     model = None
     if cfg.backend != "analytic":
-        if not os.path.exists(cfg.backend):
-            raise ConfigurationError(f"checkpoint not found: {cfg.backend}")
-        model = load_checkpoint(cfg.backend)
+        model = open_checkpoint(cfg.backend, records)
         frame_dim = 2 + 2 * records[0].feature_dim
         if model.dim != cfg.frames * frame_dim:
             raise ConfigurationError(
                 f"checkpoint dimension {model.dim} does not match "
                 f"{cfg.frames} x {frame_dim} trajectories"
             )
+    sched = cfg.noise_schedule()
 
     jobs = _plan_jobs(cfg, records)
     workers = _resolve_workers(cfg)
@@ -448,7 +495,7 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
         writer = csv.writer(fh)
         writer.writerow(RUNS_CSV_COLUMNS)
         if workers == 1:
-            iterator = (_execute_job(job, cfg, records_by_id, model) for job in jobs)
+            iterator = (_execute_job(job, cfg, records_by_id, model, sched) for job in jobs)
             for rec in iterator:
                 results.append(rec)
                 writer.writerow(_record_to_row(rec))
@@ -456,7 +503,7 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(cfg, records_by_id, model),
+                initargs=(cfg, records_by_id, model, sched),
             ) as pool:
                 # map() yields in submission order, keeping output deterministic
                 for rec in pool.map(_run_in_worker, jobs, chunksize=8):

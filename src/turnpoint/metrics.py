@@ -75,22 +75,24 @@ def event_alignment(traj, e1: EventParams, e2: EventParams) -> tuple[float, floa
     return ta1, ta2, (ta1 + ta2) / 2.0
 
 
-def identity_consistency(traj) -> float:
-    """Similarity of the identity channels sampled in each half."""
+def _channel_consistency(traj, channel: int) -> float:
+    """Similarity of channel group 0 (identity) or 1 (background) in each half."""
     traj = _as_trajectory(traj)
     n_frames, width = traj.shape
     d = (width - 2) // 2
+    cols = slice(2 + channel * d, 2 + (channel + 1) * d)
     early, late = traj[n_frames // 4], traj[(3 * n_frames) // 4]
-    return _cos01(early[2 : 2 + d], late[2 : 2 + d], _NORM_FLOOR)
+    return _cos01(early[cols], late[cols], _NORM_FLOOR)
+
+
+def identity_consistency(traj) -> float:
+    """Similarity of the identity channels sampled in each half."""
+    return _channel_consistency(traj, 0)
 
 
 def background_consistency(traj) -> float:
     """Similarity of the background channels sampled in each half."""
-    traj = _as_trajectory(traj)
-    n_frames, width = traj.shape
-    d = (width - 2) // 2
-    early, late = traj[n_frames // 4], traj[(3 * n_frames) // 4]
-    return _cos01(early[2 + d :], late[2 + d :], _NORM_FLOOR)
+    return _channel_consistency(traj, 1)
 
 
 def turning_frame(traj, e1: EventParams, e2: EventParams) -> tuple[int | None, float]:

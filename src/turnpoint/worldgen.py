@@ -435,17 +435,26 @@ def write_suite(records, path) -> None:
             fh.write("\n")
 
 
-def read_suite(path) -> list[PromptRecord]:
-    """Strict parse; malformed lines raise with their line number."""
-    records = []
+def _parse_suite_lines(path):
+    """Yield ``(lineno, record or the exception it raised)`` per non-blank line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(_record_from_dict(json.loads(line)))
+                item = _record_from_dict(json.loads(line))
             except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+                item = exc
+            yield lineno, item
+
+
+def read_suite(path) -> list[PromptRecord]:
+    """Strict parse; malformed lines raise with their line number."""
+    records = []
+    for lineno, item in _parse_suite_lines(path):
+        if isinstance(item, Exception):
+            raise ValueError(f"{path}: line {lineno}: {item}") from item
+        records.append(item)
     return records
 
 
@@ -481,16 +490,13 @@ def validate_suite(source, strict_counts: bool = False) -> SuiteReport:
     violations: list[tuple[str | None, str]] = []
     records: list[PromptRecord] = []
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(_record_from_dict(json.loads(line)))
-                except json.JSONDecodeError:
-                    violations.append((None, f"line {lineno}: invalid JSON"))
-                except (ValueError, TypeError) as exc:
-                    violations.append((None, f"line {lineno}: {exc}"))
+        for lineno, item in _parse_suite_lines(source):
+            if isinstance(item, json.JSONDecodeError):
+                violations.append((None, f"line {lineno}: invalid JSON"))
+            elif isinstance(item, Exception):
+                violations.append((None, f"line {lineno}: {item}"))
+            else:
+                records.append(item)
     else:
         records = list(source)
 

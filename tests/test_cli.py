@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from turnpoint.cli import main
-from turnpoint.harness import RUNS_CSV_COLUMNS
+from turnpoint.harness import RUNS_CSV_COLUMNS, read_runs_csv
 from turnpoint.metrics import MetricsRecord
-from turnpoint.neural import load_checkpoint
+from turnpoint.neural import init_model, load_checkpoint, save_checkpoint
 from turnpoint.worldgen import generate_suite, read_suite, write_suite
 
 METRIC_KEYS = set(MetricsRecord.__dataclass_fields__)
@@ -140,11 +140,13 @@ class TestTrain:
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
         assert code == 1
 
-    def test_bad_condition_kind(self, tmp_path, small_suite):
+    def test_conditions_key_is_unknown(self, tmp_path, small_suite, capsys):
+        # a checkpoint is trained on all three conditions a sweep queries
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"suite": small_suite, "conditions": ["event3"]}))
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
         assert code == 1
+        assert "unknown config keys: ['conditions']" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         code = main(
@@ -159,11 +161,11 @@ class TestTrain:
 
 
 def sample_args(small_suite, out, prompt_id, mode="step", backend="analytic",
-                **extra):
+                seed=11, **extra):
     args = [
         "sample", "--prompt-id", prompt_id, "--suite", small_suite,
         "--mode", mode, "--x", "0.5", "--backend", backend,
-        "--seed", "11", "--out", str(out),
+        "--seed", str(seed), "--out", str(out),
     ]
     for key, value in extra.items():
         args += [f"--{key.replace('_', '-')}", str(value)]
@@ -203,6 +205,41 @@ class TestSample:
         assert code == 0
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["frames"] == 6  # inferred from the checkpoint
+
+    @pytest.mark.parametrize(
+        "mode, sweep_mode, checkpoint",
+        [("step", "step_switch", False), ("block", "block_split", True)],
+    )
+    def test_matches_sweep_row(self, small_suite, tiny_checkpoint, tmp_path,
+                               mode, sweep_mode, checkpoint):
+        backend = tiny_checkpoint if checkpoint else "analytic"
+        assert main(
+            ["sweep", "--suite", small_suite, "--mode", sweep_mode, "--grid", "0.5",
+             "--repeats", "1", "--n-steps", "6", "--frames", "6",
+             "--backend", backend, "--out-dir", str(tmp_path / "sweep")]
+        ) == 0
+        row = read_runs_csv(tmp_path / "sweep" / "runs.csv")[1]
+        code = main(
+            sample_args(small_suite, tmp_path / "sample", row.prompt_id, mode=mode,
+                        backend=backend, seed=row.seed, n_steps=6, frames=6)
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "sample" / "metrics.json").read_text())
+        assert MetricsRecord(**payload["metrics"]) == row.metrics
+
+    def test_non_finite_checkpoint_exits_2(self, small_suite, tiny_checkpoint, tmp_path,
+                                           capsys):
+        model = load_checkpoint(tiny_checkpoint)
+        model.w_out[:] = float("nan")
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(model, path)
+        prompt = read_suite(small_suite)[0].id
+        code = main(
+            sample_args(small_suite, tmp_path / "out", prompt, mode="block",
+                        backend=str(path), n_steps=6)
+        )
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_unknown_prompt_id(self, small_suite, tmp_path):
         code = main(sample_args(small_suite, tmp_path, "nope-999", n_steps=5))
@@ -259,6 +296,33 @@ class TestSweepAndReport:
         assert code == 0
         with open(out_dir / "runs.csv", newline="") as fh:
             assert len(list(csv.reader(fh))) == 1 + 6  # repeats=1 override won
+
+    def test_block_split_sweep_through_checkpoint(self, small_suite, tiny_checkpoint,
+                                                  tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--suite", small_suite, "--mode", "block_split",
+             "--backend", tiny_checkpoint, "--grid", "0,0.5,1", "--repeats", "1",
+             "--n-steps", "6", "--frames", "6", "--out-dir", str(out_dir)]
+        )
+        assert code == 0
+        assert "9 runs; results in" in capsys.readouterr().out  # no failures
+        runs = read_runs_csv(out_dir / "runs.csv")
+        assert [r.x for r in runs] == [0.0, 0.5, 1.0] * 3
+        assert all(r.metrics is not None for r in runs)
+
+    def test_checkpoint_of_other_condition_width_exits_1(self, small_suite, tmp_path):
+        path = tmp_path / "narrow.ckpt"
+        # 6 frames of 2-feature prompts, but a condition slot for 1 feature
+        save_checkpoint(init_model(36, hidden=4, n_blocks=2, t_emb_dim=4, cond_width=5), path)
+        sweep = ["sweep", "--suite", small_suite, "--mode", "block_split",
+                 "--backend", str(path), "--grid", "0,1", "--repeats", "1",
+                 "--n-steps", "6", "--frames", "6", "--out-dir", str(tmp_path / "s")]
+        assert main(sweep) == 1
+        prompt = read_suite(small_suite)[0].id
+        sample = sample_args(small_suite, tmp_path / "o", prompt, mode="block",
+                             backend=str(path), n_steps=6)
+        assert main(sample) == 1
 
     def test_sweep_bad_config(self, tmp_path):
         cfg = tmp_path / "sweep.json"

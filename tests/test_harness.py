@@ -27,7 +27,8 @@ from turnpoint.harness import (
     write_runs_csv,
 )
 from turnpoint.metrics import MetricsRecord, evaluate
-from turnpoint.worldgen import condition_of, generate_suite
+from turnpoint.neural import init_model, save_checkpoint
+from turnpoint.worldgen import EventParams, PromptRecord, condition_of, generate_suite
 
 
 def small_cfg(tmp_path, **kw):
@@ -37,6 +38,13 @@ def small_cfg(tmp_path, **kw):
     kw.setdefault("frames", 8)
     kw.setdefault("out_dir", str(tmp_path / "out"))
     return SweepConfig(**kw)
+
+
+def small_checkpoint(path, cond_width=7):
+    """An untrained checkpoint for 8-frame trajectories of 2-feature prompts."""
+    model = init_model(8 * 6, hidden=4, n_blocks=2, t_emb_dim=4, cond_width=cond_width)
+    save_checkpoint(model, path)
+    return model
 
 
 def metrics_with(ta1=0.5, turning_frame=3):
@@ -106,6 +114,7 @@ class TestSweepConfig:
             {"mode": "block_split"},  # analytic backend cannot split blocks
             {"frames": 3},
             {"sigma": -1.0},
+            {"guidance_scale": 2.0},  # the analytic backend has no unconditioned model
         ],
     )
     def test_rejects(self, kw):
@@ -297,6 +306,34 @@ class TestRunSweep:
         cfg = small_cfg(tmp_path, backend=str(tmp_path / "ghost.ckpt"))
         with pytest.raises(ConfigurationError, match="checkpoint not found"):
             run_sweep(cfg, records=generate_suite(0)[:1])
+
+    def test_rejects_checkpoint_of_other_condition_width(self, tmp_path):
+        path = tmp_path / "narrow.ckpt"
+        small_checkpoint(path, cond_width=5)  # the suite's 2 features need 7
+        cfg = small_cfg(tmp_path, backend=str(path))
+        with pytest.raises(ConfigurationError, match="condition width 5"):
+            run_sweep(cfg, records=generate_suite(0)[:2])
+
+    def test_checkpoint_rejects_mixed_feature_dims(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        small_checkpoint(path)
+        event = EventParams(0.5, 1.0, [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
+        odd = PromptRecord("odd-000", "General", "third", (event, event))
+        cfg = small_cfg(tmp_path, backend=str(path))
+        with pytest.raises(ConfigurationError, match="one feature dimension"):
+            run_sweep(cfg, records=[generate_suite(0)[0], odd])
+
+    def test_non_finite_trajectory_is_a_failed_run(self, tmp_path):
+        path = tmp_path / "nan.ckpt"
+        model = small_checkpoint(path)
+        model.b_out[:] = np.nan
+        save_checkpoint(model, path)
+        cfg = small_cfg(tmp_path, backend=str(path))
+        out = run_sweep(cfg, records=generate_suite(0)[:1])
+        assert [r.metrics for r in out] == [None, None]
+        assert all("not finite" in r.error for r in out)
+        back = read_runs_csv(tmp_path / "out" / "runs.csv")
+        assert [r.metrics for r in back] == [None, None]
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         records = generate_suite(0)[:1]
