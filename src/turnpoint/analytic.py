@@ -88,17 +88,19 @@ def single_gaussian(mean, variance) -> GaussianMixture:
     return GaussianMixture(np.array([1.0]), mean[None, :], var[None, :].copy())
 
 
-def diffused_mixture(mixture: GaussianMixture, t: int, sched: NoiseSchedule) -> GaussianMixture:
-    """The data mixture pushed forward to diffusion step ``t``."""
+def _diffuse(mixture: GaussianMixture, t: int, sched: NoiseSchedule):
+    """Means and floored variances of ``mixture`` pushed forward to step ``t``."""
     t = int(t)
     if not 0 <= t < sched.n_steps:
         raise ValueError(f"step index {t} outside [0, {sched.n_steps})")
     a_bar = sched.alpha_bar[t]
-    return GaussianMixture(
-        mixture.weights,
-        np.sqrt(a_bar) * mixture.means,
-        a_bar * mixture.variances + (1.0 - a_bar),
-    )
+    variances = a_bar * mixture.variances + (1.0 - a_bar)
+    return np.sqrt(a_bar) * mixture.means, np.maximum(variances, VARIANCE_FLOOR)
+
+
+def diffused_mixture(mixture: GaussianMixture, t: int, sched: NoiseSchedule) -> GaussianMixture:
+    """The data mixture pushed forward to diffusion step ``t``."""
+    return GaussianMixture(mixture.weights, *_diffuse(mixture, t, sched))
 
 
 def _check_point(z, mixture) -> np.ndarray:
@@ -108,13 +110,19 @@ def _check_point(z, mixture) -> np.ndarray:
     return z
 
 
-def _log_component_densities(z: np.ndarray, mixture: GaussianMixture) -> np.ndarray:
-    # z (..., D) -> log densities (..., K)
-    diff = z[..., None, :] - mixture.means
+def _log_component_densities(diff: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    # diff (..., K, D) = z - means -> log densities (..., K)
     return -0.5 * np.sum(
-        diff * diff / mixture.variances + np.log(mixture.variances) + _LOG_2PI,
+        diff * diff / variances + np.log(variances) + _LOG_2PI,
         axis=-1,
     )
+
+
+def _posterior(log_weights: np.ndarray, log_densities: np.ndarray) -> np.ndarray:
+    lw = log_weights + log_densities
+    lw = lw - lw.max(axis=-1, keepdims=True)
+    w = np.exp(lw)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def log_density(z, mixture: GaussianMixture):
@@ -124,7 +132,8 @@ def log_density(z, mixture: GaussianMixture):
     matching leading shape.
     """
     z = _check_point(z, mixture)
-    lw = np.log(mixture.weights) + _log_component_densities(z, mixture)
+    diff = z[..., None, :] - mixture.means
+    lw = np.log(mixture.weights) + _log_component_densities(diff, mixture.variances)
     peak = lw.max(axis=-1, keepdims=True)
     out = peak[..., 0] + np.log(np.exp(lw - peak).sum(axis=-1))
     return float(out) if z.ndim == 1 else out
@@ -134,24 +143,26 @@ def responsibilities(z, mixture: GaussianMixture) -> np.ndarray:
     """Posterior component probabilities at ``z``; sums to 1 along the
     trailing axis."""
     z = _check_point(z, mixture)
-    lw = np.log(mixture.weights) + _log_component_densities(z, mixture)
-    lw = lw - lw.max(axis=-1, keepdims=True)
-    w = np.exp(lw)
-    return w / w.sum(axis=-1, keepdims=True)
+    diff = z[..., None, :] - mixture.means
+    return _posterior(
+        np.log(mixture.weights), _log_component_densities(diff, mixture.variances)
+    )
 
 
 def predict_eps(z, t: int, cond_mixture: GaussianMixture, sched: NoiseSchedule) -> np.ndarray:
     """Exact noise prediction under the diffused conditional mixture.
 
-    ``z`` may be a single point ``(D,)`` or a batch ``(..., D)``.
+    ``z`` may be a single point ``(D,)`` or a batch ``(..., D)``.  Equal,
+    bit for bit, to scoring under :func:`diffused_mixture`, without
+    building that mixture.
     """
-    mix_t = diffused_mixture(cond_mixture, t, sched)
-    z = _check_point(z, mix_t)
-    resp = responsibilities(z, mix_t)
-    score = np.sum(
-        resp[..., None] * (-(z[..., None, :] - mix_t.means) / mix_t.variances),
-        axis=-2,
+    means, variances = _diffuse(cond_mixture, t, sched)
+    z = _check_point(z, cond_mixture)
+    diff = z[..., None, :] - means
+    resp = _posterior(
+        np.log(cond_mixture.weights), _log_component_densities(diff, variances)
     )
+    score = np.sum(resp[..., None] * (-diff / variances), axis=-2)
     eps_hat = -np.sqrt(1.0 - sched.alpha_bar[int(t)]) * score
     if not np.all(np.isfinite(eps_hat)):
         raise FloatingPointError("non-finite noise prediction from analytic denoiser")

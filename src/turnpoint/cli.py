@@ -22,16 +22,16 @@ from .harness import (
     load_sweep_config,
     open_checkpoint,
     read_runs_csv,
+    read_suite_checked,
     run_sweep,
-    sample_run,
+    sample_runs,
+    score_run,
 )
-from .metrics import evaluate
 from .neural import TrainConfig, init_model, save_checkpoint, train
 from .report import emit_report
 from .worldgen import (
     generate_suite,
     mixture_data_sampler,
-    read_suite,
     suite_training_pairs,
     validate_suite,
     write_suite,
@@ -64,15 +64,6 @@ def _grid(text: str) -> tuple[float, ...]:
         return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must be comma-separated numbers, got {text!r}")
-
-
-def _read_suite_checked(path: str):
-    if not os.path.exists(path):
-        raise ConfigurationError(f"suite file not found: {path}")
-    try:
-        return read_suite(path)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +122,7 @@ def _cmd_train(args) -> int:
         data = SweepConfig(n_steps=steps, **given(_TRAIN_DATA_KEYS))
         sched = data.noise_schedule()
         if data.suite is not None:
-            records = _read_suite_checked(data.suite)
+            records = read_suite_checked(data.suite)
         else:
             records = generate_suite(data.suite_seed)
         if not records:
@@ -182,7 +173,7 @@ _SAMPLE_MODES = {"step": "step_switch", "block": "block_split"}
 
 
 def _cmd_sample(args) -> int:
-    records = _read_suite_checked(args.suite)
+    records = read_suite_checked(args.suite)
     record = next((r for r in records if r.id == args.prompt_id), None)
     if record is None:
         raise ConfigurationError(f"prompt id {args.prompt_id!r} not in {args.suite}")
@@ -201,8 +192,8 @@ def _cmd_sample(args) -> int:
         sigma=args.sigma,
         w_mix=args.w_mix,
     )
-    traj = sample_run(cfg, record, model, cfg.noise_schedule(), args.x, None, args.seed)
-    metrics = evaluate(traj, *record.events)
+    (traj,) = sample_runs(cfg, record, model, cfg.noise_schedule(), [(args.x, None, args.seed)])
+    metrics = score_run(traj, record)
 
     os.makedirs(args.out, exist_ok=True)
     _write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)

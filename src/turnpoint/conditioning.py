@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -237,6 +238,14 @@ class BlockAssignment:
     @property
     def width(self) -> int:
         return self.per_block[0].width
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Per-block condition vectors, shape ``(n_blocks, 2 * width + 2)``;
+        read-only, built once per assignment."""
+        stacked = np.stack([c.vector for c in self.per_block])
+        stacked.flags.writeable = False
+        return stacked
 
 
 def block_split(

@@ -17,10 +17,7 @@ import numpy as np
 from .conditioning import (
     BlockAssignment,
     ConditionEmbedding,
-    StepSchedule,
-    condition_at,
     unconditioned,
-    uniform_blocks,
 )
 
 __all__ = [
@@ -134,8 +131,10 @@ def ancestral_step(z_t, t, eps_hat, sched, noise) -> np.ndarray:
 class DenoiserBackend(Protocol):
     """What the sampler needs from a denoiser.
 
-    Backends that understand per-block conditioning additionally expose
-    ``predict_eps_blocks(z, t, assign)``.
+    ``predict_eps`` answers a batch ``z`` of shape (rows, dim) under one
+    condition.  Backends that understand per-block conditioning
+    additionally expose ``predict_eps_blocks(z, t, assigns)`` with one
+    :class:`BlockAssignment` per row.
     """
 
     @property
@@ -155,7 +154,6 @@ class SamplerConfig:
     n_steps: int
     sampler_kind: str = "ancestral"
     guidance_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -169,27 +167,53 @@ class SamplerConfig:
             raise ValueError("guidance_scale must be finite and >= 0")
 
 
-def _predict(denoiser, z, t, cond, block_assign):
-    if block_assign is None:
-        return denoiser.predict_eps(z, t, cond)
-    return denoiser.predict_eps_blocks(z, t, block_assign)
+def _condition_index(schedules, n_steps: int):
+    """The distinct conditions of ``schedules`` and, per row and iteration,
+    the index of the condition driving it; shape (rows, n_steps)."""
+    conds: list[ConditionEmbedding] = []
+    slots: dict[bytes, int] = {}
+    index = np.empty((len(schedules), n_steps), dtype=np.intp)
+    for row, schedule in enumerate(schedules):
+        for start, end, cond in schedule.segments:
+            slot = slots.setdefault(cond.key(), len(conds))
+            if slot == len(conds):
+                conds.append(cond)
+            index[row, start:end] = slot
+    return conds, index
 
 
-def sample(
-    denoiser: DenoiserBackend,
-    schedule: StepSchedule,
-    cfg: SamplerConfig,
-    block_assign: BlockAssignment | None = None,
-) -> np.ndarray:
-    """Run the reverse process and return a trajectory of shape
-    ``denoiser.frame_shape``.
+def _predict_grouped(denoiser, z, t, conds, active) -> np.ndarray:
+    """One ``predict_eps`` call per condition in play; ``active`` holds each
+    row's condition index."""
+    groups = sorted(set(active.tolist()))
+    if len(groups) == 1:
+        return denoiser.predict_eps(z, t, conds[groups[0]])
+    eps_hat = np.empty_like(z)
+    for g in groups:
+        rows = np.flatnonzero(active == g)
+        eps_hat[rows] = denoiser.predict_eps(z[rows], t, conds[g])
+    return eps_hat
 
-    Iteration ``i`` queries the schedule's condition for ``i`` and
-    denoises diffusion step ``t = N - 1 - i``.  When ``block_assign`` is
-    given, conditioning enters solely through the per-block assignment
-    (identical at every step) and the backend must support blocks.
-    Output is bit-reproducible for a fixed (seed, schedule, parameters);
-    metric code never touches the sampler's generator.
+
+def _draw(gens, out: np.ndarray) -> None:
+    for gen, row in zip(gens, out):
+        gen.standard_normal(out=row)
+
+
+def sample(denoiser: DenoiserBackend, conditioning, cfg: SamplerConfig, seeds) -> np.ndarray:
+    """Run one reverse chain per row and return trajectories of shape
+    ``(rows, *denoiser.frame_shape)``.
+
+    ``conditioning`` holds one entry per row: either every entry is a
+    :class:`StepSchedule` (iteration ``i`` uses the schedule's condition
+    for ``i`` and denoises diffusion step ``t = N - 1 - i``) or every entry
+    is a :class:`BlockAssignment`, which conditions the backend's blocks
+    identically at every step and needs a block-structured backend.  Row
+    ``b`` draws its start point and its noise from its own
+    ``np.random.default_rng(seeds[b])``, so a row does not depend on the
+    other rows whenever the backend computes rows independently.  Output is
+    bit-reproducible for fixed (seeds, conditioning, parameters); metric code
+    never touches the sampler's generators.
     """
     sched = denoiser.noise_schedule
     n = cfg.n_steps
@@ -197,33 +221,47 @@ def sample(
         raise ValueError(
             f"backend noise schedule has {sched.n_steps} steps, sampler expects {n}"
         )
-    if schedule.n_steps != n:
+    conditioning = list(conditioning)
+    seeds = list(seeds)
+    if not conditioning:
+        raise ValueError("a batch needs at least one chain")
+    if len(seeds) != len(conditioning):
         raise ValueError(
-            f"conditioning schedule covers {schedule.n_steps} steps, sampler runs {n}"
+            f"{len(seeds)} seeds for {len(conditioning)} conditioned chains"
         )
-    if block_assign is not None and not hasattr(denoiser, "predict_eps_blocks"):
-        raise ValueError(
-            "block assignment requires a block-structured denoiser backend"
-        )
-    rng = np.random.default_rng(cfg.seed)
-    z = rng.standard_normal(denoiser.dim)
+    blocks = isinstance(conditioning[0], BlockAssignment)
+    if any(isinstance(c, BlockAssignment) != blocks for c in conditioning):
+        raise ValueError("a batch mixes step schedules and block assignments")
+    if blocks:
+        if not hasattr(denoiser, "predict_eps_blocks"):
+            raise ValueError(
+                "block assignment requires a block-structured denoiser backend"
+            )
+    else:
+        for schedule in conditioning:
+            if schedule.n_steps != n:
+                raise ValueError(
+                    f"conditioning schedule covers {schedule.n_steps} steps, "
+                    f"sampler runs {n}"
+                )
+        conds, index = _condition_index(conditioning, n)
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    z = np.empty((len(gens), denoiser.dim))
+    _draw(gens, z)
+    noise = np.zeros_like(z)
     ancestral = cfg.sampler_kind == "ancestral"
     guided = cfg.guidance_scale != 1.0
-    uncond = unconditioned(schedule.width) if guided else None
-    uncond_assign = (
-        uniform_blocks(uncond, block_assign.n_blocks)
-        if guided and block_assign is not None
-        else None
-    )
-    zeros = np.zeros(denoiser.dim)
+    uncond = unconditioned(conditioning[0].width) if guided else None
     for i in range(n):
         t = n - 1 - i
-        cond = condition_at(schedule, i)
-        eps_hat = _predict(denoiser, z, t, cond, block_assign)
+        if blocks:
+            eps_hat = denoiser.predict_eps_blocks(z, t, conditioning)
+        else:
+            eps_hat = _predict_grouped(denoiser, z, t, conds, index[:, i])
         if guided:
-            eps_un = _predict(denoiser, z, t, uncond, uncond_assign)
+            eps_un = denoiser.predict_eps(z, t, uncond)
             eps_hat = eps_un + cfg.guidance_scale * (eps_hat - eps_un)
-        noise = rng.standard_normal(denoiser.dim) if ancestral else zeros
+        if ancestral and t > 0:  # sigma_0 = 0: the last step draws nothing
+            _draw(gens, noise)
         z = ancestral_step(z, t, eps_hat, sched, noise)
-    n_frames, frame_dim = denoiser.frame_shape
-    return z.reshape(n_frames, frame_dim)
+    return z.reshape(len(gens), *denoiser.frame_shape)

@@ -1,9 +1,11 @@
 """Sweep harness: enumerate runs over a prompt suite and a ratio grid,
-execute them (optionally in parallel), and aggregate the metrics.
+sample each prompt's runs as one batch (optionally in parallel), and
+aggregate the metrics.
 
-Every run owns a seed derived by hashing its identity, so results are
-independent of worker count and completion order; rows are written in
-enumeration order and aggregation sorts before reducing.
+Every run owns a seed derived by hashing its identity and every prompt is
+one batch, so results are independent of worker count and completion
+order; rows are written in enumeration order and aggregation sorts before
+reducing.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ import numpy as np
 from .analytic import AnalyticDenoiser
 from .conditioning import (
     block_split,
-    constant_schedule,
     qualitative_settings,
     step_switch,
 )
 from .diffusion import NoiseSchedule, SamplerConfig, build_schedule, sample
 from .metrics import MetricsRecord, evaluate
-from .neural import DenoiserModel, NeuralDenoiser, load_checkpoint
+from .neural import CheckpointError, DenoiserModel, NeuralDenoiser, load_checkpoint
 from .worldgen import (
     PromptRecord,
     condition_of,
@@ -49,9 +50,11 @@ __all__ = [
     "derive_seed",
     "load_config",
     "load_sweep_config",
+    "read_suite_checked",
     "open_checkpoint",
     "backend_for_record",
-    "sample_run",
+    "sample_runs",
+    "score_run",
     "run_sweep",
     "write_runs_csv",
     "read_runs_csv",
@@ -298,6 +301,17 @@ def read_runs_csv(path) -> list[RunRecord]:
     return records
 
 
+def read_suite_checked(path: str) -> list[PromptRecord]:
+    """``read_suite`` with a missing or malformed file reported as a
+    :class:`ConfigurationError`."""
+    if not os.path.exists(path):
+        raise ConfigurationError(f"suite file not found: {path}")
+    try:
+        return read_suite(path)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
+
+
 def backend_for_record(
     record: PromptRecord,
     sched: NoiseSchedule,
@@ -319,7 +333,10 @@ def open_checkpoint(path: str, records) -> DenoiserModel:
     condition width, and a dimension made of whole frames."""
     if not os.path.exists(path):
         raise ConfigurationError(f"checkpoint not found: {path}")
-    model = load_checkpoint(path)
+    try:
+        model = load_checkpoint(path)
+    except CheckpointError as exc:
+        raise ConfigurationError(f"cannot load checkpoint: {exc}") from exc
     feature_dims = sorted({r.feature_dim for r in records})
     if len(feature_dims) != 1:
         raise ConfigurationError(
@@ -340,12 +357,14 @@ def open_checkpoint(path: str, records) -> DenoiserModel:
     return model
 
 
-def sample_run(cfg: SweepConfig, record, model, sched, x, setting, seed) -> np.ndarray:
-    """Sample one trajectory of ``record`` at ratio ``x`` as ``cfg.mode``
-    prescribes, through ``model`` or, when it is None, the analytic backend.
+def sample_runs(cfg: SweepConfig, record, model, sched, runs) -> np.ndarray:
+    """Sample the trajectories of ``runs``, ``(x, setting, seed)`` triples
+    of ``record``, as ``cfg.mode`` prescribes, in one batch through
+    ``model`` or, when it is None, the analytic backend.
 
     ``sched`` is ``cfg.noise_schedule()``; ``setting`` picks the qualitative
-    schedule (1-4).  A non-finite trajectory raises ``FloatingPointError``.
+    schedule (1-4) and is None in the other modes.  Returns an array of
+    shape ``(len(runs), cfg.frames, frame_dim)``.
     """
     if model is None:
         backend = backend_for_record(record, sched, cfg.frames, cfg.sigma, cfg.w_mix)
@@ -353,24 +372,26 @@ def sample_run(cfg: SweepConfig, record, model, sched, x, setting, seed) -> np.n
         backend = NeuralDenoiser(model, sched, (cfg.frames, 2 + 2 * record.feature_dim))
     cond1 = condition_of(record, "event1")
     cond2 = condition_of(record, "event2")
-    assign = None
-    if cfg.mode == "step_switch":
-        schedule = step_switch(x, cfg.n_steps, cond1, cond2)
-    elif cfg.mode == "block_split":
-        # conditioning enters through the assignment only; the constant
-        # schedule just pins the step count
-        assign = block_split(x, model.n_blocks, cond1, cond2)
-        schedule = constant_schedule(cfg.n_steps, condition_of(record, "concat"))
-    else:
-        embeddings = map(embed_event, record.events)
-        schedule = qualitative_settings(x, *embeddings, cfg.n_steps)[setting - 1]
-    sampler_cfg = SamplerConfig(
-        n_steps=cfg.n_steps, guidance_scale=cfg.guidance_scale, seed=seed
-    )
-    traj = sample(backend, schedule, sampler_cfg, block_assign=assign)
+
+    def conditioning_at(x) -> list:
+        if cfg.mode == "step_switch":
+            return [step_switch(x, cfg.n_steps, cond1, cond2)]
+        if cfg.mode == "block_split":
+            return [block_split(x, model.n_blocks, cond1, cond2)]
+        return qualitative_settings(x, *map(embed_event, record.events), cfg.n_steps)
+
+    by_x = {x: conditioning_at(x) for x in {run[0] for run in runs}}
+    conditioning = [by_x[x][0 if setting is None else setting - 1] for x, setting, _ in runs]
+    sampler_cfg = SamplerConfig(n_steps=cfg.n_steps, guidance_scale=cfg.guidance_scale)
+    return sample(backend, conditioning, sampler_cfg, [seed for _, _, seed in runs])
+
+
+def score_run(traj, record) -> MetricsRecord:
+    """The metrics of one sampled trajectory of ``record``; a non-finite
+    trajectory raises ``FloatingPointError``."""
     if not np.isfinite(traj).all():
         raise FloatingPointError("the sampled trajectory is not finite")
-    return traj
+    return evaluate(traj, *record.events)
 
 
 @dataclass(frozen=True)
@@ -384,30 +405,54 @@ class _Job:
     seed: int
 
 
-def _execute_job(job: _Job, cfg: SweepConfig, records_by_id, model, sched) -> RunRecord:
-    record = records_by_id[job.prompt_id]
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _execute_batch(jobs, cfg: SweepConfig, records_by_id, model, sched) -> list[RunRecord]:
+    """Run one prompt's jobs as one sampling batch.
+
+    An error while sampling fails every run of the batch; an error while
+    scoring fails only its own run.  A run's wall time is its share of
+    the batch's sampling time plus its own scoring time.
+    """
+    record = records_by_id[jobs[0].prompt_id]
     start = time.perf_counter()
+    batch_error = None
     try:
-        traj = sample_run(cfg, record, model, sched, job.x, job.setting, job.seed)
-        metrics = evaluate(traj, *record.events)
-        error = None
+        trajs = sample_runs(
+            cfg, record, model, sched, [(job.x, job.setting, job.seed) for job in jobs]
+        )
     except Exception as exc:  # failed runs are recorded, not fatal
-        metrics = None
-        error = f"{type(exc).__name__}: {exc}"
-    wall_ms = int(round((time.perf_counter() - start) * 1000.0))
-    return RunRecord(
-        run_id=job.run_id,
-        mode=cfg.mode,
-        category=record.category,
-        prompt_id=record.id,
-        view=record.view,
-        x=job.x,
-        setting=job.setting,
-        seed=job.seed,
-        metrics=metrics,
-        wall_time_ms=wall_ms,
-        error=error,
-    )
+        trajs = [None] * len(jobs)
+        batch_error = _error(exc)
+    share = (time.perf_counter() - start) / len(jobs)
+    results = []
+    for job, traj in zip(jobs, trajs):
+        start = time.perf_counter()
+        metrics, error = None, batch_error
+        if traj is not None:
+            try:
+                metrics = score_run(traj, record)
+            except Exception as exc:  # failed runs are recorded, not fatal
+                error = _error(exc)
+        wall_ms = int(round((share + time.perf_counter() - start) * 1000.0))
+        results.append(
+            RunRecord(
+                run_id=job.run_id,
+                mode=cfg.mode,
+                category=record.category,
+                prompt_id=record.id,
+                view=record.view,
+                x=job.x,
+                setting=job.setting,
+                seed=job.seed,
+                metrics=metrics,
+                wall_time_ms=wall_ms,
+                error=error,
+            )
+        )
+    return results
 
 
 _WORKER_STATE: tuple | None = None
@@ -418,8 +463,8 @@ def _init_worker(*state) -> None:
     _WORKER_STATE = state
 
 
-def _run_in_worker(job: _Job) -> RunRecord:
-    return _execute_job(job, *_WORKER_STATE)
+def _run_in_worker(jobs) -> list[RunRecord]:
+    return _execute_batch(jobs, *_WORKER_STATE)
 
 
 def _plan_jobs(cfg: SweepConfig, records) -> list[_Job]:
@@ -460,13 +505,14 @@ def _resolve_workers(cfg: SweepConfig) -> int:
 def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
     """Execute the sweep and stream ``runs.csv`` under ``cfg.out_dir``.
 
-    Returns the run records in enumeration order (prompt, then ratio,
-    then repeat, then setting), which is also the CSV row order
-    regardless of worker count.
+    Each prompt's runs are sampled as one batch, in one worker.  Returns
+    the run records in enumeration order (prompt, then ratio, then
+    repeat, then setting), which is also the CSV row order regardless of
+    worker count.
     """
     if records is None:
         if cfg.suite is not None:
-            records = read_suite(cfg.suite)
+            records = read_suite_checked(cfg.suite)
         else:
             records = generate_suite(cfg.suite_seed)
     records = list(records)
@@ -486,7 +532,7 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
             )
     sched = cfg.noise_schedule()
 
-    jobs = _plan_jobs(cfg, records)
+    batches = [_plan_jobs(cfg, [record]) for record in records]
     workers = _resolve_workers(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "runs.csv")
@@ -495,10 +541,10 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
         writer = csv.writer(fh)
         writer.writerow(RUNS_CSV_COLUMNS)
         if workers == 1:
-            iterator = (_execute_job(job, cfg, records_by_id, model, sched) for job in jobs)
-            for rec in iterator:
-                results.append(rec)
-                writer.writerow(_record_to_row(rec))
+            done = (_execute_batch(jobs, cfg, records_by_id, model, sched) for jobs in batches)
+            for batch in done:
+                results.extend(batch)
+                writer.writerows(map(_record_to_row, batch))
         else:
             with ProcessPoolExecutor(
                 max_workers=workers,
@@ -506,9 +552,9 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
                 initargs=(cfg, records_by_id, model, sched),
             ) as pool:
                 # map() yields in submission order, keeping output deterministic
-                for rec in pool.map(_run_in_worker, jobs, chunksize=8):
-                    results.append(rec)
-                    writer.writerow(_record_to_row(rec))
+                for batch in pool.map(_run_in_worker, batches):
+                    results.extend(batch)
+                    writer.writerows(map(_record_to_row, batch))
     return results
 
 

@@ -118,13 +118,10 @@ def turning_frame(traj, e1: EventParams, e2: EventParams) -> tuple[int | None, f
     # norms cancel when comparing cosines against unit directions
     is2 = steps @ u2 > steps @ u1
     occupancy2 = float(np.mean(is2))
-    destinations = np.arange(1, n_frames)
-    best_split, best_cost = 0, None
-    for s in range(n_frames):
-        cost = int(np.sum((destinations >= s) != is2))
-        if best_cost is None or cost < best_cost:
-            best_split, best_cost = s, cost
-    return best_split, occupancy2
+    # cost[s] = steps mislabeled by split s; argmin keeps the first minimum
+    splits = np.arange(n_frames)[:, None]
+    cost = np.count_nonzero((np.arange(1, n_frames) >= splits) != is2, axis=1)
+    return int(np.argmin(cost)), occupancy2
 
 
 def evaluate(traj, e1: EventParams, e2: EventParams) -> MetricsRecord:

@@ -168,7 +168,7 @@ def _forward_batch(model, z, t, block_conds, keep_cache=False):
     return eps, (cache, h)
 
 
-def _stack_assignment(model, assign: BlockAssignment) -> np.ndarray:
+def _check_assignment(model, assign: BlockAssignment) -> None:
     if assign.n_blocks != model.n_blocks:
         raise ValueError(
             f"assignment has {assign.n_blocks} blocks, model has {model.n_blocks}"
@@ -178,20 +178,34 @@ def _stack_assignment(model, assign: BlockAssignment) -> np.ndarray:
             f"assignment slot width {assign.width} does not match model width "
             f"{model.cond_width}"
         )
-    return np.stack([c.vector for c in assign.per_block])
 
 
-def forward(model, z_t, t: int, sched: NoiseSchedule, assign: BlockAssignment) -> np.ndarray:
-    """Noise prediction for one latent under a per-block assignment."""
+def forward(model, z_t, t: int, sched: NoiseSchedule, assign) -> np.ndarray:
+    """Noise prediction for one latent ``(dim,)`` or a batch ``(n, dim)``.
+
+    ``assign`` is one :class:`BlockAssignment` for every row, or a
+    sequence of ``n`` assignments, one per row.
+    """
     z_t = np.asarray(z_t, dtype=np.float64)
-    if z_t.shape != (model.dim,):
+    if z_t.ndim not in (1, 2) or z_t.shape[-1] != model.dim:
         raise ValueError(f"latent has shape {z_t.shape}, model dimension is {model.dim}")
     t = int(t)
     if not 0 <= t < sched.n_steps:
         raise ValueError(f"step index {t} outside [0, {sched.n_steps})")
-    conds = _stack_assignment(model, assign)
-    eps, _ = _forward_batch(model, z_t[None, :], np.array([t]), conds[None, :, :])
-    return eps[0]
+    batch = z_t.reshape(-1, model.dim)
+    n = batch.shape[0]
+    shared = isinstance(assign, BlockAssignment)
+    assigns = [assign] if shared else list(assign)
+    if not shared and len(assigns) != n:
+        raise ValueError(f"{len(assigns)} block assignments for {n} latents")
+    for a in assigns:
+        _check_assignment(model, a)
+    if shared:
+        conds = np.broadcast_to(assign.vectors, (n, model.n_blocks, model.cond_dim))
+    else:
+        conds = np.stack([a.vectors for a in assigns])
+    eps, _ = _forward_batch(model, batch, np.full(n, t), conds)
+    return eps[0] if z_t.ndim == 1 else eps
 
 
 def loss_and_grads(model, z0, t, eps, block_conds, sched):
@@ -395,7 +409,9 @@ class NeuralDenoiser:
     """Sampler-facing wrapper around a :class:`DenoiserModel`.
 
     Uniform conditioning routes through :meth:`predict_eps`; block
-    splits through :meth:`predict_eps_blocks`.
+    splits, one assignment per row, through :meth:`predict_eps_blocks`.
+    Both answer a latent ``(dim,)`` or a batch ``(n, dim)`` in one
+    forward pass.
     """
 
     def __init__(self, model: DenoiserModel, noise_schedule: NoiseSchedule,
@@ -430,5 +446,5 @@ class NeuralDenoiser:
         assign = uniform_blocks(cond, self._model.n_blocks)
         return forward(self._model, z, t, self._sched, assign)
 
-    def predict_eps_blocks(self, z, t: int, assign: BlockAssignment) -> np.ndarray:
-        return forward(self._model, z, t, self._sched, assign)
+    def predict_eps_blocks(self, z, t: int, assigns) -> np.ndarray:
+        return forward(self._model, z, t, self._sched, assigns)

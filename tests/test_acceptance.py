@@ -96,11 +96,11 @@ def test_criterion_01_step_switch_endpoints_match_constant_conditioning():
         c2 = condition_of(record, "event2")
         analytic = backend_for_record(record, sched, frames, 0.5)
         for backend in (analytic, neural):
-            cfg = SamplerConfig(n_steps=n_steps, seed=seed)
-            lo = sample(backend, step_switch(0.0, n_steps, c1, c2), cfg)
-            lo_ref = sample(backend, constant_schedule(n_steps, c2), cfg)
-            hi = sample(backend, step_switch(1.0, n_steps, c1, c2), cfg)
-            hi_ref = sample(backend, constant_schedule(n_steps, c1), cfg)
+            cfg = SamplerConfig(n_steps=n_steps)
+            (lo,) = sample(backend, [step_switch(0.0, n_steps, c1, c2)], cfg, [seed])
+            (lo_ref,) = sample(backend, [constant_schedule(n_steps, c2)], cfg, [seed])
+            (hi,) = sample(backend, [step_switch(1.0, n_steps, c1, c2)], cfg, [seed])
+            (hi_ref,) = sample(backend, [constant_schedule(n_steps, c1)], cfg, [seed])
             all_equal &= np.array_equal(lo, lo_ref) and np.array_equal(hi, hi_ref)
             checked += 1
     dt = time.perf_counter() - t0

@@ -324,6 +324,31 @@ class TestSweepAndReport:
                              backend=str(path), n_steps=6)
         assert main(sample) == 1
 
+    @pytest.mark.parametrize("content", [None, '{"id": 1}\n'], ids=["missing", "malformed"])
+    def test_bad_suite_file_exits_1(self, tmp_path, capsys, content):
+        path = tmp_path / "suite.jsonl"
+        if content is not None:
+            path.write_text(content)
+        code = main(["sweep", "--suite", str(path), "--n-steps", "3",
+                     "--out-dir", str(tmp_path / "s")])
+        assert code == 1
+        assert "suite" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_corrupt_checkpoint_exits_1(self, small_suite, tmp_path, capsys):
+        path = tmp_path / "bad.ckpt"
+        path.write_text("garbage\n")
+        sweep = ["sweep", "--suite", small_suite, "--mode", "block_split",
+                 "--backend", str(path), "--grid", "0,1", "--repeats", "1",
+                 "--n-steps", "6", "--frames", "6", "--out-dir", str(tmp_path / "s")]
+        assert main(sweep) == 1
+        assert "checkpoint header" in capsys.readouterr().err
+        prompt = read_suite(small_suite)[0].id
+        sample = sample_args(small_suite, tmp_path / "o", prompt, mode="block",
+                             backend=str(path), n_steps=6)
+        assert main(sample) == 1
+        assert "checkpoint header" in capsys.readouterr().err
+
     def test_sweep_bad_config(self, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text('{"grid": [0.9, 0.1]}')

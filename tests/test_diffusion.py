@@ -192,11 +192,11 @@ def test_sample_deterministic_and_shaped():
     sched = build_schedule(10)
     backend = LinearBackend(sched)
     schedule = constant_schedule(10, compose_single([1.0]))
-    a = sample(backend, schedule, _cfg(10, seed=5))
-    b = sample(backend, schedule, _cfg(10, seed=5))
+    a = sample(backend, [schedule], _cfg(10), [5])[0]
+    b = sample(backend, [schedule], _cfg(10), [5])[0]
     assert a.shape == backend.frame_shape
     np.testing.assert_array_equal(a, b)
-    c = sample(backend, schedule, _cfg(10, seed=6))
+    c = sample(backend, [schedule], _cfg(10), [6])[0]
     assert not np.array_equal(a, c)
 
 
@@ -205,11 +205,40 @@ def test_sample_visits_conditions_in_schedule_order():
     backend = LinearBackend(sched)
     c1, c2 = compose_single([1.0]), compose_single([2.0])
     schedule = step_switch(0.3, 10, c1, c2)
-    sample(backend, schedule, _cfg(10))
+    sample(backend, [schedule], _cfg(10), [0])
     ts = [t for t, _ in backend.calls]
     conds = [c for _, c in backend.calls]
     assert ts == list(range(9, -1, -1))  # noisiest step first
     assert conds == [c1] * 3 + [c2] * 7
+
+
+def test_sample_batches_rows_by_active_condition():
+    sched = build_schedule(10)
+    backend = LinearBackend(sched, a=0.1, b=0.2)
+    c1, c2 = compose_single([1.0]), compose_single([2.0])
+    schedules = [step_switch(x, 10, c1, c2) for x in (0.0, 0.3, 1.0, 0.3)]
+    seeds = [1, 2, 3, 4]
+    batch = sample(backend, schedules, _cfg(10), seeds)
+    assert batch.shape == (4, *backend.frame_shape)
+    assert len(backend.calls) == 20  # one call per condition in play per step
+    alone = [
+        sample(LinearBackend(sched, a=0.1, b=0.2), [s], _cfg(10), [seed])[0]
+        for s, seed in zip(schedules, seeds)
+    ]
+    np.testing.assert_array_equal(batch, np.stack(alone))
+
+
+def test_sample_rejects_malformed_batches():
+    sched = build_schedule(4)
+    backend = LinearBackend(sched)
+    schedule = constant_schedule(4, compose_single([1.0]))
+    assign = uniform_blocks(compose_single([1.0]), 3)
+    with pytest.raises(ValueError, match="at least one chain"):
+        sample(backend, [], _cfg(4), [])
+    with pytest.raises(ValueError, match="seeds"):
+        sample(backend, [schedule, schedule], _cfg(4), [0])
+    with pytest.raises(ValueError, match="mixes"):
+        sample(backend, [schedule, assign], _cfg(4), [0, 1])
 
 
 def test_sample_output_independent_of_condition_payload():
@@ -219,8 +248,8 @@ def test_sample_output_independent_of_condition_payload():
     backend = LinearBackend(sched, a=0.1, b=0.2)
     s1 = constant_schedule(8, compose_single([1.0, 2.0]))
     s2 = step_switch(0.5, 8, compose_single([-3.0, 0.0]), compose_single([9.0, 9.0]))
-    a = sample(backend, s1, _cfg(8, seed=3))
-    b = sample(backend, s2, _cfg(8, seed=3))
+    a = sample(backend, [s1], _cfg(8), [3])[0]
+    b = sample(backend, [s2], _cfg(8), [3])[0]
     np.testing.assert_array_equal(a, b)
 
 
@@ -228,10 +257,10 @@ def test_sample_deterministic_kind_skips_noise():
     sched = build_schedule(6)
     backend = LinearBackend(sched)
     schedule = constant_schedule(6, compose_single([1.0]))
-    a = sample(backend, schedule, _cfg(6, sampler_kind="deterministic", seed=2))
-    b = sample(backend, schedule, _cfg(6, sampler_kind="deterministic", seed=2))
+    a = sample(backend, [schedule], _cfg(6, sampler_kind="deterministic"), [2])[0]
+    b = sample(backend, [schedule], _cfg(6, sampler_kind="deterministic"), [2])[0]
     np.testing.assert_array_equal(a, b)
-    noisy = sample(backend, schedule, _cfg(6, seed=2))
+    noisy = sample(backend, [schedule], _cfg(6), [2])[0]
     assert not np.array_equal(a, noisy)
 
 
@@ -240,9 +269,9 @@ def test_sample_step_count_mismatches():
     backend = LinearBackend(sched)
     schedule = constant_schedule(5, compose_single([1.0]))
     with pytest.raises(ValueError):
-        sample(backend, schedule, _cfg(5))  # backend has 6 steps
+        sample(backend, [schedule], _cfg(5), [0])  # backend has 6 steps
     with pytest.raises(ValueError):
-        sample(backend, constant_schedule(6, compose_single([1.0])), _cfg(5))
+        sample(backend, [constant_schedule(6, compose_single([1.0]))], _cfg(5), [0])
 
 
 def test_sample_block_assignment_needs_block_backend():
@@ -251,14 +280,14 @@ def test_sample_block_assignment_needs_block_backend():
     schedule = constant_schedule(4, compose_single([1.0]))
     assign = uniform_blocks(compose_single([1.0]), 3)
     with pytest.raises(ValueError):
-        sample(backend, schedule, _cfg(4), block_assign=assign)
+        sample(backend, [assign], _cfg(4), [0])
 
 
 def test_guidance_disabled_at_scale_one():
     sched = build_schedule(5)
     backend = LinearBackend(sched)
     schedule = constant_schedule(5, compose_single([1.0]))
-    sample(backend, schedule, _cfg(5, guidance_scale=1.0))
+    sample(backend, [schedule], _cfg(5, guidance_scale=1.0), [0])
     assert all(cond.flag1 == 1 for _, cond in backend.calls)
     assert len(backend.calls) == 5
 
@@ -271,17 +300,17 @@ def test_guidance_combination_formula():
         def predict_eps(self, z, t, c):
             # conditioned and unconditioned branches predict different
             # constants so the mix is directly checkable
-            return np.full(self.dim, 2.0 if c.flag1 else 0.5)
+            return np.full(np.shape(z), 2.0 if c.flag1 else 0.5)
 
     w = 3.0
 
     class MixedBackend(LinearBackend):
         def predict_eps(self, z, t, c):
-            return np.full(self.dim, 0.5 + w * (2.0 - 0.5))
+            return np.full(np.shape(z), 0.5 + w * (2.0 - 0.5))
 
     schedule = constant_schedule(5, cond)
-    a = sample(SplitBackend(sched), schedule, _cfg(5, guidance_scale=w, seed=1))
-    b = sample(MixedBackend(sched), schedule, _cfg(5, seed=1))
+    a = sample(SplitBackend(sched), [schedule], _cfg(5, guidance_scale=w), [1])[0]
+    b = sample(MixedBackend(sched), [schedule], _cfg(5), [1])[0]
     np.testing.assert_allclose(a, b)
 
 

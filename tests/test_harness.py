@@ -24,6 +24,8 @@ from turnpoint.harness import (
     load_sweep_config,
     read_runs_csv,
     run_sweep,
+    sample_runs,
+    score_run,
     write_runs_csv,
 )
 from turnpoint.metrics import MetricsRecord, evaluate
@@ -272,9 +274,9 @@ class TestRunSweep:
         sched = build_schedule(cfg.n_steps, cfg.beta_min, cfg.beta_max)
         backend = backend_for_record(record, sched, cfg.frames, cfg.sigma, cfg.w_mix)
         schedule = constant_schedule(cfg.n_steps, condition_of(record, "event2"))
-        traj = sample(
-            backend, schedule,
-            SamplerConfig(n_steps=cfg.n_steps, seed=run.seed),
+        (traj,) = sample(
+            backend, [schedule],
+            SamplerConfig(n_steps=cfg.n_steps), [run.seed],
         )
         want = evaluate(traj, record.events[0], record.events[1])
         assert run.metrics == want
@@ -334,6 +336,81 @@ class TestRunSweep:
         assert all("not finite" in r.error for r in out)
         back = read_runs_csv(tmp_path / "out" / "runs.csv")
         assert [r.metrics for r in back] == [None, None]
+
+    @pytest.mark.parametrize("mode", ["step_switch", "qualitative"])
+    def test_batch_equals_rows_sampled_alone(self, tmp_path, mode):
+        record = generate_suite(0)[0]
+        cfg = small_cfg(tmp_path, mode=mode, grid=(0.0, 0.3, 1.0), repeats=2)
+        sched = cfg.noise_schedule()
+        runs = [(job.x, job.setting, job.seed) for job in _plan_jobs(cfg, [record])]
+        batch = sample_runs(cfg, record, None, sched, runs)
+        alone = [sample_runs(cfg, record, None, sched, [run])[0] for run in runs]
+        assert batch.tobytes() == np.stack(alone).tobytes()
+        out = run_sweep(cfg, records=[record])
+        assert [r.metrics for r in out] == [score_run(traj, record) for traj in alone]
+
+    def test_multi_ratio_checkpoint_parallel_matches_serial(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        model = small_checkpoint(path)
+        rng = np.random.default_rng(4)
+        for _, param in model.parameters():  # a fresh model predicts eps = 0
+            param[...] = 0.3 * rng.standard_normal(param.shape)
+        save_checkpoint(model, path)
+        records = generate_suite(0)[:3]
+        kw = dict(mode="block_split", backend=str(path), grid=(0.0, 0.5, 1.0), repeats=2)
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        serial = run_sweep(small_cfg(tmp_path / "s", **kw), records=records)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        parallel = run_sweep(small_cfg(tmp_path / "p", **kw), records=records)
+        strip = lambda r: RunRecord(**{**r.__dict__, "wall_time_ms": 0})
+        assert all(r.metrics is not None for r in serial)
+        assert len({r.metrics.ta1 for r in serial}) > 1
+        assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+
+    def test_sampling_error_fails_its_whole_batch(self, tmp_path, monkeypatch):
+        records = generate_suite(0)[:2]
+        real = backend_for_record
+
+        def flaky(record, *args):
+            if record.id == records[0].id:
+                raise RuntimeError("backend exploded")
+            return real(record, *args)
+
+        monkeypatch.setattr("turnpoint.harness.backend_for_record", flaky)
+        out = run_sweep(small_cfg(tmp_path, grid=(0.0, 0.5, 1.0)), records=records)
+        first, second = out[:3], out[3:]
+        assert all(r.prompt_id == records[0].id for r in first)
+        assert [(r.metrics, r.error) for r in first] == [
+            (None, "RuntimeError: backend exploded")
+        ] * 3
+        assert all(r.metrics is not None and r.error is None for r in second)
+
+    def test_scoring_errors_fail_only_their_own_run(self, tmp_path, monkeypatch):
+        import turnpoint.harness as harness
+
+        real_sample, real_evaluate = harness.sample, harness.evaluate
+        calls = []
+
+        def one_nan_row(*args):
+            trajs = real_sample(*args)
+            trajs[1, 0, 0] = np.nan
+            return trajs
+
+        def second_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("metric exploded")
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(harness, "sample", one_nan_row)
+        monkeypatch.setattr(harness, "evaluate", second_call_fails)
+        out = run_sweep(small_cfg(tmp_path, grid=(0.0, 0.5, 1.0)),
+                        records=generate_suite(0)[:1])
+        assert out[0].error is None and out[0].metrics is not None
+        assert out[1].metrics is None and "not finite" in out[1].error
+        assert out[2].metrics is None and out[2].error == "RuntimeError: metric exploded"
+        back = read_runs_csv(tmp_path / "out" / "runs.csv")
+        assert [r.metrics is None for r in back] == [False, True, True]
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         records = generate_suite(0)[:1]

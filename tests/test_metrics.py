@@ -197,6 +197,31 @@ def test_turning_frame_matches_naive_reference():
         assert got[1] == pytest.approx(want[1])
 
 
+def test_turning_frame_first_minimum_on_random_labels():
+    # steps exactly along one event direction reproduce the drawn labels;
+    # short trajectories leave several splits at the minimum cost
+    e1, e2 = ev(0.3), ev(2.1)
+    unit = {
+        False: (math.cos(e1.direction), math.sin(e1.direction)),
+        True: (math.cos(e2.direction), math.sin(e2.direction)),
+    }
+    rng = np.random.default_rng(23)
+    ties = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        labels = [bool(v) for v in rng.random(n - 1) < rng.uniform(0.1, 0.9)]
+        traj = np.zeros((n, 6))
+        traj[1:, :2] = np.cumsum([unit[lab] for lab in labels], axis=0)
+        costs = [
+            sum((m >= s) != lab for m, lab in zip(range(1, n), labels))
+            for s in range(n)
+        ]
+        ties += costs.count(min(costs)) > 1
+        want = (costs.index(min(costs)), float(np.mean(labels)))
+        assert turning_frame(traj, e1, e2) == want
+    assert ties > 0
+
+
 def test_turning_frame_needs_two_frames():
     with pytest.raises(ValueError):
         turning_frame(np.zeros((1, 6)), ev(0.0), ev(1.0))
