@@ -185,11 +185,8 @@ def _condition_index(schedules, n_steps: int):
 def _predict_grouped(denoiser, z, t, conds, active) -> np.ndarray:
     """One ``predict_eps`` call per condition in play; ``active`` holds each
     row's condition index."""
-    groups = sorted(set(active.tolist()))
-    if len(groups) == 1:
-        return denoiser.predict_eps(z, t, conds[groups[0]])
     eps_hat = np.empty_like(z)
-    for g in groups:
+    for g in sorted(set(active.tolist())):
         rows = np.flatnonzero(active == g)
         eps_hat[rows] = denoiser.predict_eps(z[rows], t, conds[g])
     return eps_hat
@@ -252,8 +249,9 @@ def sample(denoiser: DenoiserBackend, conditioning, cfg: SamplerConfig, seeds) -
     ancestral = cfg.sampler_kind == "ancestral"
     guided = cfg.guidance_scale != 1.0
     uncond = unconditioned(conditioning[0].width) if guided else None
-    for i in range(n):
-        t = n - 1 - i
+
+    # a step's prediction is freed by its update, so two never coexist
+    def predict(z, t, i):
         if blocks:
             eps_hat = denoiser.predict_eps_blocks(z, t, conditioning)
         else:
@@ -261,7 +259,11 @@ def sample(denoiser: DenoiserBackend, conditioning, cfg: SamplerConfig, seeds) -
         if guided:
             eps_un = denoiser.predict_eps(z, t, uncond)
             eps_hat = eps_un + cfg.guidance_scale * (eps_hat - eps_un)
-        if ancestral and t > 0:  # sigma_0 = 0: the last step draws nothing
+        return eps_hat
+
+    for i in range(n):
+        t = n - 1 - i
+        if ancestral:
             _draw(gens, noise)
-        z = ancestral_step(z, t, eps_hat, sched, noise)
+        z = ancestral_step(z, t, predict(z, t, i), sched, noise)
     return z.reshape(len(gens), *denoiser.frame_shape)

@@ -208,7 +208,7 @@ def load_sweep_config(path: str | None = None, **overrides) -> SweepConfig:
         raise ConfigurationError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     run_id: str
     mode: str
@@ -394,7 +394,7 @@ def score_run(traj, record) -> MetricsRecord:
     return evaluate(traj, *record.events)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Job:
     run_id: str
     prompt_id: str
@@ -532,7 +532,7 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
             )
     sched = cfg.noise_schedule()
 
-    batches = [_plan_jobs(cfg, [record]) for record in records]
+    batches = (_plan_jobs(cfg, [record]) for record in records)
     workers = _resolve_workers(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "runs.csv")

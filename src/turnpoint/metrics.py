@@ -26,7 +26,7 @@ __all__ = [
 _NORM_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsRecord:
     ta1: float
     ta2: float

@@ -2,6 +2,7 @@
 job planning/execution and aggregation."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ class TestRunsCsv:
         assert len(back) == 4
         # the error text is diagnostic only and is not persisted
         for orig, rec in zip(records, back):
-            assert rec == RunRecord(**{**orig.__dict__, "error": None})
+            assert rec == dataclasses.replace(orig, error=None)
         assert back[0].x == 0.1 + 0.2  # repr round-trips exactly
         assert back[2].metrics is None
 
@@ -362,7 +363,7 @@ class TestRunSweep:
         serial = run_sweep(small_cfg(tmp_path / "s", **kw), records=records)
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
         parallel = run_sweep(small_cfg(tmp_path / "p", **kw), records=records)
-        strip = lambda r: RunRecord(**{**r.__dict__, "wall_time_ms": 0})
+        strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
         assert all(r.metrics is not None for r in serial)
         assert len({r.metrics.ta1 for r in serial}) > 1
         assert [strip(r) for r in serial] == [strip(r) for r in parallel]
@@ -421,7 +422,7 @@ class TestRunSweep:
         parallel = run_sweep(
             small_cfg(tmp_path / "p", n_steps=3, frames=4), records=records
         )
-        strip = lambda r: RunRecord(**{**r.__dict__, "wall_time_ms": 0})
+        strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
         assert [strip(r) for r in serial] == [strip(r) for r in parallel]
 
 

@@ -126,6 +126,24 @@ def test_forward_depends_on_block_conditions():
     assert not np.array_equal(c, a) and not np.array_equal(c, b)
 
 
+def test_forward_pairs_each_row_with_its_own_assignment():
+    m = init_model(4, hidden=3, n_blocks=4, t_emb_dim=2, cond_width=1, seed=0)
+    rng = np.random.default_rng(9)
+    m.w_out[...] = rng.standard_normal(m.w_out.shape)
+    sched = build_schedule(10)
+    a, b = compose_single([0.7]), compose_single([-0.7])
+    assigns = [block_split(x, m.n_blocks, a, b) for x in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    z = np.repeat(rng.standard_normal((1, 4)), len(assigns), axis=0)
+    rows = np.stack([forward(m, zi, 3, sched, ai) for zi, ai in zip(z, assigns)])
+    assert len({r.tobytes() for r in rows}) == len(assigns)  # every assignment matters
+    np.testing.assert_allclose(forward(m, z, 3, sched, assigns), rows, rtol=1e-12, atol=1e-14)
+    den = NeuralDenoiser(m, sched, (2, 2))
+    np.testing.assert_allclose(den.predict_eps_blocks(z, 3, assigns), rows, rtol=1e-12, atol=1e-14)
+    for wrong in (assigns[:-1], assigns + assigns[:1]):
+        with pytest.raises(ValueError, match="block assignments for 5 latents"):
+            forward(m, z, 3, sched, wrong)
+
+
 # ---------------------------------------------------------------------------
 # loss and gradients
 
