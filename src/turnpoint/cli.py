@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 from .harness import (
     ConfigurationError,
@@ -141,13 +142,25 @@ def _cmd_train(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(str(exc)) from exc
 
+    start = time.perf_counter()
     model, trace = train(model, sampler, train_cfg, sched)
+    seconds = time.perf_counter() - start
     save_checkpoint(model, args.out)
+    steps_per_s = train_cfg.steps / seconds
+    log = {
+        "steps": train_cfg.steps,
+        "train_s": seconds,
+        "steps_per_s": steps_per_s,
+        "trace": [[step, loss] for step, loss in trace],
+    }
+    log_path = os.path.join(os.path.dirname(args.out), "train_log.json")
+    with open(log_path, "w", encoding="utf-8") as fh:
+        json.dump(log, fh, indent=2, sort_keys=True)
+    summary = f"trained {train_cfg.steps} steps in {seconds:.1f} s ({steps_per_s:.1f} steps/s)"
     if trace:
-        print(
-            f"trained {train_cfg.steps} steps: loss {trace[0][1]:.4f} -> {trace[-1][1]:.4f}"
-        )
-    print(f"wrote checkpoint to {args.out}")
+        summary += f": loss {trace[0][1]:.4f} -> {trace[-1][1]:.4f}"
+    print(summary)
+    print(f"wrote checkpoint to {args.out} and {log_path}")
     return 0
 
 
@@ -291,7 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="train a denoiser and save a checkpoint")
     tr.add_argument("--config", required=True, help="JSON training config")
-    tr.add_argument("--out", required=True, help="checkpoint output path")
+    tr.add_argument(
+        "--out", required=True,
+        help="checkpoint output path; train_log.json is written beside it",
+    )
     tr.set_defaults(func=_cmd_train)
 
     sm = sub.add_parser("sample", help="sample one trajectory for a prompt")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import GaussianMixture, sample_mixture
+from .analytic import GaussianMixture
 from .conditioning import ConditionEmbedding, compose_concat, compose_single
 
 __all__ = [
@@ -546,7 +546,10 @@ def mixture_data_sampler(pairs):
     """Training stream over ``[(condition, mixture), ...]`` pairs.
 
     Returns ``draw(rng, n) -> (z0, cond_vectors)``: picks a pair
-    uniformly per example, then draws the clean sample from its mixture.
+    uniformly per example, then a component by its mixture weight, then
+    the clean sample around that component's mean.  Every pair's
+    components are stacked once here, so a draw is three random calls
+    (pair, component, noise) and a gather, whatever pairs it picks.
     """
     pairs = list(pairs)
     if not pairs:
@@ -554,17 +557,29 @@ def mixture_data_sampler(pairs):
     dim = pairs[0][1].dim
     if any(m.dim != dim for _, m in pairs):
         raise ValueError("all mixtures must share one dimension")
-    vectors = np.stack([c.vector for c, _ in pairs])
+    vectors = [c.vector for c, _ in pairs]
     if any(v.shape != vectors[0].shape for v in vectors):
         raise ValueError("all conditions must share one width")
+    vectors = np.stack(vectors)
+    mixtures = [m for _, m in pairs]
+    means = np.concatenate([m.means for m in mixtures])
+    sds = np.sqrt(np.concatenate([m.variances for m in mixtures]))
+    counts = np.array([m.n_components for m in mixtures])
+    starts = np.cumsum(counts) - counts
+    # Row p holds pair p's cumulative weights.  Its last component and
+    # the padding past it read +inf, so a uniform u in [0, 1) always
+    # lands on one of the pair's own components despite rounding.
+    slot = np.arange(counts.max())
+    weights = np.zeros((len(mixtures), len(slot)))
+    weights[slot < counts[:, None]] = np.concatenate([m.weights for m in mixtures])
+    cum_weights = np.where(slot < counts[:, None] - 1, np.cumsum(weights, axis=1), np.inf)
 
     def draw(rng: np.random.Generator, n: int):
-        idx = rng.integers(0, len(pairs), size=n)
-        z0 = np.empty((n, dim))
-        for k in np.unique(idx):
-            mask = idx == k
-            z0[mask] = sample_mixture(pairs[k][1], rng, int(mask.sum()))
-        return z0, vectors[idx]
+        idx = rng.integers(0, len(vectors), size=n)
+        u = rng.random(n)
+        noise = rng.standard_normal((n, dim))
+        g = starts[idx] + (u[:, None] >= cum_weights[idx]).sum(axis=1)
+        return means[g] + sds[g] * noise, vectors[idx]
 
     return draw
 

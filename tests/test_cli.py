@@ -3,6 +3,7 @@ for every subcommand."""
 
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -133,6 +134,14 @@ class TestTrain:
         assert model.n_blocks == 2
         # suite events carry 2 appearance features -> 6 numbers per frame
         assert model.dim == 6 * (2 + 2 * 2)
+        log = json.loads(Path(tiny_checkpoint).with_name("train_log.json").read_text())
+        assert set(log) == {"steps", "train_s", "steps_per_s", "trace"}
+        assert log["steps"] == 60
+        assert math.isfinite(log["train_s"]) and log["train_s"] > 0
+        assert log["steps_per_s"] == pytest.approx(60 / log["train_s"])
+        # (step, loss) every 100 steps
+        assert [step for step, _ in log["trace"]] == [0]
+        assert all(math.isfinite(loss) for _, loss in log["trace"])
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.json"

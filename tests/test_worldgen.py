@@ -418,5 +418,38 @@ def test_mixture_data_sampler_validation():
     r = rec(ev(0.2), ev(2.2))
     pairs_a = suite_training_pairs([r], n_frames=4, sigma=0.3)
     pairs_b = suite_training_pairs([r], n_frames=6, sigma=0.3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all mixtures must share one dimension"):
         mixture_data_sampler([pairs_a[0], pairs_b[0]])
+    # 3 frames of 2 + 2*3 numbers match 4 frames of 2 + 2*2, but the
+    # condition widths differ (2*9 + 2 against 2*7 + 2)
+    wide = ev(0.2, identity=(1.0, 0.0, 0.0), background=(0.0, 1.0, 0.0))
+    pairs_c = suite_training_pairs([rec(wide, wide)], n_frames=3, sigma=0.3)
+    assert pairs_c[0][1].dim == pairs_a[0][1].dim
+    with pytest.raises(ValueError, match="all conditions must share one width"):
+        mixture_data_sampler([pairs_a[0], pairs_c[0]])
+
+
+def test_mixture_data_sampler_distribution():
+    # one-component event1/event2 pairs and two-component concat pairs,
+    # the concat weight away from 1/2 so ignoring it shows
+    records = [rec(ev(0.2), ev(2.2)), rec(ev(4.0, speed=0.5), ev(1.0, speed=1.5))]
+    sigma, w_mix = 0.01, 0.2
+    pairs = suite_training_pairs(records, n_frames=4, sigma=sigma, w_mix=w_mix)
+    z0, conds = mixture_data_sampler(pairs)(np.random.default_rng(3), 60_000)
+    # every component of every pair, tagged with its pair
+    means = np.concatenate([m.means for _, m in pairs])
+    owner = np.concatenate([np.full(m.n_components, p) for p, (_, m) in enumerate(pairs)])
+    dist = np.stack([np.linalg.norm(z0 - mu, axis=1) for mu in means], axis=1)
+    nearest = dist.argmin(axis=1)
+    assert dist[np.arange(len(z0)), nearest].max() < 10 * sigma * math.sqrt(z0.shape[1])
+    for p, (cond, mixture) in enumerate(pairs):
+        rows = np.all(conds == cond.vector, axis=1)
+        assert rows.sum() > 8_000
+        # every draw lands on one of the pair's own components
+        np.testing.assert_array_equal(owner[nearest[rows]], p)
+        start = np.flatnonzero(owner == p)[0]
+        share = np.bincount(nearest[rows] - start, minlength=mixture.n_components) / rows.sum()
+        np.testing.assert_allclose(share, mixture.weights, atol=0.02)
+        np.testing.assert_allclose(
+            z0[rows].mean(axis=0), mixture.weights @ mixture.means, atol=0.02
+        )
