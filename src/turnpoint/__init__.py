@@ -19,7 +19,6 @@ from .conditioning import (
 )
 from .diffusion import (
     NoiseSchedule,
-    SamplerConfig,
     ancestral_step,
     build_schedule,
     forward_noise,
@@ -68,7 +67,6 @@ __all__ = [
     "NoiseSchedule",
     "PromptRecord",
     "RunRecord",
-    "SamplerConfig",
     "StepSchedule",
     "SweepConfig",
     "TrainConfig",

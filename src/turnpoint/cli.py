@@ -128,13 +128,12 @@ def _cmd_train(args) -> int:
             records = generate_suite(data.suite_seed)
         if not records:
             raise ConfigurationError("the prompt suite is empty")
-        d = records[0].feature_dim
         sampler = mixture_data_sampler(
             suite_training_pairs(records, data.frames, data.sigma, data.w_mix)
         )
         model = init_model(
-            data.frames * (2 + 2 * d),
-            cond_width=3 + 2 * d,
+            data.frames * records[0].frame_dim,
+            cond_width=records[0].cond_width,
             seed=config.get("init_seed", 0),
             **given(_TRAIN_MODEL_KEYS),
         )
@@ -195,8 +194,8 @@ def _cmd_sample(args) -> int:
     frames = args.frames
     if args.backend != "analytic":
         model = open_checkpoint(args.backend, records)
-        frames = model.dim // (2 + 2 * record.feature_dim)
-    cfg = SweepConfig(
+        frames = model.dim // record.frame_dim
+    cfg = load_sweep_config(
         mode=_SAMPLE_MODES[args.mode],
         grid=(args.x,),
         backend=args.backend,
@@ -218,8 +217,8 @@ def _cmd_sample(args) -> int:
         "x": args.x,
         "backend": args.backend,
         "seed": args.seed,
-        "n_steps": args.n_steps,
-        "frames": frames,
+        "n_steps": cfg.n_steps,
+        "frames": cfg.frames,
         "metrics": dataclasses.asdict(metrics),
     }
     with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
@@ -322,10 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sm.add_argument("--seed", type=int, required=True, help="sampler seed")
     sm.add_argument("--out", required=True, help="output directory")
-    sm.add_argument("--n-steps", type=int, default=50, help="denoising steps")
-    sm.add_argument("--frames", type=int, default=16, help="frames (analytic backend)")
-    sm.add_argument("--sigma", type=float, default=0.5, help="data noise scale")
-    sm.add_argument("--w-mix", type=float, default=0.5, help="concat mixture weight")
+    sm.add_argument("--n-steps", type=int, help="denoising steps")
+    sm.add_argument("--frames", type=int, help="frames (analytic backend)")
+    sm.add_argument("--sigma", type=float, help="data noise scale")
+    sm.add_argument("--w-mix", type=float, help="concat mixture weight")
     sm.set_defaults(func=_cmd_sample)
 
     sw = sub.add_parser("sweep", help="run a sweep and write runs.csv plus a report")

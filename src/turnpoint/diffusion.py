@@ -22,7 +22,6 @@ from .conditioning import (
 
 __all__ = [
     "NoiseSchedule",
-    "SamplerConfig",
     "DenoiserBackend",
     "build_schedule",
     "forward_noise",
@@ -133,8 +132,8 @@ class DenoiserBackend(Protocol):
 
     ``predict_eps`` answers a batch ``z`` of shape (rows, dim) under one
     condition.  Backends that understand per-block conditioning
-    additionally expose ``predict_eps_blocks(z, t, assigns)`` with one
-    :class:`BlockAssignment` per row.
+    additionally expose ``predict_eps_blocks(z, t, block_conds)`` with one
+    ``(n_blocks, cond_dim)`` stack of condition vectors per row.
     """
 
     @property
@@ -147,24 +146,6 @@ class DenoiserBackend(Protocol):
     def frame_shape(self) -> tuple[int, int]: ...
 
     def predict_eps(self, z: np.ndarray, t: int, cond: ConditionEmbedding) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    n_steps: int
-    sampler_kind: str = "ancestral"
-    guidance_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if self.sampler_kind not in ("ancestral", "deterministic"):
-            raise ValueError(
-                f"sampler_kind must be 'ancestral' or 'deterministic', "
-                f"got {self.sampler_kind!r}"
-            )
-        if not np.isfinite(self.guidance_scale) or self.guidance_scale < 0.0:
-            raise ValueError("guidance_scale must be finite and >= 0")
 
 
 def _condition_index(schedules, n_steps: int):
@@ -197,7 +178,9 @@ def _draw(gens, out: np.ndarray) -> None:
         gen.standard_normal(out=row)
 
 
-def sample(denoiser: DenoiserBackend, conditioning, cfg: SamplerConfig, seeds) -> np.ndarray:
+def sample(
+    denoiser: DenoiserBackend, conditioning, seeds, guidance_scale: float = 1.0
+) -> np.ndarray:
     """Run one reverse chain per row and return trajectories of shape
     ``(rows, *denoiser.frame_shape)``.
 
@@ -205,19 +188,19 @@ def sample(denoiser: DenoiserBackend, conditioning, cfg: SamplerConfig, seeds) -
     :class:`StepSchedule` (iteration ``i`` uses the schedule's condition
     for ``i`` and denoises diffusion step ``t = N - 1 - i``) or every entry
     is a :class:`BlockAssignment`, which conditions the backend's blocks
-    identically at every step and needs a block-structured backend.  Row
-    ``b`` draws its start point and its noise from its own
+    identically at every step and needs a block-structured backend.  The
+    step count ``N`` is the backend's noise schedule's.  Row ``b`` draws its
+    start point and its noise from its own
     ``np.random.default_rng(seeds[b])``, so a row does not depend on the
     other rows whenever the backend computes rows independently.  Output is
     bit-reproducible for fixed (seeds, conditioning, parameters); metric code
-    never touches the sampler's generators.
+    never touches the sampler's generators.  ``guidance_scale`` other than 1
+    mixes in the unconditioned prediction (classifier-free guidance).
     """
+    if not np.isfinite(guidance_scale) or guidance_scale < 0.0:
+        raise ValueError("guidance_scale must be finite and >= 0")
     sched = denoiser.noise_schedule
-    n = cfg.n_steps
-    if sched.n_steps != n:
-        raise ValueError(
-            f"backend noise schedule has {sched.n_steps} steps, sampler expects {n}"
-        )
+    n = sched.n_steps
     conditioning = list(conditioning)
     seeds = list(seeds)
     if not conditioning:
@@ -234,36 +217,35 @@ def sample(denoiser: DenoiserBackend, conditioning, cfg: SamplerConfig, seeds) -
             raise ValueError(
                 "block assignment requires a block-structured denoiser backend"
             )
+        block_conds = np.stack([a.vectors for a in conditioning])
     else:
         for schedule in conditioning:
             if schedule.n_steps != n:
                 raise ValueError(
                     f"conditioning schedule covers {schedule.n_steps} steps, "
-                    f"sampler runs {n}"
+                    f"backend noise schedule has {n}"
                 )
         conds, index = _condition_index(conditioning, n)
     gens = [np.random.default_rng(seed) for seed in seeds]
     z = np.empty((len(gens), denoiser.dim))
     _draw(gens, z)
-    noise = np.zeros_like(z)
-    ancestral = cfg.sampler_kind == "ancestral"
-    guided = cfg.guidance_scale != 1.0
+    noise = np.empty_like(z)
+    guided = guidance_scale != 1.0
     uncond = unconditioned(conditioning[0].width) if guided else None
 
     # a step's prediction is freed by its update, so two never coexist
     def predict(z, t, i):
         if blocks:
-            eps_hat = denoiser.predict_eps_blocks(z, t, conditioning)
+            eps_hat = denoiser.predict_eps_blocks(z, t, block_conds)
         else:
             eps_hat = _predict_grouped(denoiser, z, t, conds, index[:, i])
         if guided:
             eps_un = denoiser.predict_eps(z, t, uncond)
-            eps_hat = eps_un + cfg.guidance_scale * (eps_hat - eps_un)
+            eps_hat = eps_un + guidance_scale * (eps_hat - eps_un)
         return eps_hat
 
     for i in range(n):
         t = n - 1 - i
-        if ancestral:
-            _draw(gens, noise)
+        _draw(gens, noise)
         z = ancestral_step(z, t, predict(z, t, i), sched, noise)
     return z.reshape(len(gens), *denoiser.frame_shape)

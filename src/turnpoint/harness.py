@@ -25,7 +25,7 @@ from .conditioning import (
     qualitative_settings,
     step_switch,
 )
-from .diffusion import NoiseSchedule, SamplerConfig, build_schedule, sample
+from .diffusion import NoiseSchedule, build_schedule, sample
 from .metrics import MetricsRecord, evaluate
 from .neural import CheckpointError, DenoiserModel, NeuralDenoiser, load_checkpoint
 from .worldgen import (
@@ -41,7 +41,6 @@ __all__ = [
     "MODES",
     "METRIC_FIELDS",
     "RUNS_CSV_COLUMNS",
-    "WORKERS_ENV_VAR",
     "ConfigurationError",
     "SweepConfig",
     "RunRecord",
@@ -81,7 +80,6 @@ RUNS_CSV_COLUMNS = (
     "occupancy2",
     "wall_time_ms",
 )
-WORKERS_ENV_VAR = "TURNPOINT_WORKERS"
 
 
 class ConfigurationError(ValueError):
@@ -153,6 +151,8 @@ class SweepConfig:
             raise ConfigurationError(
                 "block_split mode needs a block-structured (checkpoint) backend"
             )
+        if not (np.isfinite(self.guidance_scale) and self.guidance_scale >= 0.0):
+            raise ConfigurationError("guidance_scale must be finite and >= 0")
         if self.guidance_scale != 1.0 and self.backend == "analytic":
             raise ConfigurationError(
                 "guidance_scale other than 1 needs a checkpoint backend: the "
@@ -320,8 +320,7 @@ def backend_for_record(
     w_mix: float = 0.5,
 ) -> AnalyticDenoiser:
     """Analytic backend with this prompt's three conditions registered."""
-    frame_dim = 2 + 2 * record.feature_dim
-    backend = AnalyticDenoiser(sched, (n_frames, frame_dim))
+    backend = AnalyticDenoiser(sched, (n_frames, record.frame_dim))
     for cond, mixture in suite_training_pairs([record], n_frames, sigma, w_mix):
         backend.register(cond, mixture)
     return backend
@@ -342,17 +341,16 @@ def open_checkpoint(path: str, records) -> DenoiserModel:
         raise ConfigurationError(
             f"a checkpoint needs one feature dimension, the suite has {feature_dims}"
         )
-    (d,) = feature_dims
-    if model.cond_width != 3 + 2 * d:
+    record = records[0]
+    if model.cond_width != record.cond_width:
         raise ConfigurationError(
             f"checkpoint condition width {model.cond_width} does not match "
-            f"{3 + 2 * d} for feature dimension {d}"
+            f"{record.cond_width} for feature dimension {record.feature_dim}"
         )
-    frame_dim = 2 + 2 * d
-    if model.dim % frame_dim != 0:
+    if model.dim % record.frame_dim != 0:
         raise ConfigurationError(
             f"checkpoint dimension {model.dim} is not a multiple of the "
-            f"frame dimension {frame_dim}"
+            f"frame dimension {record.frame_dim}"
         )
     return model
 
@@ -369,7 +367,7 @@ def sample_runs(cfg: SweepConfig, record, model, sched, runs) -> np.ndarray:
     if model is None:
         backend = backend_for_record(record, sched, cfg.frames, cfg.sigma, cfg.w_mix)
     else:
-        backend = NeuralDenoiser(model, sched, (cfg.frames, 2 + 2 * record.feature_dim))
+        backend = NeuralDenoiser(model, sched, (cfg.frames, record.frame_dim))
     cond1 = condition_of(record, "event1")
     cond2 = condition_of(record, "event2")
 
@@ -382,8 +380,7 @@ def sample_runs(cfg: SweepConfig, record, model, sched, runs) -> np.ndarray:
 
     by_x = {x: conditioning_at(x) for x in {run[0] for run in runs}}
     conditioning = [by_x[x][0 if setting is None else setting - 1] for x, setting, _ in runs]
-    sampler_cfg = SamplerConfig(n_steps=cfg.n_steps, guidance_scale=cfg.guidance_scale)
-    return sample(backend, conditioning, sampler_cfg, [seed for _, _, seed in runs])
+    return sample(backend, conditioning, [seed for _, _, seed in runs], cfg.guidance_scale)
 
 
 def score_run(traj, record) -> MetricsRecord:
@@ -487,21 +484,6 @@ def _plan_jobs(cfg: SweepConfig, records) -> list[_Job]:
     return jobs
 
 
-def _resolve_workers(cfg: SweepConfig) -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return cfg.workers
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from exc
-    if workers < 1:
-        raise ConfigurationError(f"{WORKERS_ENV_VAR} must be at least 1")
-    return workers
-
-
 def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
     """Execute the sweep and stream ``runs.csv`` under ``cfg.out_dir``.
 
@@ -524,7 +506,7 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
     model = None
     if cfg.backend != "analytic":
         model = open_checkpoint(cfg.backend, records)
-        frame_dim = 2 + 2 * records[0].feature_dim
+        frame_dim = records[0].frame_dim
         if model.dim != cfg.frames * frame_dim:
             raise ConfigurationError(
                 f"checkpoint dimension {model.dim} does not match "
@@ -533,21 +515,20 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
     sched = cfg.noise_schedule()
 
     batches = (_plan_jobs(cfg, [record]) for record in records)
-    workers = _resolve_workers(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "runs.csv")
     results: list[RunRecord] = []
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUNS_CSV_COLUMNS)
-        if workers == 1:
+        if cfg.workers == 1:
             done = (_execute_batch(jobs, cfg, records_by_id, model, sched) for jobs in batches)
             for batch in done:
                 results.extend(batch)
                 writer.writerows(map(_record_to_row, batch))
         else:
             with ProcessPoolExecutor(
-                max_workers=workers,
+                max_workers=cfg.workers,
                 initializer=_init_worker,
                 initargs=(cfg, records_by_id, model, sched),
             ) as pool:

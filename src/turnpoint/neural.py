@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditioning import BlockAssignment, ConditionEmbedding, uniform_blocks
+from .conditioning import ConditionEmbedding
 from .diffusion import NoiseSchedule, forward_noise
 
 __all__ = [
@@ -168,23 +168,13 @@ def _forward_batch(model, z, t, block_conds, keep_cache=False):
     return eps, (cache, h)
 
 
-def _check_assignment(model, assign: BlockAssignment) -> None:
-    if assign.n_blocks != model.n_blocks:
-        raise ValueError(
-            f"assignment has {assign.n_blocks} blocks, model has {model.n_blocks}"
-        )
-    if assign.width != model.cond_width:
-        raise ValueError(
-            f"assignment slot width {assign.width} does not match model width "
-            f"{model.cond_width}"
-        )
-
-
-def forward(model, z_t, t: int, sched: NoiseSchedule, assign) -> np.ndarray:
+def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds) -> np.ndarray:
     """Noise prediction for one latent ``(dim,)`` or a batch ``(n, dim)``.
 
-    ``assign`` is one :class:`BlockAssignment` for every row, or a
-    sequence of ``n`` assignments, one per row.
+    ``block_conds`` holds condition vectors of width ``model.cond_dim``:
+    ``(cond_dim,)`` conditions every block of every row alike,
+    ``(n_blocks, cond_dim)`` is one block stack (``BlockAssignment.vectors``)
+    for every row, and ``(n, n_blocks, cond_dim)`` one stack per row.
     """
     z_t = np.asarray(z_t, dtype=np.float64)
     if z_t.ndim not in (1, 2) or z_t.shape[-1] != model.dim:
@@ -194,17 +184,16 @@ def forward(model, z_t, t: int, sched: NoiseSchedule, assign) -> np.ndarray:
         raise ValueError(f"step index {t} outside [0, {sched.n_steps})")
     batch = z_t.reshape(-1, model.dim)
     n = batch.shape[0]
-    shared = isinstance(assign, BlockAssignment)
-    assigns = [assign] if shared else list(assign)
-    if not shared and len(assigns) != n:
-        raise ValueError(f"{len(assigns)} block assignments for {n} latents")
-    for a in assigns:
-        _check_assignment(model, a)
-    if shared:
-        conds = np.broadcast_to(assign.vectors, (n, model.n_blocks, model.cond_dim))
-    else:
-        conds = np.stack([a.vectors for a in assigns])
-    eps, _ = _forward_batch(model, batch, np.full(n, t), conds)
+    full = (n, model.n_blocks, model.cond_dim)
+    conds = np.asarray(block_conds, dtype=np.float64)
+    if conds.ndim == 3 and conds.shape[0] != n:
+        raise ValueError(f"{conds.shape[0]} block assignments for {n} latents")
+    if not 1 <= conds.ndim <= 3 or conds.shape != full[3 - conds.ndim:]:
+        raise ValueError(
+            f"block conditions have shape {conds.shape}; expected (cond_dim,), "
+            f"(n_blocks, cond_dim) or (n, n_blocks, cond_dim) of {full}"
+        )
+    eps, _ = _forward_batch(model, batch, np.full(n, t), np.broadcast_to(conds, full))
     return eps[0] if z_t.ndim == 1 else eps
 
 
@@ -408,10 +397,11 @@ def load_checkpoint(path) -> DenoiserModel:
 class NeuralDenoiser:
     """Sampler-facing wrapper around a :class:`DenoiserModel`.
 
-    Uniform conditioning routes through :meth:`predict_eps`; block
-    splits, one assignment per row, through :meth:`predict_eps_blocks`.
-    Both answer a latent ``(dim,)`` or a batch ``(n, dim)`` in one
-    forward pass.
+    Uniform conditioning routes through :meth:`predict_eps`, which takes a
+    :class:`ConditionEmbedding` like every backend; block splits through
+    :meth:`predict_eps_blocks`, which takes condition arrays in any shape
+    :func:`forward` accepts.  Both answer a latent ``(dim,)`` or a batch
+    ``(n, dim)`` in one forward pass.
     """
 
     def __init__(self, model: DenoiserModel, noise_schedule: NoiseSchedule,
@@ -443,8 +433,7 @@ class NeuralDenoiser:
         return self._model.dim
 
     def predict_eps(self, z, t: int, cond: ConditionEmbedding) -> np.ndarray:
-        assign = uniform_blocks(cond, self._model.n_blocks)
-        return forward(self._model, z, t, self._sched, assign)
+        return forward(self._model, z, t, self._sched, cond.vector)
 
-    def predict_eps_blocks(self, z, t: int, assigns) -> np.ndarray:
-        return forward(self._model, z, t, self._sched, assigns)
+    def predict_eps_blocks(self, z, t: int, block_conds) -> np.ndarray:
+        return forward(self._model, z, t, self._sched, block_conds)

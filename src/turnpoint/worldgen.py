@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import GaussianMixture
+from .analytic import GaussianMixture, single_gaussian
 from .conditioning import ConditionEmbedding, compose_concat, compose_single
 
 __all__ = [
@@ -143,6 +143,16 @@ class PromptRecord:
     def feature_dim(self) -> int:
         return self.events[0].feature_dim
 
+    @property
+    def frame_dim(self) -> int:
+        """Width of one trajectory frame: position (2), identity and background."""
+        return 2 + 2 * self.feature_dim
+
+    @property
+    def cond_width(self) -> int:
+        """Width of one condition slot, :func:`embed_event`'s output."""
+        return 3 + 2 * self.feature_dim
+
 
 def embed_event(event: EventParams) -> np.ndarray:
     """Event slot vector [cos(dir), sin(dir), speed, identity..., background...]."""
@@ -267,9 +277,9 @@ def gaussian_of(
         return mean_trajectory(a, b, n_frames, record.view).ravel()
 
     if which == "event1":
-        return _iso(flat(e1, e1), var)
+        return single_gaussian(flat(e1, e1), var)
     if which == "event2":
-        return _iso(flat(e2, e2), var)
+        return single_gaussian(flat(e2, e2), var)
     if which == "concat":
         w = min(max(float(w_mix), 0.01), 0.99)
         blend = blended_event(e1, e2)
@@ -277,12 +287,6 @@ def gaussian_of(
         variances = np.full_like(means, var)
         return GaussianMixture(np.array([w, 1.0 - w]), means, variances)
     raise ValueError(f"which must be 'event1', 'event2' or 'concat', got {which!r}")
-
-
-def _iso(mean: np.ndarray, var: float) -> GaussianMixture:
-    return GaussianMixture(
-        np.array([1.0]), mean[None, :], np.full((1, mean.shape[0]), var)
-    )
 
 
 # ---------------------------------------------------------------------------

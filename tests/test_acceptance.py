@@ -27,7 +27,7 @@ from turnpoint.conditioning import (
     step_switch,
     uniform_blocks,
 )
-from turnpoint.diffusion import SamplerConfig, ancestral_step, build_schedule, sample
+from turnpoint.diffusion import ancestral_step, build_schedule, sample
 from turnpoint.harness import (
     RUNS_CSV_COLUMNS,
     SweepConfig,
@@ -96,11 +96,10 @@ def test_criterion_01_step_switch_endpoints_match_constant_conditioning():
         c2 = condition_of(record, "event2")
         analytic = backend_for_record(record, sched, frames, 0.5)
         for backend in (analytic, neural):
-            cfg = SamplerConfig(n_steps=n_steps)
-            (lo,) = sample(backend, [step_switch(0.0, n_steps, c1, c2)], cfg, [seed])
-            (lo_ref,) = sample(backend, [constant_schedule(n_steps, c2)], cfg, [seed])
-            (hi,) = sample(backend, [step_switch(1.0, n_steps, c1, c2)], cfg, [seed])
-            (hi_ref,) = sample(backend, [constant_schedule(n_steps, c1)], cfg, [seed])
+            (lo,) = sample(backend, [step_switch(0.0, n_steps, c1, c2)], [seed])
+            (lo_ref,) = sample(backend, [constant_schedule(n_steps, c2)], [seed])
+            (hi,) = sample(backend, [step_switch(1.0, n_steps, c1, c2)], [seed])
+            (hi_ref,) = sample(backend, [constant_schedule(n_steps, c1)], [seed])
             all_equal &= np.array_equal(lo, lo_ref) and np.array_equal(hi, hi_ref)
             checked += 1
     dt = time.perf_counter() - t0
@@ -123,10 +122,10 @@ def test_criterion_02_block_split_endpoints_match_uniform_conditioning():
         t = int(rng.integers(0, 50))
         ca = compose_single(rng.standard_normal(3))
         cb = compose_single(rng.standard_normal(3))
-        lo = forward(model, z, t, sched, block_split(0.0, 5, ca, cb))
-        lo_ref = forward(model, z, t, sched, uniform_blocks(cb, 5))
-        hi = forward(model, z, t, sched, block_split(1.0, 5, ca, cb))
-        hi_ref = forward(model, z, t, sched, uniform_blocks(ca, 5))
+        lo = forward(model, z, t, sched, block_split(0.0, 5, ca, cb).vectors)
+        lo_ref = forward(model, z, t, sched, uniform_blocks(cb, 5).vectors)
+        hi = forward(model, z, t, sched, block_split(1.0, 5, ca, cb).vectors)
+        hi_ref = forward(model, z, t, sched, uniform_blocks(ca, 5).vectors)
         all_equal &= np.array_equal(lo, lo_ref) and np.array_equal(hi, hi_ref)
     dt = time.perf_counter() - t0
     _verdict(

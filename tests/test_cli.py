@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from turnpoint.cli import main
-from turnpoint.harness import RUNS_CSV_COLUMNS, read_runs_csv
+from turnpoint.harness import RUNS_CSV_COLUMNS, SweepConfig, read_runs_csv
 from turnpoint.metrics import MetricsRecord
 from turnpoint.neural import init_model, load_checkpoint, save_checkpoint
 from turnpoint.worldgen import generate_suite, read_suite, write_suite
@@ -250,6 +250,15 @@ class TestSample:
         assert code == 2
         assert "not finite" in capsys.readouterr().err
 
+    def test_default_flags_take_sweep_config_defaults(self, small_suite, tmp_path):
+        prompt = read_suite(small_suite)[0].id
+        assert main(sample_args(small_suite, tmp_path, prompt)) == 0
+        payload = json.loads((tmp_path / "metrics.json").read_text())
+        assert payload["n_steps"] == SweepConfig.n_steps
+        assert payload["frames"] == SweepConfig.frames
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + SweepConfig.frames
+
     def test_unknown_prompt_id(self, small_suite, tmp_path):
         code = main(sample_args(small_suite, tmp_path, "nope-999", n_steps=5))
         assert code == 1
@@ -357,6 +366,16 @@ class TestSweepAndReport:
                              backend=str(path), n_steps=6)
         assert main(sample) == 1
         assert "checkpoint header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["-1", "nan"])
+    def test_bad_guidance_scale_exits_1(self, small_suite, tiny_checkpoint, tmp_path,
+                                        capsys, scale):
+        code = main(["sweep", "--suite", small_suite, "--backend", tiny_checkpoint,
+                     f"--guidance-scale={scale}", "--grid", "0,1", "--repeats", "1",
+                     "--n-steps", "6", "--frames", "6", "--out-dir", str(tmp_path / "s")])
+        assert code == 1
+        assert "guidance_scale" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_bad_config(self, tmp_path):
         cfg = tmp_path / "sweep.json"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from turnpoint.conditioning import (
+    BlockAssignment,
+    block_split,
     compose_single,
     constant_schedule,
     step_switch,
@@ -13,12 +15,12 @@ from turnpoint.conditioning import (
 )
 from turnpoint.diffusion import (
     NoiseSchedule,
-    SamplerConfig,
     ancestral_step,
     build_schedule,
     forward_noise,
     sample,
 )
+from turnpoint.neural import NeuralDenoiser, init_model
 
 
 class LinearBackend:
@@ -184,19 +186,15 @@ def test_ancestral_step_shape_errors():
 # sample
 
 
-def _cfg(n, **kw):
-    return SamplerConfig(n_steps=n, **kw)
-
-
 def test_sample_deterministic_and_shaped():
     sched = build_schedule(10)
     backend = LinearBackend(sched)
     schedule = constant_schedule(10, compose_single([1.0]))
-    a = sample(backend, [schedule], _cfg(10), [5])[0]
-    b = sample(backend, [schedule], _cfg(10), [5])[0]
+    a = sample(backend, [schedule], [5])[0]
+    b = sample(backend, [schedule], [5])[0]
     assert a.shape == backend.frame_shape
     np.testing.assert_array_equal(a, b)
-    c = sample(backend, [schedule], _cfg(10), [6])[0]
+    c = sample(backend, [schedule], [6])[0]
     assert not np.array_equal(a, c)
 
 
@@ -205,7 +203,7 @@ def test_sample_visits_conditions_in_schedule_order():
     backend = LinearBackend(sched)
     c1, c2 = compose_single([1.0]), compose_single([2.0])
     schedule = step_switch(0.3, 10, c1, c2)
-    sample(backend, [schedule], _cfg(10), [0])
+    sample(backend, [schedule], [0])
     ts = [t for t, _ in backend.calls]
     conds = [c for _, c in backend.calls]
     assert ts == list(range(9, -1, -1))  # noisiest step first
@@ -218,11 +216,11 @@ def test_sample_batches_rows_by_active_condition():
     c1, c2 = compose_single([1.0]), compose_single([2.0])
     schedules = [step_switch(x, 10, c1, c2) for x in (0.0, 0.3, 1.0, 0.3)]
     seeds = [1, 2, 3, 4]
-    batch = sample(backend, schedules, _cfg(10), seeds)
+    batch = sample(backend, schedules, seeds)
     assert batch.shape == (4, *backend.frame_shape)
     assert len(backend.calls) == 20  # one call per condition in play per step
     alone = [
-        sample(LinearBackend(sched, a=0.1, b=0.2), [s], _cfg(10), [seed])[0]
+        sample(LinearBackend(sched, a=0.1, b=0.2), [s], [seed])[0]
         for s, seed in zip(schedules, seeds)
     ]
     np.testing.assert_array_equal(batch, np.stack(alone))
@@ -234,11 +232,11 @@ def test_sample_rejects_malformed_batches():
     schedule = constant_schedule(4, compose_single([1.0]))
     assign = uniform_blocks(compose_single([1.0]), 3)
     with pytest.raises(ValueError, match="at least one chain"):
-        sample(backend, [], _cfg(4), [])
+        sample(backend, [], [])
     with pytest.raises(ValueError, match="seeds"):
-        sample(backend, [schedule, schedule], _cfg(4), [0])
+        sample(backend, [schedule, schedule], [0])
     with pytest.raises(ValueError, match="mixes"):
-        sample(backend, [schedule, assign], _cfg(4), [0, 1])
+        sample(backend, [schedule, assign], [0, 1])
 
 
 def test_sample_output_independent_of_condition_payload():
@@ -248,20 +246,9 @@ def test_sample_output_independent_of_condition_payload():
     backend = LinearBackend(sched, a=0.1, b=0.2)
     s1 = constant_schedule(8, compose_single([1.0, 2.0]))
     s2 = step_switch(0.5, 8, compose_single([-3.0, 0.0]), compose_single([9.0, 9.0]))
-    a = sample(backend, [s1], _cfg(8), [3])[0]
-    b = sample(backend, [s2], _cfg(8), [3])[0]
+    a = sample(backend, [s1], [3])[0]
+    b = sample(backend, [s2], [3])[0]
     np.testing.assert_array_equal(a, b)
-
-
-def test_sample_deterministic_kind_skips_noise():
-    sched = build_schedule(6)
-    backend = LinearBackend(sched)
-    schedule = constant_schedule(6, compose_single([1.0]))
-    a = sample(backend, [schedule], _cfg(6, sampler_kind="deterministic"), [2])[0]
-    b = sample(backend, [schedule], _cfg(6, sampler_kind="deterministic"), [2])[0]
-    np.testing.assert_array_equal(a, b)
-    noisy = sample(backend, [schedule], _cfg(6), [2])[0]
-    assert not np.array_equal(a, noisy)
 
 
 def test_sample_step_count_mismatches():
@@ -269,9 +256,9 @@ def test_sample_step_count_mismatches():
     backend = LinearBackend(sched)
     schedule = constant_schedule(5, compose_single([1.0]))
     with pytest.raises(ValueError):
-        sample(backend, [schedule], _cfg(5), [0])  # backend has 6 steps
+        sample(backend, [schedule], [0])  # backend has 6 steps
     with pytest.raises(ValueError):
-        sample(backend, [constant_schedule(6, compose_single([1.0]))], _cfg(5), [0])
+        sample(backend, [constant_schedule(7, compose_single([1.0]))], [0])  # and 7
 
 
 def test_sample_block_assignment_needs_block_backend():
@@ -280,14 +267,14 @@ def test_sample_block_assignment_needs_block_backend():
     schedule = constant_schedule(4, compose_single([1.0]))
     assign = uniform_blocks(compose_single([1.0]), 3)
     with pytest.raises(ValueError):
-        sample(backend, [assign], _cfg(4), [0])
+        sample(backend, [assign], [0])
 
 
 def test_guidance_disabled_at_scale_one():
     sched = build_schedule(5)
     backend = LinearBackend(sched)
     schedule = constant_schedule(5, compose_single([1.0]))
-    sample(backend, [schedule], _cfg(5, guidance_scale=1.0), [0])
+    sample(backend, [schedule], [0], guidance_scale=1.0)
     assert all(cond.flag1 == 1 for _, cond in backend.calls)
     assert len(backend.calls) == 5
 
@@ -309,15 +296,40 @@ def test_guidance_combination_formula():
             return np.full(np.shape(z), 0.5 + w * (2.0 - 0.5))
 
     schedule = constant_schedule(5, cond)
-    a = sample(SplitBackend(sched), [schedule], _cfg(5, guidance_scale=w), [1])[0]
-    b = sample(MixedBackend(sched), [schedule], _cfg(5), [1])[0]
+    a = sample(SplitBackend(sched), [schedule], [1], guidance_scale=w)[0]
+    b = sample(MixedBackend(sched), [schedule], [1])[0]
     np.testing.assert_allclose(a, b)
 
 
-def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(n_steps=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(n_steps=3, sampler_kind="euler")
-    with pytest.raises(ValueError):
-        SamplerConfig(n_steps=3, guidance_scale=-0.5)
+def test_sample_rejects_bad_guidance_scale():
+    sched = build_schedule(3)
+    schedule = constant_schedule(3, compose_single([1.0]))
+    for scale in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="guidance_scale"):
+            sample(LinearBackend(sched), [schedule], [0], guidance_scale=scale)
+
+
+@pytest.mark.parametrize("guidance_scale", [1.0, 2.0])
+def test_sample_builds_no_block_assignment_on_a_checkpoint(monkeypatch, guidance_scale):
+    sched = build_schedule(6)
+    model = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=1, seed=0)
+    model.w_out[...] = np.random.default_rng(5).standard_normal(model.w_out.shape)
+    den = NeuralDenoiser(model, sched, (3, 2))
+    c1, c2 = compose_single([0.7]), compose_single([-0.7])
+    ratios = (0.0, 0.5, 1.0)
+    batches = [
+        [block_split(x, model.n_blocks, c1, c2) for x in ratios],
+        [step_switch(x, sched.n_steps, c1, c2) for x in ratios],
+    ]
+    built = []
+    real = BlockAssignment.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(BlockAssignment, "__post_init__", counted)
+    for conditioning in batches:
+        out = sample(den, conditioning, [1, 2, 3], guidance_scale=guidance_scale)
+        assert out.shape == (3, 3, 2) and np.isfinite(out).all()
+    assert built == []

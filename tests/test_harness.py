@@ -8,16 +8,14 @@ import numpy as np
 import pytest
 
 from turnpoint.conditioning import constant_schedule
-from turnpoint.diffusion import SamplerConfig, build_schedule, sample
+from turnpoint.diffusion import build_schedule, sample
 from turnpoint.harness import (
     METRIC_FIELDS,
     RUNS_CSV_COLUMNS,
-    WORKERS_ENV_VAR,
     ConfigurationError,
     RunRecord,
     SweepConfig,
     _plan_jobs,
-    _resolve_workers,
     aggregate,
     backend_for_record,
     derive_seed,
@@ -118,6 +116,8 @@ class TestSweepConfig:
             {"frames": 3},
             {"sigma": -1.0},
             {"guidance_scale": 2.0},  # the analytic backend has no unconditioned model
+            {"guidance_scale": -1.0, "backend": "model.ckpt"},
+            {"guidance_scale": float("nan"), "backend": "model.ckpt"},
         ],
     )
     def test_rejects(self, kw):
@@ -238,19 +238,6 @@ class TestPlanning:
         assert jobs[2].run_id.endswith("-x00-r0-s3")
         assert len({j.seed for j in jobs}) == 4
 
-    def test_workers_env_override(self, monkeypatch):
-        cfg = SweepConfig(workers=2)
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert _resolve_workers(cfg) == 2
-        monkeypatch.setenv(WORKERS_ENV_VAR, "5")
-        assert _resolve_workers(cfg) == 5
-        monkeypatch.setenv(WORKERS_ENV_VAR, "zero")
-        with pytest.raises(ConfigurationError):
-            _resolve_workers(cfg)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-        with pytest.raises(ConfigurationError):
-            _resolve_workers(cfg)
-
 
 # ---------------------------------------------------------------------------
 # sweep execution
@@ -275,10 +262,7 @@ class TestRunSweep:
         sched = build_schedule(cfg.n_steps, cfg.beta_min, cfg.beta_max)
         backend = backend_for_record(record, sched, cfg.frames, cfg.sigma, cfg.w_mix)
         schedule = constant_schedule(cfg.n_steps, condition_of(record, "event2"))
-        (traj,) = sample(
-            backend, [schedule],
-            SamplerConfig(n_steps=cfg.n_steps), [run.seed],
-        )
+        (traj,) = sample(backend, [schedule], [run.seed])
         want = evaluate(traj, record.events[0], record.events[1])
         assert run.metrics == want
 
@@ -350,7 +334,7 @@ class TestRunSweep:
         out = run_sweep(cfg, records=[record])
         assert [r.metrics for r in out] == [score_run(traj, record) for traj in alone]
 
-    def test_multi_ratio_checkpoint_parallel_matches_serial(self, tmp_path, monkeypatch):
+    def test_multi_ratio_checkpoint_parallel_matches_serial(self, tmp_path):
         path = tmp_path / "model.ckpt"
         model = small_checkpoint(path)
         rng = np.random.default_rng(4)
@@ -359,10 +343,8 @@ class TestRunSweep:
         save_checkpoint(model, path)
         records = generate_suite(0)[:3]
         kw = dict(mode="block_split", backend=str(path), grid=(0.0, 0.5, 1.0), repeats=2)
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         serial = run_sweep(small_cfg(tmp_path / "s", **kw), records=records)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        parallel = run_sweep(small_cfg(tmp_path / "p", **kw), records=records)
+        parallel = run_sweep(small_cfg(tmp_path / "p", workers=2, **kw), records=records)
         strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
         assert all(r.metrics is not None for r in serial)
         assert len({r.metrics.ta1 for r in serial}) > 1
@@ -413,14 +395,13 @@ class TestRunSweep:
         back = read_runs_csv(tmp_path / "out" / "runs.csv")
         assert [r.metrics is None for r in back] == [False, True, True]
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+    def test_parallel_matches_serial(self, tmp_path):
         records = generate_suite(0)[:1]
         serial = run_sweep(
             small_cfg(tmp_path / "s", n_steps=3, frames=4), records=records
         )
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
         parallel = run_sweep(
-            small_cfg(tmp_path / "p", n_steps=3, frames=4), records=records
+            small_cfg(tmp_path / "p", n_steps=3, frames=4, workers=2), records=records
         )
         strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
         assert [strip(r) for r in serial] == [strip(r) for r in parallel]

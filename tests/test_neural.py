@@ -93,7 +93,7 @@ def test_fresh_model_predicts_zero():
     m = tiny_model()
     sched = build_schedule(10)
     assign = uniform_blocks(compose_single([0.7]), m.n_blocks)
-    out = forward(m, np.ones(4), 3, sched, assign)
+    out = forward(m, np.ones(4), 3, sched, assign.vectors)
     np.testing.assert_array_equal(out, np.zeros(4))
 
 
@@ -102,13 +102,13 @@ def test_forward_validation():
     sched = build_schedule(10)
     assign = uniform_blocks(compose_single([0.7]), m.n_blocks)
     with pytest.raises(ValueError):
-        forward(m, np.ones(5), 3, sched, assign)
+        forward(m, np.ones(5), 3, sched, assign.vectors)
     with pytest.raises(ValueError):
-        forward(m, np.ones(4), 10, sched, assign)
+        forward(m, np.ones(4), 10, sched, assign.vectors)
     with pytest.raises(ValueError):
-        forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([0.7]), 3))
+        forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([0.7]), 3).vectors)
     with pytest.raises(ValueError):
-        forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([0.7, 0.1]), 2))
+        forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([0.7, 0.1]), 2).vectors)
 
 
 def test_forward_depends_on_block_conditions():
@@ -116,11 +116,11 @@ def test_forward_depends_on_block_conditions():
     rng = np.random.default_rng(8)
     m.w_out[...] = rng.standard_normal(m.w_out.shape)
     sched = build_schedule(10)
-    a = forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([0.7]), 2))
-    b = forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([-0.7]), 2))
+    a = forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([0.7]), 2).vectors)
+    b = forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([-0.7]), 2).vectors)
     c = forward(
         m, np.ones(4), 3, sched,
-        block_split(0.5, 2, compose_single([0.7]), compose_single([-0.7])),
+        block_split(0.5, 2, compose_single([0.7]), compose_single([-0.7])).vectors,
     )
     assert not np.array_equal(a, b)
     assert not np.array_equal(c, a) and not np.array_equal(c, b)
@@ -134,14 +134,42 @@ def test_forward_pairs_each_row_with_its_own_assignment():
     a, b = compose_single([0.7]), compose_single([-0.7])
     assigns = [block_split(x, m.n_blocks, a, b) for x in (0.0, 0.25, 0.5, 0.75, 1.0)]
     z = np.repeat(rng.standard_normal((1, 4)), len(assigns), axis=0)
-    rows = np.stack([forward(m, zi, 3, sched, ai) for zi, ai in zip(z, assigns)])
+    stacked = np.stack([a.vectors for a in assigns])
+    rows = np.stack([forward(m, zi, 3, sched, ai.vectors) for zi, ai in zip(z, assigns)])
     assert len({r.tobytes() for r in rows}) == len(assigns)  # every assignment matters
-    np.testing.assert_allclose(forward(m, z, 3, sched, assigns), rows, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(forward(m, z, 3, sched, stacked), rows, rtol=1e-12, atol=1e-14)
     den = NeuralDenoiser(m, sched, (2, 2))
-    np.testing.assert_allclose(den.predict_eps_blocks(z, 3, assigns), rows, rtol=1e-12, atol=1e-14)
-    for wrong in (assigns[:-1], assigns + assigns[:1]):
+    np.testing.assert_allclose(den.predict_eps_blocks(z, 3, stacked), rows, rtol=1e-12, atol=1e-14)
+    for wrong in (stacked[:-1], np.concatenate([stacked, stacked[:1]])):
         with pytest.raises(ValueError, match="block assignments for 5 latents"):
             forward(m, z, 3, sched, wrong)
+
+
+def test_forward_condition_shape_rule():
+    m = init_model(4, hidden=3, n_blocks=8, t_emb_dim=2, cond_width=1, seed=0)
+    m.w_out[...] = np.random.default_rng(2).standard_normal(m.w_out.shape)
+    sched = build_schedule(10)
+    z = np.random.default_rng(3).standard_normal((3, 4))
+    stack = block_split(0.5, 8, compose_single([0.7]), compose_single([-0.7])).vectors
+    want = forward(m, z, 3, sched, np.stack([stack] * 3))
+    assert forward(m, z, 3, sched, stack).tobytes() == want.tobytes()
+    uniform = uniform_blocks(compose_single([0.7]), 8).vectors
+    assert forward(m, z, 3, sched, uniform[0]).tobytes() == (
+        forward(m, z, 3, sched, uniform).tobytes()
+    )
+    bad = [
+        stack[:1],  # a one-block stack must not broadcast onto 8 blocks
+        stack[:, :-1],  # a wrong condition width
+        np.concatenate([stack[0], [0.0]]),
+        np.stack([stack[:1]] * 3),
+        stack[None, None],
+        np.float64(0.7),
+    ]
+    for conds in bad:
+        with pytest.raises(ValueError, match="block conditions have shape"):
+            forward(m, z, 3, sched, conds)
+    with pytest.raises(ValueError, match="2 block assignments for 3 latents"):
+        forward(m, z, 3, sched, np.stack([stack] * 2))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +397,22 @@ def test_neural_denoiser_uniform_equals_blocks():
     cond = compose_single([0.4])
     z = rng.standard_normal(4)
     a = den.predict_eps(z, 5, cond)
-    b = den.predict_eps_blocks(z, 5, uniform_blocks(cond, m.n_blocks))
+    b = den.predict_eps_blocks(z, 5, uniform_blocks(cond, m.n_blocks).vectors)
     np.testing.assert_array_equal(a, b)
     assert den.dim == 4 and den.frame_shape == (2, 2)
+
+
+def test_neural_denoiser_predict_eps_equals_uniform_forward():
+    m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=1)
+    rng = np.random.default_rng(6)
+    m.w_out[...] = rng.standard_normal(m.w_out.shape)
+    sched = build_schedule(10)
+    den = NeuralDenoiser(m, sched, (3, 2))
+    cond = compose_single([0.4, -0.2])
+    vectors = uniform_blocks(cond, m.n_blocks).vectors
+    for z in (rng.standard_normal(6), rng.standard_normal((4, 6))):
+        got = den.predict_eps(z, 5, cond)
+        assert got.tobytes() == forward(m, z, 5, sched, vectors).tobytes()
 
 
 def test_neural_denoiser_frame_shape_check():
