@@ -12,6 +12,7 @@ are reverse-mode by hand; no autodiff framework is involved.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -73,21 +74,38 @@ class BlockParams:
 
 @dataclass
 class DenoiserModel:
-    """Mutable parameter container; see the module docstring for layout."""
+    """Denoiser parameters; see the module docstring for the architecture.
+
+    Every parameter lives in one float64 vector ``flat``, in checkpoint
+    order; ``w_in``, ``b_in``, ``blocks[j].w1 ... b2``, ``w_out`` and
+    ``b_out`` are views into it, so update ``flat`` in place.  A new
+    model's parameters are all zero.
+    """
 
     dim: int
     hidden: int
+    n_blocks: int
     t_emb_dim: int
     cond_width: int  # one event-slot width; block condition vectors are 2*width + 2
-    w_in: np.ndarray
-    b_in: np.ndarray
-    blocks: list[BlockParams] = field(default_factory=list)
-    w_out: np.ndarray = None
-    b_out: np.ndarray = None
+    flat: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
+    def __post_init__(self):
+        if min(self.dim, self.hidden, self.n_blocks, self.cond_width) < 1:
+            raise ValueError("model dimensions must be positive")
+        h = self.hidden
+        block = {"w1": (h, self.block_input_dim), "b1": (h,), "w2": (h, h), "b2": (h,)}
+        self._layout = [("w_in", (h, self.dim)), ("b_in", (h,))]
+        for j in range(self.n_blocks):
+            self._layout += [(f"blocks.{j}.{k}", shape) for k, shape in block.items()]
+        self._layout += [("w_out", (self.dim, h)), ("b_out", (self.dim,))]
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in self._layout))
+        named = self.views(self.flat)
+        self.w_in, self.b_in = named["w_in"], named["b_in"]
+        self.blocks = [
+            BlockParams(**{k: named[f"blocks.{j}.{k}"] for k in block})
+            for j in range(self.n_blocks)
+        ]
+        self.w_out, self.b_out = named["w_out"], named["b_out"]
 
     @property
     def cond_dim(self) -> int:
@@ -97,20 +115,20 @@ class DenoiserModel:
     def block_input_dim(self) -> int:
         return self.hidden + self.t_emb_dim + self.cond_dim
 
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        """Named parameter tensors in checkpoint order."""
-        named = [("w_in", self.w_in), ("b_in", self.b_in)]
-        for j, blk in enumerate(self.blocks):
-            named.extend(
-                [
-                    (f"blocks.{j}.w1", blk.w1),
-                    (f"blocks.{j}.b1", blk.b1),
-                    (f"blocks.{j}.w2", blk.w2),
-                    (f"blocks.{j}.b2", blk.b2),
-                ]
-            )
-        named.extend([("w_out", self.w_out), ("b_out", self.b_out)])
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Named tensor views into ``vec``, a vector laid out like ``flat``."""
+        if vec.shape != self.flat.shape:
+            raise ValueError(f"vector has shape {vec.shape}, parameters {self.flat.shape}")
+        named, offset = {}, 0
+        for name, shape in self._layout:
+            size = math.prod(shape)
+            named[name] = vec[offset : offset + size].reshape(shape)
+            offset += size
         return named
+
+    def parameters(self) -> list[tuple[str, np.ndarray]]:
+        """Named parameter views in checkpoint order."""
+        return list(self.views(self.flat).items())
 
 
 def init_model(
@@ -121,30 +139,13 @@ def init_model(
     cond_width: int = 7,
     seed: int = 0,
 ) -> DenoiserModel:
-    """Scaled-Gaussian init with a zero output projection."""
-    if min(dim, hidden, n_blocks, cond_width) < 1:
-        raise ValueError("model dimensions must be positive")
+    """Scaled-Gaussian init with zero biases and a zero output projection."""
+    model = DenoiserModel(int(dim), int(hidden), int(n_blocks), int(t_emb_dim), int(cond_width))
     rng = np.random.default_rng(seed)
-    model = DenoiserModel(
-        dim=int(dim),
-        hidden=int(hidden),
-        t_emb_dim=int(t_emb_dim),
-        cond_width=int(cond_width),
-        w_in=rng.standard_normal((hidden, dim)) / np.sqrt(dim),
-        b_in=np.zeros(hidden),
-    )
-    in_width = model.block_input_dim
-    for _ in range(n_blocks):
-        model.blocks.append(
-            BlockParams(
-                w1=rng.standard_normal((hidden, in_width)) / np.sqrt(in_width),
-                b1=np.zeros(hidden),
-                w2=rng.standard_normal((hidden, hidden)) / np.sqrt(hidden),
-                b2=np.zeros(hidden),
-            )
-        )
-    model.w_out = np.zeros((dim, hidden))
-    model.b_out = np.zeros(dim)
+    model.w_in[...] = rng.standard_normal(model.w_in.shape) / np.sqrt(dim)
+    for blk in model.blocks:
+        blk.w1[...] = rng.standard_normal(blk.w1.shape) / np.sqrt(model.block_input_dim)
+        blk.w2[...] = rng.standard_normal(blk.w2.shape) / np.sqrt(hidden)
     return model
 
 
@@ -203,7 +204,7 @@ def loss_and_grads(model, z0, t, eps, block_conds, sched):
     z0 (n, dim), t (n,), eps (n, dim), block_conds (n, B, cond_dim).  The
     loss is the mean squared error, over all n * dim entries, between
     ``eps`` and the model's prediction at ``forward_noise(z0, t, eps)``.
-    Returns (loss, grads) with grads keyed like ``model.parameters()``.
+    Returns (loss, grad) with grad one vector laid out like ``model.flat``.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
@@ -225,23 +226,24 @@ def loss_and_grads(model, z0, t, eps, block_conds, sched):
     if not np.isfinite(loss):
         raise TrainingError("non-finite training loss")
 
-    grads: dict[str, np.ndarray] = {}
+    grad = np.empty_like(model.flat)
+    g = model.views(grad)
     d_pred = (2.0 / resid.size) * resid
-    grads["w_out"] = d_pred.T @ h_last
-    grads["b_out"] = d_pred.sum(axis=0)
+    np.matmul(d_pred.T, h_last, out=g["w_out"])
+    np.sum(d_pred, axis=0, out=g["b_out"])
     dh = d_pred @ model.w_out
     for j in range(model.n_blocks - 1, -1, -1):
         blk = model.blocks[j]
         u, s = cache[j]
-        grads[f"blocks.{j}.w2"] = dh.T @ s
-        grads[f"blocks.{j}.b2"] = dh.sum(axis=0)
+        np.matmul(dh.T, s, out=g[f"blocks.{j}.w2"])
+        np.sum(dh, axis=0, out=g[f"blocks.{j}.b2"])
         da = (dh @ blk.w2) * (1.0 - s * s)
-        grads[f"blocks.{j}.w1"] = da.T @ u
-        grads[f"blocks.{j}.b1"] = da.sum(axis=0)
+        np.matmul(da.T, u, out=g[f"blocks.{j}.w1"])
+        np.sum(da, axis=0, out=g[f"blocks.{j}.b1"])
         dh = dh + (da @ blk.w1)[:, : model.hidden]
-    grads["w_in"] = dh.T @ z_t
-    grads["b_in"] = dh.sum(axis=0)
-    return loss, grads
+    np.matmul(dh.T, z_t, out=g["w_in"])
+    np.sum(dh, axis=0, out=g["b_in"])
+    return loss, grad
 
 
 @dataclass(frozen=True)
@@ -256,8 +258,10 @@ class TrainConfig:
     ema_decay: float | None = None  # disabled unless set in (0, 1)
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("Adam betas must lie in [0, 1)")
         if self.batch_size < 1:
@@ -269,26 +273,38 @@ class TrainConfig:
 
 
 class AdamState:
-    """Adam with bias correction, updating parameters in place."""
+    """Adam with bias correction (Kingma & Ba 2015), updating ``model.flat``
+    in place; ``m`` and ``v`` are flat moment vectors laid out like it."""
 
     def __init__(self, model: DenoiserModel):
         self.step = 0
-        self.m = {name: np.zeros_like(p) for name, p in model.parameters()}
-        self.v = {name: np.zeros_like(p) for name, p in model.parameters()}
+        self.m = np.zeros_like(model.flat)
+        self.v = np.zeros_like(model.flat)
+        self._buf = np.empty_like(model.flat)
 
-    def update(self, model: DenoiserModel, grads: dict, cfg: TrainConfig) -> None:
+    def update(self, model: DenoiserModel, grad: np.ndarray, cfg: TrainConfig) -> None:
+        """One step along ``grad``, which is consumed (overwritten)."""
         self.step += 1
         bc1 = 1.0 - cfg.beta1**self.step
         bc2 = 1.0 - cfg.beta2**self.step
-        for name, param in model.parameters():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            param -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m, v, buf = self.m, self.v, self._buf
+        # In place, with no full-size temporary, rounding in the order of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+        #   flat -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
+        m *= cfg.beta1
+        np.multiply(grad, 1.0 - cfg.beta1, out=buf)
+        m += buf
+        np.multiply(grad, 1.0 - cfg.beta2, out=buf)
+        buf *= grad
+        v *= cfg.beta2
+        v += buf
+        np.divide(v, bc2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += cfg.eps
+        np.divide(m, bc1, out=grad)
+        grad *= cfg.learning_rate
+        grad /= buf
+        model.flat -= grad
 
 
 def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule):
@@ -303,11 +319,7 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule):
     """
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(model)
-    ema = (
-        {name: p.copy() for name, p in model.parameters()}
-        if cfg.ema_decay is not None
-        else None
-    )
+    ema = model.flat.copy() if cfg.ema_decay is not None else None
     trace: list[tuple[int, float]] = []
     for step in range(cfg.steps):
         z0, conds = data_sampler(rng, cfg.batch_size)
@@ -319,26 +331,24 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule):
         t = rng.integers(0, sched.n_steps, size=len(z0))
         eps = rng.standard_normal(z0.shape)
         block_conds = np.repeat(conds[:, None, :], model.n_blocks, axis=1)
-        loss, grads = loss_and_grads(model, z0, t, eps, block_conds, sched)
+        loss, grad = loss_and_grads(model, z0, t, eps, block_conds, sched)
         if loss > DIVERGENCE_LIMIT:
             raise TrainingError(f"training diverged at step {step}: loss={loss:.3e}")
         if step % 100 == 0:
             trace.append((step, loss))
-        adam.update(model, grads, cfg)
+        adam.update(model, grad, cfg)
         if ema is not None:
-            for name, p in model.parameters():
-                ema[name] *= cfg.ema_decay
-                ema[name] += (1.0 - cfg.ema_decay) * p
+            ema *= cfg.ema_decay
+            ema += (1.0 - cfg.ema_decay) * model.flat
     if ema is not None:
-        for name, p in model.parameters():
-            p[...] = ema[name]
+        model.flat[...] = ema
     return model, trace
 
 
 # ---------------------------------------------------------------------------
 # checkpoint format: magic "TPCKPT", u32 version, u32 dims
-# (dim, hidden, n_blocks, t_emb_dim, cond_width), then little-endian
-# float64 parameter arrays in model.parameters() order.
+# (dim, hidden, n_blocks, t_emb_dim, cond_width), then model.flat as
+# little-endian float64, i.e. the tensors in model.parameters() order.
 
 _HEADER = struct.Struct("<6sIIIIII")
 
@@ -356,8 +366,7 @@ def save_checkpoint(model: DenoiserModel, path) -> None:
                 model.cond_width,
             )
         )
-        for _, param in model.parameters():
-            fh.write(np.ascontiguousarray(param, dtype="<f8").tobytes())
+        fh.write(model.flat.astype("<f8", copy=False))
 
 
 def load_checkpoint(path) -> DenoiserModel:
@@ -365,9 +374,7 @@ def load_checkpoint(path) -> DenoiserModel:
         blob = fh.read()
     if len(blob) < _HEADER.size:
         raise CheckpointError(f"file too short for a checkpoint header: {path}")
-    magic, version, dim, hidden, n_blocks, t_emb_dim, cond_width = _HEADER.unpack_from(
-        blob
-    )
+    magic, version, *dims = _HEADER.unpack_from(blob)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic bytes {magic!r}, expected {CHECKPOINT_MAGIC!r}")
     if version != CHECKPOINT_VERSION:
@@ -375,22 +382,15 @@ def load_checkpoint(path) -> DenoiserModel:
             f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
         )
     try:
-        model = init_model(
-            dim, hidden=hidden, n_blocks=n_blocks, t_emb_dim=t_emb_dim,
-            cond_width=cond_width, seed=0,
-        )
+        model = DenoiserModel(*dims)
     except ValueError as exc:
         raise CheckpointError(f"invalid header dimensions: {exc}") from exc
-    offset = _HEADER.size
-    for name, param in model.parameters():
-        nbytes = param.size * 8
-        if offset + nbytes > len(blob):
-            raise CheckpointError(f"truncated parameter data for field {name!r}")
-        values = np.frombuffer(blob, dtype="<f8", count=param.size, offset=offset)
-        param[...] = values.reshape(param.shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError(f"{len(blob) - offset} trailing bytes after parameters")
+    body, want = len(blob) - _HEADER.size, model.flat.nbytes
+    if body < want:
+        raise CheckpointError(f"truncated parameter data: {body} of {want} bytes")
+    if body > want:
+        raise CheckpointError(f"{body - want} trailing bytes after parameters")
+    model.flat[...] = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     return model
 
 

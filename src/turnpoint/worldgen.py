@@ -165,11 +165,6 @@ def embed_event(event: EventParams) -> np.ndarray:
     )
 
 
-def _rotate(vec: np.ndarray, angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([c * vec[0] - s * vec[1], s * vec[0] + c * vec[1]])
-
-
 def mean_trajectory(
     e1: EventParams, e2: EventParams, n_frames: int, view: str = "third"
 ) -> np.ndarray:
@@ -188,23 +183,26 @@ def mean_trajectory(
         raise ValueError(f"view must be one of {VIEWS}, got {view!r}")
     if e1.feature_dim != e2.feature_dim:
         raise ValueError("events differ in feature dimension")
-    split = n_frames // 2
-    d = e1.feature_dim
-    frames = np.zeros((n_frames, 2 + 2 * d))
-
-    def owner(m: int) -> EventParams:
-        return e1 if m < split else e2
-
-    steps = np.stack([owner(m).drift for m in range(1, n_frames)])
-    for m in range(n_frames):
-        frames[m, 2 : 2 + d] = owner(m).identity
-        frames[m, 2 + d :] = owner(m).background
+    moves = []  # each event's step, in the view's frame
+    for e in (e1, e2):
+        step = e.drift
+        if view == "first":
+            c, s = math.cos(-e.direction), math.sin(-e.direction)
+            step = np.array([c * step[0] - s * step[1], s * step[0] + c * step[1]])
+        moves.append(step)
+    owned = (np.arange(n_frames) < n_frames // 2)[:, None]  # frames event 1 drives
+    steps = np.where(owned[1:], moves[0], moves[1])  # row m: the step out of frame m
+    frames = np.zeros((n_frames, 2 + 2 * e1.feature_dim))
+    frames[:, 2:] = np.where(
+        owned,
+        np.concatenate([e1.identity, e1.background]),
+        np.concatenate([e2.identity, e2.background]),
+    )
     if view == "third":
         frames[1:, :2] = np.cumsum(steps, axis=0)
     else:
-        for m in range(n_frames - 1):
-            frames[m, :2] = _rotate(steps[m], -owner(m + 1).direction)
-        frames[-1, :2] = frames[-2, :2]
+        frames[:-1, :2] = steps
+        frames[-1, :2] = steps[-1]
     return frames
 
 

@@ -157,6 +157,21 @@ class TestTrain:
         assert code == 1
         assert "unknown config keys: ['conditions']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad", [{"learning_rate": float("nan")}, {"eps": 0}], ids=["nan_rate", "zero_eps"]
+    )
+    def test_bad_optimizer_setting_exits_1(self, tmp_path, small_suite, bad, capsys):
+        # Adam would run and save non-finite parameters
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(
+            json.dumps({"suite": small_suite, "frames": 6, "hidden": 8, "n_blocks": 2,
+                        "diffusion_steps": 6, "steps": 1, "batch_size": 4, **bad})
+        )
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert f"{next(iter(bad))} must be finite and > 0" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     def test_missing_config_file(self, tmp_path):
         code = main(
             ["train", "--config", str(tmp_path / "none.json"),

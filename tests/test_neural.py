@@ -1,6 +1,10 @@
 """Block-stacked denoiser: forward pass, hand-written gradients,
 training loop and the checkpoint format."""
 
+import math
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,8 @@ from turnpoint.conditioning import block_split, compose_single, uniform_blocks
 from turnpoint.diffusion import build_schedule, forward_noise
 from turnpoint.neural import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    AdamState,
     CheckpointError,
     NeuralDenoiser,
     TrainConfig,
@@ -76,6 +82,24 @@ def test_init_model_shapes_and_zero_output():
     assert names[:2] == ["w_in", "b_in"]
     assert names[-2:] == ["w_out", "b_out"]
     assert "blocks.2.b2" in names
+
+
+def test_parameters_are_views_of_one_flat_vector():
+    m = init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=0)
+    named, offset = dict(m.parameters()), 0
+    for name, param in named.items():  # consecutive, in checkpoint order
+        assert np.shares_memory(param, m.flat[offset : offset + param.size]), name
+        offset += param.size
+    assert offset == m.flat.size
+    attrs = {"w_in": m.w_in, "b_in": m.b_in, "w_out": m.w_out, "b_out": m.b_out}
+    for j, blk in enumerate(m.blocks):
+        attrs.update({f"blocks.{j}.{k}": getattr(blk, k) for k in ("w1", "b1", "w2", "b2")})
+    assert sorted(attrs) == sorted(named)
+    for name, view in attrs.items():
+        assert view.shape == named[name].shape
+        assert np.shares_memory(view, named[name]), name
+    m.flat[:] = 7.0  # writing the vector writes every named tensor
+    assert all(np.all(p == 7.0) for p in attrs.values())
 
 
 def test_init_model_seed_determinism():
@@ -199,7 +223,8 @@ def test_gradients_match_finite_differences_spot_check():
     m.b_out[...] = rng.standard_normal(m.b_out.shape) * 0.1
     sched = build_schedule(10)
     z0, t, eps, block_conds = batch_inputs(m, n=4)
-    _, grads = loss_and_grads(m, z0, t, eps, block_conds, sched)
+    _, grad = loss_and_grads(m, z0, t, eps, block_conds, sched)
+    grads = m.views(grad)
     h = 1e-6
     for name, param in m.parameters():
         if name not in ("w_in", "blocks.0.w1", "blocks.1.w2", "w_out", "b_in"):
@@ -318,6 +343,12 @@ def test_train_ema_changes_result():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            TrainConfig(learning_rate=bad)
+    for bad in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            TrainConfig(eps=bad)
     with pytest.raises(ValueError):
         TrainConfig(beta1=1.0)
     with pytest.raises(ValueError):
@@ -326,8 +357,68 @@ def test_train_config_validation():
         TrainConfig(ema_decay=1.0)
 
 
+def _per_tensor_adam(model, m, v, grads, cfg, step):
+    """Reference: the per-tensor Adam loop that the flat update replaced."""
+    bc1 = 1.0 - cfg.beta1**step
+    bc2 = 1.0 - cfg.beta2**step
+    for name, param in model.parameters():
+        g = grads[name]
+        m[name] *= cfg.beta1
+        m[name] += (1.0 - cfg.beta1) * g
+        v[name] *= cfg.beta2
+        v[name] += (1.0 - cfg.beta2) * g * g
+        param -= cfg.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.eps)
+
+
+@pytest.mark.parametrize("cfg", [TrainConfig(), TrainConfig(3e-2, 0.8, 0.95, 1e-3)])
+def test_adam_update_equals_per_tensor_reference(cfg):
+    model = init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=2)
+    ref = init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=2)
+    m = {name: np.zeros_like(p) for name, p in ref.parameters()}
+    v = {name: np.zeros_like(p) for name, p in ref.parameters()}
+    adam = AdamState(model)
+    rng = np.random.default_rng(8)
+    for step in range(1, 5):
+        grad = rng.standard_normal(model.flat.shape) * 10.0 ** rng.integers(-6, 3)
+        grad[rng.random(grad.size) < 0.1] = 0.0
+        _per_tensor_adam(ref, m, v, ref.views(grad.copy()), cfg, step)
+        adam.update(model, grad, cfg)
+        assert adam.step == step
+        assert model.flat.tobytes() == ref.flat.tobytes()
+        assert adam.m.tobytes() == b"".join(a.tobytes() for a in m.values())
+        assert adam.v.tobytes() == b"".join(a.tobytes() for a in v.values())
+
+
+def test_adam_update_makes_no_parameter_sized_temporary():
+    model = init_model(32, hidden=32, n_blocks=4, t_emb_dim=4, cond_width=3, seed=0)
+    adam = AdamState(model)
+    cfg = TrainConfig()
+    rng = np.random.default_rng(0)
+    adam.update(model, rng.standard_normal(model.flat.shape), cfg)
+    grad = rng.standard_normal(model.flat.shape)
+    tracemalloc.start()
+    try:
+        adam.update(model, grad, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.flat.nbytes, (peak, model.flat.nbytes)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
+
+
+def test_checkpoint_bytes_equal_per_tensor_writer(tmp_path):
+    m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=11)
+    m.flat += np.random.default_rng(12).standard_normal(m.flat.shape)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(m, path)
+    # reference: the header, then each tensor as little-endian float64 in order
+    want = struct.pack("<6sIIIIII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 6, 4, 3, 2, 2)
+    want += b"".join(np.asarray(p, dtype="<f8").tobytes() for _, p in m.parameters())
+    assert path.read_bytes() == want
+    assert load_checkpoint(path).flat.tobytes() == m.flat.tobytes()
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -132,6 +132,44 @@ def test_mean_trajectory_validation():
         mean_trajectory(ev(0.0), ev(1.0), 4, view="top")
 
 
+def _per_frame_mean_trajectory(e1, e2, n_frames, view):
+    """Reference: the per-frame loop that mean_trajectory replaced."""
+    split = n_frames // 2
+    d = e1.feature_dim
+    frames = np.zeros((n_frames, 2 + 2 * d))
+
+    def owner(m):
+        return e1 if m < split else e2
+
+    def rotate(vec, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([c * vec[0] - s * vec[1], s * vec[0] + c * vec[1]])
+
+    steps = np.stack([owner(m).drift for m in range(1, n_frames)])
+    for m in range(n_frames):
+        frames[m, 2 : 2 + d] = owner(m).identity
+        frames[m, 2 + d :] = owner(m).background
+    if view == "third":
+        frames[1:, :2] = np.cumsum(steps, axis=0)
+    else:
+        for m in range(n_frames - 1):
+            frames[m, :2] = rotate(steps[m], -owner(m + 1).direction)
+        frames[-1, :2] = frames[-2, :2]
+    return frames
+
+
+@pytest.mark.parametrize("view", ["third", "first"])
+def test_mean_trajectory_equals_per_frame_reference(view):
+    for record in generate_suite(0):
+        e1, e2 = record.events
+        mid = blended_event(e1, e2)
+        for a, b in ((e1, e2), (e2, e1), (e1, e1), (mid, e2), (e1, mid)):
+            for n_frames in (2, 3, 4, 16, 17):
+                got = mean_trajectory(a, b, n_frames, view)
+                want = _per_frame_mean_trajectory(a, b, n_frames, view)
+                assert got.tobytes() == want.tobytes(), (record.id, n_frames)
+
+
 def test_sample_trajectory_noise():
     e1, e2 = ev(0.0), ev(math.pi / 2)
     clean = sample_trajectory(e1, e2, 6, sigma=0.0, seed=1)
