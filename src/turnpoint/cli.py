@@ -142,7 +142,8 @@ def _cmd_train(args) -> int:
         raise ConfigurationError(str(exc)) from exc
 
     start = time.perf_counter()
-    model, trace = train(model, sampler, train_cfg, sched)
+    grad_norms: list[float] = []
+    model, trace = train(model, sampler, train_cfg, sched, grad_norms=grad_norms)
     seconds = time.perf_counter() - start
     save_checkpoint(model, args.out)
     steps_per_s = train_cfg.steps / seconds
@@ -150,7 +151,7 @@ def _cmd_train(args) -> int:
         "steps": train_cfg.steps,
         "train_s": seconds,
         "steps_per_s": steps_per_s,
-        "trace": [[step, loss] for step, loss in trace],
+        "trace": [[step, loss, norm] for (step, loss), norm in zip(trace, grad_norms)],
     }
     log_path = os.path.join(os.path.dirname(args.out), "train_log.json")
     with open(log_path, "w", encoding="utf-8") as fh:
@@ -204,7 +205,7 @@ def _cmd_sample(args) -> int:
         sigma=args.sigma,
         w_mix=args.w_mix,
     )
-    (traj,) = sample_runs(cfg, record, model, cfg.noise_schedule(), [(args.x, None, args.seed)])
+    (traj,) = sample_runs(cfg, model, cfg.noise_schedule(), [(record, args.x, None, args.seed)])
     metrics = score_run(traj, record)
 
     os.makedirs(args.out, exist_ok=True)

@@ -132,8 +132,10 @@ class DenoiserBackend(Protocol):
 
     ``predict_eps`` answers a batch ``z`` of shape (rows, dim) under one
     condition.  Backends that understand per-block conditioning
-    additionally expose ``predict_eps_blocks(z, t, block_conds)`` with one
-    ``(n_blocks, cond_dim)`` stack of condition vectors per row.
+    additionally expose ``prepare_blocks(block_conds, rows)``, which
+    projects condition arrays once for ``rows`` latents, for instance one
+    ``(n_blocks, cond_dim)`` stack of condition vectors per row, and
+    ``predict_eps_blocks(z, t, prepared)``, which answers at every step.
     """
 
     @property
@@ -209,15 +211,19 @@ def sample(
         raise ValueError(
             f"{len(seeds)} seeds for {len(conditioning)} conditioned chains"
         )
+    rows = len(seeds)
     blocks = isinstance(conditioning[0], BlockAssignment)
     if any(isinstance(c, BlockAssignment) != blocks for c in conditioning):
         raise ValueError("a batch mixes step schedules and block assignments")
+    structured = hasattr(denoiser, "prepare_blocks")
     if blocks:
-        if not hasattr(denoiser, "predict_eps_blocks"):
+        if not structured:
             raise ValueError(
                 "block assignment requires a block-structured denoiser backend"
             )
-        block_conds = np.stack([a.vectors for a in conditioning])
+        block_bias = denoiser.prepare_blocks(
+            np.stack([a.vectors for a in conditioning]), rows
+        )
     else:
         for schedule in conditioning:
             if schedule.n_steps != n:
@@ -227,20 +233,26 @@ def sample(
                 )
         conds, index = _condition_index(conditioning, n)
     gens = [np.random.default_rng(seed) for seed in seeds]
-    z = np.empty((len(gens), denoiser.dim))
+    z = np.empty((rows, denoiser.dim))
     _draw(gens, z)
     noise = np.empty_like(z)
     guided = guidance_scale != 1.0
-    uncond = unconditioned(conditioning[0].width) if guided else None
+    if guided:
+        uncond = unconditioned(conditioning[0].width)
+        if structured:
+            uncond_bias = denoiser.prepare_blocks(uncond.vector, rows)
 
     # a step's prediction is freed by its update, so two never coexist
     def predict(z, t, i):
         if blocks:
-            eps_hat = denoiser.predict_eps_blocks(z, t, block_conds)
+            eps_hat = denoiser.predict_eps_blocks(z, t, block_bias)
         else:
             eps_hat = _predict_grouped(denoiser, z, t, conds, index[:, i])
         if guided:
-            eps_un = denoiser.predict_eps(z, t, uncond)
+            if structured:
+                eps_un = denoiser.predict_eps_blocks(z, t, uncond_bias)
+            else:
+                eps_un = denoiser.predict_eps(z, t, uncond)
             eps_hat = eps_un + guidance_scale * (eps_hat - eps_un)
         return eps_hat
 
@@ -248,4 +260,4 @@ def sample(
         t = n - 1 - i
         _draw(gens, noise)
         z = ancestral_step(z, t, predict(z, t, i), sched, noise)
-    return z.reshape(len(gens), *denoiser.frame_shape)
+    return z.reshape(rows, *denoiser.frame_shape)

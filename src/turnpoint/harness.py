@@ -1,11 +1,13 @@
 """Sweep harness: enumerate runs over a prompt suite and a ratio grid,
-sample each prompt's runs as one batch (optionally in parallel), and
-aggregate the metrics.
+sample them in batches (optionally in parallel), and aggregate the
+metrics.
 
-Every run owns a seed derived by hashing its identity and every prompt is
-one batch, so results are independent of worker count and completion
-order; rows are written in enumeration order and aggregation sorts before
-reducing.
+A batch is one prompt's runs on the analytic backend, which is built per
+prompt, and the runs of ``PROMPTS_PER_BATCH`` consecutive prompts on a
+checkpoint.  Every run owns a seed derived by hashing its identity, and
+the batches depend on suite order alone, so results are independent of
+worker count and completion order; rows are written in enumeration order
+and aggregation sorts before reducing.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .worldgen import (
 
 __all__ = [
     "MODES",
+    "PROMPTS_PER_BATCH",
     "METRIC_FIELDS",
     "RUNS_CSV_COLUMNS",
     "ConfigurationError",
@@ -61,6 +64,9 @@ __all__ = [
 ]
 
 MODES = ("step_switch", "block_split", "qualitative")
+# Prompts sampled together in one batch on a checkpoint.  Not a setting: a
+# checkpoint sweep's rows depend on it in the last bits.
+PROMPTS_PER_BATCH = 16
 METRIC_FIELDS = ("ta1", "ta2", "ta_mean", "ic", "bc", "turning_frame", "occupancy2")
 RUNS_CSV_COLUMNS = (
     "run_id",
@@ -355,32 +361,42 @@ def open_checkpoint(path: str, records) -> DenoiserModel:
     return model
 
 
-def sample_runs(cfg: SweepConfig, record, model, sched, runs) -> np.ndarray:
-    """Sample the trajectories of ``runs``, ``(x, setting, seed)`` triples
-    of ``record``, as ``cfg.mode`` prescribes, in one batch through
-    ``model`` or, when it is None, the analytic backend.
+def sample_runs(cfg: SweepConfig, model, sched, runs) -> np.ndarray:
+    """Sample the trajectories of ``runs``, ``(record, x, setting, seed)``
+    tuples, as ``cfg.mode`` prescribes, in one batch through ``model`` or,
+    when it is None, the analytic backend of their one prompt.
 
     ``sched`` is ``cfg.noise_schedule()``; ``setting`` picks the qualitative
     schedule (1-4) and is None in the other modes.  Returns an array of
     shape ``(len(runs), cfg.frames, frame_dim)``.
     """
+    first = runs[0][0]
     if model is None:
-        backend = backend_for_record(record, sched, cfg.frames, cfg.sigma, cfg.w_mix)
+        prompts = {record.id for record, *_ in runs}
+        if len(prompts) != 1:
+            raise ValueError(
+                f"the analytic backend samples one prompt per batch, got {len(prompts)}"
+            )
+        backend = backend_for_record(first, sched, cfg.frames, cfg.sigma, cfg.w_mix)
     else:
-        backend = NeuralDenoiser(model, sched, (cfg.frames, record.frame_dim))
-    cond1 = condition_of(record, "event1")
-    cond2 = condition_of(record, "event2")
+        backend = NeuralDenoiser(model, sched, (cfg.frames, first.frame_dim))
 
-    def conditioning_at(x) -> list:
+    def conditioning_at(record, x) -> list:
+        cond1 = condition_of(record, "event1")
+        cond2 = condition_of(record, "event2")
         if cfg.mode == "step_switch":
             return [step_switch(x, cfg.n_steps, cond1, cond2)]
         if cfg.mode == "block_split":
             return [block_split(x, model.n_blocks, cond1, cond2)]
         return qualitative_settings(x, *map(embed_event, record.events), cfg.n_steps)
 
-    by_x = {x: conditioning_at(x) for x in {run[0] for run in runs}}
-    conditioning = [by_x[x][0 if setting is None else setting - 1] for x, setting, _ in runs]
-    return sample(backend, conditioning, [seed for _, _, seed in runs], cfg.guidance_scale)
+    keys = {(record.id, x): (record, x) for record, x, *_ in runs}
+    by_key = {key: conditioning_at(*args) for key, args in keys.items()}
+    conditioning = [
+        by_key[record.id, x][0 if setting is None else setting - 1]
+        for record, x, setting, _ in runs
+    ]
+    return sample(backend, conditioning, [seed for *_, seed in runs], cfg.guidance_scale)
 
 
 def score_run(traj, record) -> MetricsRecord:
@@ -407,25 +423,28 @@ def _error(exc: Exception) -> str:
 
 
 def _execute_batch(jobs, cfg: SweepConfig, records_by_id, model, sched) -> list[RunRecord]:
-    """Run one prompt's jobs as one sampling batch.
+    """Run ``jobs`` as one sampling batch: one prompt's jobs on the analytic
+    backend, a group of prompts' jobs on a checkpoint.
 
     An error while sampling fails every run of the batch; an error while
-    scoring fails only its own run.  A run's wall time is its share of
-    the batch's sampling time plus its own scoring time.
+    scoring fails only its own run, each scored against its own prompt.
+    A run's wall time is its share of the batch's sampling time plus its
+    own scoring time.
     """
-    record = records_by_id[jobs[0].prompt_id]
+    records = [records_by_id[job.prompt_id] for job in jobs]
     start = time.perf_counter()
     batch_error = None
     try:
         trajs = sample_runs(
-            cfg, record, model, sched, [(job.x, job.setting, job.seed) for job in jobs]
+            cfg, model, sched,
+            [(record, job.x, job.setting, job.seed) for record, job in zip(records, jobs)],
         )
     except Exception as exc:  # failed runs are recorded, not fatal
         trajs = [None] * len(jobs)
         batch_error = _error(exc)
     share = (time.perf_counter() - start) / len(jobs)
     results = []
-    for job, traj in zip(jobs, trajs):
+    for job, record, traj in zip(jobs, records, trajs):
         start = time.perf_counter()
         metrics, error = None, batch_error
         if traj is not None:
@@ -487,10 +506,11 @@ def _plan_jobs(cfg: SweepConfig, records) -> list[_Job]:
 def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
     """Execute the sweep and stream ``runs.csv`` under ``cfg.out_dir``.
 
-    Each prompt's runs are sampled as one batch, in one worker.  Returns
-    the run records in enumeration order (prompt, then ratio, then
-    repeat, then setting), which is also the CSV row order regardless of
-    worker count.
+    A batch, sampled in one worker, is one prompt's runs on the analytic
+    backend and the runs of ``PROMPTS_PER_BATCH`` consecutive prompts on a
+    checkpoint.  Returns the run records in enumeration order (prompt,
+    then ratio, then repeat, then setting), which is also the CSV row
+    order regardless of worker count.
     """
     if records is None:
         if cfg.suite is not None:
@@ -514,7 +534,10 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
             )
     sched = cfg.noise_schedule()
 
-    batches = (_plan_jobs(cfg, [record]) for record in records)
+    per_batch = 1 if model is None else PROMPTS_PER_BATCH
+    batches = (
+        _plan_jobs(cfg, records[i : i + per_batch]) for i in range(0, len(records), per_batch)
+    )
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "runs.csv")
     results: list[RunRecord] = []

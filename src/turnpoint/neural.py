@@ -8,6 +8,14 @@ where c_j is block j's conditioning vector, and a hidden -> dim output
 projection that starts at zero so a fresh model predicts eps = 0.  The
 timestep embedding is sinusoidal over the raw integer step.  Gradients
 are reverse-mode by hand; no autodiff framework is involved.
+
+Each ``w1_j`` is read as three column views ``[W_h | W_t | W_c]``, so a
+block computes ``tanh(W_h h + (W_c c_j + b1_j + W_t t_emb))`` without
+concatenating its input.  The condition term ``W_c c_j + b1_j`` does not
+depend on the step: :func:`condition_bias` projects it once, and a
+sampler passes the result to :func:`forward` at every step.  Training
+runs the same block body.  The parameter layout and the checkpoint bytes
+are those of the unsplit ``w1``.
 """
 
 from __future__ import annotations
@@ -27,11 +35,13 @@ __all__ = [
     "CheckpointError",
     "TrainingError",
     "BlockParams",
+    "ConditionBias",
     "DenoiserModel",
     "TrainConfig",
     "AdamState",
     "timestep_embedding",
     "init_model",
+    "condition_bias",
     "forward",
     "loss_and_grads",
     "train",
@@ -70,6 +80,9 @@ class BlockParams:
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden, hidden)
     b2: np.ndarray  # (hidden,)
+    w_h: np.ndarray  # column views of w1 acting on h, t_emb and c
+    w_t: np.ndarray
+    w_c: np.ndarray
 
 
 @dataclass
@@ -101,10 +114,11 @@ class DenoiserModel:
         self.flat = np.zeros(sum(math.prod(shape) for _, shape in self._layout))
         named = self.views(self.flat)
         self.w_in, self.b_in = named["w_in"], named["b_in"]
-        self.blocks = [
-            BlockParams(**{k: named[f"blocks.{j}.{k}"] for k in block})
-            for j in range(self.n_blocks)
-        ]
+        self.blocks = []
+        for j in range(self.n_blocks):
+            params = {k: named[f"blocks.{j}.{k}"] for k in block}
+            w_h, w_t, w_c = np.split(params["w1"], [h, h + self.t_emb_dim], axis=1)
+            self.blocks.append(BlockParams(**params, w_h=w_h, w_t=w_t, w_c=w_c))
         self.w_out, self.b_out = named["w_out"], named["b_out"]
 
     @property
@@ -149,33 +163,70 @@ def init_model(
     return model
 
 
+@dataclass(frozen=True, eq=False)
+class ConditionBias:
+    """Block conditions projected by :func:`condition_bias`: ``terms[j]``
+    is block j's ``W_c c_j + b1_j``, one row per latent."""
+
+    terms: np.ndarray  # (n_blocks, rows, hidden)
+
+
+def condition_bias(model, block_conds, rows: int) -> ConditionBias:
+    """The step-invariant condition term of every block, for ``rows`` latents.
+
+    ``block_conds`` holds condition vectors of width ``model.cond_dim``:
+    ``(cond_dim,)`` conditions every block of every row alike,
+    ``(n_blocks, cond_dim)`` is one block stack (``BlockAssignment.vectors``)
+    for every row, and ``(rows, n_blocks, cond_dim)`` one stack per row.
+    Shared conditions are copied out to every row before the projection,
+    so a row's term does not depend on how its condition was given.
+    """
+    full = (rows, model.n_blocks, model.cond_dim)
+    conds = np.asarray(block_conds, dtype=np.float64)
+    if conds.ndim == 3 and conds.shape[0] != rows:
+        raise ValueError(f"{conds.shape[0]} block assignments for {rows} latents")
+    if not 1 <= conds.ndim <= 3 or conds.shape != full[3 - conds.ndim:]:
+        raise ValueError(
+            f"block conditions have shape {conds.shape}; expected (cond_dim,), "
+            f"(n_blocks, cond_dim) or (n, n_blocks, cond_dim) of {full}"
+        )
+    by_block = np.ascontiguousarray(np.broadcast_to(conds, full).transpose(1, 0, 2))
+    terms = np.empty((model.n_blocks, rows, model.hidden))
+    for term, c, blk in zip(terms, by_block, model.blocks):
+        np.matmul(c, blk.w_c.T, out=term)
+        term += blk.b1
+    return ConditionBias(terms)
+
+
 def _forward_batch(model, z, t, block_conds, keep_cache=False):
     """Batched forward pass.
 
-    z (n, dim), t (n,), block_conds (n, B, cond_dim).  Returns (eps, cache)
-    where cache holds what backprop needs: per-block (u, s) and the final
-    hidden state.
+    z (n, dim), t one step or one per row, block_conds a
+    :class:`ConditionBias` for n rows or condition arrays that
+    :func:`condition_bias` takes.  Returns (eps, cache) where cache holds
+    what backprop needs: per-block (h, s), the time embedding and the
+    final hidden state.
     """
+    if not isinstance(block_conds, ConditionBias):
+        block_conds = condition_bias(model, block_conds, z.shape[0])
     temb = timestep_embedding(t, model.t_emb_dim)
     h = z @ model.w_in.T + model.b_in
     cache = []
-    for j, blk in enumerate(model.blocks):
-        u = np.concatenate([h, temb, block_conds[:, j, :]], axis=1)
-        s = np.tanh(u @ blk.w1.T + blk.b1)
+    for blk, bias in zip(model.blocks, block_conds.terms):
+        s = np.tanh(h @ blk.w_h.T + (bias + temb @ blk.w_t.T))
         if keep_cache:
-            cache.append((u, s))
+            cache.append((h, s))
         h = h + s @ blk.w2.T + blk.b2
     eps = h @ model.w_out.T + model.b_out
-    return eps, (cache, h)
+    return eps, (cache, temb, h)
 
 
 def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds) -> np.ndarray:
     """Noise prediction for one latent ``(dim,)`` or a batch ``(n, dim)``.
 
-    ``block_conds`` holds condition vectors of width ``model.cond_dim``:
-    ``(cond_dim,)`` conditions every block of every row alike,
-    ``(n_blocks, cond_dim)`` is one block stack (``BlockAssignment.vectors``)
-    for every row, and ``(n, n_blocks, cond_dim)`` one stack per row.
+    ``block_conds`` is a :class:`ConditionBias` that :func:`condition_bias`
+    built for this many latents, or condition arrays in any shape it takes,
+    which are then projected for this call alone.
     """
     z_t = np.asarray(z_t, dtype=np.float64)
     if z_t.ndim not in (1, 2) or z_t.shape[-1] != model.dim:
@@ -184,17 +235,10 @@ def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds) -> np.ndarray
     if not 0 <= t < sched.n_steps:
         raise ValueError(f"step index {t} outside [0, {sched.n_steps})")
     batch = z_t.reshape(-1, model.dim)
-    n = batch.shape[0]
-    full = (n, model.n_blocks, model.cond_dim)
-    conds = np.asarray(block_conds, dtype=np.float64)
-    if conds.ndim == 3 and conds.shape[0] != n:
-        raise ValueError(f"{conds.shape[0]} block assignments for {n} latents")
-    if not 1 <= conds.ndim <= 3 or conds.shape != full[3 - conds.ndim:]:
-        raise ValueError(
-            f"block conditions have shape {conds.shape}; expected (cond_dim,), "
-            f"(n_blocks, cond_dim) or (n, n_blocks, cond_dim) of {full}"
-        )
-    eps, _ = _forward_batch(model, batch, np.full(n, t), np.broadcast_to(conds, full))
+    want = (model.n_blocks, batch.shape[0], model.hidden)
+    if isinstance(block_conds, ConditionBias) and block_conds.terms.shape != want:
+        raise ValueError(f"condition bias has shape {block_conds.terms.shape}, expected {want}")
+    eps, _ = _forward_batch(model, batch, t, block_conds)
     return eps[0] if z_t.ndim == 1 else eps
 
 
@@ -220,7 +264,7 @@ def loss_and_grads(model, z0, t, eps, block_conds, sched):
             f"got {block_conds.shape}"
         )
     z_t = forward_noise(z0, t, eps, sched)
-    pred, (cache, h_last) = _forward_batch(model, z_t, t, block_conds, keep_cache=True)
+    pred, (cache, temb, h_last) = _forward_batch(model, z_t, t, block_conds, keep_cache=True)
     resid = pred - eps
     loss = float(np.mean(resid * resid))
     if not np.isfinite(loss):
@@ -232,15 +276,19 @@ def loss_and_grads(model, z0, t, eps, block_conds, sched):
     np.matmul(d_pred.T, h_last, out=g["w_out"])
     np.sum(d_pred, axis=0, out=g["b_out"])
     dh = d_pred @ model.w_out
+    hidden, t_end = model.hidden, model.hidden + model.t_emb_dim
     for j in range(model.n_blocks - 1, -1, -1):
         blk = model.blocks[j]
-        u, s = cache[j]
+        h, s = cache[j]
+        g_w1 = g[f"blocks.{j}.w1"]
         np.matmul(dh.T, s, out=g[f"blocks.{j}.w2"])
         np.sum(dh, axis=0, out=g[f"blocks.{j}.b2"])
         da = (dh @ blk.w2) * (1.0 - s * s)
-        np.matmul(da.T, u, out=g[f"blocks.{j}.w1"])
+        np.matmul(da.T, h, out=g_w1[:, :hidden])
+        np.matmul(da.T, temb, out=g_w1[:, hidden:t_end])
+        np.matmul(da.T, block_conds[:, j, :], out=g_w1[:, t_end:])
         np.sum(da, axis=0, out=g[f"blocks.{j}.b1"])
-        dh = dh + (da @ blk.w1)[:, : model.hidden]
+        dh = dh + da @ blk.w_h
     np.matmul(dh.T, z_t, out=g["w_in"])
     np.sum(dh, axis=0, out=g["b_in"])
     return loss, grad
@@ -307,7 +355,8 @@ class AdamState:
         model.flat -= grad
 
 
-def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule):
+def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
+          grad_norms: list | None = None):
     """Denoising-MSE training loop.
 
     ``data_sampler(rng, n)`` must yield ``(z0, cond_vectors)`` with shapes
@@ -315,7 +364,8 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule):
     condition during training — block splits are an inference-time probe
     only.  Deterministic for a fixed config; aborts on divergence.
     Returns ``(model, trace)`` where trace holds (step, loss) every 100
-    steps.
+    steps.  A ``grad_norms`` list receives, at those same steps, the
+    global norm of the gradient the step applies.
     """
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(model)
@@ -336,6 +386,8 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule):
             raise TrainingError(f"training diverged at step {step}: loss={loss:.3e}")
         if step % 100 == 0:
             trace.append((step, loss))
+            if grad_norms is not None:
+                grad_norms.append(float(np.linalg.norm(grad)))
         adam.update(model, grad, cfg)
         if ema is not None:
             ema *= cfg.ema_decay
@@ -399,9 +451,11 @@ class NeuralDenoiser:
 
     Uniform conditioning routes through :meth:`predict_eps`, which takes a
     :class:`ConditionEmbedding` like every backend; block splits through
-    :meth:`predict_eps_blocks`, which takes condition arrays in any shape
-    :func:`forward` accepts.  Both answer a latent ``(dim,)`` or a batch
-    ``(n, dim)`` in one forward pass.
+    :meth:`predict_eps_blocks`, which takes what :func:`forward` takes.
+    A sampler projects conditions that hold for a whole chain once, with
+    :meth:`prepare_blocks`, and passes the result at every step.  Both
+    predictions answer a latent ``(dim,)`` or a batch ``(n, dim)`` in one
+    forward pass.
     """
 
     def __init__(self, model: DenoiserModel, noise_schedule: NoiseSchedule,
@@ -434,6 +488,9 @@ class NeuralDenoiser:
 
     def predict_eps(self, z, t: int, cond: ConditionEmbedding) -> np.ndarray:
         return forward(self._model, z, t, self._sched, cond.vector)
+
+    def prepare_blocks(self, block_conds, rows: int) -> ConditionBias:
+        return condition_bias(self._model, block_conds, rows)
 
     def predict_eps_blocks(self, z, t: int, block_conds) -> np.ndarray:
         return forward(self._model, z, t, self._sched, block_conds)

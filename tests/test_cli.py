@@ -139,9 +139,14 @@ class TestTrain:
         assert log["steps"] == 60
         assert math.isfinite(log["train_s"]) and log["train_s"] > 0
         assert log["steps_per_s"] == pytest.approx(60 / log["train_s"])
-        # (step, loss) every 100 steps
-        assert [step for step, _ in log["trace"]] == [0]
-        assert all(math.isfinite(loss) for _, loss in log["trace"])
+        # (step, loss, grad_norm) every 100 steps
+        assert [step for step, _, _ in log["trace"]] == [0]
+        assert all(math.isfinite(loss) for _, loss, _ in log["trace"])
+
+    def test_log_records_gradient_norms(self, tiny_checkpoint):
+        log = json.loads(Path(tiny_checkpoint).with_name("train_log.json").read_text())
+        norms = [norm for _, _, norm in log["trace"]]
+        assert norms and all(math.isfinite(norm) and norm > 0 for norm in norms)
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -333,3 +333,28 @@ def test_sample_builds_no_block_assignment_on_a_checkpoint(monkeypatch, guidance
         out = sample(den, conditioning, [1, 2, 3], guidance_scale=guidance_scale)
         assert out.shape == (3, 3, 2) and np.isfinite(out).all()
     assert built == []
+
+
+@pytest.mark.parametrize("guidance_scale, projections", [(1.0, 1), (2.0, 2)])
+def test_sample_projects_block_conditions_once_per_call(
+    monkeypatch, guidance_scale, projections
+):
+    import turnpoint.neural as neural
+
+    sched = build_schedule(50)
+    model = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=1, seed=0)
+    model.w_out[...] = np.random.default_rng(5).standard_normal(model.w_out.shape)
+    den = NeuralDenoiser(model, sched, (3, 2))
+    c1, c2 = compose_single([0.7]), compose_single([-0.7])
+    conditioning = [block_split(x, model.n_blocks, c1, c2) for x in (0.0, 0.5, 1.0)]
+    calls = []
+    real = neural.condition_bias
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(neural, "condition_bias", counted)
+    out = sample(den, conditioning, [1, 2, 3], guidance_scale=guidance_scale)
+    assert np.isfinite(out).all()
+    assert len(calls) == projections

@@ -3,6 +3,7 @@ job planning/execution and aggregation."""
 
 import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from turnpoint.diffusion import build_schedule, sample
 from turnpoint.harness import (
     METRIC_FIELDS,
     RUNS_CSV_COLUMNS,
+    PROMPTS_PER_BATCH,
     ConfigurationError,
     RunRecord,
     SweepConfig,
@@ -327,9 +329,9 @@ class TestRunSweep:
         record = generate_suite(0)[0]
         cfg = small_cfg(tmp_path, mode=mode, grid=(0.0, 0.3, 1.0), repeats=2)
         sched = cfg.noise_schedule()
-        runs = [(job.x, job.setting, job.seed) for job in _plan_jobs(cfg, [record])]
-        batch = sample_runs(cfg, record, None, sched, runs)
-        alone = [sample_runs(cfg, record, None, sched, [run])[0] for run in runs]
+        runs = [(record, job.x, job.setting, job.seed) for job in _plan_jobs(cfg, [record])]
+        batch = sample_runs(cfg, None, sched, runs)
+        alone = [sample_runs(cfg, None, sched, [run])[0] for run in runs]
         assert batch.tobytes() == np.stack(alone).tobytes()
         out = run_sweep(cfg, records=[record])
         assert [r.metrics for r in out] == [score_run(traj, record) for traj in alone]
@@ -405,6 +407,68 @@ class TestRunSweep:
         )
         strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
         assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+
+
+class TestCheckpointGroups:
+    """A checkpoint sweep samples PROMPTS_PER_BATCH consecutive prompts per batch."""
+
+    @pytest.fixture
+    def sweep(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        model = small_checkpoint(path)
+        model.flat[...] = 0.3 * np.random.default_rng(4).standard_normal(model.flat.shape)
+        save_checkpoint(model, path)
+        records = generate_suite(0)[: PROMPTS_PER_BATCH + 1]
+
+        def run(name, **kw):
+            cfg = small_cfg(tmp_path / name, mode="block_split", backend=str(path), **kw)
+            return run_sweep(cfg, records=records)
+
+        return records, run
+
+    def test_parallel_matches_serial_across_groups(self, sweep):
+        _, run = sweep
+        serial, parallel = run("s"), run("p", workers=2)
+        strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
+        assert all(r.metrics is not None for r in serial)
+        assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+
+    def test_one_sample_call_per_group(self, sweep, monkeypatch):
+        import turnpoint.harness as harness
+
+        records, run = sweep
+        real, rows = harness.sample, []
+
+        def counted(backend, conditioning, seeds, *args):
+            rows.append(len(seeds))
+            return real(backend, conditioning, seeds, *args)
+
+        monkeypatch.setattr(harness, "sample", counted)
+        out = run("s")
+        assert len(rows) == math.ceil(len(records) / PROMPTS_PER_BATCH) == 2
+        assert rows == [2 * PROMPTS_PER_BATCH, 2]  # two ratios per prompt
+        assert [r.prompt_id for r in out[::2]] == [r.id for r in records]
+
+    def test_sampling_error_fails_only_its_group(self, sweep, monkeypatch):
+        import turnpoint.harness as harness
+
+        records, run = sweep
+        real, calls = harness.sample, []
+
+        def first_group_fails(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("group exploded")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "sample", first_group_fails)
+        out = run("s")
+        failed = {r.prompt_id for r in out if r.error == "RuntimeError: group exploded"}
+        assert failed == {r.id for r in records[:PROMPTS_PER_BATCH]}
+        assert all(r.metrics is None for r in out if r.prompt_id in failed)
+        last = [r for r in out if r.prompt_id == records[-1].id]
+        assert len(last) == 2
+        assert all(r.metrics is not None and r.error is None for r in last)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Block-stacked denoiser: forward pass, hand-written gradients,
 training loop and the checkpoint format."""
 
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -18,6 +19,7 @@ from turnpoint.neural import (
     NeuralDenoiser,
     TrainConfig,
     TrainingError,
+    condition_bias,
     forward,
     init_model,
     load_checkpoint,
@@ -196,8 +198,109 @@ def test_forward_condition_shape_rule():
         forward(m, z, 3, sched, np.stack([stack] * 2))
 
 
+def random_model(seed=3):
+    """A model whose every parameter is random, so each one shows in the output."""
+    m = init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=seed)
+    m.flat[...] = 0.5 * np.random.default_rng(seed).standard_normal(m.flat.shape)
+    return m
+
+
+def reference_forward(model, z, t, block_conds):
+    """The unsplit block body ``tanh(u @ w1.T + b1)`` with ``u = [h, t_emb, c_j]``.
+
+    z (n, dim), t one step or one per row, block_conds (n, n_blocks,
+    cond_dim).  Returns (eps, per-block (u, s), final hidden state).
+    """
+    temb = timestep_embedding(np.broadcast_to(t, len(z)), model.t_emb_dim)
+    h = z @ model.w_in.T + model.b_in
+    cache = []
+    for j, blk in enumerate(model.blocks):
+        u = np.concatenate([h, temb, block_conds[:, j, :]], axis=1)
+        s = np.tanh(u @ blk.w1.T + blk.b1)
+        cache.append((u, s))
+        h = h + s @ blk.w2.T + blk.b2
+    return h @ model.w_out.T + model.b_out, cache, h
+
+
+def reference_loss_and_grads(model, z0, t, eps, block_conds, sched):
+    """Backpropagation through :func:`reference_forward`."""
+    z_t = forward_noise(z0, t, eps, sched)
+    pred, cache, h_last = reference_forward(model, z_t, t, block_conds)
+    resid = pred - eps
+    grad = np.zeros_like(model.flat)
+    g = model.views(grad)
+    d_pred = (2.0 / resid.size) * resid
+    g["w_out"][...] = d_pred.T @ h_last
+    g["b_out"][...] = d_pred.sum(axis=0)
+    dh = d_pred @ model.w_out
+    for j in range(model.n_blocks - 1, -1, -1):
+        blk = model.blocks[j]
+        u, s = cache[j]
+        g[f"blocks.{j}.w2"][...] = dh.T @ s
+        g[f"blocks.{j}.b2"][...] = dh.sum(axis=0)
+        da = (dh @ blk.w2) * (1.0 - s * s)
+        g[f"blocks.{j}.w1"][...] = da.T @ u
+        g[f"blocks.{j}.b1"][...] = da.sum(axis=0)
+        dh = dh + (da @ blk.w1)[:, : model.hidden]
+    g["w_in"][...] = dh.T @ z_t
+    g["b_in"][...] = dh.sum(axis=0)
+    return float(np.mean(resid * resid)), grad
+
+
+def test_block_column_views_split_w1():
+    m = random_model()
+    for blk in m.blocks:
+        assert np.shares_memory(blk.w_h, blk.w1) and np.shares_memory(blk.w_c, blk.w1)
+        np.testing.assert_array_equal(np.concatenate([blk.w_h, blk.w_t, blk.w_c], axis=1), blk.w1)
+    assert (m.blocks[0].w_h.shape, m.blocks[0].w_t.shape, m.blocks[0].w_c.shape) == (
+        (5, 5), (5, 4), (5, 6)
+    )
+
+
+def test_forward_matches_unsplit_reference():
+    m = random_model()
+    sched = build_schedule(10)
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((4, m.dim))
+    per_row = rng.standard_normal((4, m.n_blocks, m.cond_dim))
+    stack, vector = per_row[0], per_row[0, 0]
+    cases = [
+        (z[0], stack, stack[None]),  # one row
+        (z, stack, np.stack([stack] * 4)),  # a shared stack
+        (z, per_row, per_row),  # one stack per row
+        (z, vector, np.broadcast_to(vector, per_row.shape)),  # one vector for everything
+    ]
+    for latents, conds, full in cases:
+        want, _, _ = reference_forward(m, latents.reshape(-1, m.dim), 7, full)
+        got = forward(m, latents, 7, sched, conds)
+        np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-12)
+        rows = len(want)
+        prepared = forward(m, latents, 7, sched, condition_bias(m, conds, rows))
+        assert prepared.tobytes() == got.tobytes()
+
+
+def test_forward_rejects_a_bias_for_other_rows():
+    m = random_model()
+    sched = build_schedule(10)
+    bias = condition_bias(m, m.blocks[0].w_c[0], 3)
+    assert bias.terms.shape == (m.n_blocks, 3, m.hidden)
+    with pytest.raises(ValueError, match="condition bias has shape"):
+        forward(m, np.ones((2, m.dim)), 3, sched, bias)
+
+
 # ---------------------------------------------------------------------------
 # loss and gradients
+
+
+def test_loss_and_grads_match_unsplit_reference():
+    m = random_model()
+    sched = build_schedule(10)
+    z0, t, eps, _ = batch_inputs(m, n=6)
+    block_conds = np.random.default_rng(5).standard_normal((6, m.n_blocks, m.cond_dim))
+    loss, grad = loss_and_grads(m, z0, t, eps, block_conds, sched)
+    want_loss, want_grad = reference_loss_and_grads(m, z0, t, eps, block_conds, sched)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12)
 
 
 def test_loss_matches_manual_mse():
@@ -297,6 +400,25 @@ def test_train_reduces_loss_and_is_deterministic():
     steps = [s for s, _ in trace_a]
     assert steps == [0, 100, 200, 300]
     assert trace_a[-1][1] < 0.9 * trace_a[0][1]
+
+
+def test_train_records_gradient_norms_at_trace_steps():
+    sched = build_schedule(10)
+    cfg = TrainConfig(steps=201, batch_size=8, seed=6)
+    norms = []
+    m = tiny_model(seed=2)
+    _, trace = train(m, gaussian_task(m.dim, m.cond_dim), cfg, sched, grad_norms=norms)
+    assert len(norms) == len(trace) == 3
+    # step 0's gradient, recomputed from the same draws
+    rng = np.random.default_rng(cfg.seed)
+    z0, conds = gaussian_task(m.dim, m.cond_dim)(rng, cfg.batch_size)
+    t = rng.integers(0, sched.n_steps, size=cfg.batch_size)
+    eps = rng.standard_normal(z0.shape)
+    fresh = tiny_model(seed=2)
+    block_conds = np.repeat(conds[:, None, :], fresh.n_blocks, axis=1)
+    _, grad = loss_and_grads(fresh, z0, t, eps, block_conds, sched)
+    assert norms[0] == np.linalg.norm(grad)
+    assert all(math.isfinite(n) and n > 0 for n in norms)
 
 
 def test_train_divergence_abort():
@@ -419,6 +541,15 @@ def test_checkpoint_bytes_equal_per_tensor_writer(tmp_path):
     want += b"".join(np.asarray(p, dtype="<f8").tobytes() for _, p in m.parameters())
     assert path.read_bytes() == want
     assert load_checkpoint(path).flat.tobytes() == m.flat.tobytes()
+
+
+def test_init_checkpoint_bytes_are_fixed(tmp_path):
+    # the digest of this checkpoint before w1 was read as column views
+    path = tmp_path / "init.ckpt"
+    save_checkpoint(init_model(12, hidden=8, n_blocks=3, t_emb_dim=4, cond_width=2, seed=21), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "1f9bb0d32918f970198dca0e1fdbb6eb54fd4965b1ae5aaebc29266a0858ebcc"
+    )
 
 
 def test_checkpoint_roundtrip(tmp_path):
