@@ -27,6 +27,8 @@ __all__ = [
     "diffused_mixture",
     "log_density",
     "responsibilities",
+    "MixtureTables",
+    "mixture_tables",
     "predict_eps",
     "sample_mixture",
     "AnalyticDenoiser",
@@ -103,17 +105,19 @@ def diffused_mixture(mixture: GaussianMixture, t: int, sched: NoiseSchedule) -> 
     return GaussianMixture(mixture.weights, *_diffuse(mixture, t, sched))
 
 
-def _check_point(z, mixture) -> np.ndarray:
+def _check_point(z, dim: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim < 1 or z.shape[-1] != mixture.dim:
-        raise ValueError(f"point has shape {z.shape}, mixture dimension is {mixture.dim}")
+    if z.ndim < 1 or z.shape[-1] != dim:
+        raise ValueError(f"point has shape {z.shape}, mixture dimension is {dim}")
     return z
 
 
-def _log_component_densities(diff: np.ndarray, variances: np.ndarray) -> np.ndarray:
+def _log_component_densities(
+    diff: np.ndarray, variances: np.ndarray, log_variances: np.ndarray
+) -> np.ndarray:
     # diff (..., K, D) = z - means -> log densities (..., K)
     return -0.5 * np.sum(
-        diff * diff / variances + np.log(variances) + _LOG_2PI,
+        diff * diff / variances + log_variances + _LOG_2PI,
         axis=-1,
     )
 
@@ -131,9 +135,11 @@ def log_density(z, mixture: GaussianMixture):
     A single point gives a float; a batch of points gives an array of
     matching leading shape.
     """
-    z = _check_point(z, mixture)
+    z = _check_point(z, mixture.dim)
     diff = z[..., None, :] - mixture.means
-    lw = np.log(mixture.weights) + _log_component_densities(diff, mixture.variances)
+    lw = np.log(mixture.weights) + _log_component_densities(
+        diff, mixture.variances, np.log(mixture.variances)
+    )
     peak = lw.max(axis=-1, keepdims=True)
     out = peak[..., 0] + np.log(np.exp(lw - peak).sum(axis=-1))
     return float(out) if z.ndim == 1 else out
@@ -142,28 +148,95 @@ def log_density(z, mixture: GaussianMixture):
 def responsibilities(z, mixture: GaussianMixture) -> np.ndarray:
     """Posterior component probabilities at ``z``; sums to 1 along the
     trailing axis."""
-    z = _check_point(z, mixture)
+    z = _check_point(z, mixture.dim)
     diff = z[..., None, :] - mixture.means
     return _posterior(
-        np.log(mixture.weights), _log_component_densities(diff, mixture.variances)
+        np.log(mixture.weights),
+        _log_component_densities(diff, mixture.variances, np.log(mixture.variances)),
     )
 
 
-def predict_eps(z, t: int, cond_mixture: GaussianMixture, sched: NoiseSchedule) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class MixtureTables:
+    """Mixtures, the slots, diffused to every step of a noise schedule.
+
+    ``log_weights`` is (slots, K) and ``means``, ``variances`` (floored)
+    and ``log_variances`` are (n_steps, slots, K, D), K being the largest
+    component count; a slot with fewer components is padded with
+    log-weight -inf, mean 0 and variance 1, which get zero
+    responsibility.
+    """
+
+    log_weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    log_variances: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.means.shape[-1]
+
+
+def mixture_tables(mixtures, sched: NoiseSchedule) -> MixtureTables:
+    """Stack ``mixtures`` into :class:`MixtureTables` over every step of
+    ``sched``; each entry equals what :func:`diffused_mixture` gives."""
+    mixtures = list(mixtures)
+    if not mixtures:
+        raise ValueError("tables need at least one mixture")
+    dim = mixtures[0].dim
+    if any(m.dim != dim for m in mixtures):
+        raise ValueError("tabled mixtures differ in dimension")
+    n_comp = max(m.n_components for m in mixtures)
+    shape = (sched.n_steps, len(mixtures), n_comp, dim)
+    log_weights = np.full((len(mixtures), n_comp), -np.inf)
+    means, variances = np.zeros(shape), np.ones(shape)
+    a_bar = sched.alpha_bar[:, None, None]
+    for slot, m in enumerate(mixtures):
+        k = m.n_components
+        log_weights[slot, :k] = np.log(m.weights)
+        means[:, slot, :k] = np.sqrt(a_bar) * m.means
+        variances[:, slot, :k] = np.maximum(
+            a_bar * m.variances + (1.0 - a_bar), VARIANCE_FLOOR
+        )
+    return MixtureTables(log_weights, means, variances, np.log(variances))
+
+
+def predict_eps(z, t: int, cond_mixture, sched: NoiseSchedule, slots=None) -> np.ndarray:
     """Exact noise prediction under the diffused conditional mixture.
 
-    ``z`` may be a single point ``(D,)`` or a batch ``(..., D)``.  Equal,
-    bit for bit, to scoring under :func:`diffused_mixture`, without
-    building that mixture.
+    ``cond_mixture`` is one :class:`GaussianMixture`, and ``z`` a single
+    point ``(D,)`` or a batch ``(..., D)``; or it is :class:`MixtureTables`
+    over ``sched``, ``z`` is ``(rows, D)`` and row ``r`` is answered under
+    slot ``slots[r]``.  Equal, bit for bit, to scoring under
+    :func:`diffused_mixture`, without building that mixture.
     """
-    means, variances = _diffuse(cond_mixture, t, sched)
-    z = _check_point(z, cond_mixture)
+    t = int(t)
+    if isinstance(cond_mixture, MixtureTables):
+        if not 0 <= t < sched.n_steps:
+            raise ValueError(f"step index {t} outside [0, {sched.n_steps})")
+        z = _check_point(z, cond_mixture.dim)
+        slots = np.asarray(slots, dtype=np.intp)
+        if z.ndim != 2 or slots.shape != z.shape[:1]:
+            raise ValueError(
+                f"{slots.shape} slots for points of shape {z.shape}; expected one per row"
+            )
+        log_weights = cond_mixture.log_weights[slots]
+        means = cond_mixture.means[t, slots]
+        variances = cond_mixture.variances[t, slots]
+        log_variances = cond_mixture.log_variances[t, slots]
+    else:
+        if slots is not None:
+            raise ValueError("slots need mixture tables")
+        means, variances = _diffuse(cond_mixture, t, sched)
+        z = _check_point(z, cond_mixture.dim)
+        log_weights = np.log(cond_mixture.weights)
+        log_variances = np.log(variances)
     diff = z[..., None, :] - means
     resp = _posterior(
-        np.log(cond_mixture.weights), _log_component_densities(diff, variances)
+        log_weights, _log_component_densities(diff, variances, log_variances)
     )
     score = np.sum(resp[..., None] * (-diff / variances), axis=-2)
-    eps_hat = -np.sqrt(1.0 - sched.alpha_bar[int(t)]) * score
+    eps_hat = -np.sqrt(1.0 - sched.alpha_bar[t]) * score
     if not np.all(np.isfinite(eps_hat)):
         raise FloatingPointError("non-finite noise prediction from analytic denoiser")
     return eps_hat
@@ -222,3 +295,11 @@ class AnalyticDenoiser:
 
     def predict_eps(self, z, t: int, cond: ConditionEmbedding) -> np.ndarray:
         return predict_eps(z, t, self.mixture_for(cond), self._sched)
+
+    def prepare_steps(self, conds) -> MixtureTables:
+        """The step hook: the registered mixtures of ``conds``, tabled over
+        every step of the noise schedule."""
+        return mixture_tables([self.mixture_for(c) for c in conds], self._sched)
+
+    def predict_eps_steps(self, z, t: int, tables: MixtureTables, slots) -> np.ndarray:
+        return predict_eps(z, t, tables, self._sched, slots)

@@ -10,7 +10,8 @@ i = 0 .. N-1 against diffusion steps t = N-1-i (noisiest first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from collections.abc import Sequence
+from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -28,6 +29,11 @@ __all__ = [
     "ancestral_step",
     "sample",
 ]
+
+# Size of the buffer a sample call fills with each chain's noise, a chunk
+# of iterations at a time.  Not a setting: the draws are the same at any
+# size.
+NOISE_BUFFER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +122,9 @@ def ancestral_step(z_t, t, eps_hat, sched, noise) -> np.ndarray:
             f"{z_t.shape}, {eps_hat.shape}, {noise.shape}"
         )
     t = int(t)
-    _check_step(sched, t)
+    n = len(sched.beta)
+    if not 0 <= t < n:
+        raise ValueError(f"step index {t} outside [0, {n})")
     beta = sched.beta[t]
     mean = (z_t - (beta / np.sqrt(1.0 - sched.alpha_bar[t])) * eps_hat) / np.sqrt(
         sched.alpha[t]
@@ -131,7 +139,12 @@ class DenoiserBackend(Protocol):
     """What the sampler needs from a denoiser.
 
     ``predict_eps`` answers a batch ``z`` of shape (rows, dim) under one
-    condition.  Backends that understand per-block conditioning
+    condition.  Step schedules go through the step hook:
+    ``prepare_steps(conds)`` turns a sequence of conditions, the slots,
+    into whatever the backend wants to reuse at every step, once per
+    :func:`sample` call, and ``predict_eps_steps(z, t, prepared, slots)``
+    answers every row in one call, row ``r`` under condition
+    ``slots[r]``.  Backends that understand per-block conditioning
     additionally expose ``prepare_blocks(block_conds, rows)``, which
     projects condition arrays once for ``rows`` latents, for instance one
     ``(n_blocks, cond_dim)`` stack of condition vectors per row, and
@@ -149,35 +162,46 @@ class DenoiserBackend(Protocol):
 
     def predict_eps(self, z: np.ndarray, t: int, cond: ConditionEmbedding) -> np.ndarray: ...
 
+    def prepare_steps(self, conds: Sequence[ConditionEmbedding]) -> Any: ...
+
+    def predict_eps_steps(
+        self, z: np.ndarray, t: int, prepared: Any, slots: np.ndarray
+    ) -> np.ndarray: ...
+
 
 def _condition_index(schedules, n_steps: int):
-    """The distinct conditions of ``schedules`` and, per row and iteration,
-    the index of the condition driving it; shape (rows, n_steps)."""
+    """The distinct conditions of ``schedules`` and, per iteration and row,
+    the index of the condition driving it; shape (n_steps, rows)."""
     conds: list[ConditionEmbedding] = []
     slots: dict[bytes, int] = {}
-    index = np.empty((len(schedules), n_steps), dtype=np.intp)
+    index = np.empty((n_steps, len(schedules)), dtype=np.intp)
     for row, schedule in enumerate(schedules):
         for start, end, cond in schedule.segments:
             slot = slots.setdefault(cond.key(), len(conds))
             if slot == len(conds):
                 conds.append(cond)
-            index[row, start:end] = slot
+            index[start:end, row] = slot
     return conds, index
 
 
-def _predict_grouped(denoiser, z, t, conds, active) -> np.ndarray:
-    """One ``predict_eps`` call per condition in play; ``active`` holds each
-    row's condition index."""
-    eps_hat = np.empty_like(z)
-    for g in sorted(set(active.tolist())):
-        rows = np.flatnonzero(active == g)
-        eps_hat[rows] = denoiser.predict_eps(z[rows], t, conds[g])
-    return eps_hat
+def _chain_draws(seeds, dim: int, count: int):
+    """Yield ``count`` draws of shape ``(rows, dim)``, row ``r`` from
+    ``np.random.default_rng(seeds[r])``.
 
-
-def _draw(gens, out: np.ndarray) -> None:
-    for gen, row in zip(gens, out):
-        gen.standard_normal(out=row)
+    Each generator fills a chunk of its draws at once into a buffer of
+    about ``NOISE_BUFFER_BYTES``; one ``(k, dim)`` fill gives the same
+    values as ``k`` fills of ``dim``.  A yielded array is a view that the
+    next chunk overwrites.
+    """
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    chunk = max(1, min(count, NOISE_BUFFER_BYTES // (len(gens) * dim * 8)))
+    buf = np.empty((len(gens), chunk, dim))
+    for start in range(0, count, chunk):
+        fill = min(chunk, count - start)
+        for gen, row in zip(gens, buf):
+            gen.standard_normal(out=row[:fill])
+        for k in range(fill):
+            yield buf[:, k]
 
 
 def sample(
@@ -192,7 +216,7 @@ def sample(
     is a :class:`BlockAssignment`, which conditions the backend's blocks
     identically at every step and needs a block-structured backend.  The
     step count ``N`` is the backend's noise schedule's.  Row ``b`` draws its
-    start point and its noise from its own
+    start point and then its noise for each iteration from its own
     ``np.random.default_rng(seeds[b])``, so a row does not depend on the
     other rows whenever the backend computes rows independently.  Output is
     bit-reproducible for fixed (seeds, conditioning, parameters); metric code
@@ -215,9 +239,8 @@ def sample(
     blocks = isinstance(conditioning[0], BlockAssignment)
     if any(isinstance(c, BlockAssignment) != blocks for c in conditioning):
         raise ValueError("a batch mixes step schedules and block assignments")
-    structured = hasattr(denoiser, "prepare_blocks")
     if blocks:
-        if not structured:
+        if not hasattr(denoiser, "prepare_blocks"):
             raise ValueError(
                 "block assignment requires a block-structured denoiser backend"
             )
@@ -232,32 +255,26 @@ def sample(
                     f"backend noise schedule has {n}"
                 )
         conds, index = _condition_index(conditioning, n)
-    gens = [np.random.default_rng(seed) for seed in seeds]
-    z = np.empty((rows, denoiser.dim))
-    _draw(gens, z)
-    noise = np.empty_like(z)
+        prepared = denoiser.prepare_steps(conds)
     guided = guidance_scale != 1.0
     if guided:
-        uncond = unconditioned(conditioning[0].width)
-        if structured:
-            uncond_bias = denoiser.prepare_blocks(uncond.vector, rows)
+        uncond = denoiser.prepare_steps([unconditioned(conditioning[0].width)])
+        uncond_slots = np.zeros(rows, dtype=np.intp)
 
     # a step's prediction is freed by its update, so two never coexist
     def predict(z, t, i):
         if blocks:
             eps_hat = denoiser.predict_eps_blocks(z, t, block_bias)
         else:
-            eps_hat = _predict_grouped(denoiser, z, t, conds, index[:, i])
+            eps_hat = denoiser.predict_eps_steps(z, t, prepared, index[i])
         if guided:
-            if structured:
-                eps_un = denoiser.predict_eps_blocks(z, t, uncond_bias)
-            else:
-                eps_un = denoiser.predict_eps(z, t, uncond)
+            eps_un = denoiser.predict_eps_steps(z, t, uncond, uncond_slots)
             eps_hat = eps_un + guidance_scale * (eps_hat - eps_un)
         return eps_hat
 
-    for i in range(n):
+    draws = _chain_draws(seeds, denoiser.dim, n + 1)
+    z = next(draws).copy()
+    for i, noise in enumerate(draws):
         t = n - 1 - i
-        _draw(gens, noise)
         z = ancestral_step(z, t, predict(z, t, i), sched, noise)
     return z.reshape(rows, *denoiser.frame_shape)

@@ -422,6 +422,30 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _score_batch(trajs, records) -> list:
+    """Each run's metrics, or the error that fails it: a non-finite
+    trajectory fails its run, and the finite rows are scored in one
+    ``evaluate`` call, or row by row when that call raises."""
+    finite = np.isfinite(trajs).all(axis=(1, 2))
+    scored = [FloatingPointError("the sampled trajectory is not finite")] * len(records)
+    rows = np.flatnonzero(finite).tolist()
+    if not rows:
+        return scored
+    try:
+        e1s, e2s = zip(*(records[r].events for r in rows))
+        batch = evaluate(trajs[rows], e1s, e2s)
+    except Exception:  # rescored alone, so an error fails only its own run
+        batch = []
+        for r in rows:
+            try:
+                batch.append(score_run(trajs[r], records[r]))
+            except Exception as exc:
+                batch.append(exc)
+    for r, result in zip(rows, batch):
+        scored[r] = result
+    return scored
+
+
 def _execute_batch(jobs, cfg: SweepConfig, records_by_id, model, sched) -> list[RunRecord]:
     """Run ``jobs`` as one sampling batch: one prompt's jobs on the analytic
     backend, a group of prompts' jobs on a checkpoint.
@@ -429,46 +453,36 @@ def _execute_batch(jobs, cfg: SweepConfig, records_by_id, model, sched) -> list[
     An error while sampling fails every run of the batch; an error while
     scoring fails only its own run, each scored against its own prompt.
     A run's wall time is its share of the batch's sampling time plus its
-    own scoring time.
+    share of the batch's scoring time.
     """
     records = [records_by_id[job.prompt_id] for job in jobs]
     start = time.perf_counter()
-    batch_error = None
     try:
         trajs = sample_runs(
             cfg, model, sched,
             [(record, job.x, job.setting, job.seed) for record, job in zip(records, jobs)],
         )
     except Exception as exc:  # failed runs are recorded, not fatal
-        trajs = [None] * len(jobs)
-        batch_error = _error(exc)
-    share = (time.perf_counter() - start) / len(jobs)
-    results = []
-    for job, record, traj in zip(jobs, records, trajs):
-        start = time.perf_counter()
-        metrics, error = None, batch_error
-        if traj is not None:
-            try:
-                metrics = score_run(traj, record)
-            except Exception as exc:  # failed runs are recorded, not fatal
-                error = _error(exc)
-        wall_ms = int(round((share + time.perf_counter() - start) * 1000.0))
-        results.append(
-            RunRecord(
-                run_id=job.run_id,
-                mode=cfg.mode,
-                category=record.category,
-                prompt_id=record.id,
-                view=record.view,
-                x=job.x,
-                setting=job.setting,
-                seed=job.seed,
-                metrics=metrics,
-                wall_time_ms=wall_ms,
-                error=error,
-            )
+        scored = [exc] * len(jobs)
+    else:
+        scored = _score_batch(trajs, records)
+    wall_ms = int(round((time.perf_counter() - start) / len(jobs) * 1000.0))
+    return [
+        RunRecord(
+            run_id=job.run_id,
+            mode=cfg.mode,
+            category=record.category,
+            prompt_id=record.id,
+            view=record.view,
+            x=job.x,
+            setting=job.setting,
+            seed=job.seed,
+            metrics=None if isinstance(result, Exception) else result,
+            wall_time_ms=wall_ms,
+            error=_error(result) if isinstance(result, Exception) else None,
         )
-    return results
+        for job, record, result in zip(jobs, records, scored)
+    ]
 
 
 _WORKER_STATE: tuple | None = None

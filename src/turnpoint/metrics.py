@@ -37,22 +37,65 @@ class MetricsRecord:
     occupancy2: float
 
 
-def _as_trajectory(traj) -> np.ndarray:
+def _as_trajectories(traj, batch: bool = True) -> np.ndarray:
+    """``traj`` as a ``(B, T, 2 + 2d)`` stack: a single ``(T, 2 + 2d)``
+    trajectory becomes a stack of one, and with ``batch`` False nothing
+    else is accepted."""
     arr = np.asarray(traj, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] < 4 or (arr.shape[1] - 2) % 2 != 0:
-        raise ValueError(
-            f"trajectory must have shape (T, 2 + 2d), got {arr.shape}"
-        )
-    return arr
+    ndims = (2, 3) if batch else (2,)
+    if arr.ndim not in ndims or arr.shape[-1] < 4 or (arr.shape[-1] - 2) % 2 != 0:
+        want = "(T, 2 + 2d) or (B, T, 2 + 2d)" if batch else "(T, 2 + 2d)"
+        raise ValueError(f"trajectory must have shape {want}, got {arr.shape}")
+    return arr if arr.ndim == 3 else arr[None]
 
 
-def _cos01(v1: np.ndarray, v2: np.ndarray, floor: float) -> float:
-    n1 = float(np.linalg.norm(v1))
-    n2 = float(np.linalg.norm(v2))
-    if n1 < floor or n2 < floor:
-        return 0.5
-    c = float(np.clip(np.dot(v1, v2) / (n1 * n2), -1.0, 1.0))
-    return 0.5 * (1.0 + c)
+def _per_row(event, rows: int) -> list[EventParams]:
+    """One event for every row, or one event per row."""
+    if isinstance(event, EventParams):
+        return [event] * rows
+    events = list(event)
+    if len(events) != rows:
+        raise ValueError(f"{len(events)} events for {rows} trajectories")
+    return events
+
+
+def _event_rows(events, fn) -> np.ndarray:
+    """``fn(event)`` stacked over the rows, computed once per distinct event."""
+    done: dict[int, object] = {}
+    for event in events:
+        if id(event) not in done:
+            done[id(event)] = fn(event)
+    return np.array([done[id(event)] for event in events], dtype=np.float64)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (B, w) x (B, w) -> (B,); one dot per row, bit-equal to np.dot of the rows
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _cos01(v1: np.ndarray, v2: np.ndarray, floor: float) -> np.ndarray:
+    """(1 + cos) / 2 of each row pair of ``(B, w)`` arrays; 0.5 where either
+    row's norm is below ``floor``."""
+    v1, v2 = np.ascontiguousarray(v1), np.ascontiguousarray(v2)
+    n1 = np.sqrt(_row_dot(v1, v1))
+    n2 = np.sqrt(_row_dot(v2, v2))
+    degenerate = (n1 < floor) | (n2 < floor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.clip(_row_dot(v1, v2) / (n1 * n2), -1.0, 1.0)
+    return np.where(degenerate, 0.5, 0.5 * (1.0 + c))
+
+
+def _alignment(trajs: np.ndarray, e1s, e2s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n_frames = trajs.shape[1]
+    if n_frames < 4:
+        raise ValueError("alignment needs at least 4 frames (2 per event segment)")
+    split = n_frames // 2
+    steps = np.diff(trajs[:, :, :2], axis=1)
+    u1 = steps[:, : split - 1].mean(axis=1)
+    u2 = steps[:, split - 1 :].mean(axis=1)
+    ta1 = _cos01(u1, _event_rows(e1s, lambda e: e.drift), 1e-12)
+    ta2 = _cos01(u2, _event_rows(e2s, lambda e: e.drift), 1e-12)
+    return ta1, ta2, (ta1 + ta2) / 2.0
 
 
 def event_alignment(traj, e1: EventParams, e2: EventParams) -> tuple[float, float, float]:
@@ -62,37 +105,51 @@ def event_alignment(traj, e1: EventParams, e2: EventParams) -> tuple[float, floa
     frame before floor(T/2) -> event 1) and each group's mean step is
     scored against its event's drift direction.
     """
-    traj = _as_trajectory(traj)
-    n_frames = traj.shape[0]
-    if n_frames < 4:
-        raise ValueError("alignment needs at least 4 frames (2 per event segment)")
-    split = n_frames // 2
-    steps = np.diff(traj[:, :2], axis=0)
-    u1 = steps[: split - 1].mean(axis=0)
-    u2 = steps[split - 1 :].mean(axis=0)
-    ta1 = _cos01(u1, e1.drift, 1e-12)
-    ta2 = _cos01(u2, e2.drift, 1e-12)
-    return ta1, ta2, (ta1 + ta2) / 2.0
+    ta1, ta2, ta_mean = _alignment(_as_trajectories(traj, batch=False), [e1], [e2])
+    return float(ta1[0]), float(ta2[0]), float(ta_mean[0])
 
 
-def _channel_consistency(traj, channel: int) -> float:
+def _consistency(trajs: np.ndarray, channel: int) -> np.ndarray:
     """Similarity of channel group 0 (identity) or 1 (background) in each half."""
-    traj = _as_trajectory(traj)
-    n_frames, width = traj.shape
+    n_frames, width = trajs.shape[1:]
     d = (width - 2) // 2
     cols = slice(2 + channel * d, 2 + (channel + 1) * d)
-    early, late = traj[n_frames // 4], traj[(3 * n_frames) // 4]
-    return _cos01(early[cols], late[cols], _NORM_FLOOR)
+    early, late = trajs[:, n_frames // 4, cols], trajs[:, (3 * n_frames) // 4, cols]
+    return _cos01(early, late, _NORM_FLOOR)
 
 
 def identity_consistency(traj) -> float:
     """Similarity of the identity channels sampled in each half."""
-    return _channel_consistency(traj, 0)
+    return float(_consistency(_as_trajectories(traj, batch=False), 0)[0])
 
 
 def background_consistency(traj) -> float:
     """Similarity of the background channels sampled in each half."""
-    return _channel_consistency(traj, 1)
+    return float(_consistency(_as_trajectories(traj, batch=False), 1)[0])
+
+
+def _unit(event: EventParams) -> tuple[float, float]:
+    return math.cos(event.direction), math.sin(event.direction)
+
+
+def _turning(trajs: np.ndarray, e1s, e2s) -> tuple[list, np.ndarray]:
+    n_frames = trajs.shape[1]
+    if n_frames < 2:
+        raise ValueError("turning-frame search needs at least 2 frames")
+    u1 = _event_rows(e1s, _unit)
+    u2 = _event_rows(e2s, _unit)
+    cross = np.abs(u1[:, 0] * u2[:, 1] - u1[:, 1] * u2[:, 0])
+    coincident = (cross < _NORM_FLOOR) & (_row_dot(u1, u2) > 0.0)
+    steps = np.diff(trajs[:, :, :2], axis=1)
+    # norms cancel when comparing cosines against unit directions
+    is2 = np.matmul(steps, u2[:, :, None])[..., 0] > np.matmul(steps, u1[:, :, None])[..., 0]
+    occupancy2 = np.where(coincident, 0.5, is2.mean(axis=1))
+    # cost[b, s] = steps of row b mislabeled by split s; argmin keeps the
+    # first minimum
+    labels = np.arange(1, n_frames) >= np.arange(n_frames)[:, None]
+    cost = np.count_nonzero(labels != is2[:, None, :], axis=2)
+    turn = [None if c else s for c, s in zip(coincident.tolist(), cost.argmin(axis=1).tolist())]
+    return turn, occupancy2
 
 
 def turning_frame(traj, e1: EventParams, e2: EventParams) -> tuple[int | None, float]:
@@ -105,35 +162,27 @@ def turning_frame(traj, e1: EventParams, e2: EventParams) -> tuple[int | None, f
     ties — together with the fraction of steps classified as event 2.
     None (with occupancy 0.5) when the two directions coincide.
     """
-    traj = _as_trajectory(traj)
-    n_frames = traj.shape[0]
-    if n_frames < 2:
-        raise ValueError("turning-frame search needs at least 2 frames")
-    u1 = np.array([math.cos(e1.direction), math.sin(e1.direction)])
-    u2 = np.array([math.cos(e2.direction), math.sin(e2.direction)])
-    cross = abs(u1[0] * u2[1] - u1[1] * u2[0])
-    if cross < _NORM_FLOOR and np.dot(u1, u2) > 0.0:
-        return None, 0.5
-    steps = np.diff(traj[:, :2], axis=0)
-    # norms cancel when comparing cosines against unit directions
-    is2 = steps @ u2 > steps @ u1
-    occupancy2 = float(np.mean(is2))
-    # cost[s] = steps mislabeled by split s; argmin keeps the first minimum
-    splits = np.arange(n_frames)[:, None]
-    cost = np.count_nonzero((np.arange(1, n_frames) >= splits) != is2, axis=1)
-    return int(np.argmin(cost)), occupancy2
+    turn, occupancy2 = _turning(_as_trajectories(traj, batch=False), [e1], [e2])
+    return turn[0], float(occupancy2[0])
 
 
-def evaluate(traj, e1: EventParams, e2: EventParams) -> MetricsRecord:
-    """All metrics for one generated trajectory."""
-    ta1, ta2, ta_mean = event_alignment(traj, e1, e2)
-    turn, occupancy2 = turning_frame(traj, e1, e2)
-    return MetricsRecord(
-        ta1=ta1,
-        ta2=ta2,
-        ta_mean=ta_mean,
-        ic=identity_consistency(traj),
-        bc=background_consistency(traj),
-        turning_frame=turn,
-        occupancy2=occupancy2,
-    )
+def evaluate(traj, e1, e2):
+    """All metrics for one generated trajectory ``(T, F)``, as a
+    :class:`MetricsRecord`, or for a batch ``(B, T, F)``, as a list of
+    records.  ``e1`` and ``e2`` are one event each, or for a batch one
+    event per row; a row's record equals the one its trajectory gets
+    alone."""
+    single = np.ndim(traj) == 2
+    trajs = _as_trajectories(traj)
+    e1s, e2s = _per_row(e1, len(trajs)), _per_row(e2, len(trajs))
+    ta1, ta2, ta_mean = _alignment(trajs, e1s, e2s)
+    turn, occupancy2 = _turning(trajs, e1s, e2s)
+    records = [
+        MetricsRecord(*fields)
+        for fields in zip(
+            ta1.tolist(), ta2.tolist(), ta_mean.tolist(),
+            _consistency(trajs, 0).tolist(), _consistency(trajs, 1).tolist(),
+            turn, occupancy2.tolist(),
+        )
+    ]
+    return records[0] if single else records

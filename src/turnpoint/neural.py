@@ -455,7 +455,9 @@ class NeuralDenoiser:
     A sampler projects conditions that hold for a whole chain once, with
     :meth:`prepare_blocks`, and passes the result at every step.  Both
     predictions answer a latent ``(dim,)`` or a batch ``(n, dim)`` in one
-    forward pass.
+    forward pass.  Step schedules project each of their conditions once,
+    with :meth:`prepare_steps`, and :meth:`predict_eps_steps` gathers each
+    row's projection into one forward pass per step.
     """
 
     def __init__(self, model: DenoiserModel, noise_schedule: NoiseSchedule,
@@ -494,3 +496,14 @@ class NeuralDenoiser:
 
     def predict_eps_blocks(self, z, t: int, block_conds) -> np.ndarray:
         return forward(self._model, z, t, self._sched, block_conds)
+
+    def prepare_steps(self, conds) -> ConditionBias:
+        """The step hook: slot ``s`` of the result conditions every block
+        with ``conds[s]``."""
+        m = self._model
+        vectors = np.stack([c.vector for c in conds])
+        shape = (len(vectors), m.n_blocks, vectors.shape[1])
+        return condition_bias(m, np.broadcast_to(vectors[:, None, :], shape), len(vectors))
+
+    def predict_eps_steps(self, z, t: int, slot_bias: ConditionBias, slots) -> np.ndarray:
+        return forward(self._model, z, t, self._sched, ConditionBias(slot_bias.terms[:, slots]))

@@ -11,6 +11,7 @@ from turnpoint.analytic import (
     GaussianMixture,
     diffused_mixture,
     log_density,
+    mixture_tables,
     predict_eps,
     responsibilities,
     sample_mixture,
@@ -196,6 +197,37 @@ def test_predict_eps_batch_matches_rowwise():
     assert batch.shape == (7, 2)
     for i in range(7):
         np.testing.assert_array_equal(batch[i], predict_eps(z[i], 9, mix, sched))
+
+
+def test_predict_eps_on_tables_equals_each_mixture_alone():
+    # slots with fewer components are padded; each row must get, bit for
+    # bit, what its own mixture gives
+    sched = build_schedule(20)
+    mixtures = [
+        two_bump(),
+        single_gaussian([0.5, -1.0], [0.2, 0.7]),
+        GaussianMixture(
+            np.array([0.2, 0.3, 0.5]),
+            np.array([[1.0, 1.0], [-2.0, 0.5], [0.0, -3.0]]),
+            np.array([[0.1, 0.2], [0.0, 1.0], [0.5, 0.5]]),
+        ),
+    ]
+    tables = mixture_tables(mixtures, sched)
+    assert tables.means.shape == (20, 3, 3, 2)
+    assert tables.log_weights[1, 1:].tolist() == [-np.inf, -np.inf]
+    assert (tables.means[:, 1, 1:] == 0.0).all() and (tables.variances[:, 1, 1:] == 1.0).all()
+    rng = np.random.default_rng(24)
+    slots = np.array([0, 2, 1, 1, 0, 2, 2])
+    z = rng.normal(0, 2, (len(slots), 2))
+    for t in (0, 9, 19):
+        got = predict_eps(z, t, tables, sched, slots)
+        for row, slot in enumerate(slots):
+            want = predict_eps(z[row : row + 1], t, mixtures[slot], sched)
+            assert got[row].tobytes() == want[0].tobytes()
+    with pytest.raises(ValueError, match="slots"):
+        predict_eps(z, 0, tables, sched, slots[:3])
+    with pytest.raises(ValueError, match="outside"):
+        predict_eps(z, 20, tables, sched, slots)
 
 
 def test_predict_eps_dimension_check():

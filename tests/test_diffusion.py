@@ -13,6 +13,7 @@ from turnpoint.conditioning import (
     step_switch,
     uniform_blocks,
 )
+from turnpoint import diffusion
 from turnpoint.diffusion import (
     NoiseSchedule,
     ancestral_step,
@@ -37,6 +38,18 @@ class LinearBackend:
     def predict_eps(self, z, t, cond):
         self.calls.append((int(t), cond))
         return self.a * np.asarray(z) + self.b
+
+    def prepare_steps(self, conds):
+        return list(conds)
+
+    def predict_eps_steps(self, z, t, conds, slots):
+        # one predict_eps query per condition in play, so the recorded
+        # calls read as a per-condition log
+        eps = np.empty_like(z)
+        for slot in sorted(set(slots.tolist())):
+            rows = np.flatnonzero(slots == slot)
+            eps[rows] = self.predict_eps(z[rows], t, conds[slot])
+        return eps
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +195,13 @@ def test_ancestral_step_shape_errors():
         ancestral_step(np.zeros(2), 3, np.zeros(2), sched, np.zeros(2))
 
 
+@pytest.mark.parametrize("t", [-1, 3])
+def test_ancestral_step_rejects_steps_outside_the_schedule(t):
+    sched = build_schedule(3)
+    with pytest.raises(ValueError, match=rf"step index {t} outside \[0, 3\)"):
+        ancestral_step(np.zeros(2), t, np.zeros(2), sched, np.zeros(2))
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -224,6 +244,32 @@ def test_sample_batches_rows_by_active_condition():
         for s, seed in zip(schedules, seeds)
     ]
     np.testing.assert_array_equal(batch, np.stack(alone))
+
+
+def test_sample_noise_streams_match_per_step_draws():
+    # reference: the start point, then one (rows, dim) draw per iteration,
+    # each row from its own generator; the batch's noise fills the buffer
+    # more than twice, the last time partly
+    sched = build_schedule(50)
+    dim, rows = 96, 64
+    assert rows * dim * 8 * (sched.n_steps + 1) > 2 * diffusion.NOISE_BUFFER_BYTES
+    c1, c2 = compose_single([1.0]), compose_single([2.0])
+    schedules = [step_switch(i / rows, sched.n_steps, c1, c2) for i in range(rows)]
+    seeds = [1000 + 7 * i for i in range(rows)]
+
+    def draw(gens):
+        return np.stack([gen.standard_normal(dim) for gen in gens])
+
+    backend = LinearBackend(sched, dim=dim, a=0.1, b=0.2)
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    z = draw(gens)
+    for i in range(sched.n_steps):
+        t = sched.n_steps - 1 - i
+        eps = backend.a * z + backend.b
+        z = ancestral_step(z, t, eps, sched, draw(gens))
+    want = z.reshape(rows, *backend.frame_shape)
+    got = sample(backend, schedules, seeds)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sample_rejects_malformed_batches():

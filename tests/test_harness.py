@@ -381,14 +381,15 @@ class TestRunSweep:
             trajs[1, 0, 0] = np.nan
             return trajs
 
-        def second_call_fails(*args):
+        def batch_and_row_2_fail(*args):
+            # call 1 scores rows 0 and 2 together; then row 0, then row 2, alone
             calls.append(args)
-            if len(calls) == 2:
+            if len(calls) in (1, 3):
                 raise RuntimeError("metric exploded")
             return real_evaluate(*args)
 
         monkeypatch.setattr(harness, "sample", one_nan_row)
-        monkeypatch.setattr(harness, "evaluate", second_call_fails)
+        monkeypatch.setattr(harness, "evaluate", batch_and_row_2_fail)
         out = run_sweep(small_cfg(tmp_path, grid=(0.0, 0.5, 1.0)),
                         records=generate_suite(0)[:1])
         assert out[0].error is None and out[0].metrics is not None

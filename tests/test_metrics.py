@@ -13,7 +13,12 @@ from turnpoint.metrics import (
     identity_consistency,
     turning_frame,
 )
-from turnpoint.worldgen import EventParams, mean_trajectory
+from turnpoint.worldgen import (
+    EventParams,
+    generate_suite,
+    mean_trajectory,
+    sample_trajectory,
+)
 
 
 def ev(direction, speed=1.0, identity=(1.0, 0.0), background=(0.0, 1.0)):
@@ -250,3 +255,40 @@ def test_evaluate_is_pure():
     e1, e2 = ev(0.0), ev(2.0)
     traj = mean_trajectory(e1, e2, 8)
     assert evaluate(traj, e1, e2) == evaluate(traj, e1, e2)
+
+
+@pytest.mark.parametrize("suite_seed", [0, 1, 2])
+def test_batched_evaluate_equals_one_trajectory_at_a_time(suite_seed):
+    records = generate_suite(suite_seed)
+    trajs, e1s, e2s = [], [], []
+    for i, record in enumerate(records):
+        e1, e2 = record.events
+        noiseless = mean_trajectory(e1, e2, 16, record.view)
+        noisy = sample_trajectory(e1, e2, 16, 0.5, 1000 * suite_seed + i, record.view)
+        blank = noisy.copy()
+        blank[:, 2:] = 0.0  # identity and background channels all zero
+        for traj in (noiseless, noisy, blank):
+            trajs.append(traj)
+            e1s.append(e1)
+            e2s.append(e2)
+    batch = evaluate(np.stack(trajs), e1s, e2s)
+    alone = [evaluate(*args) for args in zip(trajs, e1s, e2s)]
+    assert len(batch) == len(alone)
+    for got, want in zip(batch, alone):
+        for name in MetricsRecord.__dataclass_fields__:
+            assert getattr(got, name) == getattr(want, name), name
+    # the cases the comparison is meant to cover are all present
+    assert {"first", "third"} <= {r.view for r in records}
+    assert any(rec.turning_frame is None for rec in batch)
+    assert all((rec.ic, rec.bc) == (0.5, 0.5) for rec in batch[2::3])
+
+
+def test_batched_evaluate_takes_one_event_pair_for_every_row():
+    e1, e2 = ev(0.4), ev(2.0)
+    rng = np.random.default_rng(4)
+    trajs = mean_trajectory(e1, e2, 10) + 0.3 * rng.standard_normal((5, 10, 6))
+    assert evaluate(trajs, e1, e2) == [evaluate(traj, e1, e2) for traj in trajs]
+    with pytest.raises(ValueError, match="events for 5 trajectories"):
+        evaluate(trajs, [e1] * 4, e2)
+    with pytest.raises(ValueError, match="shape"):
+        event_alignment(trajs, e1, e2)  # the single-trajectory metrics stay single

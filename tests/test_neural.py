@@ -637,6 +637,22 @@ def test_neural_denoiser_predict_eps_equals_uniform_forward():
         assert got.tobytes() == forward(m, z, 5, sched, vectors).tobytes()
 
 
+def test_neural_denoiser_step_hook_answers_each_row_under_its_slot():
+    m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=2)
+    rng = np.random.default_rng(8)
+    m.w_out[...] = rng.standard_normal(m.w_out.shape)
+    den = NeuralDenoiser(m, build_schedule(10), (3, 2))
+    conds = [compose_single([0.4, -0.2]), compose_single([-1.0, 0.3]), compose_single([0.0, 2.0])]
+    slots = np.array([2, 0, 0, 1, 2, 1, 0])
+    z = rng.standard_normal((len(slots), 6))
+    prepared = den.prepare_steps(conds)
+    assert prepared.terms.shape == (m.n_blocks, len(conds), m.hidden)
+    got = den.predict_eps_steps(z, 7, prepared, slots)
+    for row, slot in enumerate(slots):
+        want = den.predict_eps(z[row], 7, conds[slot])
+        np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-14)
+
+
 def test_neural_denoiser_frame_shape_check():
     m = tiny_model()
     with pytest.raises(ValueError):

@@ -7,15 +7,21 @@ would otherwise only fail the benchmark's own smoke test.
 import importlib.util
 from pathlib import Path
 
-from turnpoint import neural
+from turnpoint import harness, neural
+from turnpoint.worldgen import generate_suite
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_tracer_instruments_and_restores_the_package():
+def load_tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    return tracer_module
+
+
+def test_tracer_instruments_and_restores_the_package():
+    tracer_module = load_tracer_module()
     originals = (neural.AdamState.update, neural.loss_and_grads, neural.save_checkpoint)
     tracer = tracer_module.Tracer()
     try:
@@ -24,3 +30,28 @@ def test_tracer_instruments_and_restores_the_package():
     finally:
         tracer.restore()
     assert (neural.AdamState.update, neural.loss_and_grads, neural.save_checkpoint) == originals
+
+
+def test_traced_layers_stay_on_the_analytic_sweep_path(tmp_path):
+    # one prompt is one batch: one prediction and one update per step
+    # for the whole batch, and one metrics call
+    tracer_module = load_tracer_module()
+    cfg = harness.SweepConfig(
+        mode="step_switch", grid=(0.0, 0.5, 1.0), repeats=2, n_steps=10,
+        frames=4, out_dir=str(tmp_path / "out"),
+    )
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.instrument(tracer)
+        out = harness.run_sweep(cfg, generate_suite(0)[:1])
+    finally:
+        tracer.restore()
+    tracer.fold()
+    calls = {name: acc[0] for name, acc in tracer.totals.items()}
+    rows = {name: acc[3] for name, acc in tracer.totals.items()}
+    assert len(out) == 6 and all(r.error is None for r in out)
+    assert calls["diffusion.sample"] == 1
+    assert calls["analytic.predict_eps"] == cfg.n_steps
+    assert rows["analytic.predict_eps"] == cfg.n_steps * len(out)
+    assert calls["diffusion.ancestral_step"] == cfg.n_steps
+    assert calls["metrics.evaluate"] == 1
