@@ -293,13 +293,10 @@ class AnalyticDenoiser:
                 "no data distribution registered for this condition"
             ) from None
 
-    def predict_eps(self, z, t: int, cond: ConditionEmbedding) -> np.ndarray:
-        return predict_eps(z, t, self.mixture_for(cond), self._sched)
-
-    def prepare_steps(self, conds) -> MixtureTables:
-        """The step hook: the registered mixtures of ``conds``, tabled over
-        every step of the noise schedule."""
+    def prepare(self, conds) -> MixtureTables:
+        """The registered mixtures of ``conds``, tabled over every step of
+        the noise schedule."""
         return mixture_tables([self.mixture_for(c) for c in conds], self._sched)
 
-    def predict_eps_steps(self, z, t: int, tables: MixtureTables, slots) -> np.ndarray:
+    def predict_eps(self, z, t: int, tables: MixtureTables, slots) -> np.ndarray:
         return predict_eps(z, t, tables, self._sched, slots)

@@ -138,17 +138,13 @@ def ancestral_step(z_t, t, eps_hat, sched, noise) -> np.ndarray:
 class DenoiserBackend(Protocol):
     """What the sampler needs from a denoiser.
 
-    ``predict_eps`` answers a batch ``z`` of shape (rows, dim) under one
-    condition.  Step schedules go through the step hook:
-    ``prepare_steps(conds)`` turns a sequence of conditions, the slots,
-    into whatever the backend wants to reuse at every step, once per
-    :func:`sample` call, and ``predict_eps_steps(z, t, prepared, slots)``
-    answers every row in one call, row ``r`` under condition
-    ``slots[r]``.  Backends that understand per-block conditioning
-    additionally expose ``prepare_blocks(block_conds, rows)``, which
-    projects condition arrays once for ``rows`` latents, for instance one
-    ``(n_blocks, cond_dim)`` stack of condition vectors per row, and
-    ``predict_eps_blocks(z, t, prepared)``, which answers at every step.
+    ``prepare(conds)`` turns a sequence of conditions, the slots, into
+    whatever the backend wants to reuse at every step, once per
+    :func:`sample` call.  ``predict_eps(z, t, prepared, slots)`` answers a
+    batch ``z`` of shape (rows, dim) in one call: ``slots`` is ``(rows,)``,
+    row ``r`` under condition ``slots[r]``, or, on a block-structured
+    backend, which also exposes ``n_blocks``, ``(rows, n_blocks)``, block
+    ``j`` of row ``r`` under condition ``slots[r, j]``.
     """
 
     @property
@@ -160,28 +156,34 @@ class DenoiserBackend(Protocol):
     @property
     def frame_shape(self) -> tuple[int, int]: ...
 
-    def predict_eps(self, z: np.ndarray, t: int, cond: ConditionEmbedding) -> np.ndarray: ...
+    def prepare(self, conds: Sequence[ConditionEmbedding]) -> Any: ...
 
-    def prepare_steps(self, conds: Sequence[ConditionEmbedding]) -> Any: ...
-
-    def predict_eps_steps(
+    def predict_eps(
         self, z: np.ndarray, t: int, prepared: Any, slots: np.ndarray
     ) -> np.ndarray: ...
 
 
-def _condition_index(schedules, n_steps: int):
-    """The distinct conditions of ``schedules`` and, per iteration and row,
-    the index of the condition driving it; shape (n_steps, rows)."""
-    conds: list[ConditionEmbedding] = []
-    slots: dict[bytes, int] = {}
-    index = np.empty((n_steps, len(schedules)), dtype=np.intp)
-    for row, schedule in enumerate(schedules):
-        for start, end, cond in schedule.segments:
-            slot = slots.setdefault(cond.key(), len(conds))
-            if slot == len(conds):
-                conds.append(cond)
-            index[start:end, row] = slot
-    return conds, index
+def _condition_index(conditioning, n_steps: int):
+    """The distinct conditions of ``conditioning`` and the slot index of the
+    condition driving each iteration and row: shape (n_steps, rows) for
+    step schedules, and (n_steps, rows, n_blocks) for block assignments,
+    a view of one (rows, n_blocks) array since they hold at every step."""
+    slots: dict[bytes, tuple[int, ConditionEmbedding]] = {}
+
+    def slot_of(cond) -> int:
+        return slots.setdefault(cond.key(), (len(slots), cond))[0]
+
+    if isinstance(conditioning[0], BlockAssignment):
+        per_row = np.array(
+            [[slot_of(cond) for cond in a.per_block] for a in conditioning], dtype=np.intp
+        )
+        index = np.broadcast_to(per_row, (n_steps, *per_row.shape))
+    else:
+        index = np.empty((n_steps, len(conditioning)), dtype=np.intp)
+        for row, schedule in enumerate(conditioning):
+            for start, end, cond in schedule.segments:
+                index[start:end, row] = slot_of(cond)
+    return [cond for _, cond in slots.values()], index
 
 
 def _chain_draws(seeds, dim: int, count: int):
@@ -214,7 +216,9 @@ def sample(
     :class:`StepSchedule` (iteration ``i`` uses the schedule's condition
     for ``i`` and denoises diffusion step ``t = N - 1 - i``) or every entry
     is a :class:`BlockAssignment`, which conditions the backend's blocks
-    identically at every step and needs a block-structured backend.  The
+    identically at every step and needs a block-structured backend with as
+    many blocks.  Either way the batch's distinct conditions are prepared
+    once and each step makes one prediction for every row.  The
     step count ``N`` is the backend's noise schedule's.  Row ``b`` draws its
     start point and then its noise for each iteration from its own
     ``np.random.default_rng(seeds[b])``, so a row does not depend on the
@@ -239,36 +243,30 @@ def sample(
     blocks = isinstance(conditioning[0], BlockAssignment)
     if any(isinstance(c, BlockAssignment) != blocks for c in conditioning):
         raise ValueError("a batch mixes step schedules and block assignments")
-    if blocks:
-        if not hasattr(denoiser, "prepare_blocks"):
+    n_blocks = getattr(denoiser, "n_blocks", None)
+    for c in conditioning:
+        if blocks and c.n_blocks != n_blocks:
             raise ValueError(
-                "block assignment requires a block-structured denoiser backend"
+                "block assignment requires a block-structured denoiser backend "
+                f"with {c.n_blocks} blocks; this backend has {n_blocks or 'none'}"
             )
-        block_bias = denoiser.prepare_blocks(
-            np.stack([a.vectors for a in conditioning]), rows
-        )
-    else:
-        for schedule in conditioning:
-            if schedule.n_steps != n:
-                raise ValueError(
-                    f"conditioning schedule covers {schedule.n_steps} steps, "
-                    f"backend noise schedule has {n}"
-                )
-        conds, index = _condition_index(conditioning, n)
-        prepared = denoiser.prepare_steps(conds)
+        if not blocks and c.n_steps != n:
+            raise ValueError(
+                f"conditioning schedule covers {c.n_steps} steps, "
+                f"backend noise schedule has {n}"
+            )
+    conds, index = _condition_index(conditioning, n)
     guided = guidance_scale != 1.0
     if guided:
-        uncond = denoiser.prepare_steps([unconditioned(conditioning[0].width)])
-        uncond_slots = np.zeros(rows, dtype=np.intp)
+        uncond_slots = np.full(rows, len(conds), dtype=np.intp)
+        conds.append(unconditioned(conditioning[0].width))
+    prepared = denoiser.prepare(conds)
 
     # a step's prediction is freed by its update, so two never coexist
     def predict(z, t, i):
-        if blocks:
-            eps_hat = denoiser.predict_eps_blocks(z, t, block_bias)
-        else:
-            eps_hat = denoiser.predict_eps_steps(z, t, prepared, index[i])
+        eps_hat = denoiser.predict_eps(z, t, prepared, index[i])
         if guided:
-            eps_un = denoiser.predict_eps_steps(z, t, uncond, uncond_slots)
+            eps_un = denoiser.predict_eps(z, t, prepared, uncond_slots)
             eps_hat = eps_un + guidance_scale * (eps_hat - eps_un)
         return eps_hat
 

@@ -371,19 +371,22 @@ def sample_runs(cfg: SweepConfig, model, sched, runs) -> np.ndarray:
     shape ``(len(runs), cfg.frames, frame_dim)``.
     """
     first = runs[0][0]
+    records = {record.id: record for record, *_ in runs}
     if model is None:
-        prompts = {record.id for record, *_ in runs}
-        if len(prompts) != 1:
+        if len(records) != 1:
             raise ValueError(
-                f"the analytic backend samples one prompt per batch, got {len(prompts)}"
+                f"the analytic backend samples one prompt per batch, got {len(records)}"
             )
         backend = backend_for_record(first, sched, cfg.frames, cfg.sigma, cfg.w_mix)
     else:
         backend = NeuralDenoiser(model, sched, (cfg.frames, first.frame_dim))
+    event_conds = {
+        prompt: (condition_of(record, "event1"), condition_of(record, "event2"))
+        for prompt, record in records.items()
+    }
 
     def conditioning_at(record, x) -> list:
-        cond1 = condition_of(record, "event1")
-        cond2 = condition_of(record, "event2")
+        cond1, cond2 = event_conds[record.id]
         if cfg.mode == "step_switch":
             return [step_switch(x, cfg.n_steps, cond1, cond2)]
         if cfg.mode == "block_split":

@@ -12,10 +12,11 @@ are reverse-mode by hand; no autodiff framework is involved.
 Each ``w1_j`` is read as three column views ``[W_h | W_t | W_c]``, so a
 block computes ``tanh(W_h h + (W_c c_j + b1_j + W_t t_emb))`` without
 concatenating its input.  The condition term ``W_c c_j + b1_j`` does not
-depend on the step: :func:`condition_bias` projects it once, and a
-sampler passes the result to :func:`forward` at every step.  Training
-runs the same block body.  The parameter layout and the checkpoint bytes
-are those of the unsplit ``w1``.
+depend on the step: :func:`condition_bias` projects it once, and
+:class:`NeuralDenoiser` projects each of a sampling call's conditions
+once and gathers the projections, per row and block, for every step's
+:func:`forward`.  Training runs the same block body.  The parameter
+layout and the checkpoint bytes are those of the unsplit ``w1``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditioning import ConditionEmbedding
 from .diffusion import NoiseSchedule, forward_noise
 
 __all__ = [
@@ -449,15 +449,11 @@ def load_checkpoint(path) -> DenoiserModel:
 class NeuralDenoiser:
     """Sampler-facing wrapper around a :class:`DenoiserModel`.
 
-    Uniform conditioning routes through :meth:`predict_eps`, which takes a
-    :class:`ConditionEmbedding` like every backend; block splits through
-    :meth:`predict_eps_blocks`, which takes what :func:`forward` takes.
-    A sampler projects conditions that hold for a whole chain once, with
-    :meth:`prepare_blocks`, and passes the result at every step.  Both
-    predictions answer a latent ``(dim,)`` or a batch ``(n, dim)`` in one
-    forward pass.  Step schedules project each of their conditions once,
-    with :meth:`prepare_steps`, and :meth:`predict_eps_steps` gathers each
-    row's projection into one forward pass per step.
+    :meth:`prepare` projects each condition of a sampling call once, with
+    :func:`condition_bias`, as a slot that conditions every block alike.
+    :meth:`predict_eps` gathers each row's and block's slot into one
+    :class:`ConditionBias` and answers a batch in one :func:`forward` pass
+    per step.
     """
 
     def __init__(self, model: DenoiserModel, noise_schedule: NoiseSchedule,
@@ -488,22 +484,22 @@ class NeuralDenoiser:
     def dim(self) -> int:
         return self._model.dim
 
-    def predict_eps(self, z, t: int, cond: ConditionEmbedding) -> np.ndarray:
-        return forward(self._model, z, t, self._sched, cond.vector)
+    @property
+    def n_blocks(self) -> int:
+        return self._model.n_blocks
 
-    def prepare_blocks(self, block_conds, rows: int) -> ConditionBias:
-        return condition_bias(self._model, block_conds, rows)
-
-    def predict_eps_blocks(self, z, t: int, block_conds) -> np.ndarray:
-        return forward(self._model, z, t, self._sched, block_conds)
-
-    def prepare_steps(self, conds) -> ConditionBias:
-        """The step hook: slot ``s`` of the result conditions every block
-        with ``conds[s]``."""
+    def prepare(self, conds) -> ConditionBias:
+        """Slot ``s`` of the result conditions every block with ``conds[s]``."""
         m = self._model
         vectors = np.stack([c.vector for c in conds])
         shape = (len(vectors), m.n_blocks, vectors.shape[1])
         return condition_bias(m, np.broadcast_to(vectors[:, None, :], shape), len(vectors))
 
-    def predict_eps_steps(self, z, t: int, slot_bias: ConditionBias, slots) -> np.ndarray:
-        return forward(self._model, z, t, self._sched, ConditionBias(slot_bias.terms[:, slots]))
+    def predict_eps(self, z, t: int, slot_bias: ConditionBias, slots) -> np.ndarray:
+        """Row ``r`` under slot ``slots[r]`` in every block, or, for slots of
+        shape ``(rows, n_blocks)``, block ``j`` under ``slots[r, j]``."""
+        slots = np.asarray(slots)
+        n = self._model.n_blocks
+        per_block = np.broadcast_to(slots.reshape(len(slots), -1), (len(slots), n)).T
+        bias = ConditionBias(slot_bias.terms[np.arange(n)[:, None], per_block])
+        return forward(self._model, z, t, self._sched, bias)

@@ -293,9 +293,10 @@ def test_criterion_07_ancestral_sampling_recovers_gaussian_moments():
     target = backend.mixture_for(cond)  # single component for one event
     rng = np.random.default_rng(77)
     z = rng.standard_normal((n_chains, backend.dim))
+    prepared, slots = backend.prepare([cond]), np.zeros(n_chains, dtype=np.intp)
     for i in range(n_steps):
         t = n_steps - 1 - i
-        eps_hat = backend.predict_eps(z, t, cond)
+        eps_hat = backend.predict_eps(z, t, prepared, slots)
         z = ancestral_step(z, t, eps_hat, sched, rng.standard_normal(z.shape))
     mean_err = float(np.abs(z.mean(axis=0) - target.means[0]).max())
     var_ratio = z.var(axis=0) / target.variances[0]

@@ -278,9 +278,11 @@ def test_denoiser_registry_lookup_by_value():
     backend.register(cond, mix)
     # an equal-valued but distinct condition object still resolves
     assert backend.mixture_for(compose_single([1.0, 2.0])) is mix
-    z = np.array([0.3, -0.4])
+    z = np.array([[0.3, -0.4], [1.5, 0.2]])
+    prepared = backend.prepare([compose_single([1.0, 2.0])])
     np.testing.assert_array_equal(
-        backend.predict_eps(z, 4, cond), predict_eps(z, 4, mix, sched)
+        backend.predict_eps(z, 4, prepared, np.zeros(2, dtype=np.intp)),
+        predict_eps(z, 4, mix, sched),
     )
 
 

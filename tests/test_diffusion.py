@@ -14,14 +14,16 @@ from turnpoint.conditioning import (
     uniform_blocks,
 )
 from turnpoint import diffusion
+from turnpoint.analytic import AnalyticDenoiser
 from turnpoint.diffusion import (
+    DenoiserBackend,
     NoiseSchedule,
     ancestral_step,
     build_schedule,
     forward_noise,
     sample,
 )
-from turnpoint.neural import NeuralDenoiser, init_model
+from turnpoint.neural import NeuralDenoiser, forward, init_model
 
 
 class LinearBackend:
@@ -35,20 +37,20 @@ class LinearBackend:
         self.b = b
         self.calls = []
 
-    def predict_eps(self, z, t, cond):
+    def eps_for(self, z, t, cond):
         self.calls.append((int(t), cond))
         return self.a * np.asarray(z) + self.b
 
-    def prepare_steps(self, conds):
+    def prepare(self, conds):
         return list(conds)
 
-    def predict_eps_steps(self, z, t, conds, slots):
-        # one predict_eps query per condition in play, so the recorded
-        # calls read as a per-condition log
+    def predict_eps(self, z, t, conds, slots):
+        # one eps_for query per condition in play, so the recorded calls
+        # read as a per-condition log
         eps = np.empty_like(z)
         for slot in sorted(set(slots.tolist())):
             rows = np.flatnonzero(slots == slot)
-            eps[rows] = self.predict_eps(z[rows], t, conds[slot])
+            eps[rows] = self.eps_for(z[rows], t, conds[slot])
         return eps
 
 
@@ -309,11 +311,53 @@ def test_sample_step_count_mismatches():
 
 def test_sample_block_assignment_needs_block_backend():
     sched = build_schedule(4)
-    backend = LinearBackend(sched)
-    schedule = constant_schedule(4, compose_single([1.0]))
     assign = uniform_blocks(compose_single([1.0]), 3)
-    with pytest.raises(ValueError):
-        sample(backend, [assign], [0])
+    with pytest.raises(
+        ValueError,
+        match="block-structured denoiser backend with 3 blocks; this backend has none",
+    ):
+        sample(LinearBackend(sched), [assign], [0])
+
+
+def test_sample_block_assignment_needs_as_many_blocks_as_the_backend():
+    sched = build_schedule(4)
+    model = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=1, seed=0)
+    den = NeuralDenoiser(model, sched, (3, 2))
+    c = compose_single([1.0])
+    with pytest.raises(
+        ValueError,
+        match="block-structured denoiser backend with 4 blocks; this backend has 3",
+    ):
+        sample(den, [uniform_blocks(c, 3), uniform_blocks(c, 4)], [0, 1])
+
+
+def test_both_backends_are_denoiser_backends():
+    sched = build_schedule(4)
+    model = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=1, seed=0)
+    assert isinstance(AnalyticDenoiser(sched, (3, 2)), DenoiserBackend)
+    assert isinstance(NeuralDenoiser(model, sched, (3, 2)), DenoiserBackend)
+
+
+def test_sample_block_assignments_equal_per_row_forward():
+    # reference: the sampler's draws, with each row's prediction from its
+    # own forward pass on its assignment's block vectors
+    sched = build_schedule(8)
+    model = init_model(6, hidden=4, n_blocks=4, t_emb_dim=2, cond_width=1, seed=0)
+    model.w_out[...] = np.random.default_rng(5).standard_normal(model.w_out.shape)
+    den = NeuralDenoiser(model, sched, (3, 2))
+    c1, c2 = compose_single([0.7]), compose_single([-0.7])
+    assigns = [block_split(x, model.n_blocks, c1, c2) for x in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    seeds = [11, 12, 13, 14, 15]
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    z = np.stack([gen.standard_normal(den.dim) for gen in gens])
+    for i in range(sched.n_steps):
+        t = sched.n_steps - 1 - i
+        eps = np.stack([forward(model, zr, t, sched, a.vectors) for zr, a in zip(z, assigns)])
+        noise = np.stack([gen.standard_normal(den.dim) for gen in gens])
+        z = ancestral_step(z, t, eps, sched, noise)
+    got = sample(den, assigns, seeds)
+    assert len({row.tobytes() for row in got}) == len(assigns)
+    np.testing.assert_allclose(got, z.reshape(got.shape), rtol=1e-12, atol=1e-12)
 
 
 def test_guidance_disabled_at_scale_one():
@@ -330,7 +374,7 @@ def test_guidance_combination_formula():
     cond = compose_single([1.0])
 
     class SplitBackend(LinearBackend):
-        def predict_eps(self, z, t, c):
+        def eps_for(self, z, t, c):
             # conditioned and unconditioned branches predict different
             # constants so the mix is directly checkable
             return np.full(np.shape(z), 2.0 if c.flag1 else 0.5)
@@ -338,7 +382,7 @@ def test_guidance_combination_formula():
     w = 3.0
 
     class MixedBackend(LinearBackend):
-        def predict_eps(self, z, t, c):
+        def eps_for(self, z, t, c):
             return np.full(np.shape(z), 0.5 + w * (2.0 - 0.5))
 
     schedule = constant_schedule(5, cond)
@@ -381,10 +425,8 @@ def test_sample_builds_no_block_assignment_on_a_checkpoint(monkeypatch, guidance
     assert built == []
 
 
-@pytest.mark.parametrize("guidance_scale, projections", [(1.0, 1), (2.0, 2)])
-def test_sample_projects_block_conditions_once_per_call(
-    monkeypatch, guidance_scale, projections
-):
+@pytest.mark.parametrize("guidance_scale", [1.0, 2.0])
+def test_sample_projects_block_conditions_once_per_call(monkeypatch, guidance_scale):
     import turnpoint.neural as neural
 
     sched = build_schedule(50)
@@ -403,4 +445,4 @@ def test_sample_projects_block_conditions_once_per_call(
     monkeypatch.setattr(neural, "condition_bias", counted)
     out = sample(den, conditioning, [1, 2, 3], guidance_scale=guidance_scale)
     assert np.isfinite(out).all()
-    assert len(calls) == projections
+    assert len(calls) == 1  # the unconditioned slot too, when guided

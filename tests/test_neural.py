@@ -165,7 +165,9 @@ def test_forward_pairs_each_row_with_its_own_assignment():
     assert len({r.tobytes() for r in rows}) == len(assigns)  # every assignment matters
     np.testing.assert_allclose(forward(m, z, 3, sched, stacked), rows, rtol=1e-12, atol=1e-14)
     den = NeuralDenoiser(m, sched, (2, 2))
-    np.testing.assert_allclose(den.predict_eps_blocks(z, 3, stacked), rows, rtol=1e-12, atol=1e-14)
+    slots = np.array([[int(c is b) for c in assign.per_block] for assign in assigns])
+    got = den.predict_eps(z, 3, den.prepare([a, b]), slots)
+    np.testing.assert_allclose(got, rows, rtol=1e-12, atol=1e-14)
     for wrong in (stacked[:-1], np.concatenate([stacked, stacked[:1]])):
         with pytest.raises(ValueError, match="block assignments for 5 latents"):
             forward(m, z, 3, sched, wrong)
@@ -617,11 +619,13 @@ def test_neural_denoiser_uniform_equals_blocks():
     sched = build_schedule(10)
     den = NeuralDenoiser(m, sched, (2, 2))
     cond = compose_single([0.4])
-    z = rng.standard_normal(4)
-    a = den.predict_eps(z, 5, cond)
-    b = den.predict_eps_blocks(z, 5, uniform_blocks(cond, m.n_blocks).vectors)
+    z = rng.standard_normal((3, 4))
+    prepared = den.prepare([compose_single([-0.4]), cond])
+    a = den.predict_eps(z, 5, prepared, np.ones(3, dtype=np.intp))
+    b = den.predict_eps(z, 5, prepared, np.ones((3, m.n_blocks), dtype=np.intp))
     np.testing.assert_array_equal(a, b)
-    assert den.dim == 4 and den.frame_shape == (2, 2)
+    np.testing.assert_allclose(a, forward(m, z, 5, sched, cond.vector), rtol=1e-12, atol=1e-14)
+    assert den.dim == 4 and den.frame_shape == (2, 2) and den.n_blocks == m.n_blocks
 
 
 def test_neural_denoiser_predict_eps_equals_uniform_forward():
@@ -632,24 +636,26 @@ def test_neural_denoiser_predict_eps_equals_uniform_forward():
     den = NeuralDenoiser(m, sched, (3, 2))
     cond = compose_single([0.4, -0.2])
     vectors = uniform_blocks(cond, m.n_blocks).vectors
-    for z in (rng.standard_normal(6), rng.standard_normal((4, 6))):
-        got = den.predict_eps(z, 5, cond)
+    prepared = den.prepare([cond])
+    for z in (rng.standard_normal((1, 6)), rng.standard_normal((4, 6))):
+        got = den.predict_eps(z, 5, prepared, np.zeros(len(z), dtype=np.intp))
         assert got.tobytes() == forward(m, z, 5, sched, vectors).tobytes()
 
 
-def test_neural_denoiser_step_hook_answers_each_row_under_its_slot():
+def test_neural_denoiser_answers_each_row_under_its_slot():
     m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=2)
     rng = np.random.default_rng(8)
     m.w_out[...] = rng.standard_normal(m.w_out.shape)
-    den = NeuralDenoiser(m, build_schedule(10), (3, 2))
+    sched = build_schedule(10)
+    den = NeuralDenoiser(m, sched, (3, 2))
     conds = [compose_single([0.4, -0.2]), compose_single([-1.0, 0.3]), compose_single([0.0, 2.0])]
     slots = np.array([2, 0, 0, 1, 2, 1, 0])
     z = rng.standard_normal((len(slots), 6))
-    prepared = den.prepare_steps(conds)
+    prepared = den.prepare(conds)
     assert prepared.terms.shape == (m.n_blocks, len(conds), m.hidden)
-    got = den.predict_eps_steps(z, 7, prepared, slots)
+    got = den.predict_eps(z, 7, prepared, slots)
     for row, slot in enumerate(slots):
-        want = den.predict_eps(z[row], 7, conds[slot])
+        want = forward(m, z[row], 7, sched, conds[slot].vector)
         np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-14)
 
 
