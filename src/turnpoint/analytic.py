@@ -22,6 +22,7 @@ from .diffusion import NoiseSchedule
 
 __all__ = [
     "VARIANCE_FLOOR",
+    "SCORE_SLICE_BYTES",
     "GaussianMixture",
     "single_gaussian",
     "diffused_mixture",
@@ -35,6 +36,20 @@ __all__ = [
 ]
 
 VARIANCE_FLOOR = 1e-12
+
+# Bytes of each (rows, K, D) temporary when scoring rows under mixture
+# tables of K >= 2 components; rows are scored a slice at a time.  Not a
+# setting: rows are scored independently, so the slices change no bit.
+# On a 2-CPU host, 2112 unsliced rows of K = 2, D = 96 took 6.5 us per
+# row and step, against 2.0 us in slices of this size; 16 KiB slices
+# took 5.5 us, as each slice costs about a dozen numpy calls.
+SCORE_SLICE_BYTES = 1 << 17
+
+# Where every coordinate of z - mean is within this distance, a
+# one-component log-density over any practical dimension cannot overflow
+# (at most D * 1e212 with the variance floor), so the responsibility is
+# exactly 1.
+_FINITE_DISTANCE = 1e100
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -90,19 +105,26 @@ def single_gaussian(mean, variance) -> GaussianMixture:
     return GaussianMixture(np.array([1.0]), mean[None, :], var[None, :].copy())
 
 
-def _diffuse(mixture: GaussianMixture, t: int, sched: NoiseSchedule):
-    """Means and floored variances of ``mixture`` pushed forward to step ``t``."""
+def _check_step(t, sched: NoiseSchedule) -> int:
     t = int(t)
     if not 0 <= t < sched.n_steps:
         raise ValueError(f"step index {t} outside [0, {sched.n_steps})")
+    return t
+
+
+def _diffuse(means, variances, t: int, sched: NoiseSchedule):
+    """Component means and floored variances pushed forward to step ``t``."""
     a_bar = sched.alpha_bar[t]
-    variances = a_bar * mixture.variances + (1.0 - a_bar)
-    return np.sqrt(a_bar) * mixture.means, np.maximum(variances, VARIANCE_FLOOR)
+    variances = a_bar * variances + (1.0 - a_bar)
+    return np.sqrt(a_bar) * means, np.maximum(variances, VARIANCE_FLOOR)
 
 
 def diffused_mixture(mixture: GaussianMixture, t: int, sched: NoiseSchedule) -> GaussianMixture:
     """The data mixture pushed forward to diffusion step ``t``."""
-    return GaussianMixture(mixture.weights, *_diffuse(mixture, t, sched))
+    t = _check_step(t, sched)
+    return GaussianMixture(
+        mixture.weights, *_diffuse(mixture.means, mixture.variances, t, sched)
+    )
 
 
 def _check_point(z, dim: int) -> np.ndarray:
@@ -115,11 +137,13 @@ def _check_point(z, dim: int) -> np.ndarray:
 def _log_component_densities(
     diff: np.ndarray, variances: np.ndarray, log_variances: np.ndarray
 ) -> np.ndarray:
-    # diff (..., K, D) = z - means -> log densities (..., K)
-    return -0.5 * np.sum(
-        diff * diff / variances + log_variances + _LOG_2PI,
-        axis=-1,
-    )
+    # diff (..., K, D) = z - means -> log densities (..., K); in place, the
+    # same operations in the same order as diff * diff / variances + ...
+    terms = diff * diff
+    terms /= variances
+    terms += log_variances
+    terms += _LOG_2PI
+    return -0.5 * np.sum(terms, axis=-1)
 
 
 def _posterior(log_weights: np.ndarray, log_densities: np.ndarray) -> np.ndarray:
@@ -158,28 +182,31 @@ def responsibilities(z, mixture: GaussianMixture) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MixtureTables:
-    """Mixtures, the slots, diffused to every step of a noise schedule.
+    """Mixtures, the slots, stacked for scoring at any step of a noise
+    schedule.
 
-    ``log_weights`` is (slots, K) and ``means``, ``variances`` (floored)
-    and ``log_variances`` are (n_steps, slots, K, D), K being the largest
-    component count; a slot with fewer components is padded with
-    log-weight -inf, mean 0 and variance 1, which get zero
-    responsibility.
+    ``log_weights`` is (slots, K) and ``means`` and ``variances`` are
+    (slots, K, D), K being the largest component count; a slot with fewer
+    components is padded with log-weight -inf, mean 0 and variance 1,
+    which get zero responsibility.  :func:`predict_eps` diffuses the slots
+    to the step it answers.
     """
 
     log_weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    log_variances: np.ndarray
+
+    @property
+    def n_components(self) -> int:
+        return self.means.shape[1]
 
     @property
     def dim(self) -> int:
         return self.means.shape[-1]
 
 
-def mixture_tables(mixtures, sched: NoiseSchedule) -> MixtureTables:
-    """Stack ``mixtures`` into :class:`MixtureTables` over every step of
-    ``sched``; each entry equals what :func:`diffused_mixture` gives."""
+def mixture_tables(mixtures) -> MixtureTables:
+    """Stack ``mixtures`` into :class:`MixtureTables`."""
     mixtures = list(mixtures)
     if not mixtures:
         raise ValueError("tables need at least one mixture")
@@ -187,56 +214,91 @@ def mixture_tables(mixtures, sched: NoiseSchedule) -> MixtureTables:
     if any(m.dim != dim for m in mixtures):
         raise ValueError("tabled mixtures differ in dimension")
     n_comp = max(m.n_components for m in mixtures)
-    shape = (sched.n_steps, len(mixtures), n_comp, dim)
+    shape = (len(mixtures), n_comp, dim)
     log_weights = np.full((len(mixtures), n_comp), -np.inf)
     means, variances = np.zeros(shape), np.ones(shape)
-    a_bar = sched.alpha_bar[:, None, None]
     for slot, m in enumerate(mixtures):
         k = m.n_components
         log_weights[slot, :k] = np.log(m.weights)
-        means[:, slot, :k] = np.sqrt(a_bar) * m.means
-        variances[:, slot, :k] = np.maximum(
-            a_bar * m.variances + (1.0 - a_bar), VARIANCE_FLOOR
-        )
-    return MixtureTables(log_weights, means, variances, np.log(variances))
+        means[slot, :k] = m.means
+        variances[slot, :k] = m.variances
+    return MixtureTables(log_weights, means, variances)
+
+
+def _mixture_eps(z, t, sched, log_weights, means, variances, log_variances):
+    """The noise prediction at ``z`` (..., D) under diffused components."""
+    diff = z[..., None, :] - means
+    resp = _posterior(
+        log_weights, _log_component_densities(diff, variances, log_variances)
+    )
+    # in place, the same operations as resp * (-diff / variances)
+    scores = np.negative(diff, out=diff)
+    scores /= variances
+    scores *= resp[..., None]
+    eps = np.sum(scores, axis=-2)
+    eps *= -np.sqrt(1.0 - sched.alpha_bar[t])
+    return eps
+
+
+def _one_component_eps(z, t, sched, means, variances):
+    """The noise prediction at ``z`` (rows, D) under one diffused component
+    per row, ``means`` being overwritten; or None when ``z`` lies so far
+    out that the log-density may overflow.
+
+    The responsibility of a lone component is exactly 1 whenever its
+    log-density is finite, so :func:`_mixture_eps` reduces to
+    ``-c * (0.0 - (z - mean) / variance)``, where the sum over one
+    component adds the ``0.0``.  Computed in that order, bit for bit; and
+    finite, as the distances are bounded.
+    """
+    eps = np.subtract(z, means, out=means)
+    lo, hi = eps.min(initial=0.0), eps.max(initial=0.0)  # NaN fails both tests
+    if not (-_FINITE_DISTANCE <= lo and hi <= _FINITE_DISTANCE):
+        return None
+    eps /= variances
+    np.subtract(0.0, eps, out=eps)
+    eps *= -np.sqrt(1.0 - sched.alpha_bar[t])
+    return eps
 
 
 def predict_eps(z, t: int, cond_mixture, sched: NoiseSchedule, slots=None) -> np.ndarray:
     """Exact noise prediction under the diffused conditional mixture.
 
     ``cond_mixture`` is one :class:`GaussianMixture`, and ``z`` a single
-    point ``(D,)`` or a batch ``(..., D)``; or it is :class:`MixtureTables`
-    over ``sched``, ``z`` is ``(rows, D)`` and row ``r`` is answered under
-    slot ``slots[r]``.  Equal, bit for bit, to scoring under
-    :func:`diffused_mixture`, without building that mixture.
+    point ``(D,)`` or a batch ``(..., D)``; or it is :class:`MixtureTables`,
+    ``z`` is ``(rows, D)`` and row ``r`` is answered under slot
+    ``slots[r]``: the slots are diffused to step ``t``, and rows are scored
+    in slices of about ``SCORE_SLICE_BYTES``.  Equal, bit for bit, to
+    scoring under :func:`diffused_mixture`, without building that mixture.
     """
-    t = int(t)
+    t = _check_step(t, sched)
+    z = _check_point(z, cond_mixture.dim)
+    means, variances = _diffuse(cond_mixture.means, cond_mixture.variances, t, sched)
     if isinstance(cond_mixture, MixtureTables):
-        if not 0 <= t < sched.n_steps:
-            raise ValueError(f"step index {t} outside [0, {sched.n_steps})")
-        z = _check_point(z, cond_mixture.dim)
         slots = np.asarray(slots, dtype=np.intp)
         if z.ndim != 2 or slots.shape != z.shape[:1]:
             raise ValueError(
                 f"{slots.shape} slots for points of shape {z.shape}; expected one per row"
             )
-        log_weights = cond_mixture.log_weights[slots]
-        means = cond_mixture.means[t, slots]
-        variances = cond_mixture.variances[t, slots]
-        log_variances = cond_mixture.log_variances[t, slots]
+        if cond_mixture.n_components == 1:
+            eps_hat = _one_component_eps(z, t, sched, means[slots, 0], variances[slots, 0])
+            if eps_hat is not None:
+                return eps_hat
+        log_variances = np.log(variances)
+        eps_hat = np.empty_like(z)
+        step = max(1, SCORE_SLICE_BYTES // (means[0].size * means.itemsize))
+        for start in range(0, z.shape[0], step):
+            rows = slots[start : start + step]
+            eps_hat[start : start + step] = _mixture_eps(
+                z[start : start + step], t, sched, cond_mixture.log_weights[rows],
+                means[rows], variances[rows], log_variances[rows],
+            )
     else:
         if slots is not None:
             raise ValueError("slots need mixture tables")
-        means, variances = _diffuse(cond_mixture, t, sched)
-        z = _check_point(z, cond_mixture.dim)
-        log_weights = np.log(cond_mixture.weights)
-        log_variances = np.log(variances)
-    diff = z[..., None, :] - means
-    resp = _posterior(
-        log_weights, _log_component_densities(diff, variances, log_variances)
-    )
-    score = np.sum(resp[..., None] * (-diff / variances), axis=-2)
-    eps_hat = -np.sqrt(1.0 - sched.alpha_bar[t]) * score
+        eps_hat = _mixture_eps(
+            z, t, sched, np.log(cond_mixture.weights), means, variances, np.log(variances)
+        )
     if not np.all(np.isfinite(eps_hat)):
         raise FloatingPointError("non-finite noise prediction from analytic denoiser")
     return eps_hat
@@ -249,6 +311,13 @@ def sample_mixture(mixture: GaussianMixture, rng: np.random.Generator, n: int) -
     comp = rng.choice(mixture.n_components, size=n, p=mixture.weights)
     noise = rng.standard_normal((n, mixture.dim))
     return mixture.means[comp] + np.sqrt(mixture.variances[comp]) * noise
+
+
+def _same_mixture(a: GaussianMixture, b: GaussianMixture) -> bool:
+    return all(
+        np.array_equal(x, y)
+        for x, y in ((a.weights, b.weights), (a.means, b.means), (a.variances, b.variances))
+    )
 
 
 class AnalyticDenoiser:
@@ -279,11 +348,15 @@ class AnalyticDenoiser:
         return self._frame_shape[0] * self._frame_shape[1]
 
     def register(self, cond: ConditionEmbedding, mixture: GaussianMixture) -> None:
+        """Answer ``cond`` from ``mixture``; registering a condition again
+        with a different mixture is an error."""
         if mixture.dim != self.dim:
             raise ValueError(
                 f"mixture dimension {mixture.dim} does not match backend dimension {self.dim}"
             )
-        self._mixtures[cond.key()] = mixture
+        known = self._mixtures.setdefault(cond.key(), mixture)
+        if known is not mixture and not _same_mixture(known, mixture):
+            raise ValueError("this condition is already registered with another mixture")
 
     def mixture_for(self, cond: ConditionEmbedding) -> GaussianMixture:
         try:
@@ -294,9 +367,8 @@ class AnalyticDenoiser:
             ) from None
 
     def prepare(self, conds) -> MixtureTables:
-        """The registered mixtures of ``conds``, tabled over every step of
-        the noise schedule."""
-        return mixture_tables([self.mixture_for(c) for c in conds], self._sched)
+        """The registered mixtures of ``conds``, tabled."""
+        return mixture_tables(self.mixture_for(c) for c in conds)
 
     def predict_eps(self, z, t: int, tables: MixtureTables, slots) -> np.ndarray:
         return predict_eps(z, t, tables, self._sched, slots)

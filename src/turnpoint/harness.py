@@ -2,12 +2,15 @@
 sample them in batches (optionally in parallel), and aggregate the
 metrics.
 
-A batch is one prompt's runs on the analytic backend, which is built per
-prompt, and the runs of ``PROMPTS_PER_BATCH`` consecutive prompts on a
-checkpoint.  Every run owns a seed derived by hashing its identity, and
-the batches depend on suite order alone, so results are independent of
-worker count and completion order; rows are written in enumeration order
-and aggregation sorts before reducing.
+A batch is the runs of ``PROMPTS_PER_BATCH`` consecutive prompts of one
+frame dimension.  A checkpoint samples the batch in one call; the
+analytic backend is built per view, since the two views of an EgoExo
+pair share their conditions but not their data, and samples each view's
+rows in calls of at most ``ANALYTIC_CALL_BYTES`` of chain state.  Every
+run owns a seed derived by hashing its identity, and the batches depend
+on suite order alone, so results are independent of worker count and
+completion order; rows are written in enumeration order and aggregation
+sorts before reducing.
 """
 
 from __future__ import annotations
@@ -64,9 +67,18 @@ __all__ = [
 ]
 
 MODES = ("step_switch", "block_split", "qualitative")
-# Prompts sampled together in one batch on a checkpoint.  Not a setting: a
-# checkpoint sweep's rows depend on it in the last bits.
+# Prompts sampled together in one batch.  Not a setting: a checkpoint
+# sweep's rows depend on it in the last bits.  Analytic rows do not, as
+# the analytic backend scores every row on its own.
 PROMPTS_PER_BATCH = 16
+# Bytes of chain state, rows x trajectory floats, in one analytic sample
+# call; a view's rows are split into calls of at most this size.  Not a
+# setting: analytic rows do not depend on it.  Larger calls cost more per
+# run, as the sampler's noise buffer holds fewer iterations per fill and
+# its per-step arrays grow: on qualitative sweeps of 48 and 64 prompts
+# (2-CPU host), 341-row calls ran 6-12% slower than 170-row calls, and
+# 2112-row calls about 30% slower than 264-row calls.
+ANALYTIC_CALL_BYTES = 1 << 17
 METRIC_FIELDS = ("ta1", "ta2", "ta_mean", "ic", "bc", "turning_frame", "occupancy2")
 RUNS_CSV_COLUMNS = (
     "run_id",
@@ -319,15 +331,19 @@ def read_suite_checked(path: str) -> list[PromptRecord]:
 
 
 def backend_for_record(
-    record: PromptRecord,
+    records,
     sched: NoiseSchedule,
     n_frames: int,
     sigma: float,
     w_mix: float = 0.5,
 ) -> AnalyticDenoiser:
-    """Analytic backend with this prompt's three conditions registered."""
-    backend = AnalyticDenoiser(sched, (n_frames, record.frame_dim))
-    for cond, mixture in suite_training_pairs([record], n_frames, sigma, w_mix):
+    """Analytic backend with the three conditions of each of ``records``
+    registered.  The records share one view and one frame dimension: the
+    two views of an EgoExo pair share their conditions but not their
+    mixtures, which the backend refuses to hold at once."""
+    records = list(records)
+    backend = AnalyticDenoiser(sched, (n_frames, records[0].frame_dim))
+    for cond, mixture in suite_training_pairs(records, n_frames, sigma, w_mix):
         backend.register(cond, mixture)
     return backend
 
@@ -363,23 +379,19 @@ def open_checkpoint(path: str, records) -> DenoiserModel:
 
 def sample_runs(cfg: SweepConfig, model, sched, runs) -> np.ndarray:
     """Sample the trajectories of ``runs``, ``(record, x, setting, seed)``
-    tuples, as ``cfg.mode`` prescribes, in one batch through ``model`` or,
-    when it is None, the analytic backend of their one prompt.
+    tuples of one frame dimension, as ``cfg.mode`` prescribes: in one
+    call through ``model`` or, when it is None, per view through the
+    analytic backend of that view's prompts, in calls of at most
+    ``ANALYTIC_CALL_BYTES`` of chain state.
 
     ``sched`` is ``cfg.noise_schedule()``; ``setting`` picks the qualitative
     schedule (1-4) and is None in the other modes.  Returns an array of
-    shape ``(len(runs), cfg.frames, frame_dim)``.
+    shape ``(len(runs), cfg.frames, frame_dim)`` in the order of ``runs``.
     """
     first = runs[0][0]
     records = {record.id: record for record, *_ in runs}
-    if model is None:
-        if len(records) != 1:
-            raise ValueError(
-                f"the analytic backend samples one prompt per batch, got {len(records)}"
-            )
-        backend = backend_for_record(first, sched, cfg.frames, cfg.sigma, cfg.w_mix)
-    else:
-        backend = NeuralDenoiser(model, sched, (cfg.frames, first.frame_dim))
+    if any(record.frame_dim != first.frame_dim for record in records.values()):
+        raise ValueError("a batch samples prompts of one frame dimension")
     event_conds = {
         prompt: (condition_of(record, "event1"), condition_of(record, "event2"))
         for prompt, record in records.items()
@@ -399,7 +411,25 @@ def sample_runs(cfg: SweepConfig, model, sched, runs) -> np.ndarray:
         by_key[record.id, x][0 if setting is None else setting - 1]
         for record, x, setting, _ in runs
     ]
-    return sample(backend, conditioning, [seed for *_, seed in runs], cfg.guidance_scale)
+    seeds = [seed for *_, seed in runs]
+    if model is not None:
+        backend = NeuralDenoiser(model, sched, (cfg.frames, first.frame_dim))
+        return sample(backend, conditioning, seeds, cfg.guidance_scale)
+    views: dict[str, list[int]] = {}
+    for row, (record, *_) in enumerate(runs):
+        views.setdefault(record.view, []).append(row)
+    trajs = np.empty((len(runs), cfg.frames, first.frame_dim))
+    per_call = max(1, ANALYTIC_CALL_BYTES // trajs[0].nbytes)
+    for view, view_rows in views.items():
+        view_records = [record for record in records.values() if record.view == view]
+        backend = backend_for_record(view_records, sched, cfg.frames, cfg.sigma, cfg.w_mix)
+        for start in range(0, len(view_rows), per_call):
+            rows = view_rows[start : start + per_call]
+            trajs[rows] = sample(
+                backend, [conditioning[r] for r in rows], [seeds[r] for r in rows],
+                cfg.guidance_scale,
+            )
+    return trajs
 
 
 def score_run(traj, record) -> MetricsRecord:
@@ -450,8 +480,7 @@ def _score_batch(trajs, records) -> list:
 
 
 def _execute_batch(jobs, cfg: SweepConfig, records_by_id, model, sched) -> list[RunRecord]:
-    """Run ``jobs`` as one sampling batch: one prompt's jobs on the analytic
-    backend, a group of prompts' jobs on a checkpoint.
+    """Run ``jobs``, the runs of a group of prompts, as one sampling batch.
 
     An error while sampling fails every run of the batch; an error while
     scoring fails only its own run, each scored against its own prompt.
@@ -520,12 +549,26 @@ def _plan_jobs(cfg: SweepConfig, records) -> list[_Job]:
     return jobs
 
 
+def _prompt_groups(records):
+    """Runs of up to ``PROMPTS_PER_BATCH`` consecutive records that share
+    one frame dimension."""
+    group: list[PromptRecord] = []
+    for record in records:
+        if group and (
+            len(group) == PROMPTS_PER_BATCH or record.frame_dim != group[0].frame_dim
+        ):
+            yield group
+            group = []
+        group.append(record)
+    yield group
+
+
 def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
     """Execute the sweep and stream ``runs.csv`` under ``cfg.out_dir``.
 
-    A batch, sampled in one worker, is one prompt's runs on the analytic
-    backend and the runs of ``PROMPTS_PER_BATCH`` consecutive prompts on a
-    checkpoint.  Returns the run records in enumeration order (prompt,
+    A batch, sampled in one worker, is the runs of up to
+    ``PROMPTS_PER_BATCH`` consecutive prompts of one frame dimension.
+    Returns the run records in enumeration order (prompt,
     then ratio, then repeat, then setting), which is also the CSV row
     order regardless of worker count.
     """
@@ -551,10 +594,7 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
             )
     sched = cfg.noise_schedule()
 
-    per_batch = 1 if model is None else PROMPTS_PER_BATCH
-    batches = (
-        _plan_jobs(cfg, records[i : i + per_batch]) for i in range(0, len(records), per_batch)
-    )
+    batches = (_plan_jobs(cfg, group) for group in _prompt_groups(records))
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "runs.csv")
     results: list[RunRecord] = []

@@ -94,7 +94,7 @@ def test_criterion_01_step_switch_endpoints_match_constant_conditioning():
         seed = int(rng.integers(2**31))
         c1 = condition_of(record, "event1")
         c2 = condition_of(record, "event2")
-        analytic = backend_for_record(record, sched, frames, 0.5)
+        analytic = backend_for_record([record], sched, frames, 0.5)
         for backend in (analytic, neural):
             (lo,) = sample(backend, [step_switch(0.0, n_steps, c1, c2)], [seed])
             (lo_ref,) = sample(backend, [constant_schedule(n_steps, c2)], [seed])
@@ -288,7 +288,7 @@ def test_criterion_07_ancestral_sampling_recovers_gaussian_moments():
     e2 = EventParams(3.5, 0.9, np.array([0.6, -0.8]), np.array([0.3, 0.95]))
     record = PromptRecord("p", "General", "third", (e1, e2))
     sched = build_schedule(n_steps)
-    backend = backend_for_record(record, sched, frames, sigma)
+    backend = backend_for_record([record], sched, frames, sigma)
     cond = condition_of(record, "event1")
     target = backend.mixture_for(cond)  # single component for one event
     rng = np.random.default_rng(77)

@@ -19,6 +19,7 @@ from turnpoint.analytic import (
 )
 from turnpoint.conditioning import compose_single
 from turnpoint.diffusion import build_schedule
+from turnpoint.worldgen import condition_of, gaussian_of, generate_suite
 
 
 def two_bump(dist=3.0, var=0.5):
@@ -212,10 +213,10 @@ def test_predict_eps_on_tables_equals_each_mixture_alone():
             np.array([[0.1, 0.2], [0.0, 1.0], [0.5, 0.5]]),
         ),
     ]
-    tables = mixture_tables(mixtures, sched)
-    assert tables.means.shape == (20, 3, 3, 2)
+    tables = mixture_tables(mixtures)
+    assert tables.means.shape == (3, 3, 2)
     assert tables.log_weights[1, 1:].tolist() == [-np.inf, -np.inf]
-    assert (tables.means[:, 1, 1:] == 0.0).all() and (tables.variances[:, 1, 1:] == 1.0).all()
+    assert (tables.means[1, 1:] == 0.0).all() and (tables.variances[1, 1:] == 1.0).all()
     rng = np.random.default_rng(24)
     slots = np.array([0, 2, 1, 1, 0, 2, 2])
     z = rng.normal(0, 2, (len(slots), 2))
@@ -228,6 +229,53 @@ def test_predict_eps_on_tables_equals_each_mixture_alone():
         predict_eps(z, 0, tables, sched, slots[:3])
     with pytest.raises(ValueError, match="outside"):
         predict_eps(z, 20, tables, sched, slots)
+
+
+def test_one_component_tables_equal_each_gaussian_alone():
+    # K = 1 tables take the closed-form score; it must match the general
+    # mixture path bit for bit, signed zeros included
+    sched = build_schedule(30)
+    rng = np.random.default_rng(40)
+    gaussians = [
+        single_gaussian(rng.normal(0, 1, 5), rng.uniform(0.0, 2.0, 5)) for _ in range(3)
+    ]
+    gaussians.append(single_gaussian(np.zeros(5), 0.0))  # variance at the floor
+    tables = mixture_tables(gaussians)
+    slots = rng.integers(0, len(gaussians), 40)
+    z = rng.normal(0, 3, (len(slots), 5))
+    z[0] = gaussians[slots[0]].means[0] * np.sqrt(sched.alpha_bar[29])  # diff of zero
+    for t in (0, 11, 29):
+        got = predict_eps(z, t, tables, sched, slots)
+        for row, slot in enumerate(slots):
+            want = predict_eps(z[row], t, gaussians[slot], sched)
+            assert got[row].tobytes() == want.tobytes()
+    assert predict_eps(z[:0], 0, tables, sched, slots[:0]).shape == (0, 5)
+
+
+def test_one_component_tables_keep_the_overflow_failure():
+    sched = build_schedule(10)
+    tables = mixture_tables([single_gaussian([0.0, 1.0], 0.5)])
+    z = np.array([[0.3, 0.2], [1e200, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError):
+            predict_eps(z, 5, single_gaussian([0.0, 1.0], 0.5), sched)
+        with pytest.raises(FloatingPointError):
+            predict_eps(z, 5, tables, sched, np.zeros(2, dtype=np.intp))
+    with pytest.raises(FloatingPointError):
+        predict_eps(z[:1] + np.nan, 5, tables, sched, np.zeros(1, dtype=np.intp))
+
+
+def test_row_slices_change_no_bit(monkeypatch):
+    import turnpoint.analytic as analytic
+
+    sched = build_schedule(20)
+    tables = mixture_tables([two_bump(), single_gaussian([0.5, -1.0], [0.2, 0.7])])
+    rng = np.random.default_rng(41)
+    slots = rng.integers(0, 2, 25)
+    z = rng.normal(0, 2, (len(slots), 2))
+    whole = predict_eps(z, 7, tables, sched, slots)
+    monkeypatch.setattr(analytic, "SCORE_SLICE_BYTES", 3 * 2 * 2 * 8)  # 3 rows
+    assert predict_eps(z, 7, tables, sched, slots).tobytes() == whole.tobytes()
 
 
 def test_predict_eps_dimension_check():
@@ -290,6 +338,22 @@ def test_denoiser_unregistered_condition_is_an_error():
     backend = AnalyticDenoiser(build_schedule(5), (1, 2))
     with pytest.raises(ValueError, match="no data distribution registered"):
         backend.mixture_for(compose_single([9.0, 9.0]))
+
+
+def test_denoiser_refuses_a_second_mixture_for_a_condition():
+    # both views of an EgoExo pair share their conditions, not their data
+    records = generate_suite(0)
+    first, third = (r for r in records if r.pair_id == "egoexo-000")
+    assert (first.view, third.view) == ("first", "third")
+    cond = condition_of(first, "event1")
+    assert cond == condition_of(third, "event1")
+    backend = AnalyticDenoiser(build_schedule(5), (8, first.frame_dim))
+    mixture = gaussian_of(first, "event1", 8, 0.5)
+    backend.register(cond, mixture)
+    backend.register(cond, gaussian_of(first, "event1", 8, 0.5))  # equal: fine
+    with pytest.raises(ValueError, match="already registered"):
+        backend.register(cond, gaussian_of(third, "event1", 8, 0.5))
+    assert backend.mixture_for(cond) is mixture
 
 
 def test_denoiser_dimension_check_on_register():

@@ -262,7 +262,7 @@ class TestRunSweep:
         (run,) = run_sweep(cfg, records=[record])
 
         sched = build_schedule(cfg.n_steps, cfg.beta_min, cfg.beta_max)
-        backend = backend_for_record(record, sched, cfg.frames, cfg.sigma, cfg.w_mix)
+        backend = backend_for_record([record], sched, cfg.frames, cfg.sigma, cfg.w_mix)
         schedule = constant_schedule(cfg.n_steps, condition_of(record, "event2"))
         (traj,) = sample(backend, [schedule], [run.seed])
         want = evaluate(traj, record.events[0], record.events[1])
@@ -353,22 +353,25 @@ class TestRunSweep:
         assert [strip(r) for r in serial] == [strip(r) for r in parallel]
 
     def test_sampling_error_fails_its_whole_batch(self, tmp_path, monkeypatch):
-        records = generate_suite(0)[:2]
+        # a batch is PROMPTS_PER_BATCH prompts: all of them fail with the
+        # backend of one, and the next batch is sampled as usual
+        records = generate_suite(0)[: PROMPTS_PER_BATCH + 1]
         real = backend_for_record
 
-        def flaky(record, *args):
-            if record.id == records[0].id:
+        def flaky(view_records, *args):
+            view_records = list(view_records)
+            if records[0] in view_records:
                 raise RuntimeError("backend exploded")
-            return real(record, *args)
+            return real(view_records, *args)
 
         monkeypatch.setattr("turnpoint.harness.backend_for_record", flaky)
         out = run_sweep(small_cfg(tmp_path, grid=(0.0, 0.5, 1.0)), records=records)
-        first, second = out[:3], out[3:]
-        assert all(r.prompt_id == records[0].id for r in first)
-        assert [(r.metrics, r.error) for r in first] == [
-            (None, "RuntimeError: backend exploded")
-        ] * 3
-        assert all(r.metrics is not None and r.error is None for r in second)
+        failed = {r.prompt_id for r in out if r.error == "RuntimeError: backend exploded"}
+        assert failed == {r.id for r in records[:PROMPTS_PER_BATCH]}
+        assert all(r.metrics is None for r in out if r.prompt_id in failed)
+        last = [r for r in out if r.prompt_id == records[-1].id]
+        assert len(last) == 3
+        assert all(r.metrics is not None and r.error is None for r in last)
 
     def test_scoring_errors_fail_only_their_own_run(self, tmp_path, monkeypatch):
         import turnpoint.harness as harness
@@ -408,6 +411,70 @@ class TestRunSweep:
         )
         strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
         assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+
+
+class TestAnalyticGroups:
+    """An analytic sweep samples PROMPTS_PER_BATCH consecutive prompts per
+    batch, one backend and one sample call per view."""
+
+    @staticmethod
+    def egoexo_batch():
+        # the last General prompts, then both views of the first EgoExo pairs
+        records = generate_suite(0)
+        first = next(i for i, r in enumerate(records) if r.category == "EgoExo")
+        return records[first - 3 : first + 4]
+
+    @pytest.mark.parametrize("mode", ["step_switch", "qualitative"])
+    def test_batch_equals_prompts_sampled_alone(self, tmp_path, monkeypatch, mode):
+        import turnpoint.harness as harness
+
+        records = self.egoexo_batch()
+        assert {r.view for r in records} == {"first", "third"}
+        cfg = small_cfg(tmp_path, mode=mode, grid=(0.0, 0.6, 1.0), repeats=2)
+        sched = cfg.noise_schedule()
+
+        def runs_of(group):
+            return [
+                (records_by_id[job.prompt_id], job.x, job.setting, job.seed)
+                for job in _plan_jobs(cfg, group)
+            ]
+
+        records_by_id = {r.id: r for r in records}
+        batch = sample_runs(cfg, None, sched, runs_of(records))
+        alone = [sample_runs(cfg, None, sched, runs_of([r])) for r in records]
+        assert batch.tobytes() == np.concatenate(alone).tobytes()
+        # a view's rows split over calls of 5 rows
+        monkeypatch.setattr(harness, "ANALYTIC_CALL_BYTES", 5 * batch[0].nbytes)
+        split = sample_runs(cfg, None, sched, runs_of(records))
+        assert split.tobytes() == batch.tobytes()
+
+    def test_one_sample_call_per_view(self, tmp_path, monkeypatch):
+        import turnpoint.harness as harness
+
+        records = self.egoexo_batch()
+        real, rows = harness.sample, []
+
+        def counted(backend, conditioning, seeds, *args):
+            rows.append(len(seeds))
+            return real(backend, conditioning, seeds, *args)
+
+        monkeypatch.setattr(harness, "sample", counted)
+        out = run_sweep(small_cfg(tmp_path), records=records)
+        first_view = sum(r.view == "first" for r in records)
+        assert sorted(rows) == sorted([2 * first_view, 2 * (len(records) - first_view)])
+        assert [r.prompt_id for r in out[::2]] == [r.id for r in records]
+        assert all(r.metrics is not None for r in out)
+
+    def test_a_new_frame_dimension_starts_a_batch(self, tmp_path):
+        event = EventParams(0.5, 1.0, [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
+        odd = PromptRecord("odd-000", "General", "third", (event, event))
+        suite = generate_suite(0)
+        records = [suite[0], suite[1], odd, suite[2]]
+        out = run_sweep(small_cfg(tmp_path), records=records)
+        assert all(r.metrics is not None and r.error is None for r in out)
+        alone = [run_sweep(small_cfg(tmp_path / r.id), records=[r]) for r in records]
+        strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
+        assert [strip(r) for r in out] == [strip(r) for runs in alone for r in runs]
 
 
 class TestCheckpointGroups:
