@@ -5,9 +5,8 @@ denoiser *blocks*, then measure when the second event survives.
 
 from .analytic import AnalyticDenoiser, GaussianMixture, predict_eps, single_gaussian
 from .conditioning import (
-    BlockAssignment,
     ConditionEmbedding,
-    StepSchedule,
+    ConditionPlan,
     block_split,
     compose_concat,
     compose_single,
@@ -57,8 +56,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticDenoiser",
-    "BlockAssignment",
     "ConditionEmbedding",
+    "ConditionPlan",
     "DenoiserModel",
     "EventParams",
     "GaussianMixture",
@@ -67,7 +66,6 @@ __all__ = [
     "NoiseSchedule",
     "PromptRecord",
     "RunRecord",
-    "StepSchedule",
     "SweepConfig",
     "TrainConfig",
     "aggregate",

@@ -113,6 +113,8 @@ _TRAIN_COUNT_KEYS = (
 
 def _cmd_train(args) -> int:
     config = load_config(args.config, _TRAIN_KEYS)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigurationError(f"checkpoint directory not found: {os.path.dirname(args.out)}")
 
     def given(keys) -> dict:
         return {key: config[key] for key in keys if key in config}

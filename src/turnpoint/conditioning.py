@@ -2,9 +2,10 @@
 
 A condition is a fixed-width vector ``[slot1; slot2; flag1; flag2]``: two
 event slots plus presence flags, with absent slots pinned to zero.  The
-probes map a split ratio ``x`` onto conditioning over *time* (a step
-schedule: which condition drives each denoising iteration) or over
-*depth* (a block assignment: which condition each denoiser block sees).
+probes map a split ratio ``x`` onto a :class:`ConditionPlan` over *time*
+(a step schedule: which condition drives each denoising iteration) or
+over *depth* (a block assignment: which condition each denoiser block
+sees).
 """
 
 from __future__ import annotations
@@ -12,20 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "ConditionEmbedding",
-    "StepSchedule",
-    "BlockAssignment",
+    "ConditionPlan",
     "compose_single",
     "compose_concat",
     "unconditioned",
     "constant_schedule",
     "step_switch",
-    "condition_at",
     "block_split",
     "uniform_blocks",
     "qualitative_settings",
@@ -131,50 +129,60 @@ def unconditioned(width: int) -> ConditionEmbedding:
 
 
 @dataclass(frozen=True, eq=False)
-class StepSchedule:
-    """Per-iteration conditioning over ``n_steps`` denoising iterations.
+class ConditionPlan:
+    """Which condition drives each denoising iteration and denoiser block.
 
-    ``segments`` is a tuple of ``(start, end, condition)`` half-open
-    rows partitioning ``[0, n_steps)``; iteration 0 denoises the noisiest
-    step.  ``ratio`` and ``switch_index`` are populated by
-    :func:`step_switch` and absent on hand-built schedules.
+    ``slots`` is a read-only 2-d grid of indices into ``conds`` that the
+    sampler broadcasts to ``(n_steps, n_blocks)``; iteration 0 denoises
+    the noisiest step.  A step schedule is ``(n_steps, 1)`` and conditions
+    every block alike; a block assignment is ``(1, n_blocks)`` and holds
+    at every step.  ``conds`` lists the distinct conditions, of one slot
+    width, in order of first use (iteration-major, then block).
+    ``split_index`` is the ``floor(x * n)`` of the probe that built the
+    plan, and None on hand-built and constant plans.
     """
 
-    n_steps: int
-    segments: tuple[tuple[int, int, ConditionEmbedding], ...]
-    ratio: float | None = None
-    switch_index: int | None = None
+    conds: tuple[ConditionEmbedding, ...]
+    slots: np.ndarray
+    split_index: int | None = None
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("a schedule needs at least one step")
-        if not self.segments:
-            raise ValueError("a schedule needs at least one segment")
-        width = self.segments[0][2].width
-        cursor = 0
-        for start, end, cond in self.segments:
-            if start != cursor or end <= start:
-                raise ValueError(
-                    "segments must partition the iteration range in order "
-                    f"without gaps or overlaps (got segment [{start}, {end}) "
-                    f"at cursor {cursor})"
-                )
-            if cond.width != width:
-                raise ValueError("segment conditions differ in slot width")
-            cursor = end
-        if cursor != self.n_steps:
-            raise ValueError(
-                f"segments cover {cursor} iterations, schedule has {self.n_steps}"
-            )
+        conds = tuple(self.conds)
+        slots = np.array(self.slots, dtype=np.intp)
+        if not conds:
+            raise ValueError("a plan needs at least one condition")
+        if slots.ndim != 2 or slots.size == 0:
+            raise ValueError(f"plan slots must be a non-empty 2-d grid, got shape {slots.shape}")
+        if slots.view(np.uintp).max() >= len(conds):  # a negative slot reads as huge
+            raise ValueError(f"plan slots must index its {len(conds)} conditions")
+        if any(c.width != conds[0].width for c in conds):
+            raise ValueError("plan conditions differ in slot width")
+        slots.flags.writeable = False
+        object.__setattr__(self, "conds", conds)
+        object.__setattr__(self, "slots", slots)
 
     @property
     def width(self) -> int:
-        return self.segments[0][2].width
+        """Slot width of the plan's conditions."""
+        return self.conds[0].width
 
 
-def constant_schedule(n_steps: int, cond: ConditionEmbedding) -> StepSchedule:
+def _split(x: float, n: int, cond_a, cond_b, shape) -> ConditionPlan:
+    """``cond_a`` on the first ``k = floor(x * n)`` of ``n`` positions and
+    ``cond_b`` on the rest, as a plan with a slot grid of ``shape``; the
+    endpoints keep only the condition they use."""
+    if cond_a.width != cond_b.width:
+        raise ValueError("split conditions differ in slot width")
+    k = floor_index(x, n)
+    conds = (cond_a, cond_b)[k == 0 : 1 + (k < n)]
+    slots = np.zeros(int(n), dtype=np.intp)
+    slots[k:] = len(conds) - 1
+    return ConditionPlan(conds, slots.reshape(shape), k)
+
+
+def constant_schedule(n_steps: int, cond: ConditionEmbedding) -> ConditionPlan:
     """One condition for every iteration."""
-    return StepSchedule(n_steps, ((0, int(n_steps), cond),))
+    return ConditionPlan((cond,), np.zeros((int(n_steps), 1), dtype=np.intp))
 
 
 def step_switch(
@@ -182,70 +190,14 @@ def step_switch(
     n_steps: int,
     cond_a: ConditionEmbedding,
     cond_b: ConditionEmbedding,
-) -> StepSchedule:
+) -> ConditionPlan:
     """Schedule conditioning iterations ``[0, k)`` on ``cond_a`` and
     ``[k, n_steps)`` on ``cond_b`` with ``k = floor(x * n_steps)``.
 
     ``x = 1`` therefore runs entirely on ``cond_a`` and ``x = 0``
-    entirely on ``cond_b``; the endpoints collapse to one segment.
+    entirely on ``cond_b``.
     """
-    if cond_a.width != cond_b.width:
-        raise ValueError("switch conditions differ in slot width")
-    k = floor_index(x, n_steps)
-    if k == 0:
-        segments: tuple = ((0, n_steps, cond_b),)
-    elif k == n_steps:
-        segments = ((0, n_steps, cond_a),)
-    else:
-        segments = ((0, k, cond_a), (k, n_steps, cond_b))
-    return StepSchedule(n_steps, segments, ratio=float(x), switch_index=k)
-
-
-def condition_at(schedule: StepSchedule, iteration: int) -> ConditionEmbedding:
-    """Condition driving denoising iteration ``iteration``."""
-    if not 0 <= iteration < schedule.n_steps:
-        raise ValueError(
-            f"iteration {iteration} outside [0, {schedule.n_steps})"
-        )
-    for start, end, cond in schedule.segments:
-        if start <= iteration < end:
-            return cond
-    raise AssertionError("unreachable: segments partition the range")
-
-
-@dataclass(frozen=True, eq=False)
-class BlockAssignment:
-    """Per-block conditioning, fixed across all denoising steps."""
-
-    n_blocks: int
-    split_index: int
-    per_block: tuple[ConditionEmbedding, ...]
-    split_ratio: float
-
-    def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ValueError("an assignment needs at least one block")
-        if len(self.per_block) != self.n_blocks:
-            raise ValueError(
-                f"{len(self.per_block)} block conditions for {self.n_blocks} blocks"
-            )
-        if not 0 <= self.split_index <= self.n_blocks:
-            raise ValueError("split index outside [0, n_blocks]")
-        width = self.per_block[0].width
-        if any(c.width != width for c in self.per_block):
-            raise ValueError("block conditions differ in slot width")
-
-    @property
-    def width(self) -> int:
-        return self.per_block[0].width
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """Per-block condition vectors, shape ``(n_blocks, 2 * width + 2)``;
-        read-only, built once per assignment."""
-        stacked = np.stack([c.vector for c in self.per_block])
-        stacked.flags.writeable = False
-        return stacked
+    return _split(x, n_steps, cond_a, cond_b, (-1, 1))
 
 
 def block_split(
@@ -253,23 +205,19 @@ def block_split(
     n_blocks: int,
     cond_a: ConditionEmbedding,
     cond_b: ConditionEmbedding,
-) -> BlockAssignment:
+) -> ConditionPlan:
     """Give the first ``b = floor(x * n_blocks)`` blocks ``cond_a`` and
     the rest ``cond_b``; the assignment applies at every denoising step.
 
     Mirrors :func:`step_switch` endpoints: ``x = 1`` is all-``cond_a``,
     ``x = 0`` all-``cond_b``.
     """
-    if cond_a.width != cond_b.width:
-        raise ValueError("split conditions differ in slot width")
-    b = floor_index(x, n_blocks)
-    per_block = tuple(cond_a if j < b else cond_b for j in range(n_blocks))
-    return BlockAssignment(int(n_blocks), b, per_block, float(x))
+    return _split(x, n_blocks, cond_a, cond_b, (1, -1))
 
 
-def uniform_blocks(cond: ConditionEmbedding, n_blocks: int) -> BlockAssignment:
+def uniform_blocks(cond: ConditionEmbedding, n_blocks: int) -> ConditionPlan:
     """Every block conditioned identically."""
-    return BlockAssignment(int(n_blocks), int(n_blocks), (cond,) * int(n_blocks), 1.0)
+    return block_split(1.0, n_blocks, cond, cond)
 
 
 def qualitative_settings(
@@ -277,7 +225,7 @@ def qualitative_settings(
     event1: np.ndarray,
     event2: np.ndarray,
     n_steps: int,
-) -> list[StepSchedule]:
+) -> list[ConditionPlan]:
     """The four conditioning settings compared at one split ratio.
 
     1. both events concatenated throughout;

@@ -15,11 +15,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .conditioning import (
-    BlockAssignment,
-    ConditionEmbedding,
-    unconditioned,
-)
+from .conditioning import ConditionEmbedding, unconditioned
 
 __all__ = [
     "NoiseSchedule",
@@ -141,10 +137,11 @@ class DenoiserBackend(Protocol):
     ``prepare(conds)`` turns a sequence of conditions, the slots, into
     whatever the backend wants to reuse at every step, once per
     :func:`sample` call.  ``predict_eps(z, t, prepared, slots)`` answers a
-    batch ``z`` of shape (rows, dim) in one call: ``slots`` is ``(rows,)``,
-    row ``r`` under condition ``slots[r]``, or, on a block-structured
-    backend, which also exposes ``n_blocks``, ``(rows, n_blocks)``, block
-    ``j`` of row ``r`` under condition ``slots[r, j]``.
+    batch ``z`` of shape (rows, dim) in one call: ``slots``, one step of the
+    rows' condition plans, is ``(rows,)``, row ``r`` under condition
+    ``slots[r]``, or, on a block-structured backend, which also exposes
+    ``n_blocks``, ``(rows, n_blocks)``, block ``j`` of row ``r`` under
+    condition ``slots[r, j]``.
     """
 
     @property
@@ -163,27 +160,18 @@ class DenoiserBackend(Protocol):
     ) -> np.ndarray: ...
 
 
-def _condition_index(conditioning, n_steps: int):
-    """The distinct conditions of ``conditioning`` and the slot index of the
-    condition driving each iteration and row: shape (n_steps, rows) for
-    step schedules, and (n_steps, rows, n_blocks) for block assignments,
-    a view of one (rows, n_blocks) array since they hold at every step."""
+def _condition_index(plans, n_steps: int, n_blocks: int | None):
+    """The distinct conditions of ``plans`` and the slot index of the
+    condition driving each iteration, row and block: shape
+    (n_steps, rows, n_blocks), or (n_steps, rows) on a block-free backend."""
     slots: dict[bytes, tuple[int, ConditionEmbedding]] = {}
-
-    def slot_of(cond) -> int:
-        return slots.setdefault(cond.key(), (len(slots), cond))[0]
-
-    if isinstance(conditioning[0], BlockAssignment):
-        per_row = np.array(
-            [[slot_of(cond) for cond in a.per_block] for a in conditioning], dtype=np.intp
+    index = np.empty((n_steps, len(plans), n_blocks or 1), dtype=np.intp)
+    for row, plan in enumerate(plans):
+        remap = np.array(
+            [slots.setdefault(c.key(), (len(slots), c))[0] for c in plan.conds], dtype=np.intp
         )
-        index = np.broadcast_to(per_row, (n_steps, *per_row.shape))
-    else:
-        index = np.empty((n_steps, len(conditioning)), dtype=np.intp)
-        for row, schedule in enumerate(conditioning):
-            for start, end, cond in schedule.segments:
-                index[start:end, row] = slot_of(cond)
-    return [cond for _, cond in slots.values()], index
+        index[:, row] = remap[plan.slots]
+    return [cond for _, cond in slots.values()], index if n_blocks else index[..., 0]
 
 
 def _chain_draws(seeds, dim: int, count: int):
@@ -212,14 +200,13 @@ def sample(
     """Run one reverse chain per row and return trajectories of shape
     ``(rows, *denoiser.frame_shape)``.
 
-    ``conditioning`` holds one entry per row: either every entry is a
-    :class:`StepSchedule` (iteration ``i`` uses the schedule's condition
-    for ``i`` and denoises diffusion step ``t = N - 1 - i``) or every entry
-    is a :class:`BlockAssignment`, which conditions the backend's blocks
-    identically at every step and needs a block-structured backend with as
-    many blocks.  Either way the batch's distinct conditions are prepared
-    once and each step makes one prediction for every row.  The
-    step count ``N`` is the backend's noise schedule's.  Row ``b`` draws its
+    ``conditioning`` holds one :class:`~turnpoint.conditioning.ConditionPlan`
+    per row, of one slot width, step and block plans in any mix.  Iteration
+    ``i`` denoises diffusion step ``t = N - 1 - i`` (``N`` the backend's
+    step count) under row ``i`` of the plan's slot grid, or its only row; a
+    grid of ``n_blocks`` columns needs a block-structured backend with as
+    many blocks.  The batch's distinct conditions are prepared once and
+    each step makes one prediction for every row.  Row ``b`` draws its
     start point and then its noise for each iteration from its own
     ``np.random.default_rng(seeds[b])``, so a row does not depend on the
     other rows whenever the backend computes rows independently.  Output is
@@ -240,26 +227,29 @@ def sample(
             f"{len(seeds)} seeds for {len(conditioning)} conditioned chains"
         )
     rows = len(seeds)
-    blocks = isinstance(conditioning[0], BlockAssignment)
-    if any(isinstance(c, BlockAssignment) != blocks for c in conditioning):
-        raise ValueError("a batch mixes step schedules and block assignments")
     n_blocks = getattr(denoiser, "n_blocks", None)
-    for c in conditioning:
-        if blocks and c.n_blocks != n_blocks:
+    width = conditioning[0].width
+    for plan in conditioning:
+        steps, blocks = plan.slots.shape
+        if steps not in (1, n):
             raise ValueError(
-                "block assignment requires a block-structured denoiser backend "
-                f"with {c.n_blocks} blocks; this backend has {n_blocks or 'none'}"
-            )
-        if not blocks and c.n_steps != n:
-            raise ValueError(
-                f"conditioning schedule covers {c.n_steps} steps, "
+                f"conditioning schedule covers {steps} steps, "
                 f"backend noise schedule has {n}"
             )
-    conds, index = _condition_index(conditioning, n)
+        if blocks not in (1, n_blocks):
+            raise ValueError(
+                "block assignment requires a block-structured denoiser backend "
+                f"with {blocks} blocks; this backend has {n_blocks or 'none'}"
+            )
+        if plan.width != width:
+            raise ValueError(
+                f"a batch mixes condition slot widths {width} and {plan.width}"
+            )
+    conds, index = _condition_index(conditioning, n, n_blocks)
     guided = guidance_scale != 1.0
     if guided:
         uncond_slots = np.full(rows, len(conds), dtype=np.intp)
-        conds.append(unconditioned(conditioning[0].width))
+        conds.append(unconditioned(width))
     prepared = denoiser.prepare(conds)
 
     # a step's prediction is freed by its update, so two never coexist

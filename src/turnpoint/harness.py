@@ -180,6 +180,8 @@ class SweepConfig:
             raise ConfigurationError("frames must be at least 4 for the metrics")
         if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ConfigurationError("sigma must be finite and >= 0")
+        if not np.isfinite(self.w_mix):  # a finite w_mix is clamped by worldgen
+            raise ConfigurationError("w_mix must be finite")
 
     def noise_schedule(self) -> NoiseSchedule:
         """The schedule every run of this config samples with."""

@@ -176,7 +176,7 @@ def condition_bias(model, block_conds, rows: int) -> ConditionBias:
 
     ``block_conds`` holds condition vectors of width ``model.cond_dim``:
     ``(cond_dim,)`` conditions every block of every row alike,
-    ``(n_blocks, cond_dim)`` is one block stack (``BlockAssignment.vectors``)
+    ``(n_blocks, cond_dim)`` is one block stack (a condition per block)
     for every row, and ``(rows, n_blocks, cond_dim)`` one stack per row.
     Shared conditions are copied out to every row before the projection,
     so a row's term does not depend on how its condition was given.

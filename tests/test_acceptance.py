@@ -13,6 +13,7 @@ from decimal import ROUND_FLOOR, Decimal
 import numpy as np
 from scipy.stats import spearmanr
 
+from helpers import block_vectors
 from turnpoint.analytic import (
     GaussianMixture,
     diffused_mixture,
@@ -122,10 +123,10 @@ def test_criterion_02_block_split_endpoints_match_uniform_conditioning():
         t = int(rng.integers(0, 50))
         ca = compose_single(rng.standard_normal(3))
         cb = compose_single(rng.standard_normal(3))
-        lo = forward(model, z, t, sched, block_split(0.0, 5, ca, cb).vectors)
-        lo_ref = forward(model, z, t, sched, uniform_blocks(cb, 5).vectors)
-        hi = forward(model, z, t, sched, block_split(1.0, 5, ca, cb).vectors)
-        hi_ref = forward(model, z, t, sched, uniform_blocks(ca, 5).vectors)
+        lo = forward(model, z, t, sched, block_vectors(block_split(0.0, 5, ca, cb)))
+        lo_ref = forward(model, z, t, sched, block_vectors(uniform_blocks(cb, 5)))
+        hi = forward(model, z, t, sched, block_vectors(block_split(1.0, 5, ca, cb)))
+        hi_ref = forward(model, z, t, sched, block_vectors(uniform_blocks(ca, 5)))
         all_equal &= np.array_equal(lo, lo_ref) and np.array_equal(hi, hi_ref)
     dt = time.perf_counter() - t0
     _verdict(
@@ -142,7 +143,7 @@ def test_criterion_03_switch_index_tables():
 
     grid = [i / 10 for i in range(11)]
     ca, cb = compose_single([0.3]), compose_single([-0.3])
-    ks = [step_switch(x, 50, ca, cb).switch_index for x in grid]
+    ks = [step_switch(x, 50, ca, cb).split_index for x in grid]
     bs = [block_split(x, 8, ca, cb).split_index for x in grid]
     want_k = [0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50]
     want_b = [0, 0, 1, 2, 3, 4, 4, 5, 6, 7, 8]

@@ -184,6 +184,30 @@ class TestTrain:
         )
         assert code == 1
 
+    def test_nan_w_mix_exits_1(self, tmp_path, small_suite, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"suite": small_suite, "frames": 6, "hidden": 8,
+                                   "diffusion_steps": 6, "steps": 1, "w_mix": float("nan")}))
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert "w_mix must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    def test_missing_out_directory_exits_1_before_training(self, tmp_path, small_suite,
+                                                            monkeypatch, capsys):
+        import turnpoint.cli as cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "train", fail)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"suite": small_suite, "steps": 3}))
+        out = tmp_path / "missing" / "model.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "checkpoint directory not found" in capsys.readouterr().err
+        assert not out.parent.exists()
+
 
 # ---------------------------------------------------------------------------
 # sample
@@ -395,6 +419,14 @@ class TestSweepAndReport:
                      "--n-steps", "6", "--frames", "6", "--out-dir", str(tmp_path / "s")])
         assert code == 1
         assert "guidance_scale" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_nan_w_mix_exits_1(self, small_suite, tmp_path, capsys):
+        code = main(["sweep", "--suite", small_suite, "--grid", "0,1", "--repeats", "1",
+                     "--w-mix", "nan", "--n-steps", "4", "--frames", "8",
+                     "--out-dir", str(tmp_path / "s")])
+        assert code == 1
+        assert "w_mix must be finite" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     def test_sweep_bad_config(self, tmp_path):

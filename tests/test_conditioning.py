@@ -1,4 +1,5 @@
-"""Conditioning probes: embeddings, step schedules, block assignments."""
+"""Conditioning probes: embeddings and condition plans (step schedules,
+block assignments)."""
 
 from decimal import ROUND_FLOOR, Decimal
 
@@ -6,13 +7,11 @@ import numpy as np
 import pytest
 
 from turnpoint.conditioning import (
-    BlockAssignment,
     ConditionEmbedding,
-    StepSchedule,
+    ConditionPlan,
     block_split,
     compose_concat,
     compose_single,
-    condition_at,
     constant_schedule,
     floor_index,
     qualitative_settings,
@@ -26,6 +25,11 @@ def decimal_floor(x: float, n: int) -> int:
     """Independent floor(x * n) oracle via exact decimal arithmetic."""
     product = Decimal(str(x)) * n
     return int(product.to_integral_value(rounding=ROUND_FLOOR))
+
+
+def per_position(plan) -> list:
+    """The condition at each step of a step plan or each block of a block plan."""
+    return [plan.conds[s] for s in plan.slots.ravel()]
 
 
 # ---------------------------------------------------------------------------
@@ -136,39 +140,41 @@ def test_repr_stays_short():
 
 
 # ---------------------------------------------------------------------------
-# StepSchedule / step_switch
+# ConditionPlan / constant_schedule / step_switch
 
 
 def test_constant_schedule_single_segment():
     cond = compose_single([1.0])
     sched = constant_schedule(5, cond)
-    assert sched.segments == ((0, 5, cond),)
-    for i in range(5):
-        assert condition_at(sched, i) == cond
+    assert sched.conds == (cond,)
+    assert sched.slots.shape == (5, 1)
+    assert per_position(sched) == [cond] * 5
+    assert sched.split_index is None
 
 
 def test_step_switch_interior_structure():
     a, b = compose_single([1.0]), compose_single([2.0])
     sched = step_switch(0.3, 50, a, b)
-    assert sched.switch_index == 15
-    assert sched.ratio == 0.3
-    assert sched.segments == ((0, 15, a), (15, 50, b))
-    assert condition_at(sched, 14) == a
-    assert condition_at(sched, 15) == b
+    assert sched.split_index == 15
+    assert sched.conds == (a, b)
+    np.testing.assert_array_equal(sched.slots, [[0]] * 15 + [[1]] * 35)
+    assert sched.conds[sched.slots[14, 0]] == a
+    assert sched.conds[sched.slots[15, 0]] == b
 
 
 def test_step_switch_endpoints_collapse():
     a, b = compose_single([1.0]), compose_single([2.0])
     all_b = step_switch(0.0, 20, a, b)
     all_a = step_switch(1.0, 20, a, b)
-    assert all_b.segments == ((0, 20, b),)
-    assert all_a.segments == ((0, 20, a),)
+    assert all_b.conds == (b,) and all_a.conds == (a,)
     # endpoint schedules are structurally identical to constant ones
-    assert all_b.segments == constant_schedule(20, b).segments
-    assert all_a.segments == constant_schedule(20, a).segments
+    for plan, cond in ((all_b, b), (all_a, a)):
+        const = constant_schedule(20, cond)
+        assert plan.conds == const.conds
+        np.testing.assert_array_equal(plan.slots, const.slots)
 
 
-def test_step_switch_condition_at_matches_floor_rule():
+def test_step_switch_slots_match_floor_rule():
     rng = np.random.default_rng(11)
     a, b = compose_single([1.0, 0.0]), compose_single([0.0, 1.0])
     for _ in range(200):
@@ -176,8 +182,8 @@ def test_step_switch_condition_at_matches_floor_rule():
         x = round(float(rng.uniform(0.0, 1.0)), 3)
         sched = step_switch(x, n, a, b)
         k = decimal_floor(x, n)
-        for i in range(n):
-            assert condition_at(sched, i) == (a if i < k else b)
+        assert sched.slots.shape == (n, 1)
+        assert per_position(sched) == [a if i < k else b for i in range(n)]
 
 
 def test_step_switch_width_mismatch():
@@ -185,31 +191,40 @@ def test_step_switch_width_mismatch():
         step_switch(0.5, 10, compose_single([1.0]), compose_single([1.0, 2.0]))
 
 
-def test_condition_at_range_errors():
-    sched = constant_schedule(3, compose_single([1.0]))
-    for i in (-1, 3):
-        with pytest.raises(ValueError):
-            condition_at(sched, i)
-
-
-def test_schedule_partition_validation():
+def test_plan_validation():
     a = compose_single([1.0])
+    for bad in ([0, 0], [[[0]]], np.zeros((0, 1)), np.zeros((3, 0))):  # grid shape
+        with pytest.raises(ValueError, match="non-empty 2-d grid"):
+            ConditionPlan((a,), np.asarray(bad, dtype=np.intp))
+    with pytest.raises(ValueError, match="differ in slot width"):
+        ConditionPlan((a, compose_single([1.0, 2.0])), [[0], [1]])
+    with pytest.raises(ValueError, match="at least one condition"):
+        ConditionPlan((), [[0]])
+    grid = np.zeros((2, 3), dtype=np.intp)
+    plan = ConditionPlan([a], grid)
+    grid[0, 0] = 5  # the plan holds its own read-only copy
+    assert plan.conds == (a,) and not plan.slots.any()
     with pytest.raises(ValueError):
-        StepSchedule(4, ((0, 2, a), (3, 4, a)))  # gap
-    with pytest.raises(ValueError):
-        StepSchedule(4, ((0, 3, a), (2, 4, a)))  # overlap
-    with pytest.raises(ValueError):
-        StepSchedule(4, ((0, 3, a),))  # short
-    with pytest.raises(ValueError):
-        StepSchedule(4, ())
-    with pytest.raises(ValueError):
-        StepSchedule(0, ((0, 0, a),))
-    with pytest.raises(ValueError):
-        StepSchedule(4, ((0, 2, a), (2, 4, compose_single([1.0, 2.0]))))
+        plan.slots[0, 0] = 0
+
+
+def test_plan_slot_range_errors():
+    a, b = compose_single([1.0]), compose_single([2.0])
+    for bad in (-1, 2):  # a slot outside the conditions
+        with pytest.raises(ValueError, match="index its 2 conditions"):
+            ConditionPlan((a, b), [[0], [1], [bad]])
+
+
+def test_constructors_reject_an_empty_range():
+    a = compose_single([1.0])
+    for build in (lambda: step_switch(0.5, 0, a, a), lambda: block_split(0.5, 0, a, a),
+                  lambda: constant_schedule(0, a)):
+        with pytest.raises(ValueError):
+            build()
 
 
 # ---------------------------------------------------------------------------
-# BlockAssignment / block_split
+# block_split / uniform_blocks
 
 
 def test_block_split_table_pattern():
@@ -218,27 +233,30 @@ def test_block_split_table_pattern():
     for i, want in zip(range(11), expected_b):
         assign = block_split(i / 10, 8, a, b)
         assert assign.split_index == want
-        pattern = tuple(c == a for c in assign.per_block)
+        assert assign.slots.shape == (1, 8)
+        pattern = tuple(c == a for c in per_position(assign))
         assert pattern == tuple(j < want for j in range(8))
 
 
 def test_block_split_endpoints_uniform():
     a, b = compose_single([1.0]), compose_single([2.0])
-    assert block_split(0.0, 6, a, b).per_block == (b,) * 6
-    assert block_split(1.0, 6, a, b).per_block == (a,) * 6
-    assert uniform_blocks(a, 6).per_block == (a,) * 6
+    assert per_position(block_split(0.0, 6, a, b)) == [b] * 6
+    assert per_position(block_split(1.0, 6, a, b)) == [a] * 6
+    assert per_position(uniform_blocks(a, 6)) == [a] * 6
+    assert block_split(0.0, 6, a, b).conds == (b,)
+    assert uniform_blocks(a, 6).conds == (a,)
 
 
 def test_block_assignment_validation():
     a = compose_single([1.0])
     with pytest.raises(ValueError):
-        BlockAssignment(0, 0, (), 0.0)
-    with pytest.raises(ValueError):
-        BlockAssignment(2, 3, (a, a), 1.0)
-    with pytest.raises(ValueError):
-        BlockAssignment(2, 1, (a,), 0.5)
-    with pytest.raises(ValueError):
-        BlockAssignment(2, 1, (a, compose_single([1.0, 2.0])), 0.5)
+        uniform_blocks(a, 0)
+    with pytest.raises(ValueError, match="index its 1 conditions"):
+        ConditionPlan((a,), [[0, 0, 1]])
+    with pytest.raises(ValueError, match="differ in slot width"):
+        ConditionPlan((a, compose_single([1.0, 2.0])), [[0, 1]])
+    with pytest.raises(ValueError):  # checked at the endpoints too
+        block_split(0.0, 4, a, compose_single([1.0, 2.0]))
 
 
 def test_block_split_random_matches_floor_rule():
@@ -250,7 +268,7 @@ def test_block_split_random_matches_floor_rule():
         assign = block_split(x, n, a, b)
         want = decimal_floor(x, n)
         assert assign.split_index == want
-        assert sum(c == a for c in assign.per_block) == want
+        assert sum(c == a for c in per_position(assign)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +283,13 @@ def test_qualitative_settings_structure():
     settings = qualitative_settings(0.5, e1, e2, 10)
     assert len(settings) == 4
     concat_always, s12, c1, s1c = settings
-    assert concat_always.segments == ((0, 10, both),)
-    assert s12.segments == ((0, 5, single1), (5, 10, single2))
-    assert c1.segments == ((0, 5, both), (5, 10, single1))
-    assert s1c.segments == ((0, 5, single1), (5, 10, both))
+    assert per_position(concat_always) == [both] * 10
+    assert per_position(s12) == [single1] * 5 + [single2] * 5
+    assert per_position(c1) == [both] * 5 + [single1] * 5
+    assert per_position(s1c) == [single1] * 5 + [both] * 5
+    assert [len(s.conds) for s in settings] == [1, 2, 2, 2]
 
 
 def test_qualitative_settings_share_step_count():
     settings = qualitative_settings(0.3, np.ones(3), np.zeros(3) + 2.0, 7)
-    assert [s.n_steps for s in settings] == [7, 7, 7, 7]
+    assert [s.slots.shape for s in settings] == [(7, 1)] * 4

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import block_vectors
 from turnpoint.conditioning import (
-    BlockAssignment,
+    ConditionPlan,
     block_split,
     compose_single,
     constant_schedule,
@@ -278,13 +279,24 @@ def test_sample_rejects_malformed_batches():
     sched = build_schedule(4)
     backend = LinearBackend(sched)
     schedule = constant_schedule(4, compose_single([1.0]))
-    assign = uniform_blocks(compose_single([1.0]), 3)
     with pytest.raises(ValueError, match="at least one chain"):
         sample(backend, [], [])
     with pytest.raises(ValueError, match="seeds"):
         sample(backend, [schedule, schedule], [0])
-    with pytest.raises(ValueError, match="mixes"):
-        sample(backend, [schedule, assign], [0, 1])
+
+
+def test_sample_rejects_mixed_condition_widths():
+    sched = build_schedule(4)
+    model = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=1, seed=0)
+    narrow, wide = compose_single([1.0]), compose_single([1.0, 2.0])
+    for backend, plans in (
+        (AnalyticDenoiser(sched, (3, 2)),
+         [constant_schedule(4, narrow), constant_schedule(4, wide)]),
+        (NeuralDenoiser(model, sched, (3, 2)),
+         [uniform_blocks(narrow, 3), constant_schedule(4, wide)]),
+    ):
+        with pytest.raises(ValueError, match="condition slot widths 1 and 2"):
+            sample(backend, plans, [0, 1])
 
 
 def test_sample_output_independent_of_condition_payload():
@@ -352,12 +364,61 @@ def test_sample_block_assignments_equal_per_row_forward():
     z = np.stack([gen.standard_normal(den.dim) for gen in gens])
     for i in range(sched.n_steps):
         t = sched.n_steps - 1 - i
-        eps = np.stack([forward(model, zr, t, sched, a.vectors) for zr, a in zip(z, assigns)])
+        eps = np.stack([forward(model, zr, t, sched, block_vectors(a)) for zr, a in zip(z, assigns)])
         noise = np.stack([gen.standard_normal(den.dim) for gen in gens])
         z = ancestral_step(z, t, eps, sched, noise)
     got = sample(den, assigns, seeds)
     assert len({row.tobytes() for row in got}) == len(assigns)
     np.testing.assert_allclose(got, z.reshape(got.shape), rtol=1e-12, atol=1e-12)
+
+
+def _checkpoint_backend(n_steps):
+    sched = build_schedule(n_steps)
+    model = init_model(6, hidden=4, n_blocks=4, t_emb_dim=2, cond_width=1, seed=0)
+    model.w_out[...] = np.random.default_rng(5).standard_normal(model.w_out.shape)
+    return NeuralDenoiser(model, sched, (3, 2))
+
+
+def test_sample_mixes_step_and_block_plans_on_a_checkpoint():
+    den = _checkpoint_backend(8)
+    c1, c2 = compose_single([0.7]), compose_single([-0.7])
+    plans = [
+        block_split(0.5, den.n_blocks, c1, c2),
+        step_switch(0.5, den.noise_schedule.n_steps, c1, c2),
+        uniform_blocks(c2, den.n_blocks),
+        step_switch(0.25, den.noise_schedule.n_steps, c2, c1),
+    ]
+    seeds = [21, 22, 23, 24]
+    got = sample(den, plans, seeds)
+    alone = np.concatenate([sample(den, [plan], [seed]) for plan, seed in zip(plans, seeds)])
+    assert len({row.tobytes() for row in got}) == len(plans)
+    np.testing.assert_allclose(got, alone, rtol=1e-12, atol=1e-12)
+
+
+def test_sample_step_by_block_plan_equals_per_step_forward():
+    # reference: the sampler's draws, with each step's prediction from a
+    # forward pass on that step's row of block conditions
+    den = _checkpoint_backend(8)
+    model, sched = den.model, den.noise_schedule
+    conds = (compose_single([0.7]), compose_single([-0.7]), compose_single([0.2]))
+    slots = np.zeros((sched.n_steps, model.n_blocks), dtype=np.intp)
+    slots[:3, 2:] = 1  # blocks 2 and 3 change condition after three steps,
+    slots[5:, :1] = 2  # block 0 after five
+    plan = ConditionPlan(conds, slots)
+    seed = 31
+    gen = np.random.default_rng(seed)
+    z = gen.standard_normal(den.dim)
+    for i in range(sched.n_steps):
+        t = sched.n_steps - 1 - i
+        vectors = np.stack([conds[s].vector for s in plan.slots[i]])
+        z = ancestral_step(z, t, forward(model, z, t, sched, vectors), sched,
+                           gen.standard_normal(den.dim))
+    (got,) = sample(den, [plan], [seed])
+    np.testing.assert_allclose(got, z.reshape(got.shape), rtol=1e-12, atol=1e-12)
+    # every condition the grid names reaches the output
+    for s in range(len(conds)):
+        other = ConditionPlan(conds, np.where(slots == s, (s + 1) % len(conds), slots))
+        assert not np.array_equal(sample(den, [other], [seed]), got[None])
 
 
 def test_guidance_disabled_at_scale_one():
@@ -412,13 +473,13 @@ def test_sample_builds_no_block_assignment_on_a_checkpoint(monkeypatch, guidance
         [step_switch(x, sched.n_steps, c1, c2) for x in ratios],
     ]
     built = []
-    real = BlockAssignment.__post_init__
+    real = ConditionPlan.__post_init__
 
     def counted(self):
         built.append(self)
         real(self)
 
-    monkeypatch.setattr(BlockAssignment, "__post_init__", counted)
+    monkeypatch.setattr(ConditionPlan, "__post_init__", counted)
     for conditioning in batches:
         out = sample(den, conditioning, [1, 2, 3], guidance_scale=guidance_scale)
         assert out.shape == (3, 3, 2) and np.isfinite(out).all()

@@ -117,6 +117,8 @@ class TestSweepConfig:
             {"mode": "block_split"},  # analytic backend cannot split blocks
             {"frames": 3},
             {"sigma": -1.0},
+            {"w_mix": float("nan")},
+            {"w_mix": float("inf")},
             {"guidance_scale": 2.0},  # the analytic backend has no unconditioned model
             {"guidance_scale": -1.0, "backend": "model.ckpt"},
             {"guidance_scale": float("nan"), "backend": "model.ckpt"},

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import block_vectors
 from turnpoint.conditioning import block_split, compose_single, uniform_blocks
 from turnpoint.diffusion import build_schedule, forward_noise
 from turnpoint.neural import (
@@ -119,7 +120,7 @@ def test_fresh_model_predicts_zero():
     m = tiny_model()
     sched = build_schedule(10)
     assign = uniform_blocks(compose_single([0.7]), m.n_blocks)
-    out = forward(m, np.ones(4), 3, sched, assign.vectors)
+    out = forward(m, np.ones(4), 3, sched, block_vectors(assign))
     np.testing.assert_array_equal(out, np.zeros(4))
 
 
@@ -128,13 +129,13 @@ def test_forward_validation():
     sched = build_schedule(10)
     assign = uniform_blocks(compose_single([0.7]), m.n_blocks)
     with pytest.raises(ValueError):
-        forward(m, np.ones(5), 3, sched, assign.vectors)
+        forward(m, np.ones(5), 3, sched, block_vectors(assign))
     with pytest.raises(ValueError):
-        forward(m, np.ones(4), 10, sched, assign.vectors)
-    with pytest.raises(ValueError):
-        forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([0.7]), 3).vectors)
-    with pytest.raises(ValueError):
-        forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([0.7, 0.1]), 2).vectors)
+        forward(m, np.ones(4), 10, sched, block_vectors(assign))
+    for wrong in (uniform_blocks(compose_single([0.7]), 3),
+                  uniform_blocks(compose_single([0.7, 0.1]), 2)):
+        with pytest.raises(ValueError):
+            forward(m, np.ones(4), 3, sched, block_vectors(wrong))
 
 
 def test_forward_depends_on_block_conditions():
@@ -142,12 +143,10 @@ def test_forward_depends_on_block_conditions():
     rng = np.random.default_rng(8)
     m.w_out[...] = rng.standard_normal(m.w_out.shape)
     sched = build_schedule(10)
-    a = forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([0.7]), 2).vectors)
-    b = forward(m, np.ones(4), 3, sched, uniform_blocks(compose_single([-0.7]), 2).vectors)
-    c = forward(
-        m, np.ones(4), 3, sched,
-        block_split(0.5, 2, compose_single([0.7]), compose_single([-0.7])).vectors,
-    )
+    plus, minus = compose_single([0.7]), compose_single([-0.7])
+    a = forward(m, np.ones(4), 3, sched, block_vectors(uniform_blocks(plus, 2)))
+    b = forward(m, np.ones(4), 3, sched, block_vectors(uniform_blocks(minus, 2)))
+    c = forward(m, np.ones(4), 3, sched, block_vectors(block_split(0.5, 2, plus, minus)))
     assert not np.array_equal(a, b)
     assert not np.array_equal(c, a) and not np.array_equal(c, b)
 
@@ -160,12 +159,12 @@ def test_forward_pairs_each_row_with_its_own_assignment():
     a, b = compose_single([0.7]), compose_single([-0.7])
     assigns = [block_split(x, m.n_blocks, a, b) for x in (0.0, 0.25, 0.5, 0.75, 1.0)]
     z = np.repeat(rng.standard_normal((1, 4)), len(assigns), axis=0)
-    stacked = np.stack([a.vectors for a in assigns])
-    rows = np.stack([forward(m, zi, 3, sched, ai.vectors) for zi, ai in zip(z, assigns)])
+    stacked = np.stack([block_vectors(a) for a in assigns])
+    rows = np.stack([forward(m, zi, 3, sched, block_vectors(ai)) for zi, ai in zip(z, assigns)])
     assert len({r.tobytes() for r in rows}) == len(assigns)  # every assignment matters
     np.testing.assert_allclose(forward(m, z, 3, sched, stacked), rows, rtol=1e-12, atol=1e-14)
     den = NeuralDenoiser(m, sched, (2, 2))
-    slots = np.array([[int(c is b) for c in assign.per_block] for assign in assigns])
+    slots = np.array([[int(assign.conds[s] is b) for s in assign.slots[0]] for assign in assigns])
     got = den.predict_eps(z, 3, den.prepare([a, b]), slots)
     np.testing.assert_allclose(got, rows, rtol=1e-12, atol=1e-14)
     for wrong in (stacked[:-1], np.concatenate([stacked, stacked[:1]])):
@@ -178,10 +177,10 @@ def test_forward_condition_shape_rule():
     m.w_out[...] = np.random.default_rng(2).standard_normal(m.w_out.shape)
     sched = build_schedule(10)
     z = np.random.default_rng(3).standard_normal((3, 4))
-    stack = block_split(0.5, 8, compose_single([0.7]), compose_single([-0.7])).vectors
+    stack = block_vectors(block_split(0.5, 8, compose_single([0.7]), compose_single([-0.7])))
     want = forward(m, z, 3, sched, np.stack([stack] * 3))
     assert forward(m, z, 3, sched, stack).tobytes() == want.tobytes()
-    uniform = uniform_blocks(compose_single([0.7]), 8).vectors
+    uniform = block_vectors(uniform_blocks(compose_single([0.7]), 8))
     assert forward(m, z, 3, sched, uniform[0]).tobytes() == (
         forward(m, z, 3, sched, uniform).tobytes()
     )
@@ -635,7 +634,7 @@ def test_neural_denoiser_predict_eps_equals_uniform_forward():
     sched = build_schedule(10)
     den = NeuralDenoiser(m, sched, (3, 2))
     cond = compose_single([0.4, -0.2])
-    vectors = uniform_blocks(cond, m.n_blocks).vectors
+    vectors = block_vectors(uniform_blocks(cond, m.n_blocks))
     prepared = den.prepare([cond])
     for z in (rng.standard_normal((1, 6)), rng.standard_normal((4, 6))):
         got = den.predict_eps(z, 5, prepared, np.zeros(len(z), dtype=np.intp))
