@@ -60,6 +60,16 @@ def _ratio(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:  # numpy generators take non-negative seeds only
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
+    return value
+
+
 def _grid(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite_sub = suite.add_subparsers(dest="suite_command", metavar="ACTION")
 
     gen = suite_sub.add_parser("gen", help="generate a suite file")
-    gen.add_argument("--seed", type=int, required=True, help="generation seed")
+    gen.add_argument("--seed", type=_seed, required=True, help="generation seed")
     gen.add_argument("--out", required=True, help="output JSONL path")
     gen.add_argument(
         "--strict-table1",
@@ -322,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="'analytic' or a checkpoint path",
     )
-    sm.add_argument("--seed", type=int, required=True, help="sampler seed")
+    sm.add_argument("--seed", type=_seed, required=True, help="sampler seed")
     sm.add_argument("--out", required=True, help="output directory")
     sm.add_argument("--n-steps", type=int, help="denoising steps")
     sm.add_argument("--frames", type=int, help="frames (analytic backend)")
@@ -336,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--grid", type=_grid, help="comma-separated split ratios")
     sw.add_argument("--backend", help="'analytic' or a checkpoint path")
     sw.add_argument("--suite", help="suite JSONL path")
-    sw.add_argument("--suite-seed", type=int, help="seed when generating the suite")
+    sw.add_argument("--suite-seed", type=_seed, help="seed when generating the suite")
     sw.add_argument("--repeats", type=int, help="repeats per (prompt, ratio)")
     sw.add_argument("--base-seed", type=int, help="base seed for run-seed derivation")
     sw.add_argument("--out-dir", help="output directory")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,13 +32,15 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=1024)
 def floor_index(x: float, n: int) -> int:
     """Exact ``floor(x * n)`` for split ratios that are decimal literals.
 
     Grid ratios like 0.7 are decimals, but the float product ``0.7 * 50``
     lands just below 35 and would floor to 34.  Routing through the
     shortest-repr rational of ``x`` yields the mathematically intended
-    index for every decimal grid value.
+    index for every decimal grid value.  Memoised, as a sweep asks for the
+    same few grid values over and over; a rejected ratio is not cached.
     """
     if not (0.0 <= float(x) <= 1.0):
         raise ValueError(f"split ratio must lie in [0, 1], got {x}")
@@ -91,8 +94,14 @@ class ConditionEmbedding:
         )
 
     def key(self) -> bytes:
-        """Byte key for exact-value lookup and equality."""
-        return self.vector.tobytes()
+        """Byte key for exact-value lookup and equality: ``vector.tobytes()``,
+        computed on first use and kept.  The constructors below pass
+        read-only slot copies, so the key cannot go stale."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self.vector.tobytes()
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __eq__(self, other):
         if not isinstance(other, ConditionEmbedding):

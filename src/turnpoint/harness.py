@@ -74,10 +74,12 @@ PROMPTS_PER_BATCH = 16
 # Bytes of chain state, rows x trajectory floats, in one analytic sample
 # call; a view's rows are split into calls of at most this size.  Not a
 # setting: analytic rows do not depend on it.  Larger calls cost more per
-# run, as the sampler's noise buffer holds fewer iterations per fill and
-# its per-step arrays grow: on qualitative sweeps of 48 and 64 prompts
-# (2-CPU host), 341-row calls ran 6-12% slower than 170-row calls, and
-# 2112-row calls about 30% slower than 264-row calls.
+# run, as the sampler's per-step arrays grow and its 4 MiB noise buffer
+# holds fewer iterations per fill; above about 680 rows of 96 floats a
+# fill is too short to split over two threads (diffusion.SPLIT_FILL_FLOATS).
+# With the earlier 1 MiB buffer, on qualitative sweeps of 48 and 64
+# prompts (2-CPU host), 341-row calls ran 6-12% slower than 170-row calls,
+# and 2112-row calls about 30% slower than 264-row calls.
 ANALYTIC_CALL_BYTES = 1 << 17
 METRIC_FIELDS = ("ta1", "ta2", "ta_mean", "ic", "bc", "turning_frame", "occupancy2")
 RUNS_CSV_COLUMNS = (
@@ -161,6 +163,8 @@ class SweepConfig:
                 raise ConfigurationError(f"grid ratios must lie in [0, 1], got {x}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigurationError("grid ratios must increase strictly")
+        if self.suite_seed < 0:
+            raise ConfigurationError("suite_seed must be non-negative")
         if self.repeats < 1:
             raise ConfigurationError("repeats must be at least 1")
         if self.workers < 1:

@@ -316,6 +316,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.ema_decay is not None and not 0.0 < self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in (0, 1) when set")
 

@@ -86,6 +86,34 @@ class TestUsage:
             )
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("command", ["suite_gen", "sweep", "sample"])
+    def test_negative_seed_flag_exits_1(self, small_suite, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "suite_gen": ["suite", "gen", "--seed", "-1", "--out", str(out)],
+            "sweep": ["sweep", "--suite-seed", "-1", "--out-dir", str(out)],
+            "sample": sample_args(small_suite, out, read_suite(small_suite)[0].id, seed=-1),
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "train"])
+    def test_negative_seed_in_config_exits_1(self, small_suite, tmp_path, capsys, command):
+        cfg = tmp_path / "config.json"
+        out = tmp_path / "out"
+        if command == "sweep":
+            cfg.write_text(json.dumps({"suite_seed": -1, "out_dir": str(out)}))
+            argv = ["sweep", "--config", str(cfg)]
+        else:
+            cfg.write_text(json.dumps({"suite": small_suite, "steps": 1, "seed": -1}))
+            argv = ["train", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 # ---------------------------------------------------------------------------
 # suite

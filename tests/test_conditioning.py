@@ -49,10 +49,12 @@ def test_block_index_table_b8():
 
 
 def test_floor_index_matches_decimal_oracle_on_fine_grid():
-    for n in (1, 3, 8, 16, 50, 100, 500):
+    floor_index.cache_clear()
+    for n in (1, 3, 7, 8, 10, 16, 50, 100, 500, 1000):
         for i in range(101):
             x = i / 100
             assert floor_index(x, n) == decimal_floor(x, n), (x, n)
+            assert floor_index(x, n) == decimal_floor(x, n), (x, n)  # memoised
 
 
 def test_floor_index_random_decimals():
@@ -66,8 +68,9 @@ def test_floor_index_random_decimals():
 
 def test_floor_index_rejects_out_of_range():
     for bad in (-0.1, 1.1, float("nan")):
-        with pytest.raises(ValueError):
-            floor_index(bad, 10)
+        for _ in range(2):  # a rejection is not memoised
+            with pytest.raises(ValueError):
+                floor_index(bad, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +103,8 @@ def test_equality_and_hash_by_value():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a.key() == b.key() != c.key()
+    assert a.key() == a.vector.tobytes() and a.key() is a.key()
+    assert hash(a) == hash(a.vector.tobytes())
 
 
 def test_presence_flags_disambiguate_zero_slots():

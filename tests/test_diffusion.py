@@ -1,5 +1,7 @@
 """Forward noising, the reverse update rule, and the sampler loop."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -251,11 +253,12 @@ def test_sample_batches_rows_by_active_condition():
 
 def test_sample_noise_streams_match_per_step_draws():
     # reference: the start point, then one (rows, dim) draw per iteration,
-    # each row from its own generator; the batch's noise fills the buffer
-    # more than twice, the last time partly
+    # each row from its own generator; the batch's noise (the start point
+    # and n_steps - 1 noise draws) fills the buffer more than twice, the
+    # last time partly
     sched = build_schedule(50)
-    dim, rows = 96, 64
-    assert rows * dim * 8 * (sched.n_steps + 1) > 2 * diffusion.NOISE_BUFFER_BYTES
+    dim, rows = 96, 256
+    assert rows * dim * 8 * sched.n_steps > 2 * diffusion.NOISE_BUFFER_BYTES
     c1, c2 = compose_single([1.0]), compose_single([2.0])
     schedules = [step_switch(i / rows, sched.n_steps, c1, c2) for i in range(rows)]
     seeds = [1000 + 7 * i for i in range(rows)]
@@ -273,6 +276,63 @@ def test_sample_noise_streams_match_per_step_draws():
     want = z.reshape(rows, *backend.frame_shape)
     got = sample(backend, schedules, seeds)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("split", [True, False], ids=["split", "one_thread"])
+def test_chain_draws_match_per_step_draws(monkeypatch, rows, split):
+    # chunks of 4 iterations (4, 4, 3); a row's fill holds 4 * dim floats,
+    # right at the threshold or one iteration's worth of floats below it
+    dim = diffusion.SPLIT_FILL_FLOATS // 4 - (not split)
+    count = 11
+    monkeypatch.setattr(diffusion, "NOISE_BUFFER_BYTES", rows * dim * 8 * 4)
+    submitted = []
+
+    class CountingExecutor(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "ThreadPoolExecutor", CountingExecutor)
+    seeds = [31 + 5 * r for r in range(rows)]
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    got = [draw.copy() for draw in diffusion._chain_draws(seeds, dim, count)]
+    want = [np.stack([gen.standard_normal(dim) for gen in gens]) for _ in range(count)]
+    assert np.stack(got).tobytes() == np.stack(want).tobytes()
+    assert len(submitted) == (3 if split and rows > 1 else 0)
+
+
+def test_sample_with_a_single_step():
+    # the start point goes straight through the deterministic t = 0 update
+    sched = build_schedule(1)
+    backend = LinearBackend(sched, a=0.1, b=0.2)
+    plans = [constant_schedule(1, compose_single([1.0]))] * 2
+    got = sample(backend, plans, [8, 9])
+    z = np.stack([np.random.default_rng(seed).standard_normal(backend.dim) for seed in (8, 9)])
+    want = ancestral_step(z, 0, backend.a * z + backend.b, sched, np.zeros_like(z))
+    assert got.tobytes() == want.reshape(2, *backend.frame_shape).tobytes()
+
+
+def test_sample_joins_the_noise_helper_when_the_backend_raises():
+    sched = build_schedule(50)
+    backend = LinearBackend(sched, dim=96)
+    during = []
+
+    def failing(z, t, conds, slots):
+        during.append(threading.active_count())
+        if len(during) == 3:
+            raise RuntimeError("backend failed")
+        return np.zeros_like(z)
+
+    backend.predict_eps = failing
+    plans = [constant_schedule(50, compose_single([1.0]))] * 4
+    before = threading.active_count()
+    # the held traceback keeps the sampler's frame, and so its draws, alive
+    with pytest.raises(RuntimeError, match="backend failed") as failure:
+        sample(backend, plans, [1, 2, 3, 4])
+    assert during == [before + 1] * 3  # the helper was up while the chain ran
+    assert threading.active_count() == before
+    assert failure.traceback
 
 
 def test_sample_rejects_malformed_batches():
