@@ -267,6 +267,9 @@ def _cmd_sweep(args) -> int:
     failed = sum(1 for r in records if r.metrics is None)
     note = f" ({failed} failed)" if failed else ""
     print(f"{len(records)} runs{note}; results in {cfg.out_dir}")
+    if failed == len(records):
+        print(f"error: every run failed; the first: {records[0].error}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -190,7 +190,9 @@ def _chain_draws(seeds, dim: int, count: int):
 
     Each generator fills a chunk of its draws at once into a buffer of
     about ``NOISE_BUFFER_BYTES``; one ``(k, dim)`` fill gives the same
-    values as ``k`` fills of ``dim``.  When a row's fill holds at least
+    values as ``k`` fills of ``dim``.  A row of the buffer whose size is a
+    multiple of 4 KiB gets one spare iteration, so that the rows of a draw
+    do not all map to the same cache sets.  When a row's fill holds at least
     ``SPLIT_FILL_FLOATS`` floats, a helper thread fills the first half of
     the rows while the caller fills the rest (the fills release the
     interpreter lock); each generator is still drawn by one thread in
@@ -200,7 +202,8 @@ def _chain_draws(seeds, dim: int, count: int):
     """
     gens = [np.random.default_rng(seed) for seed in seeds]
     chunk = max(1, min(count, NOISE_BUFFER_BYTES // (len(gens) * dim * 8)))
-    buf = np.empty((len(gens), chunk, dim))
+    stride = chunk + (chunk * dim * 8 % 4096 == 0)
+    buf = np.empty((len(gens), stride, dim))
     half = len(gens) // 2 if chunk * dim >= SPLIT_FILL_FLOATS else 0
 
     def fill_rows(rows: slice, fill: int) -> None:

@@ -21,6 +21,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,9 +108,10 @@ class ConfigurationError(ValueError):
     """Bad sweep/training configuration or startup input."""
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
-    h = 0xCBF29CE484222325
+def fnv1a64(data: bytes, h: int = 0xCBF29CE484222325) -> int:
+    """64-bit FNV-1a hash of ``data``.  Given ``h``, the hash of a prefix,
+    the hashing continues from that state, so the result is the hash of
+    the prefix followed by ``data``."""
     for byte in data:
         h ^= byte
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
@@ -446,8 +449,7 @@ def score_run(traj, record) -> MetricsRecord:
     return evaluate(traj, *record.events)
 
 
-@dataclass(frozen=True, slots=True)
-class _Job:
+class _Job(NamedTuple):  # a tuple: one is built per run, and tuples build fastest
     run_id: str
     prompt_id: str
     x: float
@@ -536,22 +538,26 @@ def _run_in_worker(jobs) -> list[RunRecord]:
 
 
 def _plan_jobs(cfg: SweepConfig, records) -> list[_Job]:
+    """The runs of ``records`` in enumeration order, each seeded with
+    :func:`derive_seed`: the key's prompt prefix is hashed once per prompt
+    and continued over each run's suffix."""
     settings = (1, 2, 3, 4) if cfg.mode == "qualitative" else (None,)
+    cells = [
+        (x_index, x, repeat, setting, f"{x_index}|{repeat}|{setting or 0}".encode())
+        for x_index, x in enumerate(cfg.grid)
+        for repeat in range(cfg.repeats)
+        for setting in settings
+    ]
     jobs = []
     for record in records:
-        for x_index, x in enumerate(cfg.grid):
-            for repeat in range(cfg.repeats):
-                for setting in settings:
-                    seed = derive_seed(
-                        cfg.base_seed, record.id, x_index, repeat,
-                        setting if setting is not None else 0,
-                    )
-                    run_id = f"{cfg.mode}-{record.id}-x{x_index:02d}-r{repeat}"
-                    if setting is not None:
-                        run_id += f"-s{setting}"
-                    jobs.append(
-                        _Job(run_id, record.id, x, x_index, repeat, setting, seed)
-                    )
+        prefix = fnv1a64(f"{cfg.base_seed}|{record.id}|".encode())
+        for x_index, x, repeat, setting, suffix in cells:
+            run_id = f"{cfg.mode}-{record.id}-x{x_index:02d}-r{repeat}"
+            if setting is not None:
+                run_id += f"-s{setting}"
+            jobs.append(
+                _Job(run_id, record.id, x, x_index, repeat, setting, fnv1a64(suffix, prefix))
+            )
     return jobs
 
 
@@ -639,7 +645,12 @@ def aggregate(records) -> list[AggregateRow]:
     """Mean and population std per (mode, category, x, setting).
 
     Rows within a group are sorted by run id before reducing, so output
-    is identical under any input permutation; failed runs are skipped.
+    is identical under any input permutation; failed runs are skipped, and
+    so is a ``None`` value (a turning frame that was not found).  The value
+    lists of one length, over every group and metric, are stacked and
+    reduced in one ``mean``/``std`` call per length; numpy reduces each
+    row of that array as it would the list alone, so every stat has the
+    bits of its own group's reduction.
     """
     groups: dict[tuple, list[RunRecord]] = {}
     for rec in records:
@@ -647,18 +658,24 @@ def aggregate(records) -> list[AggregateRow]:
             continue
         key = (rec.mode, rec.category, rec.x, rec.setting)
         groups.setdefault(key, []).append(rec)
+    metric_values = attrgetter(*METRIC_FIELDS)
     rows = []
+    by_length: dict[int, tuple[list, list]] = {}
     for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3] if k[3] is not None else -1)):
         members = sorted(groups[key], key=lambda r: r.run_id)
-        stats: dict[str, tuple[float, float] | None] = {}
-        for metric in METRIC_FIELDS:
-            values = [getattr(r.metrics, metric) for r in members]
-            values = [v for v in values if v is not None]
-            if not values:
-                stats[metric] = None
-                continue
-            arr = np.asarray(values, dtype=np.float64)
-            stats[metric] = (float(arr.mean()), float(arr.std()))
+        stats: dict[str, tuple[float, float] | None] = dict.fromkeys(METRIC_FIELDS)
+        for metric, column in zip(METRIC_FIELDS, zip(*(metric_values(r.metrics) for r in members))):
+            values = [v for v in column if v is not None]
+            if values:
+                slots, lists = by_length.setdefault(len(values), ([], []))
+                slots.append((stats, metric))
+                lists.append(values)
         mode, category, x, setting = key
         rows.append(AggregateRow(mode, category, x, setting, len(members), stats))
+    for slots, lists in by_length.values():
+        arr = np.array(lists, dtype=np.float64)
+        for (stats, metric), mean, std in zip(
+            slots, arr.mean(axis=1).tolist(), arr.std(axis=1).tolist()
+        ):
+            stats[metric] = (mean, std)
     return rows

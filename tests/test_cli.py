@@ -401,6 +401,27 @@ class TestSweepAndReport:
         assert [r.x for r in runs] == [0.0, 0.5, 1.0] * 3
         assert all(r.metrics is not None for r in runs)
 
+    def test_sweep_whose_every_run_fails_exits_2(self, small_suite, tiny_checkpoint,
+                                                 tmp_path, capsys):
+        model = load_checkpoint(tiny_checkpoint)
+        model.w_out[:] = float("nan")
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(model, path)
+        out_dir = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--suite", small_suite, "--mode", "block_split",
+             "--backend", str(path), "--grid", "0,1", "--repeats", "1",
+             "--n-steps", "6", "--frames", "6", "--out-dir", str(out_dir)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "6 runs (6 failed)" in captured.out
+        assert "not finite" in captured.err
+        runs = read_runs_csv(out_dir / "runs.csv")
+        assert len(runs) == 6 and all(r.metrics is None for r in runs)
+        assert (out_dir / "aggregates.csv").exists()
+        assert (out_dir / "summary.md").exists()
+
     def test_checkpoint_of_other_condition_width_exits_1(self, small_suite, tmp_path):
         path = tmp_path / "narrow.ckpt"
         # 6 frames of 2-feature prompts, but a condition slot for 1 feature

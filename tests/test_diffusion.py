@@ -279,11 +279,16 @@ def test_sample_noise_streams_match_per_step_draws():
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7])
-@pytest.mark.parametrize("split", [True, False], ids=["split", "one_thread"])
-def test_chain_draws_match_per_step_draws(monkeypatch, rows, split):
-    # chunks of 4 iterations (4, 4, 3); a row's fill holds 4 * dim floats,
-    # right at the threshold or one iteration's worth of floats below it
-    dim = diffusion.SPLIT_FILL_FLOATS // 4 - (not split)
+@pytest.mark.parametrize(
+    "dim",
+    [diffusion.SPLIT_FILL_FLOATS // 4, diffusion.SPLIT_FILL_FLOATS // 4 - 1, 256],
+    ids=["split", "one_thread", "page_rows"],
+)
+def test_chain_draws_match_per_step_draws(monkeypatch, rows, dim):
+    # chunks of 4 iterations (4, 4, 3); a row's fill holds 4 * dim floats:
+    # right at the threshold, one iteration's worth of floats below it, or
+    # 8 KiB, a buffer row the sampler pads so that rows are not 4 KiB apart
+    split = 4 * dim >= diffusion.SPLIT_FILL_FLOATS
     count = 11
     monkeypatch.setattr(diffusion, "NOISE_BUFFER_BYTES", rows * dim * 8 * 4)
     submitted = []
@@ -296,10 +301,14 @@ def test_chain_draws_match_per_step_draws(monkeypatch, rows, split):
     monkeypatch.setattr(diffusion, "ThreadPoolExecutor", CountingExecutor)
     seeds = [31 + 5 * r for r in range(rows)]
     gens = [np.random.default_rng(seed) for seed in seeds]
-    got = [draw.copy() for draw in diffusion._chain_draws(seeds, dim, count)]
+    got, row_strides = [], set()
+    for draw in diffusion._chain_draws(seeds, dim, count):
+        row_strides.add(draw.strides[0])
+        got.append(draw.copy())
     want = [np.stack([gen.standard_normal(dim) for gen in gens]) for _ in range(count)]
     assert np.stack(got).tobytes() == np.stack(want).tobytes()
     assert len(submitted) == (3 if split and rows > 1 else 0)
+    assert all(stride % 4096 for stride in row_strides)
 
 
 def test_sample_with_a_single_step():

@@ -233,6 +233,14 @@ class TestPlanning:
         assert first.run_id == f"step_switch-{records[0].id}-x00-r0"
         assert first.seed == derive_seed(0, records[0].id, 0, 0, 0)
         assert jobs[-1].x == 1.0 and jobs[-1].repeat == 1
+        for base_seed in (0, -1, 2**70):
+            for mode in ("step_switch", "qualitative"):
+                plan = _plan_jobs(dataclasses.replace(cfg, mode=mode, base_seed=base_seed), records)
+                assert len(plan) == len(jobs) * (4 if mode == "qualitative" else 1)
+                for job in plan:
+                    assert job.seed == derive_seed(
+                        base_seed, job.prompt_id, job.x_index, job.repeat, job.setting or 0
+                    )
 
     def test_qualitative_expands_settings(self):
         records = generate_suite(0)[:1]
@@ -608,6 +616,33 @@ class TestAggregate:
         assert keys == sorted(
             keys, key=lambda k: (k[0], k[1], k[2], k[3] if k[3] is not None else -1)
         )
+
+    def test_stats_equal_each_group_reduced_alone(self):
+        # group sizes 1, 7, 9 and 129 cross numpy's 8-wide unrolled sum and
+        # its 128-element pairwise block; the last group keeps 7 of its 9
+        # turning frames, so it shares a length with the group of 7
+        rng = np.random.default_rng(3)
+        records = []
+        for x, size in ((0.1, 1), (0.2, 7), (0.3, 9), (0.4, 129), (0.5, 9)):
+            for i in range(size):
+                values = (rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 3, 6)).tolist()
+                frame = None if x == 0.5 and i in (0, 4) else int(rng.integers(16))
+                metrics = MetricsRecord(*values[:5], turning_frame=frame, occupancy2=values[5])
+                records.append(record_with(f"r{x}-{i:03d}", x=x, metrics=metrics))
+        records.append(record_with("r0.2-failed", x=0.2, metrics=None, error="ValueError: x"))
+        rows = aggregate([records[i] for i in rng.permutation(len(records))])
+        assert [row.n for row in rows] == [1, 7, 9, 129, 9]
+        for row in rows:
+            members = sorted(
+                (r for r in records if r.x == row.x and r.metrics is not None),
+                key=lambda r: r.run_id,
+            )
+            for metric in METRIC_FIELDS:
+                values = [getattr(r.metrics, metric) for r in members]
+                alone = np.asarray([v for v in values if v is not None], dtype=np.float64)
+                mean, std = row.stats[metric]
+                assert type(mean) is float and type(std) is float
+                assert mean == alone.mean() and std == alone.std()
 
     def test_stats_cover_all_metric_fields(self):
         rows = aggregate([record_with("a")])
