@@ -132,12 +132,13 @@ def ancestral_step(z_t, t, eps_hat, sched, noise) -> np.ndarray:
     if not 0 <= t < n:
         raise ValueError(f"step index {t} outside [0, {n})")
     beta = sched.beta[t]
-    mean = (z_t - (beta / np.sqrt(1.0 - sched.alpha_bar[t])) * eps_hat) / np.sqrt(
-        sched.alpha[t]
-    )
-    if t == 0:
-        return mean
-    return mean + np.sqrt(beta) * noise
+    # one output array; the inputs are left as they are
+    out = eps_hat * (beta / np.sqrt(1.0 - sched.alpha_bar[t]))
+    np.subtract(z_t, out, out=out)
+    out /= np.sqrt(sched.alpha[t])
+    if t:
+        out += np.sqrt(beta) * noise
+    return out
 
 
 @runtime_checkable

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,13 @@ import pytest
 from turnpoint.cli import main
 from turnpoint.harness import RUNS_CSV_COLUMNS, SweepConfig, read_runs_csv
 from turnpoint.metrics import MetricsRecord
-from turnpoint.neural import init_model, load_checkpoint, save_checkpoint
+from turnpoint.neural import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 from turnpoint.worldgen import generate_suite, read_suite, write_suite
 
 METRIC_KEYS = set(MetricsRecord.__dataclass_fields__)
@@ -459,6 +466,19 @@ class TestSweepAndReport:
                              backend=str(path), n_steps=6)
         assert main(sample) == 1
         assert "checkpoint header" in capsys.readouterr().err
+
+    def test_checkpoint_header_asking_for_too_much_memory_exits_1(self, small_suite,
+                                                                  tmp_path, capsys):
+        # hidden 40 000 over a 64-byte body: refused before 191 GiB are allocated
+        path = tmp_path / "bad.ckpt"
+        dims = (36, 40_000, 2, 4, 7)
+        path.write_bytes(struct.pack("<6sIIIIII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *dims)
+                         + b"\x00" * 64)
+        code = main(["sweep", "--suite", small_suite, "--mode", "block_split",
+                     "--backend", str(path), "--grid", "0,1", "--repeats", "1",
+                     "--n-steps", "6", "--frames", "6", "--out-dir", str(tmp_path / "s")])
+        assert code == 1
+        assert "cannot load checkpoint: truncated parameter data" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", ["-1", "nan"])
     def test_bad_guidance_scale_exits_1(self, small_suite, tiny_checkpoint, tmp_path,

@@ -192,6 +192,20 @@ def test_ancestral_step_identity_in_zero_beta_limit():
     np.testing.assert_array_equal(got, z)
 
 
+@pytest.mark.parametrize("t", [0, 7])
+def test_ancestral_step_equals_the_posterior_formula_and_keeps_its_inputs(t):
+    sched = build_schedule(10)
+    rng = np.random.default_rng(2)
+    z, eps, noise = (rng.standard_normal((19, 6)) for _ in range(3))
+    inputs = [a.copy() for a in (z, eps, noise)]
+    coef = sched.beta[t] / np.sqrt(1.0 - sched.alpha_bar[t])
+    want = (z - coef * eps) / np.sqrt(sched.alpha[t])
+    if t:
+        want = want + np.sqrt(sched.beta[t]) * noise
+    assert ancestral_step(z, t, eps, sched, noise).tobytes() == want.tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip((z, eps, noise), inputs))
+
+
 def test_ancestral_step_shape_errors():
     sched = build_schedule(3)
     with pytest.raises(ValueError):
@@ -573,6 +587,24 @@ def test_sample_projects_block_conditions_once_per_call(monkeypatch, guidance_sc
         return real(*args)
 
     monkeypatch.setattr(neural, "condition_bias", counted)
+    biases = []
+    real_forward = neural.forward
+
+    def recorded(*args):
+        biases.append(args[4])
+        return real_forward(*args)
+
+    monkeypatch.setattr(neural, "forward", recorded)
     out = sample(den, conditioning, [1, 2, 3], guidance_scale=guidance_scale)
     assert np.isfinite(out).all()
     assert len(calls) == 1  # the unconditioned slot too, when guided
+    # every step runs with the one set of weight copies that call made
+    assert len(biases) == sched.n_steps * (2 if guidance_scale != 1.0 else 1)
+
+    def operands(bias):
+        blocks = [a for block in bias.blocks for a in block]
+        return [bias.w_in, bias.b_in, *blocks, bias.w_out, bias.b_out]
+
+    first = operands(biases[0])
+    assert not any(np.shares_memory(a, model.flat) for a in first)
+    assert all(a is b for bias in biases for a, b in zip(operands(bias), first))

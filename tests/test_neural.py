@@ -607,6 +607,23 @@ def test_checkpoint_corruption_errors(tmp_path):
         load_checkpoint(padded)
 
 
+@pytest.mark.parametrize("dims", [(36, 40_000, 2, 4, 7), (2**32 - 1,) * 5])
+def test_checkpoint_header_cannot_ask_for_more_than_the_body(tmp_path, dims):
+    # hidden 40 000 asks for 191 GiB; the body is checked before anything
+    # of that size is allocated
+    path = tmp_path / "huge.ckpt"
+    header = struct.pack("<6sIIIIII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *dims)
+    path.write_bytes(header + b"\x00" * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated parameter data: 64 of"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 # ---------------------------------------------------------------------------
 # sampler-facing wrapper
 
@@ -639,6 +656,42 @@ def test_neural_denoiser_predict_eps_equals_uniform_forward():
     for z in (rng.standard_normal((1, 6)), rng.standard_normal((4, 6))):
         got = den.predict_eps(z, 5, prepared, np.zeros(len(z), dtype=np.intp))
         assert got.tobytes() == forward(m, z, 5, sched, vectors).tobytes()
+
+
+def test_neural_denoiser_predict_eps_equals_forward_across_the_small_matrix_threshold():
+    # below 19 rows OpenBLAS rounds products with the copied (in, out)
+    # operands differently from products with transposed views, so both
+    # paths must run with the copies.  Each row has a condition of its own,
+    # so both project as many condition rows: a one-row projection rounds
+    # differently from a projection of several (one-row products go to gemv).
+    m = init_model(12, hidden=64, n_blocks=8, t_emb_dim=16, cond_width=7, seed=4)
+    rng = np.random.default_rng(9)
+    m.flat[...] += 0.05 * rng.standard_normal(m.flat.shape)
+    sched = build_schedule(20)
+    den = NeuralDenoiser(m, sched, (6, 2))
+    for rows in (1, 18, 19, 132):
+        conds = [compose_single(list(rng.standard_normal(7))) for _ in range(rows)]
+        vectors = np.stack([c.vector for c in conds])
+        z = rng.standard_normal((rows, m.dim))
+        got = den.predict_eps(z, 11, den.prepare(conds), np.arange(rows))
+        want = forward(m, z, 11, sched, np.repeat(vectors[:, None], m.n_blocks, axis=1))
+        assert got.tobytes() == want.tobytes(), rows
+
+
+def test_prepared_state_is_a_snapshot_of_the_model():
+    m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=1)
+    rng = np.random.default_rng(6)
+    m.flat[...] += rng.standard_normal(m.flat.shape)
+    sched = build_schedule(10)
+    den = NeuralDenoiser(m, sched, (3, 2))
+    conds = [compose_single([0.4, -0.2]), compose_single([-1.0, 0.3])]
+    prepared = den.prepare(conds)
+    z = rng.standard_normal((5, 6))
+    slots = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 0], [1, 1, 1], [0, 1, 0]])
+    want = den.predict_eps(z, 4, prepared, slots)
+    m.flat[...] = rng.standard_normal(m.flat.shape)
+    assert den.predict_eps(z, 4, prepared, slots).tobytes() == want.tobytes()
+    assert den.predict_eps(z, 4, den.prepare(conds), slots).tobytes() != want.tobytes()
 
 
 def test_neural_denoiser_answers_each_row_under_its_slot():

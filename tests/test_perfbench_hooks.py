@@ -8,6 +8,7 @@ import importlib.util
 from pathlib import Path
 
 from turnpoint import harness, neural
+from turnpoint.neural import init_model, save_checkpoint
 from turnpoint.worldgen import generate_suite
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -55,3 +56,29 @@ def test_traced_layers_stay_on_the_analytic_sweep_path(tmp_path):
     assert rows["analytic.predict_eps"] == cfg.n_steps * len(out)
     assert calls["diffusion.ancestral_step"] == cfg.n_steps
     assert calls["metrics.evaluate"] == 1
+
+
+def test_traced_layers_stay_on_the_checkpoint_sweep_path(tmp_path):
+    # one prompt is one batch: one forward pass and one update per step
+    # for the whole batch, through the public neural.forward the tracer wraps
+    tracer_module = load_tracer_module()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_model(8 * 6, hidden=4, n_blocks=2, t_emb_dim=4, cond_width=7), path)
+    cfg = harness.SweepConfig(
+        mode="block_split", backend=str(path), grid=(0.0, 0.5, 1.0), repeats=2,
+        n_steps=10, frames=8, out_dir=str(tmp_path / "out"),
+    )
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.instrument(tracer)
+        out = harness.run_sweep(cfg, generate_suite(0)[:1])
+    finally:
+        tracer.restore()
+    tracer.fold()
+    calls = {name: acc[0] for name, acc in tracer.totals.items()}
+    rows = {name: acc[3] for name, acc in tracer.totals.items()}
+    assert len(out) == 6 and all(r.error is None for r in out)
+    assert calls["diffusion.sample"] == 1
+    assert calls["neural.forward"] == cfg.n_steps
+    assert rows["neural.forward"] == cfg.n_steps * len(out)
+    assert calls["diffusion.ancestral_step"] == cfg.n_steps
