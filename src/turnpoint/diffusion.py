@@ -10,8 +10,6 @@ i = 0 .. N-1 against diffusion steps t = N-1-i (noisiest first).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
@@ -28,18 +26,14 @@ __all__ = [
     "sample",
 ]
 
-# Size of the buffer a sample call fills with each chain's noise, a chunk
-# of iterations at a time.  Not a setting: the draws are the same at any
-# size.  Short fills lose the two-thread gain to interpreter-lock
-# hand-offs: on a 2-CPU host, two threads filled 170 rows of 96 floats
-# 1.15x faster than one at 8 iterations a fill (1 MiB), 1.39x at 17
-# (2 MiB) and 1.64x at 32 (4 MiB).  4 MiB costs about 3 MB of peak RSS.
+# Size of the buffer a sample call fills with its chains' noise, a chunk of
+# iterations at a time, one buffer row per distinct seed.  Not a setting:
+# the draws are the same at any size.  Longer fills cost less per float: on
+# a 2-CPU host, 512 distinct seeds of 96 floats over 50 iterations took
+# 62 ms at 4 MiB (10 iterations a fill), 83 ms at 1 MiB (2) and 97 ms at
+# 256 KiB (1).  A grid sweep's call, a few distinct seeds per prompt, fills
+# its whole stream at once in well under 4 MiB.
 NOISE_BUFFER_BYTES = 1 << 22
-# Floats in one row's fill below which one thread fills every row.  Not a
-# setting: the draws are the same either way.  At 2112 rows of 96 floats
-# (2-CPU host) a split fill ran 0.67x as fast as one thread at 2
-# iterations a fill, 0.83x at 4 and 1.35x at 8 (768 floats).
-SPLIT_FILL_FLOATS = 768
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,37 +183,28 @@ def _chain_draws(seeds, dim: int, count: int):
     """Yield ``count`` draws of shape ``(rows, dim)``, row ``r`` from
     ``np.random.default_rng(seeds[r])``.
 
-    Each generator fills a chunk of its draws at once into a buffer of
-    about ``NOISE_BUFFER_BYTES``; one ``(k, dim)`` fill gives the same
-    values as ``k`` fills of ``dim``.  A row of the buffer whose size is a
-    multiple of 4 KiB gets one spare iteration, so that the rows of a draw
-    do not all map to the same cache sets.  When a row's fill holds at least
-    ``SPLIT_FILL_FLOATS`` floats, a helper thread fills the first half of
-    the rows while the caller fills the rest (the fills release the
-    interpreter lock); each generator is still drawn by one thread in
-    order, so the values do not change.  The helper lives as long as the
-    generator: close it to join the helper at once.  A yielded array is a
-    view that the next chunk overwrites.
+    Rows with equal seeds draw equal streams, so one generator per distinct
+    seed fills a chunk of its draws at once into a buffer of about
+    ``NOISE_BUFFER_BYTES``, one ``(k, dim)`` fill giving the same values as
+    ``k`` fills of ``dim``, and each draw gathers its rows from the buffer.
+    A row of the buffer whose size is a multiple of 4 KiB gets one spare
+    iteration, so that the rows of a draw do not all map to the same cache
+    sets.  A yielded array is overwritten by the next draw.
     """
-    gens = [np.random.default_rng(seed) for seed in seeds]
+    distinct: dict = {}
+    inverse = np.array([distinct.setdefault(seed, len(distinct)) for seed in seeds])
+    gens = [np.random.default_rng(seed) for seed in distinct]
     chunk = max(1, min(count, NOISE_BUFFER_BYTES // (len(gens) * dim * 8)))
     stride = chunk + (chunk * dim * 8 % 4096 == 0)
     buf = np.empty((len(gens), stride, dim))
-    half = len(gens) // 2 if chunk * dim >= SPLIT_FILL_FLOATS else 0
-
-    def fill_rows(rows: slice, fill: int) -> None:
-        for gen, row in zip(gens[rows], buf[rows]):
+    draw = np.empty((len(inverse), dim))
+    for start in range(0, count, chunk):
+        fill = min(chunk, count - start)
+        for gen, row in zip(gens, buf):
             gen.standard_normal(out=row[:fill])
-
-    with ThreadPoolExecutor(1) as helper:
-        for start in range(0, count, chunk):
-            fill = min(chunk, count - start)
-            first = helper.submit(fill_rows, slice(half), fill) if half else None
-            fill_rows(slice(half, None), fill)
-            if first is not None:
-                first.result()
-            for k in range(fill):
-                yield buf[:, k]
+        for k in range(fill):
+            # mode="clip" lets take write straight into draw; every index is valid
+            yield np.take(buf[:, k], inverse, axis=0, out=draw, mode="clip")
 
 
 def sample(
@@ -238,11 +223,11 @@ def sample(
     start point and then its noise for each iteration but the last (whose
     update, at t = 0, adds none) from its own
     ``np.random.default_rng(seeds[b])``, so a row does not depend on the
-    other rows whenever the backend computes rows independently.  The
-    noise is filled in chunks of up to 4 MiB (``NOISE_BUFFER_BYTES``), on
-    two threads when the chunks are long enough, without changing any
-    stream.  Output is bit-reproducible for fixed (seeds, conditioning,
-    parameters); metric code never touches the sampler's generators.
+    other rows whenever the backend computes rows independently.  Rows
+    that share a seed share their noise, which is drawn once per distinct
+    seed, in chunks of up to 4 MiB (``NOISE_BUFFER_BYTES``).  Output is
+    bit-reproducible for fixed (seeds, conditioning, parameters); metric
+    code never touches the sampler's generators.
     ``guidance_scale`` other than 1 mixes in the unconditioned prediction
     (classifier-free guidance).
     """
@@ -293,10 +278,10 @@ def sample(
         return eps_hat
 
     # the last step (t = 0, sigma_0 = 0) ignores its noise, so none is drawn
-    with closing(_chain_draws(seeds, denoiser.dim, n)) as draws:
-        z = next(draws).copy()
-        for i in range(n):
-            t = n - 1 - i
-            noise = next(draws) if t else np.zeros_like(z)
-            z = ancestral_step(z, t, predict(z, t, i), sched, noise)
+    draws = _chain_draws(seeds, denoiser.dim, n)
+    z = next(draws).copy()
+    for i in range(n):
+        t = n - 1 - i
+        noise = next(draws) if t else np.zeros_like(z)
+        z = ancestral_step(z, t, predict(z, t, i), sched, noise)
     return z.reshape(rows, *denoiser.frame_shape)

@@ -6,11 +6,11 @@ A batch is the runs of ``PROMPTS_PER_BATCH`` consecutive prompts of one
 frame dimension.  A checkpoint samples the batch in one call; the
 analytic backend is built per view, since the two views of an EgoExo
 pair share their conditions but not their data, and samples each view's
-rows in calls of at most ``ANALYTIC_CALL_BYTES`` of chain state.  Every
-run owns a seed derived by hashing its identity, and the batches depend
-on suite order alone, so results are independent of worker count and
-completion order; rows are written in enumeration order and aggregation
-sorts before reducing.
+rows in one call.  Every run owns a seed derived by hashing its prompt,
+repeat and setting, which its prompt's grid ratios share, and the
+batches depend on suite order alone, so results are independent of
+worker count and completion order; rows are written in enumeration
+order and aggregation sorts before reducing.
 """
 
 from __future__ import annotations
@@ -73,16 +73,6 @@ MODES = ("step_switch", "block_split", "qualitative")
 # sweep's rows depend on it in the last bits.  Analytic rows do not, as
 # the analytic backend scores every row on its own.
 PROMPTS_PER_BATCH = 16
-# Bytes of chain state, rows x trajectory floats, in one analytic sample
-# call; a view's rows are split into calls of at most this size.  Not a
-# setting: analytic rows do not depend on it.  Larger calls cost more per
-# run, as the sampler's per-step arrays grow and its 4 MiB noise buffer
-# holds fewer iterations per fill; above about 680 rows of 96 floats a
-# fill is too short to split over two threads (diffusion.SPLIT_FILL_FLOATS).
-# With the earlier 1 MiB buffer, on qualitative sweeps of 48 and 64
-# prompts (2-CPU host), 341-row calls ran 6-12% slower than 170-row calls,
-# and 2112-row calls about 30% slower than 264-row calls.
-ANALYTIC_CALL_BYTES = 1 << 17
 METRIC_FIELDS = ("ta1", "ta2", "ta_mean", "ic", "bc", "turning_frame", "occupancy2")
 RUNS_CSV_COLUMNS = (
     "run_id",
@@ -119,16 +109,17 @@ def fnv1a64(data: bytes, h: int = 0xCBF29CE484222325) -> int:
 
 
 def derive_seed(
-    base_seed: int, prompt_id: str, x_index: int, repeat_index: int,
-    setting_index: int = 0,
+    base_seed: int, prompt_id: str, repeat_index: int, setting_index: int = 0
 ) -> int:
     """Stable per-run sampler seed.
 
     FNV-1a over the canonical byte string
-    ``"{base_seed}|{prompt_id}|{x_index}|{repeat_index}|{setting_index}"``
-    (UTF-8); ``setting_index`` is 0 outside qualitative mode.
+    ``"{base_seed}|{prompt_id}|{repeat_index}|{setting_index}"`` (UTF-8);
+    ``setting_index`` is 0 outside qualitative mode.  The grid ratio is not
+    part of the key, so a prompt's runs at different ratios share their
+    noise.
     """
-    key = f"{base_seed}|{prompt_id}|{x_index}|{repeat_index}|{setting_index}"
+    key = f"{base_seed}|{prompt_id}|{repeat_index}|{setting_index}"
     return fnv1a64(key.encode("utf-8"))
 
 
@@ -250,33 +241,17 @@ class RunRecord:
     error: str | None = None  # kept programmatic; the CSV schema has no status column
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_metric_values = attrgetter(*METRIC_FIELDS)
+_NO_METRICS = (None,) * len(METRIC_FIELDS)
 
 
-def _record_to_row(rec: RunRecord) -> list[str]:
+def _record_to_row(rec: RunRecord) -> list:
+    """``rec`` as a ``runs.csv`` row.  The csv writer writes None as an
+    empty cell, a float as its ``repr`` and any other value as its ``str``."""
     m = rec.metrics
     return [
-        rec.run_id,
-        rec.mode,
-        rec.category,
-        rec.prompt_id,
-        rec.view,
-        _fmt(rec.x),
-        _fmt(rec.setting),
-        str(rec.seed),
-        _fmt(m.ta1 if m else None),
-        _fmt(m.ta2 if m else None),
-        _fmt(m.ta_mean if m else None),
-        _fmt(m.ic if m else None),
-        _fmt(m.bc if m else None),
-        _fmt(m.turning_frame if m else None),
-        _fmt(m.occupancy2 if m else None),
-        str(rec.wall_time_ms),
+        rec.run_id, rec.mode, rec.category, rec.prompt_id, rec.view, rec.x, rec.setting,
+        rec.seed, *(_NO_METRICS if m is None else _metric_values(m)), rec.wall_time_ms,
     ]
 
 
@@ -389,9 +364,8 @@ def open_checkpoint(path: str, records) -> DenoiserModel:
 def sample_runs(cfg: SweepConfig, model, sched, runs) -> np.ndarray:
     """Sample the trajectories of ``runs``, ``(record, x, setting, seed)``
     tuples of one frame dimension, as ``cfg.mode`` prescribes: in one
-    call through ``model`` or, when it is None, per view through the
-    analytic backend of that view's prompts, in calls of at most
-    ``ANALYTIC_CALL_BYTES`` of chain state.
+    call through ``model`` or, when it is None, in one call per view
+    through the analytic backend of that view's prompts.
 
     ``sched`` is ``cfg.noise_schedule()``; ``setting`` picks the qualitative
     schedule (1-4) and is None in the other modes.  Returns an array of
@@ -428,16 +402,13 @@ def sample_runs(cfg: SweepConfig, model, sched, runs) -> np.ndarray:
     for row, (record, *_) in enumerate(runs):
         views.setdefault(record.view, []).append(row)
     trajs = np.empty((len(runs), cfg.frames, first.frame_dim))
-    per_call = max(1, ANALYTIC_CALL_BYTES // trajs[0].nbytes)
-    for view, view_rows in views.items():
+    for view, rows in views.items():
         view_records = [record for record in records.values() if record.view == view]
         backend = backend_for_record(view_records, sched, cfg.frames, cfg.sigma, cfg.w_mix)
-        for start in range(0, len(view_rows), per_call):
-            rows = view_rows[start : start + per_call]
-            trajs[rows] = sample(
-                backend, [conditioning[r] for r in rows], [seeds[r] for r in rows],
-                cfg.guidance_scale,
-            )
+        trajs[rows] = sample(
+            backend, [conditioning[r] for r in rows], [seeds[r] for r in rows],
+            cfg.guidance_scale,
+        )
     return trajs
 
 
@@ -453,7 +424,6 @@ class _Job(NamedTuple):  # a tuple: one is built per run, and tuples build faste
     run_id: str
     prompt_id: str
     x: float
-    x_index: int
     repeat: int
     setting: int | None
     seed: int
@@ -540,24 +510,20 @@ def _run_in_worker(jobs) -> list[RunRecord]:
 def _plan_jobs(cfg: SweepConfig, records) -> list[_Job]:
     """The runs of ``records`` in enumeration order, each seeded with
     :func:`derive_seed`: the key's prompt prefix is hashed once per prompt
-    and continued over each run's suffix."""
+    and continued over each (repeat, setting) suffix, whose seed serves
+    every ratio of the grid."""
     settings = (1, 2, 3, 4) if cfg.mode == "qualitative" else (None,)
-    cells = [
-        (x_index, x, repeat, setting, f"{x_index}|{repeat}|{setting or 0}".encode())
-        for x_index, x in enumerate(cfg.grid)
-        for repeat in range(cfg.repeats)
-        for setting in settings
-    ]
+    draws = [(repeat, setting) for repeat in range(cfg.repeats) for setting in settings]
     jobs = []
     for record in records:
         prefix = fnv1a64(f"{cfg.base_seed}|{record.id}|".encode())
-        for x_index, x, repeat, setting, suffix in cells:
-            run_id = f"{cfg.mode}-{record.id}-x{x_index:02d}-r{repeat}"
-            if setting is not None:
-                run_id += f"-s{setting}"
-            jobs.append(
-                _Job(run_id, record.id, x, x_index, repeat, setting, fnv1a64(suffix, prefix))
-            )
+        seeds = [fnv1a64(f"{repeat}|{setting or 0}".encode(), prefix) for repeat, setting in draws]
+        for x_index, x in enumerate(cfg.grid):
+            for (repeat, setting), seed in zip(draws, seeds):
+                run_id = f"{cfg.mode}-{record.id}-x{x_index:02d}-r{repeat}"
+                if setting is not None:
+                    run_id += f"-s{setting}"
+                jobs.append(_Job(run_id, record.id, x, repeat, setting, seed))
     return jobs
 
 
@@ -658,13 +624,12 @@ def aggregate(records) -> list[AggregateRow]:
             continue
         key = (rec.mode, rec.category, rec.x, rec.setting)
         groups.setdefault(key, []).append(rec)
-    metric_values = attrgetter(*METRIC_FIELDS)
     rows = []
     by_length: dict[int, tuple[list, list]] = {}
     for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3] if k[3] is not None else -1)):
         members = sorted(groups[key], key=lambda r: r.run_id)
         stats: dict[str, tuple[float, float] | None] = dict.fromkeys(METRIC_FIELDS)
-        for metric, column in zip(METRIC_FIELDS, zip(*(metric_values(r.metrics) for r in members))):
+        for metric, column in zip(METRIC_FIELDS, zip(*(_metric_values(r.metrics) for r in members))):
             values = [v for v in column if v is not None]
             if values:
                 slots, lists = by_length.setdefault(len(values), ([], []))

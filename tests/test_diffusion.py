@@ -1,7 +1,5 @@
 """Forward noising, the reverse update rule, and the sampler loop."""
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -295,34 +293,50 @@ def test_sample_noise_streams_match_per_step_draws():
 @pytest.mark.parametrize("rows", [1, 2, 3, 7])
 @pytest.mark.parametrize(
     "dim",
-    [diffusion.SPLIT_FILL_FLOATS // 4, diffusion.SPLIT_FILL_FLOATS // 4 - 1, 256],
+    [192, 191, 256],
+    # ids kept from an earlier two-thread fill, which split the rows at 768
+    # floats a row: 192 and 191 floats put a 4-iteration row on either side
     ids=["split", "one_thread", "page_rows"],
 )
 def test_chain_draws_match_per_step_draws(monkeypatch, rows, dim):
-    # chunks of 4 iterations (4, 4, 3); a row's fill holds 4 * dim floats:
-    # right at the threshold, one iteration's worth of floats below it, or
-    # 8 KiB, a buffer row the sampler pads so that rows are not 4 KiB apart
-    split = 4 * dim >= diffusion.SPLIT_FILL_FLOATS
+    # seeds repeat non-adjacently from 3 rows up; chunks of 4 iterations
+    # (4, 4, 3); at 256 floats a buffer row is 8 KiB, which the sampler pads
+    # so that rows are not 4 KiB apart
+    seeds = [31, 36, 31, 41, 36, 46, 31][:rows]
     count = 11
-    monkeypatch.setattr(diffusion, "NOISE_BUFFER_BYTES", rows * dim * 8 * 4)
-    submitted = []
-
-    class CountingExecutor(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submitted.append(args)
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(diffusion, "ThreadPoolExecutor", CountingExecutor)
-    seeds = [31 + 5 * r for r in range(rows)]
+    monkeypatch.setattr(diffusion, "NOISE_BUFFER_BYTES", len(set(seeds)) * dim * 8 * 4)
     gens = [np.random.default_rng(seed) for seed in seeds]
-    got, row_strides = [], set()
-    for draw in diffusion._chain_draws(seeds, dim, count):
-        row_strides.add(draw.strides[0])
-        got.append(draw.copy())
     want = [np.stack([gen.standard_normal(dim) for gen in gens]) for _ in range(count)]
+    made, row_strides = [], set()
+    default_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            made.append(seed)
+            self.gen = default_rng(seed)
+
+        def standard_normal(self, out):
+            row_strides.add(out.base.strides[0])
+            return self.gen.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    got = [draw.copy() for draw in diffusion._chain_draws(seeds, dim, count)]
     assert np.stack(got).tobytes() == np.stack(want).tobytes()
-    assert len(submitted) == (3 if split and rows > 1 else 0)
+    assert sorted(made) == sorted(set(seeds))  # one generator per distinct seed
     assert all(stride % 4096 for stride in row_strides)
+
+
+def test_rows_sharing_a_seed_match_each_row_alone():
+    sched = build_schedule(10)
+    c1, c2 = compose_single([1.0]), compose_single([2.0])
+    schedules = [step_switch(x, 10, c1, c2) for x in (0.0, 0.3, 1.0, 0.6)]
+    seeds = [5, 9, 5, 5]
+    batch = sample(LinearBackend(sched, a=0.1, b=0.2), schedules, seeds)
+    alone = [
+        sample(LinearBackend(sched, a=0.1, b=0.2), [s], [seed])[0]
+        for s, seed in zip(schedules, seeds)
+    ]
+    assert batch.tobytes() == np.stack(alone).tobytes()
 
 
 def test_sample_with_a_single_step():
@@ -336,26 +350,22 @@ def test_sample_with_a_single_step():
     assert got.tobytes() == want.reshape(2, *backend.frame_shape).tobytes()
 
 
-def test_sample_joins_the_noise_helper_when_the_backend_raises():
+def test_sample_propagates_a_backend_error():
     sched = build_schedule(50)
     backend = LinearBackend(sched, dim=96)
-    during = []
+    calls = []
 
     def failing(z, t, conds, slots):
-        during.append(threading.active_count())
-        if len(during) == 3:
+        calls.append(t)
+        if len(calls) == 3:
             raise RuntimeError("backend failed")
         return np.zeros_like(z)
 
     backend.predict_eps = failing
     plans = [constant_schedule(50, compose_single([1.0]))] * 4
-    before = threading.active_count()
-    # the held traceback keeps the sampler's frame, and so its draws, alive
-    with pytest.raises(RuntimeError, match="backend failed") as failure:
-        sample(backend, plans, [1, 2, 3, 4])
-    assert during == [before + 1] * 3  # the helper was up while the chain ran
-    assert threading.active_count() == before
-    assert failure.traceback
+    with pytest.raises(RuntimeError, match="backend failed"):
+        sample(backend, plans, [1, 2, 1, 3])
+    assert calls == [49, 48, 47]
 
 
 def test_sample_rejects_malformed_batches():

@@ -80,17 +80,16 @@ class TestSeedDerivation:
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
     def test_derive_seed_matches_documented_key(self):
-        want = fnv1a64(b"11|mo-003|4|2|0")
-        assert derive_seed(11, "mo-003", 4, 2) == want
-        assert derive_seed(11, "mo-003", 4, 2, 0) == want
+        want = fnv1a64(b"11|mo-003|2|0")
+        assert derive_seed(11, "mo-003", 2) == want
+        assert derive_seed(11, "mo-003", 2, 0) == want
 
     def test_derive_seed_sensitivity(self):
-        base = derive_seed(1, "p", 0, 0)
-        assert derive_seed(2, "p", 0, 0) != base
-        assert derive_seed(1, "q", 0, 0) != base
-        assert derive_seed(1, "p", 1, 0) != base
-        assert derive_seed(1, "p", 0, 1) != base
-        assert derive_seed(1, "p", 0, 0, 3) != base
+        base = derive_seed(1, "p", 0)
+        assert derive_seed(2, "p", 0) != base
+        assert derive_seed(1, "q", 0) != base
+        assert derive_seed(1, "p", 1) != base
+        assert derive_seed(1, "p", 0, 3) != base
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +205,20 @@ class TestRunsCsv:
             rows = list(csv.reader(fh))
         assert rows[1][8:15] == [""] * 7
 
+    def test_row_bytes(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        write_runs_csv([
+            record_with("a", metrics=None, error="ValueError: boom"),
+            record_with("b", x=0.1 + 0.2, metrics=metrics_with(turning_frame=None)),
+            record_with("c", setting=3, mode="qualitative", metrics=metrics_with(ta1=0.25)),
+        ], path)
+        assert path.read_bytes().split(b"\r\n")[1:] == [
+            b"a,step_switch,General,p1,third,0.5,,7,,,,,,,,12",
+            b"b,step_switch,General,p1,third,0.30000000000000004,,7,0.5,0.6,0.55,0.9,0.8,,0.4,12",
+            b"c,qualitative,General,p1,third,0.5,3,7,0.25,0.6,0.425,0.9,0.8,3,0.4,12",
+            b"",
+        ]
+
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text("run_id,mode\nx,y\n")
@@ -231,16 +244,22 @@ class TestPlanning:
         assert len(jobs) == 2 * 3 * 2
         first = jobs[0]
         assert first.run_id == f"step_switch-{records[0].id}-x00-r0"
-        assert first.seed == derive_seed(0, records[0].id, 0, 0, 0)
+        assert first.seed == derive_seed(0, records[0].id, 0, 0)
         assert jobs[-1].x == 1.0 and jobs[-1].repeat == 1
         for base_seed in (0, -1, 2**70):
             for mode in ("step_switch", "qualitative"):
                 plan = _plan_jobs(dataclasses.replace(cfg, mode=mode, base_seed=base_seed), records)
                 assert len(plan) == len(jobs) * (4 if mode == "qualitative" else 1)
+                seeds = {}
                 for job in plan:
                     assert job.seed == derive_seed(
-                        base_seed, job.prompt_id, job.x_index, job.repeat, job.setting or 0
+                        base_seed, job.prompt_id, job.repeat, job.setting or 0
                     )
+                    seeds.setdefault((job.prompt_id, job.repeat, job.setting), set()).add(job.seed)
+                # a prompt's ratios share one seed; prompts, repeats and
+                # settings do not
+                assert all(len(group) == 1 for group in seeds.values())
+                assert len(set.union(*seeds.values())) == len(seeds)
 
     def test_qualitative_expands_settings(self):
         records = generate_suite(0)[:1]
@@ -435,9 +454,7 @@ class TestAnalyticGroups:
         return records[first - 3 : first + 4]
 
     @pytest.mark.parametrize("mode", ["step_switch", "qualitative"])
-    def test_batch_equals_prompts_sampled_alone(self, tmp_path, monkeypatch, mode):
-        import turnpoint.harness as harness
-
+    def test_batch_equals_prompts_sampled_alone(self, tmp_path, mode):
         records = self.egoexo_batch()
         assert {r.view for r in records} == {"first", "third"}
         cfg = small_cfg(tmp_path, mode=mode, grid=(0.0, 0.6, 1.0), repeats=2)
@@ -453,10 +470,6 @@ class TestAnalyticGroups:
         batch = sample_runs(cfg, None, sched, runs_of(records))
         alone = [sample_runs(cfg, None, sched, runs_of([r])) for r in records]
         assert batch.tobytes() == np.concatenate(alone).tobytes()
-        # a view's rows split over calls of 5 rows
-        monkeypatch.setattr(harness, "ANALYTIC_CALL_BYTES", 5 * batch[0].nbytes)
-        split = sample_runs(cfg, None, sched, runs_of(records))
-        assert split.tobytes() == batch.tobytes()
 
     def test_one_sample_call_per_view(self, tmp_path, monkeypatch):
         import turnpoint.harness as harness
