@@ -218,18 +218,24 @@ def sample(
     ``i`` denoises diffusion step ``t = N - 1 - i`` (``N`` the backend's
     step count) under row ``i`` of the plan's slot grid, or its only row; a
     grid of ``n_blocks`` columns needs a block-structured backend with as
-    many blocks.  The batch's distinct conditions are prepared once and
-    each step makes one prediction for every row.  Row ``b`` draws its
+    many blocks.  The batch's distinct conditions are prepared once.
+
+    Rows run as chains: rows that share a seed and have had equal slots at
+    every iteration so far are one chain.  At the first iteration where a
+    chain's rows get different slots, the chain splits and each part
+    continues from a copy of its state, so a batch of one prompt's grid
+    runs is a prefix tree.  Each step makes one prediction per chain, and
+    each row is gathered from its chain at the end.  Row ``b`` draws its
     start point and then its noise for each iteration but the last (whose
     update, at t = 0, adds none) from its own
     ``np.random.default_rng(seeds[b])``, so a row does not depend on the
-    other rows whenever the backend computes rows independently.  Rows
-    that share a seed share their noise, which is drawn once per distinct
-    seed, in chunks of up to 4 MiB (``NOISE_BUFFER_BYTES``).  Output is
-    bit-reproducible for fixed (seeds, conditioning, parameters); metric
-    code never touches the sampler's generators.
-    ``guidance_scale`` other than 1 mixes in the unconditioned prediction
-    (classifier-free guidance).
+    other rows whenever the backend computes rows independently.  The
+    noise is drawn once per distinct seed, in chunks of up to 4 MiB
+    (``NOISE_BUFFER_BYTES``).  Output is bit-reproducible for fixed
+    (seeds, conditioning, parameters); metric code never touches the
+    sampler's generators.  ``guidance_scale`` other than 1 mixes in the
+    unconditioned prediction (classifier-free guidance), made for the
+    same chains.
     """
     if not np.isfinite(guidance_scale) or guidance_scale < 0.0:
         raise ValueError("guidance_scale must be finite and >= 0")
@@ -265,23 +271,37 @@ def sample(
     conds, index = _condition_index(conditioning, n, n_blocks)
     guided = guidance_scale != 1.0
     if guided:
-        uncond_slots = np.full(rows, len(conds), dtype=np.intp)
         conds.append(unconditioned(width))
     prepared = denoiser.prepare(conds)
+    by_row = index.reshape(n, rows, -1)
+    # chains split only at the start and where some row's slots change
+    splits = {0, *(np.flatnonzero((by_row[1:] != by_row[:-1]).any(axis=(1, 2))) + 1).tolist()}
 
-    # a step's prediction is freed by its update, so two never coexist
-    def predict(z, t, i):
-        eps_hat = denoiser.predict_eps(z, t, prepared, index[i])
+    # before the first iteration each distinct seed is one chain;
+    # chain_seed is each chain's index into the distinct seeds
+    distinct: dict = {}
+    chain_of_row = np.array([distinct.setdefault(seed, len(distinct)) for seed in seeds])
+    chain_seed = np.arange(len(distinct))
+    draws = _chain_draws(list(distinct), denoiser.dim, n)
+    z = next(draws)  # overwritten by the next draw; the split at i = 0 copies it
+    for i in range(n):
+        t = n - 1 - i
+        if i in splits:
+            # one chain per distinct (chain, slots at i) row, a row's key as bytes
+            keys = np.column_stack([chain_of_row, by_row[i]])
+            keys = keys.view(np.dtype((np.void, keys.strides[0])))[:, 0]
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            parent = chain_of_row[first]
+            z, chain_seed, chain_of_row = z[parent], chain_seed[parent], inverse
+            slots = index[i][first]
+            if guided:
+                uncond_slots = np.full(len(first), len(conds) - 1, dtype=np.intp)
+        # a step's prediction is freed by its update, so two never coexist
+        eps_hat = denoiser.predict_eps(z, t, prepared, slots)
         if guided:
             eps_un = denoiser.predict_eps(z, t, prepared, uncond_slots)
             eps_hat = eps_un + guidance_scale * (eps_hat - eps_un)
-        return eps_hat
-
-    # the last step (t = 0, sigma_0 = 0) ignores its noise, so none is drawn
-    draws = _chain_draws(seeds, denoiser.dim, n)
-    z = next(draws).copy()
-    for i in range(n):
-        t = n - 1 - i
-        noise = next(draws) if t else np.zeros_like(z)
-        z = ancestral_step(z, t, predict(z, t, i), sched, noise)
-    return z.reshape(rows, *denoiser.frame_shape)
+        # the last step (t = 0, sigma_0 = 0) ignores its noise, so none is drawn
+        noise = next(draws)[chain_seed] if t else np.zeros_like(z)
+        z = ancestral_step(z, t, eps_hat, sched, noise)
+    return z[chain_of_row].reshape(rows, *denoiser.frame_shape)

@@ -127,6 +127,18 @@ def _default_grid() -> tuple[float, ...]:
     return tuple(i / 10 for i in range(11))
 
 
+_COUNT_FIELDS = ("suite_seed", "repeats", "base_seed", "workers", "n_steps", "frames")
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int; an integral float such as 16.0 reads as 16."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     mode: str = "step_switch"
@@ -148,6 +160,8 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
+        for name in _COUNT_FIELDS:
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.grid:

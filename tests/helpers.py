@@ -7,3 +7,18 @@ def block_vectors(plan) -> np.ndarray:
     """The condition vector of each block of a block plan, stacked to
     ``(n_blocks, cond_dim)``: the block stack ``neural.forward`` takes."""
     return np.stack([plan.conds[s].vector for s in plan.slots[0]])
+
+
+def chain_counts(plans, seeds, n_steps: int) -> list[int]:
+    """The chains ``diffusion.sample`` keeps at each iteration: rows with
+    equal seeds whose conditions agreed at every iteration so far, counted
+    row by row from the plans' conditions."""
+    prefixes = [(seed,) for seed in seeds]
+    counts = []
+    for i in range(n_steps):
+        prefixes = [
+            (*prefix, tuple(plan.conds[s].key() for s in plan.slots[min(i, len(plan.slots) - 1)]))
+            for prefix, plan in zip(prefixes, plans)
+        ]
+        counts.append(len(set(prefixes)))
+    return counts

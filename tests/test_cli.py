@@ -503,6 +503,35 @@ class TestSweepAndReport:
         cfg.write_text('{"grid": [0.9, 0.1]}')
         assert main(["sweep", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("frames", 8.5), ("repeats", 1.5), ("n_steps", 10.5), ("workers", True),
+         ("suite_seed", 0.5), ("base_seed", False), ("frames", "8")],
+    )
+    def test_non_integral_count_in_config_exits_1(self, small_suite, tmp_path, capsys,
+                                                  key, value):
+        cfg = tmp_path / "sweep.json"
+        out_dir = tmp_path / "s"
+        cfg.write_text(json.dumps({"suite": small_suite, "grid": [0.0, 1.0], "repeats": 1,
+                                   "n_steps": 4, "frames": 8, "out_dir": str(out_dir),
+                                   key: value}))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_integral_float_counts_read_as_ints(self, small_suite, tmp_path):
+        counts = {"repeats": 1, "n_steps": 4, "frames": 8, "workers": 1, "suite_seed": 0,
+                  "base_seed": 3}
+        runs = []
+        for name, values in (("ints", counts), ("floats", {k: float(v) for k, v in counts.items()})):
+            cfg = tmp_path / f"{name}.json"
+            out_dir = tmp_path / name
+            cfg.write_text(json.dumps({"suite": small_suite, "grid": [0.0, 1.0],
+                                       "out_dir": str(out_dir), **values}))
+            assert main(["sweep", "--config", str(cfg)]) == 0
+            runs.append([(r.run_id, r.seed, r.metrics) for r in read_runs_csv(out_dir / "runs.csv")])
+        assert len(runs[0]) == 6 and runs[0] == runs[1]
+
     def test_report_from_runs(self, small_suite, tmp_path):
         sweep_dir = tmp_path / "sweep"
         assert (

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import block_vectors
+from helpers import block_vectors, chain_counts
 from turnpoint.conditioning import (
     ConditionPlan,
     block_split,
@@ -16,6 +16,7 @@ from turnpoint.conditioning import (
 )
 from turnpoint import diffusion
 from turnpoint.analytic import AnalyticDenoiser
+from turnpoint.harness import backend_for_record
 from turnpoint.diffusion import (
     DenoiserBackend,
     NoiseSchedule,
@@ -25,6 +26,7 @@ from turnpoint.diffusion import (
     sample,
 )
 from turnpoint.neural import NeuralDenoiser, forward, init_model
+from turnpoint.worldgen import condition_of, generate_suite
 
 
 class LinearBackend:
@@ -37,6 +39,7 @@ class LinearBackend:
         self.a = a
         self.b = b
         self.calls = []
+        self.rows = []  # rows of every predict_eps call
 
     def eps_for(self, z, t, cond):
         self.calls.append((int(t), cond))
@@ -48,6 +51,7 @@ class LinearBackend:
     def predict_eps(self, z, t, conds, slots):
         # one eps_for query per condition in play, so the recorded calls
         # read as a per-condition log
+        self.rows.append(len(z))
         eps = np.empty_like(z)
         for slot in sorted(set(slots.tolist())):
             rows = np.flatnonzero(slots == slot)
@@ -335,6 +339,102 @@ def test_rows_sharing_a_seed_match_each_row_alone():
     alone = [
         sample(LinearBackend(sched, a=0.1, b=0.2), [s], [seed])[0]
         for s, seed in zip(schedules, seeds)
+    ]
+    assert batch.tobytes() == np.stack(alone).tobytes()
+
+
+def test_analytic_rows_sharing_seeds_match_each_row_alone():
+    # real mixture tables: event1 -> event2 switches on the one-component
+    # path, and a concat -> event2 switch on the two-component mixture path;
+    # a prompt's ratios share a seed, so x = 0 splits from its prompt's
+    # chain at iteration 0 and x = 1 never splits from it
+    sched = build_schedule(12)
+    records = [r for r in generate_suite(0) if r.view == "third"][:3]
+    backend = backend_for_record(records, sched, 8, 0.5)
+    plans, seeds = [], []
+    for p, record in enumerate(records):
+        e1, e2, both = (condition_of(record, w) for w in ("event1", "event2", "concat"))
+        for repeat in range(2):
+            plans += [step_switch(x, sched.n_steps, e1, e2) for x in (0.0, 0.25, 0.5, 1.0)]
+            plans.append(step_switch(0.5, sched.n_steps, both, e2))
+            seeds += [100 + 10 * p + repeat] * 5
+    rows = []
+    real = backend.predict_eps
+
+    def recorded(z, t, tables, slots):
+        rows.append(len(z))
+        return real(z, t, tables, slots)
+
+    backend.predict_eps = recorded
+    batch = sample(backend, plans, seeds)
+    assert rows == chain_counts(plans, seeds, sched.n_steps)
+    assert sum(rows) < len(plans) * sched.n_steps
+    backend.predict_eps = real
+    alone = [sample(backend, [plan], [seed])[0] for plan, seed in zip(plans, seeds)]
+    assert batch.tobytes() == np.stack(alone).tobytes()
+
+
+@pytest.mark.parametrize("guidance_scale", [1.0, 2.0])
+def test_checkpoint_duplicate_block_plans_match_each_row_alone(guidance_scale):
+    # floor(8x) repeats at x = 0.0/0.1 and 0.5/0.6, so each seed's 11 rows
+    # are 9 chains.  The reference samples each row as its own chain in a
+    # 19-row call: OpenBLAS rounds a one-row product differently from the
+    # same row in a product of 19 or more rows.
+    sched = build_schedule(8)
+    model = init_model(12, hidden=16, n_blocks=8, t_emb_dim=4, cond_width=1, seed=0)
+    model.flat[...] = np.random.default_rng(5).standard_normal(model.flat.shape) * 0.3
+    den = NeuralDenoiser(model, sched, (4, 3))
+    c1, c2 = compose_single([0.7]), compose_single([-0.7])
+    grid = [i / 10 for i in range(11)]
+    plans = [block_split(x, model.n_blocks, c1, c2) for _ in range(3) for x in grid]
+    seeds = [seed for seed in (7, 8, 9) for _ in grid]
+    assert chain_counts(plans, seeds, sched.n_steps) == [27] * sched.n_steps
+    batch = sample(den, plans, seeds, guidance_scale)
+    fillers = list(range(100, 118))
+    alone = [
+        sample(den, [plan] + plans[:18], [seed] + fillers, guidance_scale)[0]
+        for plan, seed in zip(plans, seeds)
+    ]
+    assert batch.tobytes() == np.stack(alone).tobytes()
+
+
+def test_rows_with_equal_plans_and_different_seeds_are_never_merged():
+    sched = build_schedule(6)
+    plans = [constant_schedule(6, compose_single([1.0]))] * 4
+    backend = LinearBackend(sched, a=0.1, b=0.2)
+    apart = sample(backend, plans, [1, 2, 3, 4])
+    assert backend.rows == [4] * 6
+    assert len({row.tobytes() for row in apart}) == 4
+    backend = LinearBackend(sched, a=0.1, b=0.2)
+    shared = sample(backend, plans, [1, 1, 1, 1])
+    assert backend.rows == [1] * 6
+    assert shared.tobytes() == np.stack([apart[0]] * 4).tobytes()
+
+
+@pytest.mark.parametrize("guidance_scale", [1.0, 2.0])
+def test_backend_predicts_one_row_per_chain_at_every_step(guidance_scale):
+    sched = build_schedule(10)
+    c1, c2, c3 = (compose_single([v]) for v in (1.0, 2.0, 3.0))
+    plans = [
+        step_switch(0.0, 10, c1, c2),
+        step_switch(0.3, 10, c1, c2),
+        step_switch(0.6, 10, c1, c2),
+        step_switch(1.0, 10, c1, c2),
+        step_switch(0.3, 10, c1, c3),
+        step_switch(0.3, 10, c1, c2),
+        step_switch(0.6, 10, c1, c2),
+        constant_schedule(10, c1),
+    ]
+    seeds = [5, 5, 5, 5, 5, 6, 6, 6]
+    backend = LinearBackend(sched, a=0.1, b=0.2)
+    batch = sample(backend, plans, seeds, guidance_scale)
+    counts = chain_counts(plans, seeds, sched.n_steps)
+    assert counts == [3] * 3 + [6] * 3 + [8] * 4
+    per_step = 2 if guidance_scale != 1.0 else 1  # the unconditioned prediction too
+    assert backend.rows == [c for c in counts for _ in range(per_step)]
+    alone = [
+        sample(LinearBackend(sched, a=0.1, b=0.2), [plan], [seed], guidance_scale)[0]
+        for plan, seed in zip(plans, seeds)
     ]
     assert batch.tobytes() == np.stack(alone).tobytes()
 

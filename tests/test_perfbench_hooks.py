@@ -7,9 +7,11 @@ would otherwise only fail the benchmark's own smoke test.
 import importlib.util
 from pathlib import Path
 
+from helpers import chain_counts
 from turnpoint import harness, neural
+from turnpoint.conditioning import block_split, step_switch
 from turnpoint.neural import init_model, save_checkpoint
-from turnpoint.worldgen import generate_suite
+from turnpoint.worldgen import condition_of, generate_suite
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,18 +35,27 @@ def test_tracer_instruments_and_restores_the_package():
     assert (neural.AdamState.update, neural.loss_and_grads, neural.save_checkpoint) == originals
 
 
+def distinct_chain_rows(out, record, plan_at, n_steps) -> int:
+    """Rows the sampler predicts for one prompt's runs ``out``: one per
+    distinct chain at each step."""
+    plans = [plan_at(r.x, condition_of(record, "event1"), condition_of(record, "event2"))
+             for r in out]
+    return sum(chain_counts(plans, [r.seed for r in out], n_steps))
+
+
 def test_traced_layers_stay_on_the_analytic_sweep_path(tmp_path):
-    # one prompt is one batch: one prediction and one update per step
-    # for the whole batch, and one metrics call
+    # one prompt is one batch: one prediction and one update per step for
+    # the batch's distinct chains, and one metrics call
     tracer_module = load_tracer_module()
     cfg = harness.SweepConfig(
         mode="step_switch", grid=(0.0, 0.5, 1.0), repeats=2, n_steps=10,
         frames=4, out_dir=str(tmp_path / "out"),
     )
+    records = generate_suite(0)[:1]
     tracer = tracer_module.Tracer()
     try:
         tracer_module.instrument(tracer)
-        out = harness.run_sweep(cfg, generate_suite(0)[:1])
+        out = harness.run_sweep(cfg, records)
     finally:
         tracer.restore()
     tracer.fold()
@@ -53,7 +64,13 @@ def test_traced_layers_stay_on_the_analytic_sweep_path(tmp_path):
     assert len(out) == 6 and all(r.error is None for r in out)
     assert calls["diffusion.sample"] == 1
     assert calls["analytic.predict_eps"] == cfg.n_steps
-    assert rows["analytic.predict_eps"] == cfg.n_steps * len(out)
+    # per repeat, the x = 0 chain and the shared x = 0.5/1 chain for 5
+    # steps, then three chains: 5 * 2 + 5 * 3
+    chain_rows = distinct_chain_rows(
+        out, records[0], lambda x, c1, c2: step_switch(x, cfg.n_steps, c1, c2), cfg.n_steps
+    )
+    assert chain_rows == 2 * (5 * 2 + 5 * 3)
+    assert rows["analytic.predict_eps"] == chain_rows
     assert calls["diffusion.ancestral_step"] == cfg.n_steps
     assert calls["metrics.evaluate"] == 1
 
@@ -82,3 +99,32 @@ def test_traced_layers_stay_on_the_checkpoint_sweep_path(tmp_path):
     assert calls["neural.forward"] == cfg.n_steps
     assert rows["neural.forward"] == cfg.n_steps * len(out)
     assert calls["diffusion.ancestral_step"] == cfg.n_steps
+
+
+def test_traced_forward_rows_count_distinct_chains_on_a_checkpoint(tmp_path):
+    # at 2 blocks, x = 0.0 and 0.1 both give floor(2x) = 0: one block plan,
+    # so a repeat's three runs are two chains
+    tracer_module = load_tracer_module()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_model(8 * 6, hidden=4, n_blocks=2, t_emb_dim=4, cond_width=7), path)
+    cfg = harness.SweepConfig(
+        mode="block_split", backend=str(path), grid=(0.0, 0.1, 1.0), repeats=2,
+        n_steps=10, frames=8, out_dir=str(tmp_path / "out"),
+    )
+    records = generate_suite(0)[:1]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.instrument(tracer)
+        out = harness.run_sweep(cfg, records)
+    finally:
+        tracer.restore()
+    tracer.fold()
+    calls = {name: acc[0] for name, acc in tracer.totals.items()}
+    rows = {name: acc[3] for name, acc in tracer.totals.items()}
+    assert len(out) == 6 and all(r.error is None for r in out)
+    chain_rows = distinct_chain_rows(
+        out, records[0], lambda x, c1, c2: block_split(x, 2, c1, c2), cfg.n_steps
+    )
+    assert chain_rows == cfg.n_steps * 2 * 2
+    assert calls["neural.forward"] == cfg.n_steps
+    assert rows["neural.forward"] == chain_rows
