@@ -18,6 +18,7 @@ import time
 from .harness import (
     ConfigurationError,
     SweepConfig,
+    _count,
     aggregate,
     load_config,
     load_sweep_config,
@@ -114,7 +115,8 @@ _TRAIN_OPTIMIZER_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 _TRAIN_KEYS = {
     *_TRAIN_DATA_KEYS, "diffusion_steps", *_TRAIN_MODEL_KEYS, "init_seed", *_TRAIN_OPTIMIZER_KEYS
 }
-# truncated to int, so 16.0 reads as 16
+# read as sweep counts are (harness._count): 16.0 reads as 16, and 6.5 or
+# true exits 1
 _TRAIN_COUNT_KEYS = (
     "frames", "diffusion_steps", "hidden", "n_blocks", "t_emb_dim", "init_seed",
     "batch_size", "steps", "seed",
@@ -130,7 +132,9 @@ def _cmd_train(args) -> int:
         return {key: config[key] for key in keys if key in config}
 
     try:
-        config.update({key: int(config[key]) for key in _TRAIN_COUNT_KEYS if key in config})
+        config.update(
+            {key: _count(key, config[key]) for key in _TRAIN_COUNT_KEYS if key in config}
+        )
         steps = config.get("diffusion_steps", SweepConfig.n_steps)
         data = SweepConfig(n_steps=steps, **given(_TRAIN_DATA_KEYS))
         sched = data.noise_schedule()
@@ -155,7 +159,9 @@ def _cmd_train(args) -> int:
 
     start = time.perf_counter()
     grad_norms: list[float] = []
-    model, trace = train(model, sampler, train_cfg, sched, grad_norms=grad_norms)
+    timings: dict[str, float] = {}
+    model, trace = train(model, sampler, train_cfg, sched, grad_norms=grad_norms,
+                         timings=timings)
     seconds = time.perf_counter() - start
     save_checkpoint(model, args.out)
     steps_per_s = train_cfg.steps / seconds
@@ -163,6 +169,7 @@ def _cmd_train(args) -> int:
         "steps": train_cfg.steps,
         "train_s": seconds,
         "steps_per_s": steps_per_s,
+        **timings,
         "trace": [[step, loss, norm] for (step, loss), norm in zip(trace, grad_norms)],
     }
     log_path = os.path.join(os.path.dirname(args.out), "train_log.json")

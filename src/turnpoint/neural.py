@@ -28,12 +28,24 @@ conditions, and the bias is then a snapshot of the model.  Training
 (:func:`loss_and_grads`) runs on the transposed views themselves, since
 one step does not repay the copies; from 19 rows up both give the same
 bits (see :func:`condition_bias`).
+
+The body adds each block's time term ``W_t t_emb`` to its condition term
+before the block's product, in place when the terms are that forward
+pass's own: training's per-call projection and a sampling step's gather.
+It never writes into a :class:`ConditionBias` a caller passed in.  In
+training every block of a row sees the row's one condition, so
+:func:`train` hands :func:`loss_and_grads` block-shared ``(n, cond_dim)``
+conditions, which are projected and differentiated without a per-block
+copy, and it embeds the steps through a table built once per call.  Each
+product and sum runs in the order of the per-block form, so the bits
+are those of conditions repeated over the blocks.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -211,6 +223,10 @@ class ConditionBias:
     snapshot of the model at projection time, like ``terms``.  The
     bias :func:`loss_and_grads` builds holds views of the model's
     parameters instead: its one forward pass does not repay the copies.
+
+    ``scratch`` marks terms that belong to one forward pass, which then
+    adds its time term into them in place; a bias that
+    :func:`condition_bias` returns is not scratch, so it can be reused.
     """
 
     terms: np.ndarray  # (n_blocks, rows, hidden)
@@ -219,21 +235,13 @@ class ConditionBias:
     blocks: tuple  # per block (w_h, w_t, w2, b2), matrices (in, out)
     w_out: np.ndarray  # (hidden, dim)
     b_out: np.ndarray  # (dim,)
+    scratch: bool = False
 
 
-def _condition_bias(model, block_conds, rows: int, take) -> ConditionBias:
-    """:func:`condition_bias` with the weight operands passed through
-    ``take``, which copies them or, as ``np.asarray``, keeps views."""
-    full = (rows, model.n_blocks, model.cond_dim)
-    conds = np.asarray(block_conds, dtype=np.float64)
-    if conds.ndim == 3 and conds.shape[0] != rows:
-        raise ValueError(f"{conds.shape[0]} block assignments for {rows} latents")
-    if not 1 <= conds.ndim <= 3 or conds.shape != full[3 - conds.ndim:]:
-        raise ValueError(
-            f"block conditions have shape {conds.shape}; expected (cond_dim,), "
-            f"(n_blocks, cond_dim) or (n, n_blocks, cond_dim) of {full}"
-        )
-    by_block = np.ascontiguousarray(np.broadcast_to(conds, full).transpose(1, 0, 2))
+def _condition_bias(model, by_block, rows: int, take, scratch=False) -> ConditionBias:
+    """Project ``by_block[j]``, block j's ``(rows, cond_dim)`` conditions, and
+    pass the weight operands through ``take``, which copies them or, as
+    ``np.asarray``, keeps views."""
     terms = np.empty((model.n_blocks, rows, model.hidden))
     for term, c, blk in zip(terms, by_block, model.blocks):
         np.matmul(c, blk.w_c.T, out=term)
@@ -244,7 +252,7 @@ def _condition_bias(model, block_conds, rows: int, take) -> ConditionBias:
         for blk in model.blocks
     )
     return ConditionBias(terms, take(model.w_in.T), take(model.b_in), blocks,
-                         take(model.w_out.T), take(model.b_out))
+                         take(model.w_out.T), take(model.b_out), scratch)
 
 
 def condition_bias(model, block_conds, rows: int) -> ConditionBias:
@@ -273,32 +281,48 @@ def condition_bias(model, block_conds, rows: int) -> ConditionBias:
     in its own orientation, because a contiguous copy of ``w_t.T`` rounds
     the one-row time term of a sampling step differently at any row count.
     """
-    return _condition_bias(model, block_conds, rows, lambda a: np.array(a, order="C"))
+    full = (rows, model.n_blocks, model.cond_dim)
+    conds = np.asarray(block_conds, dtype=np.float64)
+    if conds.ndim == 3 and conds.shape[0] != rows:
+        raise ValueError(f"{conds.shape[0]} block assignments for {rows} latents")
+    if not 1 <= conds.ndim <= 3 or conds.shape != full[3 - conds.ndim:]:
+        raise ValueError(
+            f"block conditions have shape {conds.shape}; expected (cond_dim,), "
+            f"(n_blocks, cond_dim) or (n, n_blocks, cond_dim) of {full}"
+        )
+    by_block = np.ascontiguousarray(np.broadcast_to(conds, full).transpose(1, 0, 2))
+    return _condition_bias(model, by_block, rows, lambda a: np.array(a, order="C"))
 
 
-def _forward_batch(model, z, t, bias, keep_cache=False):
+def _forward_batch(model, z, t, bias, keep_cache=False, temb=None):
     """Batched forward pass, the one block body of inference and training.
 
     z (n, dim), t one step or one per row, ``bias`` a :class:`ConditionBias`
     for n rows, whose weight operands it runs with, or condition arrays
-    that :func:`condition_bias` takes.  Returns (eps, cache) where cache
-    holds what backprop needs: per-block (h, s), the time embedding and
-    the final hidden state.
+    that :func:`condition_bias` takes.  ``temb`` is ``t``'s time embedding
+    if the caller has it.  Each block adds its time term to its condition
+    term, in place where the bias is ``scratch``.  Returns (eps, cache)
+    where cache holds what backprop needs: per-block (h, s), the time
+    embedding and the final hidden state.
     """
     if not isinstance(bias, ConditionBias):
-        bias = condition_bias(model, bias, z.shape[0])
-    temb = timestep_embedding(t, model.t_emb_dim)
+        bias = replace(condition_bias(model, bias, z.shape[0]), scratch=True)
+    if temb is None:
+        temb = timestep_embedding(t, model.t_emb_dim)
     h = z @ bias.w_in
     h += bias.b_in
     cache = []
     for term, (w_h, w_t, w2, b2) in zip(bias.terms, bias.blocks):
+        term = np.add(term, temb @ w_t, out=term if bias.scratch else None)
         s = h @ w_h
-        s += term + temb @ w_t
+        s += term
         np.tanh(s, out=s)
         if keep_cache:
             cache.append((h, s))
-        h = h + s @ w2
-        h += b2
+        h_next = s @ w2
+        h_next += h
+        h_next += b2
+        h = h_next
     eps = h @ bias.w_out
     eps += bias.b_out
     return eps, (cache, temb, h)
@@ -325,57 +349,81 @@ def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds) -> np.ndarray
     return eps[0] if z_t.ndim == 1 else eps
 
 
-def loss_and_grads(model, z0, t, eps, block_conds, sched):
+def loss_and_grads(model, z0, t, eps, block_conds, sched, *, temb_table=None):
     """Denoising MSE and exact parameter gradients for one batch.
 
-    z0 (n, dim), t (n,), eps (n, dim), block_conds (n, B, cond_dim).  The
+    z0 (n, dim), t (n,), eps (n, dim).  ``block_conds`` is (n, cond_dim),
+    one condition that every block of a row shares, as in training, or
+    (n, n_blocks, cond_dim), one per block; the same conditions give the
+    same bits either way.  ``temb_table`` is
+    ``timestep_embedding(np.arange(sched.n_steps), model.t_emb_dim)``,
+    which :func:`train` builds once; it is built here when not given.  The
     loss is the mean squared error, over all n * dim entries, between
     ``eps`` and the model's prediction at ``forward_noise(z0, t, eps)``.
     Returns (loss, grad) with grad one vector laid out like ``model.flat``.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
+    conds = np.asarray(block_conds, dtype=np.float64)
     t = np.asarray(t)
     n = z0.shape[0]
     if n < 1:
         raise ValueError("batch must contain at least one example")
     if z0.shape != (n, model.dim) or eps.shape != z0.shape:
         raise ValueError("z0 and eps must both have shape (n, dim)")
-    if block_conds.shape != (n, model.n_blocks, model.cond_dim):
+    # by_block[j] is block j's (n, cond_dim) conditions, C-contiguous in
+    # both forms, so both make the same products with the same bits
+    if conds.shape == (n, model.cond_dim):
+        by_block = [np.ascontiguousarray(conds)] * model.n_blocks
+    elif conds.shape == (n, model.n_blocks, model.cond_dim):
+        by_block = np.ascontiguousarray(conds.transpose(1, 0, 2))
+    else:
         raise ValueError(
-            f"block conditions must have shape {(n, model.n_blocks, model.cond_dim)}, "
-            f"got {block_conds.shape}"
+            f"block conditions must have shape {(n, model.cond_dim)} or "
+            f"{(n, model.n_blocks, model.cond_dim)}, got {conds.shape}"
         )
     z_t = forward_noise(z0, t, eps, sched)
+    if temb_table is None:
+        temb_table = timestep_embedding(np.arange(sched.n_steps), model.t_emb_dim)
     # views, not copies: one training step does not repay copying the weights
-    bias = _condition_bias(model, block_conds, n, np.asarray)
-    pred, (cache, temb, h_last) = _forward_batch(model, z_t, t, bias, keep_cache=True)
-    resid = pred - eps
+    bias = _condition_bias(model, by_block, n, np.asarray, scratch=True)
+    pred, (cache, temb, h_last) = _forward_batch(
+        model, z_t, t, bias, keep_cache=True, temb=temb_table[t]
+    )
+    resid = np.subtract(pred, eps, out=pred)
     loss = float(np.mean(resid * resid))
     if not np.isfinite(loss):
         raise TrainingError("non-finite training loss")
 
     grad = np.empty_like(model.flat)
     g = model.views(grad)
-    d_pred = (2.0 / resid.size) * resid
+    d_pred = resid  # scaled in place: the loss has been read
+    d_pred *= 2.0 / resid.size
     np.matmul(d_pred.T, h_last, out=g["w_out"])
-    np.sum(d_pred, axis=0, out=g["b_out"])
+    np.add.reduce(d_pred, axis=0, out=g["b_out"])
     dh = d_pred @ model.w_out
+    # per-call scratch for the elementwise work of every block
+    da, buf = np.empty_like(dh), np.empty_like(dh)
     hidden, t_end = model.hidden, model.hidden + model.t_emb_dim
     for j in range(model.n_blocks - 1, -1, -1):
         blk = model.blocks[j]
         h, s = cache[j]
         g_w1 = g[f"blocks.{j}.w1"]
         np.matmul(dh.T, s, out=g[f"blocks.{j}.w2"])
-        np.sum(dh, axis=0, out=g[f"blocks.{j}.b2"])
-        da = (dh @ blk.w2) * (1.0 - s * s)
+        np.add.reduce(dh, axis=0, out=g[f"blocks.{j}.b2"])
+        # da = (dh @ w2) * (1 - s * s)
+        np.matmul(dh, blk.w2, out=da)
+        np.multiply(s, s, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        da *= buf
         np.matmul(da.T, h, out=g_w1[:, :hidden])
         np.matmul(da.T, temb, out=g_w1[:, hidden:t_end])
-        np.matmul(da.T, block_conds[:, j, :], out=g_w1[:, t_end:])
-        np.sum(da, axis=0, out=g[f"blocks.{j}.b1"])
-        dh = dh + da @ blk.w_h
+        np.matmul(da.T, by_block[j], out=g_w1[:, t_end:])
+        np.add.reduce(da, axis=0, out=g[f"blocks.{j}.b1"])
+        np.matmul(da, blk.w_h, out=buf)
+        dh += buf
     np.matmul(dh.T, z_t, out=g["w_in"])
-    np.sum(dh, axis=0, out=g["b_in"])
+    np.add.reduce(dh, axis=0, out=g["b_in"])
     return loss, grad
 
 
@@ -443,7 +491,7 @@ class AdamState:
 
 
 def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
-          grad_norms: list | None = None):
+          grad_norms: list | None = None, timings: dict | None = None):
     """Denoising-MSE training loop.
 
     ``data_sampler(rng, n)`` must yield ``(z0, cond_vectors)`` with shapes
@@ -452,12 +500,21 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
     only.  Deterministic for a fixed config; aborts on divergence.
     Returns ``(model, trace)`` where trace holds (step, loss) every 100
     steps.  A ``grad_norms`` list receives, at those same steps, the
-    global norm of the gradient the step applies.
+    global norm of the gradient the step applies.  A ``timings`` dict
+    receives the seconds spent drawing batches, their steps and noise
+    (``draw_s``), in :func:`loss_and_grads` (``loss_and_grads_s``) and in
+    the rest of each step: the Adam update, the EMA if one is kept, and
+    the trace (``adam_s``).
     """
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(model)
     ema = model.flat.copy() if cfg.ema_decay is not None else None
+    temb_table = timestep_embedding(np.arange(sched.n_steps), model.t_emb_dim)
     trace: list[tuple[int, float]] = []
+    # back-to-back intervals, so that the three parts add up to the loop
+    clock = time.perf_counter
+    draw_s = grads_s = adam_s = 0.0
+    mark = clock()
     for step in range(cfg.steps):
         z0, conds = data_sampler(rng, cfg.batch_size)
         if conds.shape != (len(z0), model.cond_dim):
@@ -467,8 +524,9 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
             )
         t = rng.integers(0, sched.n_steps, size=len(z0))
         eps = rng.standard_normal(z0.shape)
-        block_conds = np.repeat(conds[:, None, :], model.n_blocks, axis=1)
-        loss, grad = loss_and_grads(model, z0, t, eps, block_conds, sched)
+        drawn = clock()
+        loss, grad = loss_and_grads(model, z0, t, eps, conds, sched, temb_table=temb_table)
+        done = clock()
         if loss > DIVERGENCE_LIMIT:
             raise TrainingError(f"training diverged at step {step}: loss={loss:.3e}")
         if step % 100 == 0:
@@ -479,8 +537,14 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
         if ema is not None:
             ema *= cfg.ema_decay
             ema += (1.0 - cfg.ema_decay) * model.flat
+        draw_s += drawn - mark
+        grads_s += done - drawn
+        mark = clock()
+        adam_s += mark - done
     if ema is not None:
         model.flat[...] = ema
+    if timings is not None:
+        timings.update(draw_s=draw_s, loss_and_grads_s=grads_s, adam_s=adam_s)
     return model, trace
 
 
@@ -591,5 +655,6 @@ class NeuralDenoiser:
         slots = np.asarray(slots)
         n = self._model.n_blocks
         per_block = np.broadcast_to(slots.reshape(len(slots), -1), (len(slots), n)).T
-        bias = replace(slot_bias, terms=slot_bias.terms[np.arange(n)[:, None], per_block])
+        terms = slot_bias.terms[np.arange(n)[:, None], per_block]
+        bias = replace(slot_bias, terms=terms, scratch=True)
         return forward(self._model, z, t, self._sched, bias)

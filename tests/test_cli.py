@@ -170,13 +170,20 @@ class TestTrain:
         # suite events carry 2 appearance features -> 6 numbers per frame
         assert model.dim == 6 * (2 + 2 * 2)
         log = json.loads(Path(tiny_checkpoint).with_name("train_log.json").read_text())
-        assert set(log) == {"steps", "train_s", "steps_per_s", "trace"}
+        assert set(log) == {"steps", "train_s", "steps_per_s", "draw_s", "loss_and_grads_s",
+                            "adam_s", "trace"}
         assert log["steps"] == 60
         assert math.isfinite(log["train_s"]) and log["train_s"] > 0
         assert log["steps_per_s"] == pytest.approx(60 / log["train_s"])
         # (step, loss, grad_norm) every 100 steps
         assert [step for step, _, _ in log["trace"]] == [0]
         assert all(math.isfinite(loss) for _, loss, _ in log["trace"])
+
+    def test_log_says_where_the_time_went(self, tiny_checkpoint):
+        log = json.loads(Path(tiny_checkpoint).with_name("train_log.json").read_text())
+        parts = [log[key] for key in ("draw_s", "loss_and_grads_s", "adam_s")]
+        assert all(part > 0 for part in parts)
+        assert sum(parts) == pytest.approx(log["train_s"], rel=0.05)
 
     def test_log_records_gradient_norms(self, tiny_checkpoint):
         log = json.loads(Path(tiny_checkpoint).with_name("train_log.json").read_text())
@@ -211,6 +218,36 @@ class TestTrain:
         assert code == 1
         assert f"{next(iter(bad))} must be finite and > 0" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("frames", 6.5), ("steps", 2.9), ("batch_size", True), ("hidden", 8.5),
+         ("diffusion_steps", "6"), ("seed", False), ("init_seed", 0.5)],
+    )
+    def test_non_integral_count_in_config_exits_1(self, small_suite, tmp_path, capsys,
+                                                  key, value):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"suite": small_suite, "frames": 6, "hidden": 8,
+                                   "n_blocks": 2, "diffusion_steps": 6, "steps": 2,
+                                   "batch_size": 4, key: value}))
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
+    def test_integral_float_counts_read_as_ints(self, small_suite, tmp_path):
+        counts = {"frames": 6, "hidden": 8, "n_blocks": 2, "t_emb_dim": 4,
+                  "diffusion_steps": 6, "steps": 3, "batch_size": 4, "seed": 1,
+                  "init_seed": 2}
+        blobs = []
+        for name, values in (("ints", counts), ("floats", {k: float(v) for k, v in counts.items()})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"suite": small_suite, **values}))
+            (tmp_path / name).mkdir()
+            out = tmp_path / name / "m.ckpt"
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_missing_config_file(self, tmp_path):
         code = main(

@@ -304,6 +304,44 @@ def test_loss_and_grads_match_unsplit_reference():
     np.testing.assert_allclose(grad, want_grad, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3, 20])
+def test_block_shared_conditions_equal_their_repeat_bit_for_bit(n):
+    # train passes (n, cond_dim); the explicit per-block repeat is the reference
+    m = random_model()
+    sched = build_schedule(10)
+    z0, t, eps, _ = batch_inputs(m, n=n)
+    conds = np.random.default_rng(5).standard_normal((n, m.cond_dim))
+    repeat = np.repeat(conds[:, None, :], m.n_blocks, axis=1)
+    loss, grad = loss_and_grads(m, z0, t, eps, conds, sched)
+    want_loss, want_grad = loss_and_grads(m, z0, t, eps, repeat, sched)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_loss_and_grads_rejects_conditions_of_other_widths():
+    m = random_model()
+    sched = build_schedule(10)
+    z0, t, eps, block_conds = batch_inputs(m, n=4)
+    with pytest.raises(ValueError, match="block conditions must have shape"):
+        loss_and_grads(m, z0, t, eps, block_conds[:, 0, :-1], sched)
+    with pytest.raises(ValueError, match="block conditions must have shape"):
+        loss_and_grads(m, z0, t, eps, block_conds[:3], sched)
+
+
+def test_forward_leaves_a_callers_bias_unchanged():
+    # the time term is added into terms a forward pass owns, never into these
+    m = random_model()
+    sched = build_schedule(10)
+    z = np.random.default_rng(4).standard_normal((3, m.dim))
+    conds = np.random.default_rng(5).standard_normal((3, m.n_blocks, m.cond_dim))
+    bias = condition_bias(m, conds, 3)
+    terms = bias.terms.copy()
+    first = forward(m, z, 7, sched, bias)
+    assert bias.terms.tobytes() == terms.tobytes()
+    assert forward(m, z, 7, sched, bias).tobytes() == first.tobytes()
+    assert forward(m, z, 7, sched, conds).tobytes() == first.tobytes()
+
+
 def test_loss_matches_manual_mse():
     m = tiny_model()
     rng = np.random.default_rng(3)
@@ -420,6 +458,46 @@ def test_train_records_gradient_norms_at_trace_steps():
     _, grad = loss_and_grads(fresh, z0, t, eps, block_conds, sched)
     assert norms[0] == np.linalg.norm(grad)
     assert all(math.isfinite(n) and n > 0 for n in norms)
+
+
+def reference_train(model, draw, cfg, sched):
+    """The training loop written out: every block gets the example's
+    condition as an explicit (n, n_blocks, cond_dim) repeat."""
+    rng = np.random.default_rng(cfg.seed)
+    adam = AdamState(model)
+    trace = []
+    for step in range(cfg.steps):
+        z0, conds = draw(rng, cfg.batch_size)
+        t = rng.integers(0, sched.n_steps, size=len(z0))
+        eps = rng.standard_normal(z0.shape)
+        block_conds = np.repeat(conds[:, None, :], model.n_blocks, axis=1)
+        loss, grad = loss_and_grads(model, z0, t, eps, block_conds, sched)
+        if step % 100 == 0:
+            trace.append((step, loss))
+        adam.update(model, grad, cfg)
+    return model, trace
+
+
+@pytest.mark.parametrize("batch_size", [5, 24])
+def test_train_equals_the_reference_loop_bit_for_bit(batch_size):
+    sched = build_schedule(12)
+    cfg = TrainConfig(steps=201, batch_size=batch_size, seed=4)
+    rng = np.random.default_rng(7)
+    m = init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=2)
+    means = rng.standard_normal((4, m.dim))
+    vectors = rng.standard_normal((4, m.cond_dim))
+
+    def draw(rng, n):
+        pick = rng.integers(0, 4, size=n)
+        return means[pick] + 0.3 * rng.standard_normal((n, m.dim)), vectors[pick]
+
+    ref = init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=2)
+    ref, want = reference_train(ref, draw, cfg, sched)
+    got_model, got = train(m, draw, cfg, sched)
+    assert [step for step, _ in got] == [0, 100, 200]
+    assert np.array([loss for _, loss in got]).tobytes() == np.array(
+        [loss for _, loss in want]).tobytes()
+    assert got_model.flat.tobytes() == ref.flat.tobytes()
 
 
 def test_train_divergence_abort():

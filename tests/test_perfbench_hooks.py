@@ -7,10 +7,13 @@ would otherwise only fail the benchmark's own smoke test.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from helpers import chain_counts
 from turnpoint import harness, neural
 from turnpoint.conditioning import block_split, step_switch
-from turnpoint.neural import init_model, save_checkpoint
+from turnpoint.diffusion import build_schedule
+from turnpoint.neural import TrainConfig, init_model, save_checkpoint
 from turnpoint.worldgen import condition_of, generate_suite
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -128,3 +131,25 @@ def test_traced_forward_rows_count_distinct_chains_on_a_checkpoint(tmp_path):
     assert chain_rows == cfg.n_steps * 2 * 2
     assert calls["neural.forward"] == cfg.n_steps
     assert rows["neural.forward"] == chain_rows
+
+
+def test_traced_train_counts_one_gradient_and_one_update_per_step():
+    # the benchmark's training per-layer numbers are read from these spans
+    tracer_module = load_tracer_module()
+    model = init_model(6, hidden=4, n_blocks=2, t_emb_dim=4, cond_width=1, seed=0)
+
+    def draw(rng, n):
+        return rng.standard_normal((n, model.dim)), rng.standard_normal((n, model.cond_dim))
+
+    k = 7
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.instrument(tracer)
+        neural.train(model, draw, TrainConfig(steps=k, batch_size=4), build_schedule(10))
+    finally:
+        tracer.restore()
+    tracer.fold()
+    calls = {name: acc[0] for name, acc in tracer.totals.items()}
+    assert calls["neural.train"] == 1
+    assert calls["neural.loss_and_grads"] == k
+    assert calls["neural.adam_update"] == k
