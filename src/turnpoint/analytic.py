@@ -56,7 +56,15 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Diagonal-covariance mixture: weights (K,), means (K, D), variances (K, D)."""
+    """Diagonal-covariance mixture: weights (K,), means (K, D), variances (K, D).
+
+    The constructor checks the shapes and, through :func:`_check_mixture`,
+    the values, and keeps read-only copies with the variances floored at
+    :data:`VARIANCE_FLOOR`.  The mixtures of
+    :func:`~turnpoint.worldgen.suite_training_pairs` are built without it:
+    their stacked arrays are checked once where they are built, and each
+    mixture's arrays are read-only views into those stacks.
+    """
 
     weights: np.ndarray
     means: np.ndarray
@@ -76,15 +84,7 @@ class GaussianMixture:
             raise ValueError(
                 f"variances shape {var.shape} must match means shape {mu.shape}"
             )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
-            raise ValueError("mixture parameters contain non-finite values")
-        if np.any(w <= 0.0):
-            raise ValueError("mixture weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
-        if np.any(var < 0.0):
-            raise ValueError("variances must be non-negative")
-        var = np.maximum(var, VARIANCE_FLOOR)  # degenerate components stay usable
+        _check_mixture(w, mu, var)
         for arr, name in ((w, "weights"), (mu, "means"), (var, "variances")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -96,6 +96,35 @@ class GaussianMixture:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+
+def _check_mixture(weights, means, variances) -> None:
+    """The value checks of one mixture, weights (K,) with means and
+    variances (K, D), or of a stack of them, weights (..., K) broadcast
+    against means and variances (..., K, D).  Floors ``variances`` in
+    place at :data:`VARIANCE_FLOOR`, so degenerate components stay usable."""
+    if not (
+        np.all(np.isfinite(weights))
+        and np.all(np.isfinite(means))
+        and np.all(np.isfinite(variances))
+    ):
+        raise ValueError("mixture parameters contain non-finite values")
+    if np.any(weights <= 0.0):
+        raise ValueError("mixture weights must be strictly positive")
+    sums = weights.sum(axis=-1)
+    if np.any(np.abs(sums - 1.0) > 1e-12):
+        raise ValueError(f"mixture weights must sum to 1, got {sums!r}")
+    if np.any(variances < 0.0):
+        raise ValueError("variances must be non-negative")
+    np.maximum(variances, VARIANCE_FLOOR, out=variances)
+
+
+def _mixture_view(weights, means, variances) -> GaussianMixture:
+    """A mixture over read-only arrays that :func:`_check_mixture` has
+    passed, sharing them rather than copying and checking them again."""
+    mixture = object.__new__(GaussianMixture)
+    mixture.__dict__.update(weights=weights, means=means, variances=variances)
+    return mixture
 
 
 def single_gaussian(mean, variance) -> GaussianMixture:

@@ -96,7 +96,8 @@ class ConditionEmbedding:
     def key(self) -> bytes:
         """Byte key for exact-value lookup and equality: ``vector.tobytes()``,
         computed on first use and kept.  The constructors below pass
-        read-only slot copies, so the key cannot go stale."""
+        read-only slot copies, and :func:`_condition_view` read-only views,
+        so the key cannot go stale."""
         key = self.__dict__.get("_key")
         if key is None:
             key = self.vector.tobytes()
@@ -116,6 +117,15 @@ class ConditionEmbedding:
             f"ConditionEmbedding(width={self.width}, "
             f"flags=({self.flag1}, {self.flag2}))"
         )
+
+
+def _condition_view(slot1, slot2, flag1: int, flag2: int) -> ConditionEmbedding:
+    """A condition over read-only slots that are valid by construction,
+    such as views into a stack of event embeddings, sharing them rather
+    than copying and checking them again."""
+    cond = object.__new__(ConditionEmbedding)
+    cond.__dict__.update(slot1=slot1, slot2=slot2, flag1=flag1, flag2=flag2)
+    return cond
 
 
 def compose_single(event: np.ndarray) -> ConditionEmbedding:

@@ -86,7 +86,10 @@ def build_schedule(
 def _check_step(sched, t) -> None:
     n = len(sched.beta)
     t_arr = np.asarray(t)
-    if np.any(t_arr < 0) or np.any(t_arr >= n):
+    if t_arr.dtype.kind not in "iu":
+        raise ValueError(f"step index {t} is not an integer")
+    # one comparison: cast to unsigned, a negative step reads as a huge one
+    if (t_arr.astype(np.uintp, copy=False) >= n).any():
         raise ValueError(f"step index {t} outside [0, {n})")
 
 
@@ -168,14 +171,21 @@ class DenoiserBackend(Protocol):
 def _condition_index(plans, n_steps: int, n_blocks: int | None):
     """The distinct conditions of ``plans`` and the slot index of the
     condition driving each iteration, row and block: shape
-    (n_steps, rows, n_blocks), or (n_steps, rows) on a block-free backend."""
+    (n_steps, rows, n_blocks), or (n_steps, rows) on a block-free backend.
+
+    Rows often share one plan object, as a grid sweep's repeats do, so each
+    distinct plan is remapped once, in order of first use, and rows gather
+    their plan's remapped grid."""
+    distinct: dict[int, tuple[int, Any]] = {}
+    plan_of_row = [distinct.setdefault(id(plan), (len(distinct), plan))[0] for plan in plans]
     slots: dict[bytes, tuple[int, ConditionEmbedding]] = {}
-    index = np.empty((n_steps, len(plans), n_blocks or 1), dtype=np.intp)
-    for row, plan in enumerate(plans):
+    grids = np.empty((n_steps, len(distinct), n_blocks or 1), dtype=np.intp)
+    for k, plan in distinct.values():
         remap = np.array(
             [slots.setdefault(c.key(), (len(slots), c))[0] for c in plan.conds], dtype=np.intp
         )
-        index[:, row] = remap[plan.slots]
+        grids[:, k] = remap[plan.slots]
+    index = grids if len(distinct) == len(plans) else grids.take(plan_of_row, axis=1)
     return [cond for _, cond in slots.values()], index if n_blocks else index[..., 0]
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import GaussianMixture, single_gaussian
-from .conditioning import ConditionEmbedding, compose_concat, compose_single
+from .analytic import GaussianMixture, _check_mixture, _mixture_view
+from .conditioning import ConditionEmbedding, _condition_view, compose_concat, compose_single
 
 __all__ = [
     "VIEWS",
@@ -165,6 +165,70 @@ def embed_event(event: EventParams) -> np.ndarray:
     )
 
 
+def _check_sigma(sigma) -> None:
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+
+
+def _headings(directions) -> np.ndarray:
+    """cos and sin of each heading and of its negative, ``(4, n)``, by
+    Python's ``math`` one event at a time, as :attr:`EventParams.drift`
+    and :func:`embed_event` take them."""
+    return np.array(
+        [(math.cos(d), math.sin(d), math.cos(-d), math.sin(-d)) for d in directions]
+    ).reshape(-1, 4).T
+
+
+def _event_steps(speeds, headings):
+    """Per-frame steps, ``(n, 2)`` each, of events of these speeds and
+    :func:`_headings`: the third-view drift ``speed * (cos, sin)`` and the
+    first-view one, that drift rotated by minus the heading."""
+    c, s, c_neg, s_neg = headings
+    dx, dy = speeds * c, speeds * s
+    return np.array([dx, dy]).T, np.array([c_neg * dx - s_neg * dy, s_neg * dx + c_neg * dy]).T
+
+
+def _trajectories(step_a, step_b, look_a, look_b, first, n_frames: int) -> np.ndarray:
+    """Mean trajectories ``(rows, n_frames, 2 + 2d)`` of rows that run
+    event a, then event b from frame ``floor(n_frames / 2)``.
+
+    A row's events are given by their per-frame steps in the row's view,
+    ``step_a`` and ``step_b`` (rows, 2), and their identity and background,
+    ``look_a`` and ``look_b`` (rows, 2d); ``first`` (rows,) marks the
+    first-view rows.  Positions are copied and summed as
+    :func:`mean_trajectory` describes, so a row has the same bytes in any
+    batch.
+    """
+    if n_frames < 2:
+        raise ValueError("a trajectory needs at least 2 frames")
+    split = n_frames // 2
+    out = np.empty((len(step_a), n_frames, 2 + look_a.shape[1]))
+    out[:, :split, 2:] = look_a[:, None]
+    out[:, split:, 2:] = look_b[:, None]
+    # third-view frame m sums the steps into frames 1..m; first-view frame m
+    # stores the step out of it, the step into frame m + 1, and the last
+    # frame repeats the one before
+    into = np.minimum(np.arange(n_frames) + first[:, None], n_frames - 1)
+    out[:, :, :2] = np.where((into < split)[..., None], step_a[:, None], step_b[:, None])
+    third = ~first
+    out[third, 0, :2] = 0.0
+    out[third, 1:, :2] = np.cumsum(out[third, 1:, :2], axis=1)
+    return out
+
+
+def _event_trajectories(a, b, n_frames: int, view: str) -> np.ndarray:
+    """:func:`_trajectories` of rows ``(a[r], b[r])`` of events in one view."""
+    events = [*a, *b]
+    speeds = np.array([e.speed for e in events], dtype=np.float64)
+    third, first = _event_steps(speeds, _headings([e.direction for e in events]))
+    steps = first if view == "first" else third
+    looks = np.array([(e.identity, e.background) for e in events]).reshape(len(events), -1)
+    k = len(a)
+    return _trajectories(
+        steps[:k], steps[k:], looks[:k], looks[k:], np.full(k, view == "first"), n_frames
+    )
+
+
 def mean_trajectory(
     e1: EventParams, e2: EventParams, n_frames: int, view: str = "third"
 ) -> np.ndarray:
@@ -176,34 +240,18 @@ def mean_trajectory(
     frame rotated by minus the driving event's heading (the last frame
     repeats the previous step); third-view positions are recoverable by
     rotating back and cumulatively summing.
+
+    This is the one-row case of the array builder that
+    :func:`gaussian_of` and :func:`suite_training_pairs` also run, so a
+    trajectory has the same bytes whichever of them builds it.  The view
+    and the events' feature dimensions are checked here, the frame count
+    by the builder.
     """
-    if n_frames < 2:
-        raise ValueError("a trajectory needs at least 2 frames")
     if view not in VIEWS:
         raise ValueError(f"view must be one of {VIEWS}, got {view!r}")
     if e1.feature_dim != e2.feature_dim:
         raise ValueError("events differ in feature dimension")
-    moves = []  # each event's step, in the view's frame
-    for e in (e1, e2):
-        step = e.drift
-        if view == "first":
-            c, s = math.cos(-e.direction), math.sin(-e.direction)
-            step = np.array([c * step[0] - s * step[1], s * step[0] + c * step[1]])
-        moves.append(step)
-    owned = (np.arange(n_frames) < n_frames // 2)[:, None]  # frames event 1 drives
-    steps = np.where(owned[1:], moves[0], moves[1])  # row m: the step out of frame m
-    frames = np.zeros((n_frames, 2 + 2 * e1.feature_dim))
-    frames[:, 2:] = np.where(
-        owned,
-        np.concatenate([e1.identity, e1.background]),
-        np.concatenate([e2.identity, e2.background]),
-    )
-    if view == "third":
-        frames[1:, :2] = np.cumsum(steps, axis=0)
-    else:
-        frames[:-1, :2] = steps
-        frames[-1, :2] = steps[-1]
-    return frames
+    return _event_trajectories((e1,), (e2,), n_frames, view)[0]
 
 
 def sample_trajectory(
@@ -215,8 +263,7 @@ def sample_trajectory(
     view: str = "third",
 ) -> np.ndarray:
     """Mean trajectory plus i.i.d. Gaussian observation noise."""
-    if not (np.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    _check_sigma(sigma)
     mean = mean_trajectory(e1, e2, n_frames, view)
     if sigma == 0.0:
         return mean
@@ -264,27 +311,22 @@ def gaussian_of(
     rest on a blended-drift video, reflecting that naming both events can
     come out as either reading.  ``w_mix`` is clamped to [0.01, 0.99] so
     neither component degenerates; ``sigma = 0`` yields point masses at
-    the variance floor.
+    the variance floor.  The means come from the array builder of
+    :func:`mean_trajectory`, and the constructor checks the mixture.
     """
-    if not (np.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    _check_sigma(sigma)
     e1, e2 = record.events
-    var = sigma * sigma
-
-    def flat(a: EventParams, b: EventParams) -> np.ndarray:
-        return mean_trajectory(a, b, n_frames, record.view).ravel()
-
-    if which == "event1":
-        return single_gaussian(flat(e1, e1), var)
-    if which == "event2":
-        return single_gaussian(flat(e2, e2), var)
-    if which == "concat":
+    if which in ("event1", "event2"):
+        e = e1 if which == "event1" else e2
+        a, b, weights = (e,), (e,), np.array([1.0])
+    elif which == "concat":
         w = min(max(float(w_mix), 0.01), 0.99)
         blend = blended_event(e1, e2)
-        means = np.stack([flat(e1, e2), flat(blend, blend)])
-        variances = np.full_like(means, var)
-        return GaussianMixture(np.array([w, 1.0 - w]), means, variances)
-    raise ValueError(f"which must be 'event1', 'event2' or 'concat', got {which!r}")
+        a, b, weights = (e1, blend), (e2, blend), np.array([w, 1.0 - w])
+    else:
+        raise ValueError(f"which must be 'event1', 'event2' or 'concat', got {which!r}")
+    means = _event_trajectories(a, b, n_frames, record.view).reshape(len(a), -1)
+    return GaussianMixture(weights, means, np.full_like(means, sigma * sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -587,14 +629,104 @@ def mixture_data_sampler(pairs):
 
 
 def suite_training_pairs(records, n_frames: int, sigma: float, w_mix: float = 0.5):
-    """All (condition, mixture) pairs a sweep can query, for training."""
-    pairs = []
-    for record in records:
-        for which in ("event1", "event2", "concat"):
-            pairs.append(
-                (
-                    condition_of(record, which),
-                    gaussian_of(record, which, n_frames, sigma, w_mix),
-                )
+    """All (condition, mixture) pairs a sweep can query, for training.
+
+    Each record gives its ``event1``, ``event2`` and ``concat`` pairs, in
+    that order, byte for byte as :func:`condition_of` and
+    :func:`gaussian_of` build them, and an error is the one those would
+    raise first.  The pairs are built in one pass: each event's steps and
+    embedding once, each blended event once, and the four mean
+    trajectories of every record of one feature dimension in one call of
+    :func:`mean_trajectory`'s array builder.  The stacked weights, means
+    and variances are checked there, once, by the checks of
+    :class:`~turnpoint.analytic.GaussianMixture`.  Each pair's condition
+    slots and mixture arrays are read-only views into stacks shared by the
+    records of its feature dimension, so a pair is not validated or copied
+    again.  Numpy's overflow warnings are silenced: positions that
+    overflow raise the non-finite error alone.
+    """
+    records = list(records)
+    if not records:
+        return []
+    _check_sigma(sigma)
+    w = min(max(float(w_mix), 0.01), 0.99)
+    n = len(records)
+    with np.errstate(over="ignore", invalid="ignore"):
+        events = [e for record in records for e in record.events]  # record r: 2r, 2r + 1
+        speeds = np.array([e.speed for e in events], dtype=np.float64)
+        headings = _headings([e.direction for e in events])
+        third, first = _event_steps(speeds, headings)
+        # each record's blended event, as blended_event builds it
+        vx, vy = (0.5 * (third[0::2] + third[1::2])).T
+        blend_speeds = np.hypot(vx, vy)
+        blend_dirs = [
+            math.atan2(y, x) % TWO_PI if speed > 0.0 else 0.0
+            for x, y, speed in zip(vx.tolist(), vy.tolist(), blend_speeds.tolist())
+        ]
+        blend_third, blend_first = _event_steps(blend_speeds, _headings(blend_dirs))
+        # steps[r] holds record r's event 1, event 2 and blend, in its view
+        in_first = np.array([record.view == "first" for record in records])
+        steps = np.empty((n, 3, 2))
+        steps[:, :2] = np.where(
+            in_first[:, None, None], first.reshape(n, 2, 2), third.reshape(n, 2, 2)
+        )
+        steps[:, 2] = np.where(in_first[:, None], blend_first, blend_third)
+        valid = (np.array(blend_dirs) < TWO_PI) & np.isfinite(blend_speeds)
+        groups: dict[int, list[int]] = {}
+        for r, record in enumerate(records):
+            groups.setdefault(record.feature_dim, []).append(r)
+        looks = {}  # per feature dimension, like steps: identity and background
+        for dim, rows in groups.items():
+            look = np.empty((len(rows), 3, 2 * dim))
+            look[:, :2] = np.array(
+                [[(e.identity, e.background) for e in records[r].events] for r in rows]
+            ).reshape(len(rows), 2, -1)
+            look[:, 2] = 0.5 * (look[:, 0] + look[:, 1])
+            valid[rows] &= np.isfinite(look[:, 2]).all(axis=1)
+            looks[dim] = look
+        if not valid.all():
+            # raise what building the pairs one by one raised first: an
+            # earlier pair's error, else this record's blended event's
+            r = int(np.argmin(valid))
+            suite_training_pairs(records[:r], n_frames, sigma, w_mix)
+            for which in ("event1", "event2"):
+                gaussian_of(records[r], which, n_frames, sigma, w_mix)
+            blended_event(*records[r].events)
+
+        single, both = np.ones(1), np.array([w, 1.0 - w])
+        single.flags.writeable = both.flags.writeable = False
+        pairs: list = [None] * (3 * n)
+        for dim, rows in groups.items():
+            k = len(rows)
+            # a record's four rows: event 1 alone, event 2 alone, event 1
+            # then event 2, and the blended event alone
+            a, b = [0, 1, 0, 2], [0, 1, 1, 2]
+            step, look = steps[rows], looks[dim]
+            trajs = _trajectories(
+                step[:, a].reshape(4 * k, 2), step[:, b].reshape(4 * k, 2),
+                look[:, a].reshape(4 * k, -1), look[:, b].reshape(4 * k, -1),
+                np.repeat(in_first[rows], 4), n_frames,
             )
+            trajs.flags.writeable = False
+            means = trajs.reshape(k, 4, -1)
+            variances = np.full(means.shape, sigma * sigma)
+            _check_mixture(single, means[:, :2, None], variances[:, :2, None])
+            _check_mixture(both, means[:, 2:], variances[:, 2:])
+            variances.flags.writeable = False
+            # embed_event of each record's two events, and the absent slot
+            ev = (2 * np.array(rows)[:, None] + [0, 1]).ravel()
+            slots = np.zeros((2 * k + 1, 3 + 2 * dim))
+            slots[:-1, :2] = headings[:2, ev].T
+            slots[:-1, 2] = speeds[ev]
+            slots[:-1, 3:] = look[:, :2].reshape(2 * k, -1)
+            slots.flags.writeable = False
+            absent = slots[-1]
+            for i, r in enumerate(rows):
+                mu, var = means[i], variances[i]
+                slot1, slot2 = slots[2 * i], slots[2 * i + 1]
+                pairs[3 * r : 3 * r + 3] = (
+                    (_condition_view(slot1, absent, 1, 0), _mixture_view(single, mu[:1], var[:1])),
+                    (_condition_view(slot2, absent, 1, 0), _mixture_view(single, mu[1:2], var[1:2])),
+                    (_condition_view(slot1, slot2, 1, 1), _mixture_view(both, mu[2:], var[2:])),
+                )
     return pairs

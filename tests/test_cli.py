@@ -8,12 +8,13 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from turnpoint.cli import main
-from turnpoint.harness import RUNS_CSV_COLUMNS, SweepConfig, read_runs_csv
+from turnpoint.harness import RUNS_CSV_COLUMNS, SweepConfig, read_runs_csv, run_sweep
 from turnpoint.metrics import MetricsRecord
 from turnpoint.neural import (
     CHECKPOINT_MAGIC,
@@ -22,7 +23,7 @@ from turnpoint.neural import (
     load_checkpoint,
     save_checkpoint,
 )
-from turnpoint.worldgen import generate_suite, read_suite, write_suite
+from turnpoint.worldgen import EventParams, PromptRecord, generate_suite, read_suite, write_suite
 
 METRIC_KEYS = set(MetricsRecord.__dataclass_fields__)
 
@@ -32,6 +33,43 @@ def small_suite(tmp_path_factory):
     path = tmp_path_factory.mktemp("suite") / "small.jsonl"
     write_suite(generate_suite(0)[:3], path)
     return str(path)
+
+
+def _suite_with_second_record(path, change) -> str:
+    """The small suite's three records, the second one's events rebuilt by
+    ``change(event)``, written to ``path``."""
+    records = generate_suite(0)[:3]
+    r = records[1]
+    records[1] = PromptRecord(r.id, r.category, r.view, tuple(map(change, r.events)))
+    write_suite(records, path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def mixed_dim_suite(tmp_path_factory):
+    """The second record has 3 appearance features, the others 2."""
+    return _suite_with_second_record(
+        tmp_path_factory.mktemp("suite") / "mixed.jsonl",
+        lambda e: EventParams(e.direction, e.speed, [*e.identity, 0.0], [*e.background, 0.0]),
+    )
+
+
+@pytest.fixture(scope="module")
+def overflow_suite(tmp_path_factory):
+    """The second (third-view) record's events move 1e308 a frame, so
+    their summed positions overflow to infinity."""
+    return _suite_with_second_record(
+        tmp_path_factory.mktemp("suite") / "overflow.jsonl",
+        lambda e: EventParams(e.direction, 1e308, e.identity, e.background),
+    )
+
+
+def run_quietly(argv):
+    """``main(argv)`` and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, caught
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +303,28 @@ class TestTrain:
         assert "w_mix must be finite" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
+    def train_on(self, suite, tmp_path):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"suite": suite, "frames": 6, "hidden": 8,
+                                   "diffusion_steps": 6, "steps": 2, "batch_size": 4}))
+        return run_quietly(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
+
+    def test_suite_mixing_feature_dimensions_exits_1(self, mixed_dim_suite, tmp_path, capsys):
+        code, caught = self.train_on(mixed_dim_suite, tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == "error: all mixtures must share one dimension\n"
+        assert not caught
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
+    def test_overflowing_positions_exit_1_with_the_error_alone(self, overflow_suite, tmp_path,
+                                                                capsys):
+        code, caught = self.train_on(overflow_suite, tmp_path)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: mixture parameters contain non-finite values\n"
+        assert not caught  # numpy's overflow warning is not printed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
     def test_missing_out_directory_exits_1_before_training(self, tmp_path, small_suite,
                                                             monkeypatch, capsys):
         import turnpoint.cli as cli
@@ -465,6 +525,26 @@ class TestSweepAndReport:
         assert len(runs) == 6 and all(r.metrics is None for r in runs)
         assert (out_dir / "aggregates.csv").exists()
         assert (out_dir / "summary.md").exists()
+
+    def test_analytic_sweep_over_overflowing_suite_fails_every_run_and_exits_2(
+        self, overflow_suite, tmp_path, capsys
+    ):
+        # the suite's three prompts are one batch, whose analytic backend
+        # cannot be built, so every run records that error
+        argv = ["sweep", "--suite", overflow_suite, "--grid", "0,1", "--repeats", "1",
+                "--n-steps", "6", "--frames", "6"]
+        message = "ValueError: mixture parameters contain non-finite values"
+        code, caught = run_quietly([*argv, "--out-dir", str(tmp_path / "sweep")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "6 runs (6 failed)" in captured.out
+        assert captured.err == f"error: every run failed; the first: {message}\n"
+        assert not caught
+        runs = read_runs_csv(tmp_path / "sweep" / "runs.csv")
+        assert len(runs) == 6 and all(r.metrics is None for r in runs)
+        cfg = SweepConfig(grid=(0.0, 1.0), repeats=1, n_steps=6, frames=6,
+                          out_dir=str(tmp_path / "again"))
+        assert [r.error for r in run_sweep(cfg, read_suite(overflow_suite))] == [message] * 6
 
     def test_checkpoint_of_other_condition_width_exits_1(self, small_suite, tmp_path):
         path = tmp_path / "narrow.ckpt"

@@ -374,6 +374,37 @@ def test_analytic_rows_sharing_seeds_match_each_row_alone():
     assert batch.tobytes() == np.stack(alone).tobytes()
 
 
+@pytest.mark.parametrize("backend_kind", ["analytic", "checkpoint"])
+def test_shared_plan_objects_index_and_sample_as_rebuilt_plans(backend_kind):
+    # a sweep gives every repeat of a (prompt, x) one plan object, and the
+    # slot index remaps each distinct object once: rebuilding each row's
+    # plan as its own object changes neither the index nor a sample bit
+    sched = build_schedule(10)
+    records = [r for r in generate_suite(1) if r.view == "third"][:3]
+    if backend_kind == "analytic":
+        backend = backend_for_record(records, sched, 6, 0.5)
+    else:
+        model = init_model(36, hidden=8, n_blocks=4, t_emb_dim=4, cond_width=7, seed=3)
+        backend = NeuralDenoiser(model, sched, (6, 6))
+    plans, seeds = [], []
+    for p, record in enumerate(records):
+        e1, e2 = condition_of(record, "event1"), condition_of(record, "event2")
+        per_x = [step_switch(x, sched.n_steps, e2, e1) for x in (0.0, 0.3, 1.0)]
+        if backend_kind == "checkpoint":
+            per_x += [block_split(x, 4, e1, e2) for x in (0.25, 0.5)]
+        for repeat in range(3):
+            plans += per_x
+            seeds += [10 * p + repeat] * len(per_x)
+    rebuilt = [ConditionPlan(plan.conds, plan.slots, plan.split_index) for plan in plans]
+    n_blocks = getattr(backend, "n_blocks", None)
+    shared_conds, shared_index = diffusion._condition_index(plans, sched.n_steps, n_blocks)
+    own_conds, own_index = diffusion._condition_index(rebuilt, sched.n_steps, n_blocks)
+    assert [c.key() for c in shared_conds] == [c.key() for c in own_conds]
+    assert shared_index.shape == own_index.shape
+    assert shared_index.tobytes() == own_index.tobytes()
+    assert sample(backend, plans, seeds).tobytes() == sample(backend, rebuilt, seeds).tobytes()
+
+
 @pytest.mark.parametrize("guidance_scale", [1.0, 2.0])
 def test_checkpoint_duplicate_block_plans_match_each_row_alone(guidance_scale):
     # floor(8x) repeats at x = 0.0/0.1 and 0.5/0.6, so each seed's 11 rows

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from turnpoint.analytic import GaussianMixture, single_gaussian
 from turnpoint.worldgen import (
     CATEGORIES,
     TABLE_COUNTS,
@@ -431,6 +432,128 @@ def test_validate_suite_from_file_collects_bad_lines(tmp_path):
 
 # ---------------------------------------------------------------------------
 # training data plumbing
+
+
+def _per_record_mean_trajectory(e1, e2, n_frames, view):
+    """Reference: mean_trajectory as it was before the batched builder."""
+    moves = []
+    for e in (e1, e2):
+        step = e.drift
+        if view == "first":
+            c, s = math.cos(-e.direction), math.sin(-e.direction)
+            step = np.array([c * step[0] - s * step[1], s * step[0] + c * step[1]])
+        moves.append(step)
+    owned = (np.arange(n_frames) < n_frames // 2)[:, None]
+    steps = np.where(owned[1:], moves[0], moves[1])
+    frames = np.zeros((n_frames, 2 + 2 * e1.feature_dim))
+    frames[:, 2:] = np.where(
+        owned,
+        np.concatenate([e1.identity, e1.background]),
+        np.concatenate([e2.identity, e2.background]),
+    )
+    if view == "third":
+        frames[1:, :2] = np.cumsum(steps, axis=0)
+    else:
+        frames[:-1, :2] = steps
+        frames[-1, :2] = steps[-1]
+    return frames
+
+
+def _per_record_pairs(records, n_frames, sigma, w_mix):
+    """Reference: the pairs built one record and one condition at a time."""
+    pairs = []
+    w = min(max(float(w_mix), 0.01), 0.99)
+    for record in records:
+        e1, e2 = record.events
+        blend = blended_event(e1, e2)
+
+        def flat(a, b):
+            return _per_record_mean_trajectory(a, b, n_frames, record.view).ravel()
+
+        means = np.stack([flat(e1, e2), flat(blend, blend)])
+        pairs += [
+            (condition_of(record, "event1"), single_gaussian(flat(e1, e1), sigma * sigma)),
+            (condition_of(record, "event2"), single_gaussian(flat(e2, e2), sigma * sigma)),
+            (
+                condition_of(record, "concat"),
+                GaussianMixture(np.array([w, 1.0 - w]), means, np.full_like(means, sigma * sigma)),
+            ),
+        ]
+    return pairs
+
+
+def _pair_bytes(pair):
+    cond, mixture = pair
+    arrays = (cond.slot1, cond.slot2, mixture.weights, mixture.means, mixture.variances)
+    return (cond.key(), cond.flag1, cond.flag2, *((a.shape, a.tobytes()) for a in arrays))
+
+
+def _mixed_dimension_records(seed):
+    """Every fifth record of a suite, EgoExo pairs of both views among
+    them, with 1, 2 or 3 appearance features in turn."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i, r in enumerate(generate_suite(seed)[::5]):
+        d = 1 + i % 3
+        events = tuple(
+            EventParams(e.direction, e.speed, rng.normal(size=d), rng.normal(size=d))
+            for e in r.events
+        )
+        records.append(PromptRecord(r.id, r.category, r.view, events, pair_id=r.pair_id))
+    return records
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_suite_training_pairs_equal_per_record_construction(seed):
+    suite = generate_suite(seed)
+    assert {r.view for r in suite} == {"first", "third"}
+    # every sigma and clamped w_mix pairing over the nine (seed, frames) cases
+    for i, n_frames in enumerate((4, 5, 16), start=3 * seed):
+        sigma, w_mix = (0.0, 0.5)[i % 2], (0.0, 0.5, 1.0)[i % 3]
+        got = suite_training_pairs(suite, n_frames, sigma, w_mix)
+        want = _per_record_pairs(suite, n_frames, sigma, w_mix)
+        assert list(map(_pair_bytes, got)) == list(map(_pair_bytes, want)), (n_frames, sigma)
+
+
+def test_suite_training_pairs_mixing_feature_dimensions_equal_per_record_construction():
+    records = _mixed_dimension_records(4)
+    assert {r.feature_dim for r in records} == {1, 2, 3}
+    assert {r.view for r in records} == {"first", "third"}
+    for sigma, w_mix in ((0.0, 1.0), (0.5, 0.3)):
+        got = suite_training_pairs(records, 6, sigma, w_mix)
+        want = _per_record_pairs(records, 6, sigma, w_mix)
+        assert list(map(_pair_bytes, got)) == list(map(_pair_bytes, want))
+
+
+def test_suite_training_pairs_are_read_only_views_of_shared_stacks():
+    pairs = suite_training_pairs(generate_suite(0)[:4], 8, 0.5)
+    bases = set()
+    for cond, mixture in pairs:
+        arrays = (cond.slot1, cond.slot2, mixture.weights, mixture.means, mixture.variances)
+        assert not any(a.flags.writeable for a in arrays)
+        bases.update(id(a.base) for a in (cond.slot1, mixture.means, mixture.variances))
+    assert len(bases) == 3  # one stack each for the slots, the means and the variances
+
+
+def test_suite_training_pairs_raise_what_per_record_construction_raised_first():
+    big = 1e308
+    overflow = rec(ev(0.0, speed=big), ev(1.0))  # third view: positions overflow
+    drift_overflow = PromptRecord(  # first view: finite steps, the blend's speed overflows
+        "r1", "EgoExo", "first", (ev(0.0, speed=big), ev(0.0, speed=big)), pair_id="p"
+    )
+    # headings 0.01 and 2 pi - 0.01 blend to a heading that rounds to 2 pi
+    wraps = rec(ev(0.01), ev(2 * math.pi - 0.01))
+    cases = [
+        ([overflow, drift_overflow], "mixture parameters contain non-finite values"),
+        ([drift_overflow, overflow], "speed must be finite and >= 0, got inf"),
+        ([wraps], r"direction must lie in \[0, 2\*pi\)"),
+        ([overflow, wraps], "mixture parameters contain non-finite values"),
+    ]
+    for records, message in cases:
+        with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
+            _per_record_pairs(records, 6, 0.5, 0.5)
+        with pytest.raises(ValueError, match=message):
+            suite_training_pairs(records, 6, 0.5, 0.5)
 
 
 def test_mixture_data_sampler_shapes_and_determinism():
