@@ -185,7 +185,7 @@ def _condition_index(plans, n_steps: int, n_blocks: int | None):
             [slots.setdefault(c.key(), (len(slots), c))[0] for c in plan.conds], dtype=np.intp
         )
         grids[:, k] = remap[plan.slots]
-    index = grids if len(distinct) == len(plans) else grids.take(plan_of_row, axis=1)
+    index = grids.take(plan_of_row, axis=1)
     return [cond for _, cond in slots.values()], index if n_blocks else index[..., 0]
 
 

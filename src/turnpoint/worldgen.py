@@ -156,13 +156,7 @@ class PromptRecord:
 
 def embed_event(event: EventParams) -> np.ndarray:
     """Event slot vector [cos(dir), sin(dir), speed, identity..., background...]."""
-    return np.concatenate(
-        [
-            [math.cos(event.direction), math.sin(event.direction), event.speed],
-            event.identity,
-            event.background,
-        ]
-    )
+    return _event_table((event,))[0, :-2]
 
 
 def _check_sigma(sigma) -> None:
@@ -170,63 +164,61 @@ def _check_sigma(sigma) -> None:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
 
 
-def _headings(directions) -> np.ndarray:
-    """cos and sin of each heading and of its negative, ``(4, n)``, by
+def _event_table(events) -> np.ndarray:
+    """One row per event, all of one feature dimension: its
+    :func:`embed_event` slot, then ``cos(-dir), sin(-dir)``, which rotate
+    its drift into its first-person frame.  Cosines and sines are taken by
     Python's ``math`` one event at a time, as :attr:`EventParams.drift`
-    and :func:`embed_event` take them."""
-    return np.array(
-        [(math.cos(d), math.sin(d), math.cos(-d), math.sin(-d)) for d in directions]
-    ).reshape(-1, 4).T
+    takes them."""
+    table = np.empty((len(events), 5 + 2 * events[0].feature_dim))
+    table[:, [0, 1, 2, -2, -1]] = [
+        (
+            math.cos(e.direction),
+            math.sin(e.direction),
+            e.speed,
+            math.cos(-e.direction),
+            math.sin(-e.direction),
+        )
+        for e in events
+    ]
+    table[:, 3:-2] = np.array([(e.identity, e.background) for e in events]).reshape(len(events), -1)
+    return table
 
 
-def _event_steps(speeds, headings):
-    """Per-frame steps, ``(n, 2)`` each, of events of these speeds and
-    :func:`_headings`: the third-view drift ``speed * (cos, sin)`` and the
-    first-view one, that drift rotated by minus the heading."""
-    c, s, c_neg, s_neg = headings
-    dx, dy = speeds * c, speeds * s
-    return np.array([dx, dy]).T, np.array([c_neg * dx - s_neg * dy, s_neg * dx + c_neg * dy]).T
-
-
-def _trajectories(step_a, step_b, look_a, look_b, first, n_frames: int) -> np.ndarray:
+def _trajectories(table, first, a, b, n_frames: int) -> np.ndarray:
     """Mean trajectories ``(rows, n_frames, 2 + 2d)`` of rows that run
-    event a, then event b from frame ``floor(n_frames / 2)``.
+    event ``a[r]`` of an :func:`_event_table`, then event ``b[r]`` from
+    frame ``floor(n_frames / 2)``.
 
-    A row's events are given by their per-frame steps in the row's view,
-    ``step_a`` and ``step_b`` (rows, 2), and their identity and background,
-    ``look_a`` and ``look_b`` (rows, 2d); ``first`` (rows,) marks the
-    first-view rows.  Positions are copied and summed as
+    ``first`` marks the events seen from the first view; a row's two
+    events share one view.  Positions are copied and summed as
     :func:`mean_trajectory` describes, so a row has the same bytes in any
     batch.
     """
     if n_frames < 2:
         raise ValueError("a trajectory needs at least 2 frames")
+    # each event's step: its drift speed * (cos, sin), and in the first
+    # view that drift rotated by minus its heading
+    dx, dy = table[:, 2] * table[:, 0], table[:, 2] * table[:, 1]
+    c, s = table[:, -2], table[:, -1]
+    steps = np.where(
+        first[:, None], np.array([c * dx - s * dy, s * dx + c * dy]).T, np.array([dx, dy]).T
+    )
+    looks = table[:, 3:-2]
+    first = first[a]
     split = n_frames // 2
-    out = np.empty((len(step_a), n_frames, 2 + look_a.shape[1]))
-    out[:, :split, 2:] = look_a[:, None]
-    out[:, split:, 2:] = look_b[:, None]
+    out = np.empty((len(first), n_frames, 2 + looks.shape[1]))
+    out[:, :split, 2:] = looks[a, None]
+    out[:, split:, 2:] = looks[b, None]
     # third-view frame m sums the steps into frames 1..m; first-view frame m
     # stores the step out of it, the step into frame m + 1, and the last
     # frame repeats the one before
     into = np.minimum(np.arange(n_frames) + first[:, None], n_frames - 1)
-    out[:, :, :2] = np.where((into < split)[..., None], step_a[:, None], step_b[:, None])
+    out[:, :, :2] = np.where((into < split)[..., None], steps[a, None], steps[b, None])
     third = ~first
     out[third, 0, :2] = 0.0
     out[third, 1:, :2] = np.cumsum(out[third, 1:, :2], axis=1)
     return out
-
-
-def _event_trajectories(a, b, n_frames: int, view: str) -> np.ndarray:
-    """:func:`_trajectories` of rows ``(a[r], b[r])`` of events in one view."""
-    events = [*a, *b]
-    speeds = np.array([e.speed for e in events], dtype=np.float64)
-    third, first = _event_steps(speeds, _headings([e.direction for e in events]))
-    steps = first if view == "first" else third
-    looks = np.array([(e.identity, e.background) for e in events]).reshape(len(events), -1)
-    k = len(a)
-    return _trajectories(
-        steps[:k], steps[k:], looks[:k], looks[k:], np.full(k, view == "first"), n_frames
-    )
 
 
 def mean_trajectory(
@@ -243,15 +235,15 @@ def mean_trajectory(
 
     This is the one-row case of the array builder that
     :func:`gaussian_of` and :func:`suite_training_pairs` also run, so a
-    trajectory has the same bytes whichever of them builds it.  The view
-    and the events' feature dimensions are checked here, the frame count
-    by the builder.
+    trajectory has the same bytes whichever of them builds it.  No
+    mixture is checked here: :func:`gaussian_of` checks its own, and
+    :func:`suite_training_pairs` checks its stacks once.
     """
     if view not in VIEWS:
         raise ValueError(f"view must be one of {VIEWS}, got {view!r}")
     if e1.feature_dim != e2.feature_dim:
         raise ValueError("events differ in feature dimension")
-    return _event_trajectories((e1,), (e2,), n_frames, view)[0]
+    return _trajectories(_event_table((e1, e2)), np.full(2, view == "first"), [0], [1], n_frames)[0]
 
 
 def sample_trajectory(
@@ -317,15 +309,15 @@ def gaussian_of(
     _check_sigma(sigma)
     e1, e2 = record.events
     if which in ("event1", "event2"):
-        e = e1 if which == "event1" else e2
-        a, b, weights = (e,), (e,), np.array([1.0])
+        events, a, b, weights = (e1 if which == "event1" else e2,), [0], [0], np.array([1.0])
     elif which == "concat":
         w = min(max(float(w_mix), 0.01), 0.99)
-        blend = blended_event(e1, e2)
-        a, b, weights = (e1, blend), (e2, blend), np.array([w, 1.0 - w])
+        events, a, b = (e1, e2, blended_event(e1, e2)), [0, 2], [1, 2]
+        weights = np.array([w, 1.0 - w])
     else:
         raise ValueError(f"which must be 'event1', 'event2' or 'concat', got {which!r}")
-    means = _event_trajectories(a, b, n_frames, record.view).reshape(len(a), -1)
+    first = np.full(len(events), record.view == "first")
+    means = _trajectories(_event_table(events), first, a, b, n_frames).reshape(len(a), -1)
     return GaussianMixture(weights, means, np.full_like(means, sigma * sigma))
 
 
@@ -633,97 +625,51 @@ def suite_training_pairs(records, n_frames: int, sigma: float, w_mix: float = 0.
 
     Each record gives its ``event1``, ``event2`` and ``concat`` pairs, in
     that order, byte for byte as :func:`condition_of` and
-    :func:`gaussian_of` build them, and an error is the one those would
-    raise first.  The pairs are built in one pass: each event's steps and
-    embedding once, each blended event once, and the four mean
-    trajectories of every record of one feature dimension in one call of
-    :func:`mean_trajectory`'s array builder.  The stacked weights, means
-    and variances are checked there, once, by the checks of
-    :class:`~turnpoint.analytic.GaussianMixture`.  Each pair's condition
-    slots and mixture arrays are read-only views into stacks shared by the
-    records of its feature dimension, so a pair is not validated or copied
-    again.  Numpy's overflow warnings are silenced: positions that
-    overflow raise the non-finite error alone.
+    :func:`gaussian_of` build them; an error is one of those that they
+    raise for some record.  The records of one feature dimension are built
+    in one pass: one :func:`_event_table` of their events and blended
+    events, and one call of the array builder of :func:`mean_trajectory`
+    for all their mean trajectories.  The stacked weights, means and
+    variances are checked there, once, by the checks of
+    :class:`~turnpoint.analytic.GaussianMixture`, and each pair's
+    condition slots and mixture arrays are read-only views into those
+    stacks, not validated or copied again.  Numpy's overflow warnings are
+    silenced: positions that overflow raise the non-finite error alone.
     """
     records = list(records)
     if not records:
         return []
     _check_sigma(sigma)
     w = min(max(float(w_mix), 0.01), 0.99)
-    n = len(records)
+    single, both = np.ones(1), np.array([w, 1.0 - w])
+    single.flags.writeable = both.flags.writeable = False
+    groups: dict[int, list[int]] = {}
+    for r, record in enumerate(records):
+        groups.setdefault(record.feature_dim, []).append(r)
+    pairs: list = [None] * (3 * len(records))
     with np.errstate(over="ignore", invalid="ignore"):
-        events = [e for record in records for e in record.events]  # record r: 2r, 2r + 1
-        speeds = np.array([e.speed for e in events], dtype=np.float64)
-        headings = _headings([e.direction for e in events])
-        third, first = _event_steps(speeds, headings)
-        # each record's blended event, as blended_event builds it
-        vx, vy = (0.5 * (third[0::2] + third[1::2])).T
-        blend_speeds = np.hypot(vx, vy)
-        blend_dirs = [
-            math.atan2(y, x) % TWO_PI if speed > 0.0 else 0.0
-            for x, y, speed in zip(vx.tolist(), vy.tolist(), blend_speeds.tolist())
-        ]
-        blend_third, blend_first = _event_steps(blend_speeds, _headings(blend_dirs))
-        # steps[r] holds record r's event 1, event 2 and blend, in its view
-        in_first = np.array([record.view == "first" for record in records])
-        steps = np.empty((n, 3, 2))
-        steps[:, :2] = np.where(
-            in_first[:, None, None], first.reshape(n, 2, 2), third.reshape(n, 2, 2)
-        )
-        steps[:, 2] = np.where(in_first[:, None], blend_first, blend_third)
-        valid = (np.array(blend_dirs) < TWO_PI) & np.isfinite(blend_speeds)
-        groups: dict[int, list[int]] = {}
-        for r, record in enumerate(records):
-            groups.setdefault(record.feature_dim, []).append(r)
-        looks = {}  # per feature dimension, like steps: identity and background
-        for dim, rows in groups.items():
-            look = np.empty((len(rows), 3, 2 * dim))
-            look[:, :2] = np.array(
-                [[(e.identity, e.background) for e in records[r].events] for r in rows]
-            ).reshape(len(rows), 2, -1)
-            look[:, 2] = 0.5 * (look[:, 0] + look[:, 1])
-            valid[rows] &= np.isfinite(look[:, 2]).all(axis=1)
-            looks[dim] = look
-        if not valid.all():
-            # raise what building the pairs one by one raised first: an
-            # earlier pair's error, else this record's blended event's
-            r = int(np.argmin(valid))
-            suite_training_pairs(records[:r], n_frames, sigma, w_mix)
-            for which in ("event1", "event2"):
-                gaussian_of(records[r], which, n_frames, sigma, w_mix)
-            blended_event(*records[r].events)
-
-        single, both = np.ones(1), np.array([w, 1.0 - w])
-        single.flags.writeable = both.flags.writeable = False
-        pairs: list = [None] * (3 * n)
-        for dim, rows in groups.items():
-            k = len(rows)
-            # a record's four rows: event 1 alone, event 2 alone, event 1
-            # then event 2, and the blended event alone
-            a, b = [0, 1, 0, 2], [0, 1, 1, 2]
-            step, look = steps[rows], looks[dim]
-            trajs = _trajectories(
-                step[:, a].reshape(4 * k, 2), step[:, b].reshape(4 * k, 2),
-                look[:, a].reshape(4 * k, -1), look[:, b].reshape(4 * k, -1),
-                np.repeat(in_first[rows], 4), n_frames,
-            )
-            trajs.flags.writeable = False
-            means = trajs.reshape(k, 4, -1)
-            variances = np.full(means.shape, sigma * sigma)
+        for rows in groups.values():
+            group = [records[r] for r in rows]
+            # record i's events 3i, 3i + 1 and 3i + 2: event 1, event 2 and
+            # their blend; its four rows: event 1 alone, event 2 alone,
+            # event 1 then event 2, and the blend alone
+            events = [e for rec in group for e in (*rec.events, blended_event(*rec.events))]
+            table = _event_table(events)
+            table.flags.writeable = False
+            first = np.repeat([rec.view == "first" for rec in group], 3)
+            at = 3 * np.arange(len(group))[:, None]
+            a, b = (at + [0, 1, 0, 2]).ravel(), (at + [0, 1, 1, 2]).ravel()
+            means = _trajectories(table, first, a, b, n_frames).reshape(len(group), 4, -1)
+            variances = np.full(means.shape, sigma * sigma, dtype=np.float64)
             _check_mixture(single, means[:, :2, None], variances[:, :2, None])
             _check_mixture(both, means[:, 2:], variances[:, 2:])
-            variances.flags.writeable = False
-            # embed_event of each record's two events, and the absent slot
-            ev = (2 * np.array(rows)[:, None] + [0, 1]).ravel()
-            slots = np.zeros((2 * k + 1, 3 + 2 * dim))
-            slots[:-1, :2] = headings[:2, ev].T
-            slots[:-1, 2] = speeds[ev]
-            slots[:-1, 3:] = look[:, :2].reshape(2 * k, -1)
-            slots.flags.writeable = False
-            absent = slots[-1]
+            means.flags.writeable = variances.flags.writeable = False
+            slots = table[:, :-2]
+            absent = np.zeros(slots.shape[1])
+            absent.flags.writeable = False
             for i, r in enumerate(rows):
                 mu, var = means[i], variances[i]
-                slot1, slot2 = slots[2 * i], slots[2 * i + 1]
+                slot1, slot2 = slots[3 * i], slots[3 * i + 1]
                 pairs[3 * r : 3 * r + 3] = (
                     (_condition_view(slot1, absent, 1, 0), _mixture_view(single, mu[:1], var[:1])),
                     (_condition_view(slot2, absent, 1, 0), _mixture_view(single, mu[1:2], var[1:2])),

@@ -303,11 +303,17 @@ class TestTrain:
         assert "w_mix must be finite" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
-    def train_on(self, suite, tmp_path):
+    def train_on(self, suite, tmp_path, **extra):
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"suite": suite, "frames": 6, "hidden": 8,
-                                   "diffusion_steps": 6, "steps": 2, "batch_size": 4}))
+                                   "diffusion_steps": 6, "steps": 2, "batch_size": 4, **extra}))
         return run_quietly(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
+
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_integer_sigma_trains(self, small_suite, tmp_path, sigma):
+        code, _ = self.train_on(small_suite, tmp_path, sigma=sigma)
+        assert code == 0
+        assert load_checkpoint(str(tmp_path / "m.ckpt")).dim == 36
 
     def test_suite_mixing_feature_dimensions_exits_1(self, mixed_dim_suite, tmp_path, capsys):
         code, caught = self.train_on(mixed_dim_suite, tmp_path)

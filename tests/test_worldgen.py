@@ -1,5 +1,6 @@
 """Toy trajectory domain, prompt suite generation and validation."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from turnpoint.analytic import GaussianMixture, single_gaussian
+from turnpoint.conditioning import ConditionEmbedding
 from turnpoint.worldgen import (
     CATEGORIES,
     TABLE_COUNTS,
@@ -513,6 +515,12 @@ def test_suite_training_pairs_equal_per_record_construction(seed):
         got = suite_training_pairs(suite, n_frames, sigma, w_mix)
         want = _per_record_pairs(suite, n_frames, sigma, w_mix)
         assert list(map(_pair_bytes, got)) == list(map(_pair_bytes, want)), (n_frames, sigma)
+    # integer and single-precision sigmas give float64 variances, as the
+    # mixture constructor casts them
+    for sigma in (0, 1, np.float32(0.3)):
+        got = suite_training_pairs(suite, 5, sigma, 0.5)
+        want = _per_record_pairs(suite, 5, sigma, 0.5)
+        assert list(map(_pair_bytes, got)) == list(map(_pair_bytes, want)), sigma
 
 
 def test_suite_training_pairs_mixing_feature_dimensions_equal_per_record_construction():
@@ -535,7 +543,7 @@ def test_suite_training_pairs_are_read_only_views_of_shared_stacks():
     assert len(bases) == 3  # one stack each for the slots, the means and the variances
 
 
-def test_suite_training_pairs_raise_what_per_record_construction_raised_first():
+def test_suite_training_pairs_raise_what_per_record_construction_raises():
     big = 1e308
     overflow = rec(ev(0.0, speed=big), ev(1.0))  # third view: positions overflow
     drift_overflow = PromptRecord(  # first view: finite steps, the blend's speed overflows
@@ -543,17 +551,31 @@ def test_suite_training_pairs_raise_what_per_record_construction_raised_first():
     )
     # headings 0.01 and 2 pi - 0.01 blend to a heading that rounds to 2 pi
     wraps = rec(ev(0.01), ev(2 * math.pi - 0.01))
-    cases = [
-        ([overflow, drift_overflow], "mixture parameters contain non-finite values"),
-        ([drift_overflow, overflow], "speed must be finite and >= 0, got inf"),
-        ([wraps], r"direction must lie in \[0, 2\*pi\)"),
-        ([overflow, wraps], "mixture parameters contain non-finite values"),
-    ]
-    for records, message in cases:
+    messages = {
+        overflow: "mixture parameters contain non-finite values",
+        drift_overflow: "speed must be finite and >= 0, got inf",
+        wraps: r"direction must lie in \[0, 2\*pi\)",
+    }
+    for record, message in messages.items():
         with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
-            _per_record_pairs(records, 6, 0.5, 0.5)
+            _per_record_pairs([record], 6, 0.5, 0.5)
         with pytest.raises(ValueError, match=message):
-            suite_training_pairs(records, 6, 0.5, 0.5)
+            suite_training_pairs([rec(ev(0.5), ev(2.0)), record], 6, 0.5, 0.5)
+    # several bad records raise the error of one of them
+    with pytest.raises(ValueError, match="|".join(messages.values())):
+        suite_training_pairs(list(messages), 6, 0.5, 0.5)
+
+
+def test_pair_views_hold_the_fields_of_constructed_objects():
+    # the views skip the constructors, so they must set every field the
+    # dataclasses declare, and nothing else
+    (cond, mixture), *_ = suite_training_pairs([rec(ev(0.5), ev(2.0))], 6, 0.5)
+    built_cond = condition_of(rec(ev(0.5), ev(2.0)), "event1")
+    built_mixture = single_gaussian([0.0, 1.0], 0.5)
+    for view, built, cls in ((cond, built_cond, ConditionEmbedding),
+                             (mixture, built_mixture, GaussianMixture)):
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert set(vars(view)) - {"_key"} == set(vars(built)) - {"_key"} == names
 
 
 def test_mixture_data_sampler_shapes_and_determinism():
