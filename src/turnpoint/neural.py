@@ -39,6 +39,17 @@ conditions, which are projected and differentiated without a per-block
 copy, and it embeds the steps through a table built once per call.  Each
 product and sum runs in the order of the per-block form, so the bits
 are those of conditions repeated over the blocks.
+
+:func:`train` keeps the forward and backward passes on the calling
+thread and gives one helper thread, for the length of the call, the
+work that releases the GIL around them: it draws step k+1's batch, in
+the serial order from the one generator, while the caller runs step k's
+:func:`loss_and_grads`, and it runs :meth:`AdamState.update`'s
+elementwise passes over the first half of the parameter vector while
+the caller runs them over the second.  The bytes are those of the
+serial loop.  With OpenBLAS on one thread and two CPUs this ran at
+1.08x to 1.16x the serial loop's steps per second; with two OpenBLAS
+threads at 0.98x, and on one CPU at 0.96x.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from __future__ import annotations
 import math
 import struct
 import time
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -465,29 +477,46 @@ class AdamState:
         self.v = np.zeros_like(model.flat)
         self._buf = np.empty_like(model.flat)
 
-    def update(self, model: DenoiserModel, grad: np.ndarray, cfg: TrainConfig) -> None:
-        """One step along ``grad``, which is consumed (overwritten)."""
+    def update(self, model: DenoiserModel, grad: np.ndarray, cfg: TrainConfig,
+               helper: Executor | None = None) -> None:
+        """One step along ``grad``, which is consumed (overwritten).
+
+        With a ``helper`` executor, the helper runs the passes over the
+        first half of the vector while the calling thread runs them over
+        the second; each pass is elementwise, so the bits are those of one
+        pass over the whole vector.  Returns once both halves are done.
+        """
         self.step += 1
         bc1 = 1.0 - cfg.beta1**self.step
         bc2 = 1.0 - cfg.beta2**self.step
-        m, v, buf = self.m, self.v, self._buf
-        # In place, with no full-size temporary, rounding in the order of
-        #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
-        #   flat -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
-        m *= cfg.beta1
-        np.multiply(grad, 1.0 - cfg.beta1, out=buf)
-        m += buf
-        np.multiply(grad, 1.0 - cfg.beta2, out=buf)
-        buf *= grad
-        v *= cfg.beta2
-        v += buf
-        np.divide(v, bc2, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += cfg.eps
-        np.divide(m, bc1, out=grad)
-        grad *= cfg.learning_rate
-        grad /= buf
-        model.flat -= grad
+        arrays = (model.flat, grad, self.m, self.v, self._buf)
+        if helper is None:
+            _adam_passes(*arrays, cfg, bc1, bc2)
+            return
+        half = len(grad) // 2
+        first = helper.submit(_adam_passes, *(a[:half] for a in arrays), cfg, bc1, bc2)
+        _adam_passes(*(a[half:] for a in arrays), cfg, bc1, bc2)
+        first.result()
+
+
+def _adam_passes(flat, grad, m, v, buf, cfg: TrainConfig, bc1: float, bc2: float) -> None:
+    # In place, with no full-size temporary, rounding in the order of
+    #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+    #   flat -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
+    m *= cfg.beta1
+    np.multiply(grad, 1.0 - cfg.beta1, out=buf)
+    m += buf
+    np.multiply(grad, 1.0 - cfg.beta2, out=buf)
+    buf *= grad
+    v *= cfg.beta2
+    v += buf
+    np.divide(v, bc2, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += cfg.eps
+    np.divide(m, bc1, out=grad)
+    grad *= cfg.learning_rate
+    grad /= buf
+    flat -= grad
 
 
 def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
@@ -500,22 +529,29 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
     only.  Deterministic for a fixed config; aborts on divergence.
     Returns ``(model, trace)`` where trace holds (step, loss) every 100
     steps.  A ``grad_norms`` list receives, at those same steps, the
-    global norm of the gradient the step applies.  A ``timings`` dict
-    receives the seconds spent drawing batches, their steps and noise
-    (``draw_s``), in :func:`loss_and_grads` (``loss_and_grads_s``) and in
-    the rest of each step: the Adam update, the EMA if one is kept, and
-    the trace (``adam_s``).
+    global norm of the gradient the step applies.
+
+    One helper thread, started here and joined before this returns or
+    raises, draws each batch (``data_sampler``, then its steps, then its
+    noise, all from the one generator) one step ahead, while this thread
+    runs the previous batch's :func:`loss_and_grads`, and it runs half of
+    each :meth:`AdamState.update`.  The bits are those of the serial loop.
+    ``data_sampler`` is called once per step, in step order, but one batch
+    ahead: it must not overwrite an array it returned on its next call.
+
+    A ``timings`` dict receives three back-to-back intervals of this
+    thread, which add up to the loop: the wait for each prefetched batch
+    (``draw_s``), :func:`loss_and_grads` (``loss_and_grads_s``), and the
+    rest of each step, that is the Adam update with the wait for the
+    helper's half, the EMA if one is kept, and the trace (``adam_s``).
     """
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(model)
     ema = model.flat.copy() if cfg.ema_decay is not None else None
     temb_table = timestep_embedding(np.arange(sched.n_steps), model.t_emb_dim)
     trace: list[tuple[int, float]] = []
-    # back-to-back intervals, so that the three parts add up to the loop
-    clock = time.perf_counter
-    draw_s = grads_s = adam_s = 0.0
-    mark = clock()
-    for step in range(cfg.steps):
+
+    def draw():
         z0, conds = data_sampler(rng, cfg.batch_size)
         if conds.shape != (len(z0), model.cond_dim):
             raise ValueError(
@@ -524,23 +560,34 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
             )
         t = rng.integers(0, sched.n_steps, size=len(z0))
         eps = rng.standard_normal(z0.shape)
-        drawn = clock()
-        loss, grad = loss_and_grads(model, z0, t, eps, conds, sched, temb_table=temb_table)
-        done = clock()
-        if loss > DIVERGENCE_LIMIT:
-            raise TrainingError(f"training diverged at step {step}: loss={loss:.3e}")
-        if step % 100 == 0:
-            trace.append((step, loss))
-            if grad_norms is not None:
-                grad_norms.append(float(np.linalg.norm(grad)))
-        adam.update(model, grad, cfg)
-        if ema is not None:
-            ema *= cfg.ema_decay
-            ema += (1.0 - cfg.ema_decay) * model.flat
-        draw_s += drawn - mark
-        grads_s += done - drawn
+        return z0, conds, t, eps
+
+    clock = time.perf_counter
+    draw_s = grads_s = adam_s = 0.0
+    with ThreadPoolExecutor(max_workers=1) as helper:
         mark = clock()
-        adam_s += mark - done
+        batch = helper.submit(draw) if cfg.steps else None
+        for step in range(cfg.steps):
+            z0, conds, t, eps = batch.result()
+            if step + 1 < cfg.steps:
+                batch = helper.submit(draw)
+            drawn = clock()
+            loss, grad = loss_and_grads(model, z0, t, eps, conds, sched, temb_table=temb_table)
+            done = clock()
+            if loss > DIVERGENCE_LIMIT:
+                raise TrainingError(f"training diverged at step {step}: loss={loss:.3e}")
+            if step % 100 == 0:
+                trace.append((step, loss))
+                if grad_norms is not None:
+                    grad_norms.append(float(np.linalg.norm(grad)))
+            adam.update(model, grad, cfg, helper)
+            if ema is not None:
+                ema *= cfg.ema_decay
+                ema += (1.0 - cfg.ema_decay) * model.flat
+            draw_s += drawn - mark
+            grads_s += done - drawn
+            mark = clock()
+            adam_s += mark - done
     if ema is not None:
         model.flat[...] = ema
     if timings is not None:

@@ -593,10 +593,16 @@ def mixture_data_sampler(pairs):
     dim = pairs[0][1].dim
     if any(m.dim != dim for _, m in pairs):
         raise ValueError("all mixtures must share one dimension")
-    vectors = [c.vector for c, _ in pairs]
-    if any(v.shape != vectors[0].shape for v in vectors):
+    conds = [c for c, _ in pairs]
+    width = conds[0].width
+    if any(c.width != width for c in conds):
         raise ValueError("all conditions must share one width")
-    vectors = np.stack(vectors)
+    # row p is pair p's ConditionEmbedding.vector, built from stacked slots
+    vectors = np.empty((len(conds), 2 * width + 2))
+    vectors[:, :width] = np.stack([c.slot1 for c in conds])
+    vectors[:, width:-2] = np.stack([c.slot2 for c in conds])
+    vectors[:, -2] = [c.flag1 for c in conds]
+    vectors[:, -1] = [c.flag2 for c in conds]
     mixtures = [m for _, m in pairs]
     means = np.concatenate([m.means for m in mixtures])
     sds = np.sqrt(np.concatenate([m.variances for m in mixtures]))

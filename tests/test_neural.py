@@ -4,7 +4,10 @@ training loop and the checkpoint format."""
 import hashlib
 import math
 import struct
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -500,6 +503,25 @@ def test_train_equals_the_reference_loop_bit_for_bit(batch_size):
     assert got_model.flat.tobytes() == ref.flat.tobytes()
 
 
+def test_train_equals_the_reference_loop_under_frequent_thread_switches():
+    # the helper and the caller share the generator's order and the Adam
+    # arrays' halves; switching threads every microsecond must not move a bit
+    sched = build_schedule(12)
+    cfg = TrainConfig(steps=60, batch_size=24, seed=5)
+    models = [init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=3)
+              for _ in range(2)]
+    draw = gaussian_task(models[0].dim, models[0].cond_dim)
+    ref, want = reference_train(models[0], draw, cfg, sched)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got_model, got = train(models[1], draw, cfg, sched)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert got_model.flat.tobytes() == ref.flat.tobytes()
+
+
 def test_train_divergence_abort():
     sched = build_schedule(10)
     m = tiny_model()
@@ -520,6 +542,63 @@ def test_train_rejects_bad_condition_shape():
 
     with pytest.raises(ValueError, match="data sampler"):
         train(m, wrong, TrainConfig(steps=1, batch_size=4), sched)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_train_calls_the_sampler_once_per_step_in_step_order(steps):
+    sched = build_schedule(10)
+    m = tiny_model()
+    task = gaussian_task(m.dim, m.cond_dim)
+    seen = []
+
+    def draw(rng, n):
+        seen.append(rng.bit_generator.state)
+        return task(rng, n)
+
+    train(m, draw, TrainConfig(steps=steps, batch_size=4, seed=3), sched)
+    # the generator's state at each call of the serial loop, which draws
+    # a step's batch, then its steps, then its noise
+    rng = np.random.default_rng(3)
+    want = []
+    for _ in range(steps):
+        want.append(rng.bit_generator.state)
+        z0, _ = task(rng, 4)
+        rng.integers(0, sched.n_steps, size=4)
+        rng.standard_normal(z0.shape)
+    assert seen == want
+
+
+@pytest.mark.parametrize("failure, error, match", [
+    (None, None, None),
+    ("sampler", RuntimeError, "sampler failed"),
+    ("divergence", TrainingError, "diverged at step 2"),
+    ("shape", ValueError, "data sampler"),
+])
+def test_train_leaves_no_thread_running(failure, error, match):
+    sched = build_schedule(10)
+    m = tiny_model()
+    task = gaussian_task(m.dim, m.cond_dim)
+    calls = []
+
+    def draw(rng, n):
+        calls.append(n)
+        z0, conds = task(rng, n)
+        if len(calls) >= 3:  # step 2 on
+            if failure == "sampler":
+                raise RuntimeError("sampler failed")
+            if failure == "divergence":
+                z0 = np.full_like(z0, 1e7)
+            if failure == "shape":
+                conds = conds[:, 1:]
+        return z0, conds
+
+    before = set(threading.enumerate())
+    if error is None:
+        train(m, draw, TrainConfig(steps=10, batch_size=4), sched)
+    else:
+        with pytest.raises(error, match=match):
+            train(m, draw, TrainConfig(steps=10, batch_size=4), sched)
+    assert set(threading.enumerate()) == before
 
 
 def test_train_ema_changes_result():
@@ -588,6 +667,24 @@ def test_adam_update_equals_per_tensor_reference(cfg):
         assert model.flat.tobytes() == ref.flat.tobytes()
         assert adam.m.tobytes() == b"".join(a.tobytes() for a in m.values())
         assert adam.v.tobytes() == b"".join(a.tobytes() for a in v.values())
+
+
+def test_adam_update_with_a_helper_equals_the_serial_update():
+    # an odd length, so that the helper's half is one element shorter
+    serial = init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=2)
+    split = init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=2)
+    assert split.flat.size % 2 == 1
+    adam_serial, adam_split = AdamState(serial), AdamState(split)
+    cfg = TrainConfig(3e-2, 0.8, 0.95, 1e-3)
+    rng = np.random.default_rng(8)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for _ in range(4):
+            grad = rng.standard_normal(split.flat.shape) * 10.0 ** rng.integers(-6, 3)
+            adam_serial.update(serial, grad.copy(), cfg)
+            adam_split.update(split, grad, cfg, helper)
+            assert split.flat.tobytes() == serial.flat.tobytes()
+            assert adam_split.m.tobytes() == adam_serial.m.tobytes()
+            assert adam_split.v.tobytes() == adam_serial.v.tobytes()
 
 
 def test_adam_update_makes_no_parameter_sized_temporary():

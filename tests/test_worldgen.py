@@ -612,6 +612,31 @@ def test_mixture_data_sampler_validation():
         mixture_data_sampler([pairs_a[0], pairs_c[0]])
 
 
+def _sampler_conditions_equal_their_vectors(pairs, n):
+    reference = np.stack([c.vector for c, _ in pairs])
+    _, conds = mixture_data_sampler(pairs)(np.random.default_rng(3), n)
+    idx = np.random.default_rng(3).integers(0, len(pairs), size=n)  # the draw's first call
+    assert np.unique(idx).size == len(pairs)  # every row is compared
+    assert conds.dtype == reference.dtype
+    assert conds.tobytes() == reference[idx].tobytes()
+
+
+def test_mixture_data_sampler_conditions_equal_a_full_suites_vectors():
+    pairs = suite_training_pairs(generate_suite(11), n_frames=16, sigma=0.3)
+    assert len(pairs) == 1050
+    _sampler_conditions_equal_their_vectors(pairs, 20 * len(pairs))
+
+
+def test_mixture_data_sampler_conditions_equal_hand_built_vectors():
+    mixture = single_gaussian(np.zeros(2), 1.0)
+    conds = [
+        ConditionEmbedding(np.array([0.5, -1.25, 3.0]), np.array([-0.0, 0.0, -0.0]), 1, 0),
+        ConditionEmbedding(np.array([1, 2, 3]), np.array([4, 5, 6]), 1, 1),  # int slots
+        ConditionEmbedding(np.zeros(3), np.array([1e-300, -7.5, np.pi]), 0, True),
+    ]
+    _sampler_conditions_equal_their_vectors([(c, mixture) for c in conds], 64)
+
+
 def test_mixture_data_sampler_distribution():
     # one-component event1/event2 pairs and two-component concat pairs,
     # the concat weight away from 1/2 so ignoring it shows
