@@ -46,10 +46,22 @@ work that releases the GIL around them: it draws step k+1's batch, in
 the serial order from the one generator, while the caller runs step k's
 :func:`loss_and_grads`, and it runs :meth:`AdamState.update`'s
 elementwise passes over the first half of the parameter vector while
-the caller runs them over the second.  The bytes are those of the
-serial loop.  With OpenBLAS on one thread and two CPUs this ran at
-1.08x to 1.16x the serial loop's steps per second; with two OpenBLAS
-threads at 0.98x, and on one CPU at 0.96x.
+the caller runs them over the second.  On batches of at least
+``EARLY_ADAM_MIN_ROWS`` (96) rows the update starts inside the backward
+pass: once block ``n_blocks // 2`` has read its weights for the last
+time, the helper runs the passes over that block, the blocks above it
+and the output projection while the caller backpropagates through the
+blocks below, and after the backward the halves split the rest.  Adam
+is elementwise, so a block's parameters may be updated as soon as its
+gradient is final (the idea of LOMO, Lv et al. 2023, arXiv 2306.09782).
+The bytes are those of the serial loop.  With OpenBLAS on one thread
+and two CPUs the helper ran at 1.08x to 1.16x the serial loop's steps
+per second, and the early start at 1.06x to 1.08x the split update's
+at batch 128 (hidden 64) and 1.19x at hidden 256.  At batch 32 the
+early start ran at 0.94x (hidden 64) and 0.90x (hidden 256): the lower
+blocks' backward is then too short to cover the hand-off, hence the
+96-row gate.  With two OpenBLAS threads the helper ran at 0.98x, and on
+one CPU at 0.96x.
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ from __future__ import annotations
 import math
 import struct
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,6 +100,13 @@ __all__ = [
 CHECKPOINT_MAGIC = b"TPCKPT"
 CHECKPOINT_VERSION = 1
 DIVERGENCE_LIMIT = 1e6
+# Batches of at least this many rows begin the Adam update of the upper
+# half of the blocks inside the backward pass (see train).  Below it the
+# blocks left to backpropagate take too little time to cover the hand-off:
+# at batch 32 it ran at 0.94x the plain split update at hidden 64 and
+# 0.90x at hidden 256.  Narrower models gain less: at hidden 32 it ran at
+# 0.95x at batch 128 and 1.00x at batch 256.
+EARLY_ADAM_MIN_ROWS = 96
 
 
 class CheckpointError(ValueError):
@@ -132,15 +151,21 @@ def _param_shapes(dim, hidden, t_emb_dim, cond_width):
     )
 
 
+def _part_sizes(dim, hidden, t_emb_dim, cond_width) -> tuple[int, int, int]:
+    """Parameter counts of the input projection, of one block and of the
+    output projection."""
+    return tuple(
+        sum(math.prod(shape) for shape in part.values())
+        for part in _param_shapes(dim, hidden, t_emb_dim, cond_width)
+    )
+
+
 def _param_count(dim, hidden, n_blocks, t_emb_dim, cond_width) -> int:
     """Length of ``flat`` for these dimensions, in integer arithmetic, so
     that it can be checked before anything is allocated."""
     if min(dim, hidden, n_blocks, cond_width) < 1:
         raise ValueError("model dimensions must be positive")
-    head, block, tail = (
-        sum(math.prod(shape) for shape in part.values())
-        for part in _param_shapes(dim, hidden, t_emb_dim, cond_width)
-    )
+    head, block, tail = _part_sizes(dim, hidden, t_emb_dim, cond_width)
     return head + n_blocks * block + tail
 
 
@@ -202,6 +227,12 @@ class DenoiserModel:
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """Named parameter views in checkpoint order."""
         return list(self.views(self.flat).items())
+
+    def block_start(self, j: int) -> int:
+        """Index in ``flat`` of block j's first parameter: ``flat[block_start(j):]``
+        holds blocks j to the last and the output projection."""
+        head, block, _ = _part_sizes(self.dim, self.hidden, self.t_emb_dim, self.cond_width)
+        return head + j * block
 
 
 def init_model(
@@ -361,7 +392,7 @@ def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds) -> np.ndarray
     return eps[0] if z_t.ndim == 1 else eps
 
 
-def loss_and_grads(model, z0, t, eps, block_conds, sched, *, temb_table=None):
+def loss_and_grads(model, z0, t, eps, block_conds, sched, *, temb_table=None, ready=None):
     """Denoising MSE and exact parameter gradients for one batch.
 
     z0 (n, dim), t (n,), eps (n, dim).  ``block_conds`` is (n, cond_dim),
@@ -373,6 +404,13 @@ def loss_and_grads(model, z0, t, eps, block_conds, sched, *, temb_table=None):
     loss is the mean squared error, over all n * dim entries, between
     ``eps`` and the model's prediction at ``forward_noise(z0, t, eps)``.
     Returns (loss, grad) with grad one vector laid out like ``model.flat``.
+
+    ``ready(j, loss, grad)``, if given, is called as soon as block j's
+    backward has read block j's weights for the last time, for j from the
+    last block down: from then on ``grad[model.block_start(j):]`` is final,
+    and the rest of the backward reads neither it nor ``model.flat`` there,
+    so the caller may update those parameters while the backward goes on
+    (:func:`train` does).
     """
     z0 = np.asarray(z0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
@@ -432,7 +470,9 @@ def loss_and_grads(model, z0, t, eps, block_conds, sched, *, temb_table=None):
         np.matmul(da.T, temb, out=g_w1[:, hidden:t_end])
         np.matmul(da.T, by_block[j], out=g_w1[:, t_end:])
         np.add.reduce(da, axis=0, out=g[f"blocks.{j}.b1"])
-        np.matmul(da, blk.w_h, out=buf)
+        np.matmul(da, blk.w_h, out=buf)  # block j's last read of its weights
+        if ready is not None:
+            ready(j, loss, grad)
         dh += buf
     np.matmul(dh.T, z_t, out=g["w_in"])
     np.add.reduce(dh, axis=0, out=g["b_in"])
@@ -477,26 +517,51 @@ class AdamState:
         self.v = np.zeros_like(model.flat)
         self._buf = np.empty_like(model.flat)
 
+    def _passes(self, model, grad, cfg: TrainConfig, step: int, lo: int, hi: int | None):
+        """The arguments of :func:`_adam_passes` for step ``step`` over
+        ``flat[lo:hi]``."""
+        part = slice(lo, hi)
+        arrays = (model.flat, grad, self.m, self.v, self._buf)
+        return (*(a[part] for a in arrays), cfg, 1.0 - cfg.beta1**step, 1.0 - cfg.beta2**step)
+
+    def begin(self, model: DenoiserModel, grad: np.ndarray, cfg: TrainConfig,
+              helper: Executor, start: int) -> tuple[int, Future]:
+        """Submit the next :meth:`update`'s passes over ``flat[start:]`` to
+        ``helper``, for a ``grad`` whose entries from ``start`` on are final
+        while the caller still computes the others.  Pass the result to that
+        update as ``begun``."""
+        args = self._passes(model, grad, cfg, self.step + 1, start, None)
+        return start, helper.submit(_adam_passes, *args)
+
     def update(self, model: DenoiserModel, grad: np.ndarray, cfg: TrainConfig,
-               helper: Executor | None = None) -> None:
+               helper: Executor | None = None,
+               begun: tuple[int, Future] | None = None) -> None:
         """One step along ``grad``, which is consumed (overwritten).
 
         With a ``helper`` executor, the helper runs the passes over the
         first half of the vector while the calling thread runs them over
-        the second; each pass is elementwise, so the bits are those of one
-        pass over the whole vector.  Returns once both halves are done.
+        the second; after :meth:`begin`, whose result is ``begun``, the
+        helper already has ``flat[start:]`` and the halves split
+        ``flat[:start]``.  Each pass is elementwise, so the bits are those
+        of one pass over the whole vector.  A range the helper has not yet
+        started when the calling thread's half is done is taken back and
+        run on the calling thread.  Returns once every range is done.
         """
         self.step += 1
-        bc1 = 1.0 - cfg.beta1**self.step
-        bc2 = 1.0 - cfg.beta2**self.step
-        arrays = (model.flat, grad, self.m, self.v, self._buf)
         if helper is None:
-            _adam_passes(*arrays, cfg, bc1, bc2)
+            _adam_passes(*self._passes(model, grad, cfg, self.step, 0, None))
             return
-        half = len(grad) // 2
-        first = helper.submit(_adam_passes, *(a[:half] for a in arrays), cfg, bc1, bc2)
-        _adam_passes(*(a[half:] for a in arrays), cfg, bc1, bc2)
-        first.result()
+        end, early = begun or (len(grad), None)
+        half = end // 2
+        ranges = [(end, None, early)] if early is not None else []
+        ranges.append((0, half, helper.submit(
+            _adam_passes, *self._passes(model, grad, cfg, self.step, 0, half))))
+        _adam_passes(*self._passes(model, grad, cfg, self.step, half, end))
+        for lo, hi, future in ranges:
+            if future.cancel():
+                _adam_passes(*self._passes(model, grad, cfg, self.step, lo, hi))
+            else:
+                future.result()
 
 
 def _adam_passes(flat, grad, m, v, buf, cfg: TrainConfig, bc1: float, bc2: float) -> None:
@@ -534,16 +599,23 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
     One helper thread, started here and joined before this returns or
     raises, draws each batch (``data_sampler``, then its steps, then its
     noise, all from the one generator) one step ahead, while this thread
-    runs the previous batch's :func:`loss_and_grads`, and it runs half of
-    each :meth:`AdamState.update`.  The bits are those of the serial loop.
-    ``data_sampler`` is called once per step, in step order, but one batch
-    ahead: it must not overwrite an array it returned on its next call.
+    runs the previous batch's :func:`loss_and_grads`, and it runs part of
+    each :meth:`AdamState.update`: half of it, or, on a batch of at least
+    ``EARLY_ADAM_MIN_ROWS`` rows, the passes over block ``n_blocks // 2``
+    and everything above it, begun as soon as the backward pass is done
+    with them, and then half of the rest.  A step that diverges or records
+    a gradient norm begins nothing early, so a diverging step updates
+    nothing.  The bits are those of the serial loop.  ``data_sampler`` is
+    called once per step, in step order, but one batch ahead: it must not
+    overwrite an array it returned on its next call.
 
     A ``timings`` dict receives three back-to-back intervals of this
     thread, which add up to the loop: the wait for each prefetched batch
-    (``draw_s``), :func:`loss_and_grads` (``loss_and_grads_s``), and the
-    rest of each step, that is the Adam update with the wait for the
-    helper's half, the EMA if one is kept, and the trace (``adam_s``).
+    (``draw_s``), :func:`loss_and_grads` (``loss_and_grads_s``, which
+    includes handing the helper its early range), and the rest of each
+    step, that is this thread's share of the Adam update with the wait
+    for the helper's ranges, the EMA if one is kept, and the trace
+    (``adam_s``).
     """
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(model)
@@ -562,6 +634,15 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
         eps = rng.standard_normal(z0.shape)
         return z0, conds, t, eps
 
+    cut = model.n_blocks // 2
+    start = model.block_start(cut)
+    begun = None  # the update this step's backward began on the helper
+
+    def hand_off(j, loss, grad):
+        nonlocal begun
+        if j == cut and loss <= DIVERGENCE_LIMIT:
+            begun = adam.begin(model, grad, cfg, helper, start)
+
     clock = time.perf_counter
     draw_s = grads_s = adam_s = 0.0
     with ThreadPoolExecutor(max_workers=1) as helper:
@@ -572,7 +653,12 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
             if step + 1 < cfg.steps:
                 batch = helper.submit(draw)
             drawn = clock()
-            loss, grad = loss_and_grads(model, z0, t, eps, conds, sched, temb_table=temb_table)
+            # a recorded norm reads the whole gradient, which the update overwrites
+            early = len(z0) >= EARLY_ADAM_MIN_ROWS and not (
+                step % 100 == 0 and grad_norms is not None)
+            begun = None
+            loss, grad = loss_and_grads(model, z0, t, eps, conds, sched, temb_table=temb_table,
+                                        ready=hand_off if early else None)
             done = clock()
             if loss > DIVERGENCE_LIMIT:
                 raise TrainingError(f"training diverged at step {step}: loss={loss:.3e}")
@@ -580,7 +666,7 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
                 trace.append((step, loss))
                 if grad_norms is not None:
                     grad_norms.append(float(np.linalg.norm(grad)))
-            adam.update(model, grad, cfg, helper)
+            adam.update(model, grad, cfg, helper, begun)
             if ema is not None:
                 ema *= cfg.ema_decay
                 ema += (1.0 - cfg.ema_decay) * model.flat

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,6 +96,8 @@ def test_parameters_are_views_of_one_flat_vector():
     named, offset = dict(m.parameters()), 0
     for name, param in named.items():  # consecutive, in checkpoint order
         assert np.shares_memory(param, m.flat[offset : offset + param.size]), name
+        if name.endswith(".w1"):
+            assert m.block_start(int(name.split(".")[1])) == offset
         offset += param.size
     assert offset == m.flat.size
     attrs = {"w_in": m.w_in, "b_in": m.b_in, "w_out": m.w_out, "b_out": m.b_out}
@@ -411,6 +414,33 @@ def test_non_finite_loss_raises():
             loss_and_grads(m, z0, t, eps, block_conds, sched)
 
 
+def test_loss_and_grads_hands_over_each_block_once_it_is_final():
+    # at each call the caller may overwrite the block's parameters and
+    # gradient and everything above them: the backward reads neither again
+    m = init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=2)
+    sched = build_schedule(10)
+    z0, t, eps, block_conds = batch_inputs(m, n=6)
+    loss, want = loss_and_grads(m, z0, t, eps, block_conds, sched)
+    seen = []
+
+    def ready(j, at_loss, grad):
+        start = m.block_start(j)
+        seen.append((j, at_loss, grad[start:].copy()))
+        m.flat[start:] = np.nan
+        grad[start:] = np.nan
+
+    _, grad = loss_and_grads(m, z0, t, eps, block_conds, sched, ready=ready)
+    assert [j for j, _, _ in seen] == [2, 1, 0]
+    for j, at_loss, part in seen:
+        assert at_loss == loss
+        # the previous call overwrote what follows block j
+        own = None if j == m.n_blocks - 1 else m.block_start(j + 1) - m.block_start(j)
+        assert part[:own].tobytes() == want[m.block_start(j):][:own].tobytes()
+    first = m.block_start(0)
+    assert grad[:first].tobytes() == want[:first].tobytes()
+    assert np.isnan(grad[first:]).all()
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -444,26 +474,39 @@ def test_train_reduces_loss_and_is_deterministic():
     assert trace_a[-1][1] < 0.9 * trace_a[0][1]
 
 
-def test_train_records_gradient_norms_at_trace_steps():
+def test_train_records_gradient_norms_at_trace_steps(monkeypatch):
+    # at 128 rows the other steps begin their update inside the backward
+    # pass, from the middle block up, and the update overwrites the
+    # gradient, so a step that records a norm must not; here each begun
+    # update is done before the backward goes on
     sched = build_schedule(10)
-    cfg = TrainConfig(steps=201, batch_size=8, seed=6)
-    norms = []
-    m = tiny_model(seed=2)
-    _, trace = train(m, gaussian_task(m.dim, m.cond_dim), cfg, sched, grad_norms=norms)
-    assert len(norms) == len(trace) == 3
-    # step 0's gradient, recomputed from the same draws
-    rng = np.random.default_rng(cfg.seed)
-    z0, conds = gaussian_task(m.dim, m.cond_dim)(rng, cfg.batch_size)
-    t = rng.integers(0, sched.n_steps, size=cfg.batch_size)
-    eps = rng.standard_normal(z0.shape)
-    fresh = tiny_model(seed=2)
-    block_conds = np.repeat(conds[:, None, :], fresh.n_blocks, axis=1)
-    _, grad = loss_and_grads(fresh, z0, t, eps, block_conds, sched)
-    assert norms[0] == np.linalg.norm(grad)
-    assert all(math.isfinite(n) and n > 0 for n in norms)
+    starts = []
+    begin = AdamState.begin
+
+    def begin_and_finish(self, model, grad, cfg, helper, start):
+        begun = begin(self, model, grad, cfg, helper, start)
+        begun[1].result(timeout=10)
+        starts.append(start)
+        return begun
+
+    monkeypatch.setattr(AdamState, "begin", begin_and_finish)
+    for batch_size in (8, 128):
+        cfg = TrainConfig(steps=201, batch_size=batch_size, seed=6)
+        norms, want = [], []
+        starts.clear()
+        m = tiny_model(seed=2)
+        draw = gaussian_task(m.dim, m.cond_dim)
+        _, trace = train(m, draw, cfg, sched, grad_norms=norms)
+        ref, _ = reference_train(tiny_model(seed=2), draw, cfg, sched, grad_norms=want)
+        assert len(norms) == len(trace) == 3
+        handed_off = cfg.steps - len(trace) if batch_size >= 96 else 0
+        assert starts == [m.block_start(m.n_blocks // 2)] * handed_off
+        assert norms == want
+        assert all(math.isfinite(n) and n > 0 for n in norms)
+        assert m.flat.tobytes() == ref.flat.tobytes()
 
 
-def reference_train(model, draw, cfg, sched):
+def reference_train(model, draw, cfg, sched, grad_norms=None):
     """The training loop written out: every block gets the example's
     condition as an explicit (n, n_blocks, cond_dim) repeat."""
     rng = np.random.default_rng(cfg.seed)
@@ -477,11 +520,14 @@ def reference_train(model, draw, cfg, sched):
         loss, grad = loss_and_grads(model, z0, t, eps, block_conds, sched)
         if step % 100 == 0:
             trace.append((step, loss))
+            if grad_norms is not None:
+                grad_norms.append(float(np.linalg.norm(grad)))
         adam.update(model, grad, cfg)
     return model, trace
 
 
-@pytest.mark.parametrize("batch_size", [5, 24])
+# 128 rows reach the update that begins inside the backward pass
+@pytest.mark.parametrize("batch_size", [5, 24, 128])
 def test_train_equals_the_reference_loop_bit_for_bit(batch_size):
     sched = build_schedule(12)
     cfg = TrainConfig(steps=201, batch_size=batch_size, seed=4)
@@ -505,21 +551,23 @@ def test_train_equals_the_reference_loop_bit_for_bit(batch_size):
 
 def test_train_equals_the_reference_loop_under_frequent_thread_switches():
     # the helper and the caller share the generator's order and the Adam
-    # arrays' halves; switching threads every microsecond must not move a bit
+    # arrays' ranges, at 128 rows some begun inside the backward pass;
+    # switching threads every microsecond must not move a bit
     sched = build_schedule(12)
-    cfg = TrainConfig(steps=60, batch_size=24, seed=5)
-    models = [init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=3)
-              for _ in range(2)]
-    draw = gaussian_task(models[0].dim, models[0].cond_dim)
-    ref, want = reference_train(models[0], draw, cfg, sched)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got_model, got = train(models[1], draw, cfg, sched)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
-    assert got_model.flat.tobytes() == ref.flat.tobytes()
+    for batch_size, steps in ((24, 60), (128, 201)):
+        cfg = TrainConfig(steps=steps, batch_size=batch_size, seed=5)
+        models = [init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=3)
+                  for _ in range(2)]
+        draw = gaussian_task(models[0].dim, models[0].cond_dim)
+        ref, want = reference_train(models[0], draw, cfg, sched)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got_model, got = train(models[1], draw, cfg, sched)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert got_model.flat.tobytes() == ref.flat.tobytes()
 
 
 def test_train_divergence_abort():
@@ -531,6 +579,30 @@ def test_train_divergence_abort():
 
     with pytest.raises(TrainingError, match="diverged"):
         train(m, absurd, TrainConfig(steps=10, batch_size=4), sched)
+
+
+def test_a_diverging_step_updates_nothing():
+    # at 128 rows a step's update begins inside its backward pass, so the
+    # loss must be checked before that
+    sched = build_schedule(12)
+    k = 3
+    cfg = TrainConfig(steps=10, batch_size=128, seed=4)
+    task = gaussian_task(6, 6)
+    calls = []
+
+    def draw(rng, n):
+        calls.append(n)
+        z0, conds = task(rng, n)
+        return (np.full_like(z0, 1e7) if len(calls) == k + 1 else z0), conds
+
+    def model():
+        return init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=2)
+
+    m = model()
+    with pytest.raises(TrainingError, match=f"diverged at step {k}"):
+        train(m, draw, cfg, sched)
+    ref, _ = reference_train(model(), task, replace(cfg, steps=k), sched)
+    assert m.flat.tobytes() == ref.flat.tobytes()
 
 
 def test_train_rejects_bad_condition_shape():
@@ -592,13 +664,17 @@ def test_train_leaves_no_thread_running(failure, error, match):
                 conds = conds[:, 1:]
         return z0, conds
 
-    before = set(threading.enumerate())
-    if error is None:
-        train(m, draw, TrainConfig(steps=10, batch_size=4), sched)
-    else:
-        with pytest.raises(error, match=match):
-            train(m, draw, TrainConfig(steps=10, batch_size=4), sched)
-    assert set(threading.enumerate()) == before
+    # at 128 rows each step's update begins inside its backward pass
+    for batch_size in (4, 128):
+        calls.clear()
+        cfg = TrainConfig(steps=10, batch_size=batch_size)
+        before = set(threading.enumerate())
+        if error is None:
+            train(tiny_model(), draw, cfg, sched)
+        else:
+            with pytest.raises(error, match=match):
+                train(tiny_model(), draw, cfg, sched)
+        assert set(threading.enumerate()) == before
 
 
 def test_train_ema_changes_result():
@@ -670,18 +746,32 @@ def test_adam_update_equals_per_tensor_reference(cfg):
 
 
 def test_adam_update_with_a_helper_equals_the_serial_update():
-    # an odd length, so that the helper's half is one element shorter
+    # an odd length, so that the helper's half is one element shorter.
+    # begun_at: None, or the block from which begin() hands the update to
+    # the helper (3, past the last block, hands over the output projection
+    # alone); busy: the helper is held until the update returns, so that
+    # the calling thread takes back every range the helper has not started
     serial = init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=2)
     split = init_model(6, hidden=5, n_blocks=3, t_emb_dim=4, cond_width=2, seed=2)
     assert split.flat.size % 2 == 1
     adam_serial, adam_split = AdamState(serial), AdamState(split)
     cfg = TrainConfig(3e-2, 0.8, 0.95, 1e-3)
     rng = np.random.default_rng(8)
+    cases = [(begun_at, busy) for begun_at in (None, 0, 1, 3) for busy in (False, True)]
     with ThreadPoolExecutor(max_workers=1) as helper:
-        for _ in range(4):
+        for begun_at, busy in cases:
             grad = rng.standard_normal(split.flat.shape) * 10.0 ** rng.integers(-6, 3)
             adam_serial.update(serial, grad.copy(), cfg)
-            adam_split.update(split, grad, cfg, helper)
+            held = threading.Event()
+            holder = helper.submit(held.wait, 10) if busy else None
+            begun = None
+            if begun_at is not None:
+                begun = adam_split.begin(split, grad, cfg, helper, split.block_start(begun_at))
+            adam_split.update(split, grad, cfg, helper, begun)
+            held.set()
+            if busy:
+                assert holder.result(timeout=10)
+                assert begun is None or begun[1].cancelled()
             assert split.flat.tobytes() == serial.flat.tobytes()
             assert adam_split.m.tobytes() == adam_serial.m.tobytes()
             assert adam_split.v.tobytes() == adam_serial.v.tobytes()

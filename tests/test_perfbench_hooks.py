@@ -134,7 +134,14 @@ def test_traced_forward_rows_count_distinct_chains_on_a_checkpoint(tmp_path):
 
 
 def test_traced_train_counts_one_gradient_and_one_update_per_step():
-    # the benchmark's training per-layer numbers are read from these spans
+    # the benchmark's training per-layer numbers are read from these spans;
+    # at 128 rows each step's update begins on the helper inside the
+    # backward pass, which must still leave one span of each per step
+    for batch_size in (4, 128):
+        check_traced_train_spans(batch_size)
+
+
+def check_traced_train_spans(batch_size):
     tracer_module = load_tracer_module()
     model = init_model(6, hidden=4, n_blocks=2, t_emb_dim=4, cond_width=1, seed=0)
 
@@ -145,7 +152,7 @@ def test_traced_train_counts_one_gradient_and_one_update_per_step():
     tracer = tracer_module.Tracer()
     try:
         tracer_module.instrument(tracer)
-        neural.train(model, draw, TrainConfig(steps=k, batch_size=4), build_schedule(10))
+        neural.train(model, draw, TrainConfig(steps=k, batch_size=batch_size), build_schedule(10))
     finally:
         tracer.restore()
     tracer.fold()
