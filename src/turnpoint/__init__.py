@@ -3,7 +3,7 @@ samplers: switch the prompt over denoising *steps* or split it across
 denoiser *blocks*, then measure when the second event survives.
 """
 
-from .analytic import AnalyticDenoiser, GaussianMixture, predict_eps, single_gaussian
+from .analytic import AnalyticDenoiser, GaussianMixture, predict_eps
 from .conditioning import (
     ConditionEmbedding,
     ConditionPlan,
@@ -90,7 +90,6 @@ __all__ = [
     "run_sweep",
     "sample",
     "save_checkpoint",
-    "single_gaussian",
     "step_switch",
     "train",
     "unconditioned",

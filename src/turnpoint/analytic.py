@@ -24,14 +24,12 @@ __all__ = [
     "VARIANCE_FLOOR",
     "SCORE_SLICE_BYTES",
     "GaussianMixture",
-    "single_gaussian",
     "diffused_mixture",
     "log_density",
     "responsibilities",
     "MixtureTables",
     "mixture_tables",
     "predict_eps",
-    "sample_mixture",
     "AnalyticDenoiser",
 ]
 
@@ -125,13 +123,6 @@ def _mixture_view(weights, means, variances) -> GaussianMixture:
     mixture = object.__new__(GaussianMixture)
     mixture.__dict__.update(weights=weights, means=means, variances=variances)
     return mixture
-
-
-def single_gaussian(mean, variance) -> GaussianMixture:
-    """One-component mixture; ``variance`` may be a scalar or a vector."""
-    mean = np.asarray(mean, dtype=np.float64).ravel()
-    var = np.broadcast_to(np.asarray(variance, dtype=np.float64), mean.shape)
-    return GaussianMixture(np.array([1.0]), mean[None, :], var[None, :].copy())
 
 
 def _check_step(t, sched: NoiseSchedule) -> int:
@@ -331,15 +322,6 @@ def predict_eps(z, t: int, cond_mixture, sched: NoiseSchedule, slots=None) -> np
     if not np.all(np.isfinite(eps_hat)):
         raise FloatingPointError("non-finite noise prediction from analytic denoiser")
     return eps_hat
-
-
-def sample_mixture(mixture: GaussianMixture, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` points from the mixture; shape (n, D)."""
-    if n < 0:
-        raise ValueError("sample count must be non-negative")
-    comp = rng.choice(mixture.n_components, size=n, p=mixture.weights)
-    noise = rng.standard_normal((n, mixture.dim))
-    return mixture.means[comp] + np.sqrt(mixture.variances[comp]) * noise
 
 
 def _same_mixture(a: GaussianMixture, b: GaussianMixture) -> bool:

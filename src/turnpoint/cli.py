@@ -213,8 +213,9 @@ def _cmd_sample(args) -> int:
     model = None
     frames = args.frames
     if args.backend != "analytic":
-        model = open_checkpoint(args.backend, records)
-        frames = model.dim // record.frame_dim
+        model = open_checkpoint(args.backend, records, frames)
+        if frames is None:
+            frames = model.dim // record.frame_dim
     cfg = load_sweep_config(
         mode=_SAMPLE_MODES[args.mode],
         grid=(args.x,),
@@ -345,7 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--seed", type=_seed, required=True, help="sampler seed")
     sm.add_argument("--out", required=True, help="output directory")
     sm.add_argument("--n-steps", type=int, help="denoising steps")
-    sm.add_argument("--frames", type=int, help="frames (analytic backend)")
+    sm.add_argument(
+        "--frames", type=int,
+        help="frames per trajectory; a checkpoint backend's count by default, and it must match",
+    )
     sm.add_argument("--sigma", type=float, help="data noise scale")
     sm.add_argument("--w-mix", type=float, help="concat mixture weight")
     sm.set_defaults(func=_cmd_sample)

@@ -26,13 +26,13 @@ __all__ = [
     "sample",
 ]
 
-# Size of the buffer a sample call fills with its chains' noise, a chunk of
-# iterations at a time, one buffer row per distinct seed.  Not a setting:
-# the draws are the same at any size.  Longer fills cost less per float: on
-# a 2-CPU host, 512 distinct seeds of 96 floats over 50 iterations took
-# 62 ms at 4 MiB (10 iterations a fill), 83 ms at 1 MiB (2) and 97 ms at
-# 256 KiB (1).  A grid sweep's call, a few distinct seeds per prompt, fills
-# its whole stream at once in well under 4 MiB.
+# Size of the buffer that _chain_draws fills with a sample call's noise, a
+# chunk of iterations at a time, one buffer row per distinct seed.  Not a
+# setting: the draws are the same at any size.  Longer fills cost less per
+# float: on a 2-CPU host, 512 distinct seeds of 96 floats over 50
+# iterations took 62 ms at 4 MiB (10 iterations a fill), 83 ms at 1 MiB (2)
+# and 97 ms at 256 KiB (1).  A grid sweep's call, a few distinct seeds per
+# prompt, fills its whole stream at once in well under 4 MiB.
 NOISE_BUFFER_BYTES = 1 << 22
 
 
@@ -190,31 +190,23 @@ def _condition_index(plans, n_steps: int, n_blocks: int | None):
 
 
 def _chain_draws(seeds, dim: int, count: int):
-    """Yield ``count`` draws of shape ``(rows, dim)``, row ``r`` from
-    ``np.random.default_rng(seeds[r])``.
+    """Yield ``count`` draws of shape ``(len(seeds), dim)``, row ``r`` from
+    ``np.random.default_rng(seeds[r])``; the seeds are distinct.
 
-    Rows with equal seeds draw equal streams, so one generator per distinct
-    seed fills a chunk of its draws at once into a buffer of about
-    ``NOISE_BUFFER_BYTES``, one ``(k, dim)`` fill giving the same values as
-    ``k`` fills of ``dim``, and each draw gathers its rows from the buffer.
-    A row of the buffer whose size is a multiple of 4 KiB gets one spare
-    iteration, so that the rows of a draw do not all map to the same cache
-    sets.  A yielded array is overwritten by the next draw.
+    Each generator fills a chunk of its draws at once into a buffer of
+    about ``NOISE_BUFFER_BYTES``, one ``(k, dim)`` fill giving the same
+    values as ``k`` fills of ``dim``, and each draw is a view of the
+    buffer, overwritten by a later fill.
     """
-    distinct: dict = {}
-    inverse = np.array([distinct.setdefault(seed, len(distinct)) for seed in seeds])
-    gens = [np.random.default_rng(seed) for seed in distinct]
+    gens = [np.random.default_rng(seed) for seed in seeds]
     chunk = max(1, min(count, NOISE_BUFFER_BYTES // (len(gens) * dim * 8)))
-    stride = chunk + (chunk * dim * 8 % 4096 == 0)
-    buf = np.empty((len(gens), stride, dim))
-    draw = np.empty((len(inverse), dim))
+    buf = np.empty((len(gens), chunk, dim))
     for start in range(0, count, chunk):
         fill = min(chunk, count - start)
         for gen, row in zip(gens, buf):
             gen.standard_normal(out=row[:fill])
         for k in range(fill):
-            # mode="clip" lets take write straight into draw; every index is valid
-            yield np.take(buf[:, k], inverse, axis=0, out=draw, mode="clip")
+            yield buf[:, k]
 
 
 def sample(
@@ -293,7 +285,7 @@ def sample(
     chain_of_row = np.array([distinct.setdefault(seed, len(distinct)) for seed in seeds])
     chain_seed = np.arange(len(distinct))
     draws = _chain_draws(list(distinct), denoiser.dim, n)
-    z = next(draws)  # overwritten by the next draw; the split at i = 0 copies it
+    z = next(draws)  # a view of the noise buffer; the split at i = 0 copies it
     for i in range(n):
         t = n - 1 - i
         if i in splits:

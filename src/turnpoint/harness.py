@@ -98,10 +98,9 @@ class ConfigurationError(ValueError):
     """Bad sweep/training configuration or startup input."""
 
 
-def fnv1a64(data: bytes, h: int = 0xCBF29CE484222325) -> int:
-    """64-bit FNV-1a hash of ``data``.  Given ``h``, the hash of a prefix,
-    the hashing continues from that state, so the result is the hash of
-    the prefix followed by ``data``."""
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a hash of ``data``."""
+    h = 0xCBF29CE484222325
     for byte in data:
         h ^= byte
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
@@ -270,11 +269,12 @@ def _record_to_row(rec: RunRecord) -> list:
 
 
 def write_runs_csv(records, path) -> None:
+    """Write ``records`` to ``path`` as ``runs.csv``, each row as soon as
+    the iterable yields its record."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUNS_CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(_record_to_row(rec))
+        writer.writerows(map(_record_to_row, records))
 
 
 def read_runs_csv(path) -> list[RunRecord]:
@@ -346,10 +346,11 @@ def backend_for_record(
     return backend
 
 
-def open_checkpoint(path: str, records) -> DenoiserModel:
+def open_checkpoint(path: str, records, frames: int | None) -> DenoiserModel:
     """Load the checkpoint at ``path`` and check that it can denoise
     ``records``: one feature dimension across the suite, the matching
-    condition width, and a dimension made of whole frames."""
+    condition width, and a dimension of ``frames`` frames, or of whole
+    frames when ``frames`` is None."""
     if not os.path.exists(path):
         raise ConfigurationError(f"checkpoint not found: {path}")
     try:
@@ -371,6 +372,11 @@ def open_checkpoint(path: str, records) -> DenoiserModel:
         raise ConfigurationError(
             f"checkpoint dimension {model.dim} is not a multiple of the "
             f"frame dimension {record.frame_dim}"
+        )
+    if frames is not None and model.dim != frames * record.frame_dim:
+        raise ConfigurationError(
+            f"checkpoint dimension {model.dim} does not match "
+            f"{frames} x {record.frame_dim} trajectories"
         )
     return model
 
@@ -523,15 +529,16 @@ def _run_in_worker(jobs) -> list[RunRecord]:
 
 def _plan_jobs(cfg: SweepConfig, records) -> list[_Job]:
     """The runs of ``records`` in enumeration order, each seeded with
-    :func:`derive_seed`: the key's prompt prefix is hashed once per prompt
-    and continued over each (repeat, setting) suffix, whose seed serves
-    every ratio of the grid."""
+    :func:`derive_seed` once per (prompt, repeat, setting), a seed that
+    serves every ratio of the grid."""
     settings = (1, 2, 3, 4) if cfg.mode == "qualitative" else (None,)
     draws = [(repeat, setting) for repeat in range(cfg.repeats) for setting in settings]
     jobs = []
     for record in records:
-        prefix = fnv1a64(f"{cfg.base_seed}|{record.id}|".encode())
-        seeds = [fnv1a64(f"{repeat}|{setting or 0}".encode(), prefix) for repeat, setting in draws]
+        seeds = [
+            derive_seed(cfg.base_seed, record.id, repeat, setting or 0)
+            for repeat, setting in draws
+        ]
         for x_index, x in enumerate(cfg.grid):
             for (repeat, setting), seed in zip(draws, seeds):
                 run_id = f"{cfg.mode}-{record.id}-x{x_index:02d}-r{repeat}"
@@ -577,37 +584,30 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
         raise ConfigurationError("the prompt suite contains duplicate ids")
     model = None
     if cfg.backend != "analytic":
-        model = open_checkpoint(cfg.backend, records)
-        frame_dim = records[0].frame_dim
-        if model.dim != cfg.frames * frame_dim:
-            raise ConfigurationError(
-                f"checkpoint dimension {model.dim} does not match "
-                f"{cfg.frames} x {frame_dim} trajectories"
-            )
+        model = open_checkpoint(cfg.backend, records, cfg.frames)
     sched = cfg.noise_schedule()
 
     batches = (_plan_jobs(cfg, group) for group in _prompt_groups(records))
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "runs.csv")
     results: list[RunRecord] = []
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUNS_CSV_COLUMNS)
-        if cfg.workers == 1:
-            done = (_execute_batch(jobs, cfg, records_by_id, model, sched) for jobs in batches)
-            for batch in done:
-                results.extend(batch)
-                writer.writerows(map(_record_to_row, batch))
-        else:
-            with ProcessPoolExecutor(
-                max_workers=cfg.workers,
-                initializer=_init_worker,
-                initargs=(cfg, records_by_id, model, sched),
-            ) as pool:
-                # map() yields in submission order, keeping output deterministic
-                for batch in pool.map(_run_in_worker, batches):
-                    results.extend(batch)
-                    writer.writerows(map(_record_to_row, batch))
+
+    def kept(done):  # each batch's records, kept for the return value as written
+        for batch in done:
+            results.extend(batch)
+            yield from batch
+
+    if cfg.workers == 1:
+        done = (_execute_batch(jobs, cfg, records_by_id, model, sched) for jobs in batches)
+        write_runs_csv(kept(done), out_path)
+    else:
+        with ProcessPoolExecutor(
+            max_workers=cfg.workers,
+            initializer=_init_worker,
+            initargs=(cfg, records_by_id, model, sched),
+        ) as pool:
+            # map() yields in submission order, keeping output deterministic
+            write_runs_csv(kept(pool.map(_run_in_worker, batches)), out_path)
     return results
 
 

@@ -14,14 +14,7 @@ import numpy as np
 
 from .worldgen import EventParams
 
-__all__ = [
-    "MetricsRecord",
-    "event_alignment",
-    "identity_consistency",
-    "background_consistency",
-    "turning_frame",
-    "evaluate",
-]
+__all__ = ["MetricsRecord", "evaluate"]
 
 _NORM_FLOOR = 1e-9
 
@@ -37,15 +30,14 @@ class MetricsRecord:
     occupancy2: float
 
 
-def _as_trajectories(traj, batch: bool = True) -> np.ndarray:
+def _as_trajectories(traj) -> np.ndarray:
     """``traj`` as a ``(B, T, 2 + 2d)`` stack: a single ``(T, 2 + 2d)``
-    trajectory becomes a stack of one, and with ``batch`` False nothing
-    else is accepted."""
+    trajectory becomes a stack of one."""
     arr = np.asarray(traj, dtype=np.float64)
-    ndims = (2, 3) if batch else (2,)
-    if arr.ndim not in ndims or arr.shape[-1] < 4 or (arr.shape[-1] - 2) % 2 != 0:
-        want = "(T, 2 + 2d) or (B, T, 2 + 2d)" if batch else "(T, 2 + 2d)"
-        raise ValueError(f"trajectory must have shape {want}, got {arr.shape}")
+    if arr.ndim not in (2, 3) or arr.shape[-1] < 4 or (arr.shape[-1] - 2) % 2 != 0:
+        raise ValueError(
+            f"trajectory must have shape (T, 2 + 2d) or (B, T, 2 + 2d), got {arr.shape}"
+        )
     return arr if arr.ndim == 3 else arr[None]
 
 
@@ -86,6 +78,12 @@ def _cos01(v1: np.ndarray, v2: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _alignment(trajs: np.ndarray, e1s, e2s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-event drift alignment (ta1, ta2, ta_mean) of each row.
+
+    Frame steps are grouped by the event that drives them (destination
+    frame before floor(T/2) -> event 1) and each group's mean step is
+    scored against its event's drift direction.
+    """
     n_frames = trajs.shape[1]
     if n_frames < 4:
         raise ValueError("alignment needs at least 4 frames (2 per event segment)")
@@ -98,17 +96,6 @@ def _alignment(trajs: np.ndarray, e1s, e2s) -> tuple[np.ndarray, np.ndarray, np.
     return ta1, ta2, (ta1 + ta2) / 2.0
 
 
-def event_alignment(traj, e1: EventParams, e2: EventParams) -> tuple[float, float, float]:
-    """Per-event drift alignment (ta1, ta2, ta_mean).
-
-    Frame steps are grouped by the event that drives them (destination
-    frame before floor(T/2) -> event 1) and each group's mean step is
-    scored against its event's drift direction.
-    """
-    ta1, ta2, ta_mean = _alignment(_as_trajectories(traj, batch=False), [e1], [e2])
-    return float(ta1[0]), float(ta2[0]), float(ta_mean[0])
-
-
 def _consistency(trajs: np.ndarray, channel: int) -> np.ndarray:
     """Similarity of channel group 0 (identity) or 1 (background) in each half."""
     n_frames, width = trajs.shape[1:]
@@ -118,24 +105,22 @@ def _consistency(trajs: np.ndarray, channel: int) -> np.ndarray:
     return _cos01(early, late, _NORM_FLOOR)
 
 
-def identity_consistency(traj) -> float:
-    """Similarity of the identity channels sampled in each half."""
-    return float(_consistency(_as_trajectories(traj, batch=False), 0)[0])
-
-
-def background_consistency(traj) -> float:
-    """Similarity of the background channels sampled in each half."""
-    return float(_consistency(_as_trajectories(traj, batch=False), 1)[0])
-
-
 def _unit(event: EventParams) -> tuple[float, float]:
     return math.cos(event.direction), math.sin(event.direction)
 
 
 def _turning(trajs: np.ndarray, e1s, e2s) -> tuple[list, np.ndarray]:
+    """Best frame split of each row separating event-1-like from
+    event-2-like motion.
+
+    Each frame step is classified by the nearer event direction (ties go
+    to event 1, matching the zero-step convention).  A row's split is the
+    s in [0, T-1] minimizing misclassification when steps into frames
+    before s are labeled event 1 and the rest event 2 — smallest s on
+    ties — returned with the fraction of steps classified as event 2.
+    None (with occupancy 0.5) when the two directions coincide.
+    """
     n_frames = trajs.shape[1]
-    if n_frames < 2:
-        raise ValueError("turning-frame search needs at least 2 frames")
     u1 = _event_rows(e1s, _unit)
     u2 = _event_rows(e2s, _unit)
     cross = np.abs(u1[:, 0] * u2[:, 1] - u1[:, 1] * u2[:, 0])
@@ -152,20 +137,6 @@ def _turning(trajs: np.ndarray, e1s, e2s) -> tuple[list, np.ndarray]:
     return turn, occupancy2
 
 
-def turning_frame(traj, e1: EventParams, e2: EventParams) -> tuple[int | None, float]:
-    """Best frame split separating event-1-like from event-2-like motion.
-
-    Each frame step is classified by the nearer event direction (ties go
-    to event 1, matching the zero-step convention).  Returns the split
-    s in [0, T-1] minimizing misclassification when steps into frames
-    before s are labeled event 1 and the rest event 2 — smallest s on
-    ties — together with the fraction of steps classified as event 2.
-    None (with occupancy 0.5) when the two directions coincide.
-    """
-    turn, occupancy2 = _turning(_as_trajectories(traj, batch=False), [e1], [e2])
-    return turn[0], float(occupancy2[0])
-
-
 def evaluate(traj, e1, e2):
     """All metrics for one generated trajectory ``(T, F)``, as a
     :class:`MetricsRecord`, or for a batch ``(B, T, F)``, as a list of
@@ -175,7 +146,7 @@ def evaluate(traj, e1, e2):
     single = np.ndim(traj) == 2
     trajs = _as_trajectories(traj)
     e1s, e2s = _per_row(e1, len(trajs)), _per_row(e2, len(trajs))
-    ta1, ta2, ta_mean = _alignment(trajs, e1s, e2s)
+    ta1, ta2, ta_mean = _alignment(trajs, e1s, e2s)  # rejects fewer than 4 frames
     turn, occupancy2 = _turning(trajs, e1s, e2s)
     records = [
         MetricsRecord(*fields)

@@ -9,18 +9,19 @@ import os
 from .harness import METRIC_FIELDS, AggregateRow
 from .svgchart import line_chart
 
-__all__ = ["PLOT_METRICS", "turning_point", "emit_report"]
+__all__ = ["PLOT_METRICS", "TURNING_THRESHOLD", "turning_point", "emit_report"]
 
 PLOT_METRICS = ("ta1", "ta2", "ta_mean", "ic", "bc", "occupancy2")
+TURNING_THRESHOLD = 0.9
 
 AGGREGATES_CSV_COLUMNS = ("mode", "category", "x", "setting", "n") + tuple(
     f"{m}_{suffix}" for m in METRIC_FIELDS for suffix in ("mean", "std")
 )
 
 
-def turning_point(points: list[tuple[float, float]], threshold: float = 0.9) -> float | None:
-    """Largest grid ratio whose mean stays within ``threshold`` of the
-    value at the smallest ratio (the pure-second-event control).
+def turning_point(points: list[tuple[float, float]]) -> float | None:
+    """Largest grid ratio whose mean stays within :data:`TURNING_THRESHOLD`
+    of the value at the smallest ratio (the pure-second-event control).
 
     ``points`` holds (x, mean) pairs; returns None when fewer than two
     ratios are present.
@@ -29,7 +30,7 @@ def turning_point(points: list[tuple[float, float]], threshold: float = 0.9) -> 
         return None
     points = sorted(points)
     reference = points[0][1]
-    kept = [x for x, mean in points if mean >= threshold * reference]
+    kept = [x for x, mean in points if mean >= TURNING_THRESHOLD * reference]
     return max(kept) if kept else points[0][0]
 
 
@@ -58,7 +59,7 @@ def _series_label(category: str, setting: int | None) -> str:
     return category if setting is None else f"{category} / setting {setting}"
 
 
-def emit_report(aggregates: list[AggregateRow], out_dir: str, threshold: float = 0.9) -> None:
+def emit_report(aggregates: list[AggregateRow], out_dir: str) -> None:
     """Write ``aggregates.csv``, one SVG per (metric, mode), and
     ``summary.md`` into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
@@ -109,7 +110,7 @@ def emit_report(aggregates: list[AggregateRow], out_dir: str, threshold: float =
         summary.append("")
         summary.append(
             f"Turning point = largest ratio x whose mean ta2 stays within "
-            f"{threshold:.0%} of its value at the smallest ratio."
+            f"{TURNING_THRESHOLD:.0%} of its value at the smallest ratio."
         )
         summary.append("")
         summary.append("| category | setting | runs | turning point (ta2) |")
@@ -126,7 +127,7 @@ def emit_report(aggregates: list[AggregateRow], out_dir: str, threshold: float =
                 for row in rows
                 if row.stats.get("ta2") is not None
             ]
-            tp = turning_point(pts, threshold)
+            tp = turning_point(pts)
             tp_text = "n/a" if tp is None else f"{tp:g}"
             setting_text = "-" if setting is None else str(setting)
             summary.append(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import GaussianMixture, _check_mixture, _mixture_view
+from .analytic import _check_mixture, _mixture_view
 from .conditioning import ConditionEmbedding, _condition_view, compose_concat, compose_single
 
 __all__ = [
@@ -30,9 +30,7 @@ __all__ = [
     "embed_event",
     "blended_event",
     "mean_trajectory",
-    "sample_trajectory",
     "condition_of",
-    "gaussian_of",
     "generate_suite",
     "write_suite",
     "read_suite",
@@ -159,11 +157,6 @@ def embed_event(event: EventParams) -> np.ndarray:
     return _event_table((event,))[0, :-2]
 
 
-def _check_sigma(sigma) -> None:
-    if not (np.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-
-
 def _event_table(events) -> np.ndarray:
     """One row per event, all of one feature dimension: its
     :func:`embed_event` slot, then ``cos(-dir), sin(-dir)``, which rotate
@@ -234,33 +227,14 @@ def mean_trajectory(
     rotating back and cumulatively summing.
 
     This is the one-row case of the array builder that
-    :func:`gaussian_of` and :func:`suite_training_pairs` also run, so a
-    trajectory has the same bytes whichever of them builds it.  No
-    mixture is checked here: :func:`gaussian_of` checks its own, and
-    :func:`suite_training_pairs` checks its stacks once.
+    :func:`suite_training_pairs` runs for its mixture means, so a
+    trajectory has the same bytes whichever of them builds it.
     """
     if view not in VIEWS:
         raise ValueError(f"view must be one of {VIEWS}, got {view!r}")
     if e1.feature_dim != e2.feature_dim:
         raise ValueError("events differ in feature dimension")
     return _trajectories(_event_table((e1, e2)), np.full(2, view == "first"), [0], [1], n_frames)[0]
-
-
-def sample_trajectory(
-    e1: EventParams,
-    e2: EventParams,
-    n_frames: int,
-    sigma: float,
-    seed: int,
-    view: str = "third",
-) -> np.ndarray:
-    """Mean trajectory plus i.i.d. Gaussian observation noise."""
-    _check_sigma(sigma)
-    mean = mean_trajectory(e1, e2, n_frames, view)
-    if sigma == 0.0:
-        return mean
-    rng = np.random.default_rng(seed)
-    return mean + sigma * rng.standard_normal(mean.shape)
 
 
 def condition_of(record: PromptRecord, which: str) -> ConditionEmbedding:
@@ -286,39 +260,6 @@ def blended_event(e1: EventParams, e2: EventParams) -> EventParams:
         0.5 * (e1.identity + e2.identity),
         0.5 * (e1.background + e2.background),
     )
-
-
-def gaussian_of(
-    record: PromptRecord,
-    which: str,
-    n_frames: int,
-    sigma: float,
-    w_mix: float = 0.5,
-) -> GaussianMixture:
-    """Data distribution implied by a prompt condition.
-
-    ``event1``/``event2`` give an isotropic Gaussian around the
-    corresponding single-event video.  ``concat`` is a two-component
-    mixture: weight ``w_mix`` on the event-1-then-event-2 video and the
-    rest on a blended-drift video, reflecting that naming both events can
-    come out as either reading.  ``w_mix`` is clamped to [0.01, 0.99] so
-    neither component degenerates; ``sigma = 0`` yields point masses at
-    the variance floor.  The means come from the array builder of
-    :func:`mean_trajectory`, and the constructor checks the mixture.
-    """
-    _check_sigma(sigma)
-    e1, e2 = record.events
-    if which in ("event1", "event2"):
-        events, a, b, weights = (e1 if which == "event1" else e2,), [0], [0], np.array([1.0])
-    elif which == "concat":
-        w = min(max(float(w_mix), 0.01), 0.99)
-        events, a, b = (e1, e2, blended_event(e1, e2)), [0, 2], [1, 2]
-        weights = np.array([w, 1.0 - w])
-    else:
-        raise ValueError(f"which must be 'event1', 'event2' or 'concat', got {which!r}")
-    first = np.full(len(events), record.view == "first")
-    means = _trajectories(_event_table(events), first, a, b, n_frames).reshape(len(a), -1)
-    return GaussianMixture(weights, means, np.full_like(means, sigma * sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +571,16 @@ def suite_training_pairs(records, n_frames: int, sigma: float, w_mix: float = 0.
     """All (condition, mixture) pairs a sweep can query, for training.
 
     Each record gives its ``event1``, ``event2`` and ``concat`` pairs, in
-    that order, byte for byte as :func:`condition_of` and
-    :func:`gaussian_of` build them; an error is one of those that they
-    raise for some record.  The records of one feature dimension are built
+    that order, each condition byte for byte as :func:`condition_of`
+    builds it.  The data distribution a condition implies: ``event1`` and
+    ``event2`` give an isotropic Gaussian of variance ``sigma**2`` around
+    the single-event video, and ``concat`` a two-component mixture with
+    weight ``w_mix`` on the event-1-then-event-2 video and the rest on the
+    video of their :func:`blended_event`, as naming both events can come
+    out as either reading.  ``w_mix`` is clamped to [0.01, 0.99] so
+    neither component degenerates; ``sigma = 0`` yields point masses at
+    the variance floor.  An error is one that building some record's
+    pairs alone raises.  The records of one feature dimension are built
     in one pass: one :func:`_event_table` of their events and blended
     events, and one call of the array builder of :func:`mean_trajectory`
     for all their mean trajectories.  The stacked weights, means and
@@ -645,7 +593,8 @@ def suite_training_pairs(records, n_frames: int, sigma: float, w_mix: float = 0.
     records = list(records)
     if not records:
         return []
-    _check_sigma(sigma)
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     w = min(max(float(w_mix), 0.01), 0.99)
     single, both = np.ones(1), np.array([w, 1.0 - w])
     single.flags.writeable = both.flags.writeable = False

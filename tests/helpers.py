@@ -2,6 +2,15 @@
 
 import numpy as np
 
+from turnpoint.analytic import GaussianMixture
+
+
+def single_gaussian(mean, variance) -> GaussianMixture:
+    """One-component mixture; ``variance`` may be a scalar or a vector."""
+    mean = np.asarray(mean, dtype=np.float64).ravel()
+    var = np.broadcast_to(np.asarray(variance, dtype=np.float64), mean.shape)
+    return GaussianMixture(np.array([1.0]), mean[None, :], var[None, :].copy())
+
 
 def block_vectors(plan) -> np.ndarray:
     """The condition vector of each block of a block plan, stacked to

@@ -50,10 +50,10 @@ from turnpoint.worldgen import (
     EventParams,
     PromptRecord,
     condition_of,
-    gaussian_of,
     generate_suite,
     mixture_data_sampler,
     read_suite,
+    suite_training_pairs,
     validate_suite,
     write_suite,
 )
@@ -318,10 +318,7 @@ def test_criterion_08_trained_denoiser_approaches_oracle_mse():
     e2 = EventParams(3.5, 0.9, np.array([0.6, -0.8]), np.array([0.3, 0.95]))
     record = PromptRecord("p", "General", "third", (e1, e2))
     sched = build_schedule(n_steps)
-    pairs = [
-        (condition_of(record, w), gaussian_of(record, w, frames, sigma))
-        for w in ("event1", "event2")
-    ]
+    pairs = suite_training_pairs([record], frames, sigma)[:2]  # event1, event2
     sampler = mixture_data_sampler(pairs)
     model = init_model(
         frames * 6, hidden=64, n_blocks=8, t_emb_dim=16, cond_width=7, seed=1

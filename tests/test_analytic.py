@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import single_gaussian
 from turnpoint.analytic import (
     VARIANCE_FLOOR,
     AnalyticDenoiser,
@@ -14,12 +15,15 @@ from turnpoint.analytic import (
     mixture_tables,
     predict_eps,
     responsibilities,
-    sample_mixture,
-    single_gaussian,
 )
 from turnpoint.conditioning import compose_single
 from turnpoint.diffusion import build_schedule
-from turnpoint.worldgen import condition_of, gaussian_of, generate_suite
+from turnpoint.worldgen import (
+    condition_of,
+    generate_suite,
+    mixture_data_sampler,
+    suite_training_pairs,
+)
 
 
 def two_bump(dist=3.0, var=0.5):
@@ -288,6 +292,12 @@ def test_predict_eps_dimension_check():
 # sampling
 
 
+def sample_mixture(mixture, rng, n):
+    """``n`` draws from ``mixture`` by the training sampler, of one pair."""
+    z0, _ = mixture_data_sampler([(compose_single([0.0]), mixture)])(rng, n)
+    return z0
+
+
 def test_sample_mixture_moments():
     mix = two_bump(dist=2.0, var=0.3)
     rng = np.random.default_rng(29)
@@ -348,11 +358,13 @@ def test_denoiser_refuses_a_second_mixture_for_a_condition():
     cond = condition_of(first, "event1")
     assert cond == condition_of(third, "event1")
     backend = AnalyticDenoiser(build_schedule(5), (8, first.frame_dim))
-    mixture = gaussian_of(first, "event1", 8, 0.5)
+    (_, mixture), *_ = suite_training_pairs([first], 8, 0.5)
     backend.register(cond, mixture)
-    backend.register(cond, gaussian_of(first, "event1", 8, 0.5))  # equal: fine
+    (_, again), *_ = suite_training_pairs([first], 8, 0.5)
+    backend.register(cond, again)  # equal: fine
+    (_, other), *_ = suite_training_pairs([third], 8, 0.5)
     with pytest.raises(ValueError, match="already registered"):
-        backend.register(cond, gaussian_of(third, "event1", 8, 0.5))
+        backend.register(cond, other)
     assert backend.mixture_for(cond) is mixture
 
 

@@ -397,6 +397,23 @@ class TestSample:
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["frames"] == 6  # inferred from the checkpoint
 
+    def test_frames_the_checkpoint_does_not_match_exit_1(self, small_suite, tiny_checkpoint,
+                                                          tmp_path, capsys):
+        # sample checks --frames against a 6-frame checkpoint as sweep does
+        prompt = read_suite(small_suite)[1].id
+        sample = sample_args(small_suite, tmp_path / "sample", prompt, mode="block",
+                             backend=tiny_checkpoint, n_steps=6, frames=16)
+        sweep = ["sweep", "--suite", small_suite, "--mode", "block_split",
+                 "--backend", tiny_checkpoint, "--grid", "0.5", "--repeats", "1",
+                 "--n-steps", "6", "--frames", "16", "--out-dir", str(tmp_path / "sweep")]
+        errors = []
+        for argv in (sample, sweep):
+            assert main(argv) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "checkpoint dimension 36 does not match 16 x 6 trajectories" in errors[0]
+        assert not (tmp_path / "sample").exists()
+
     @pytest.mark.parametrize(
         "mode, sweep_mode, checkpoint",
         [("step", "step_switch", False), ("block", "block_split", True)],

@@ -299,35 +299,42 @@ def test_sample_noise_streams_match_per_step_draws():
     "dim",
     [192, 191, 256],
     # ids kept from an earlier two-thread fill, which split the rows at 768
-    # floats a row: 192 and 191 floats put a 4-iteration row on either side
+    # floats a row: 192 and 191 floats put a 4-iteration row on either side,
+    # and at 256 floats a buffer row is 8 KiB
     ids=["split", "one_thread", "page_rows"],
 )
 def test_chain_draws_match_per_step_draws(monkeypatch, rows, dim):
-    # seeds repeat non-adjacently from 3 rows up; chunks of 4 iterations
-    # (4, 4, 3); at 256 floats a buffer row is 8 KiB, which the sampler pads
-    # so that rows are not 4 KiB apart
-    seeds = [31, 36, 31, 41, 36, 46, 31][:rows]
+    # distinct seeds, as sample passes them; chunks of 4 iterations (4, 4, 3)
+    seeds = [31, 36, 41, 46, 51, 56, 61][:rows]
     count = 11
-    monkeypatch.setattr(diffusion, "NOISE_BUFFER_BYTES", len(set(seeds)) * dim * 8 * 4)
+    monkeypatch.setattr(diffusion, "NOISE_BUFFER_BYTES", rows * dim * 8 * 4)
     gens = [np.random.default_rng(seed) for seed in seeds]
     want = [np.stack([gen.standard_normal(dim) for gen in gens]) for _ in range(count)]
-    made, row_strides = [], set()
-    default_rng = np.random.default_rng
-
-    class Recording:
-        def __init__(self, seed):
-            made.append(seed)
-            self.gen = default_rng(seed)
-
-        def standard_normal(self, out):
-            row_strides.add(out.base.strides[0])
-            return self.gen.standard_normal(out=out)
-
-    monkeypatch.setattr(np.random, "default_rng", Recording)
     got = [draw.copy() for draw in diffusion._chain_draws(seeds, dim, count)]
     assert np.stack(got).tobytes() == np.stack(want).tobytes()
+
+
+def test_sample_draws_one_stream_per_distinct_seed(monkeypatch):
+    # seeds repeat non-adjacently; the start point and 10 noise draws of
+    # the 3 distinct seeds fill in chunks of 4 iterations (4, 4, 3)
+    sched = build_schedule(11)
+    plan = constant_schedule(11, compose_single([1.0]))
+    seeds = [31, 36, 31, 41, 36, 46, 31]
+    alone = [sample(LinearBackend(sched, a=0.1, b=0.2), [plan], [seed])[0] for seed in seeds]
+    monkeypatch.setattr(diffusion, "NOISE_BUFFER_BYTES", 3 * 6 * 8 * 4)
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    batch = sample(LinearBackend(sched, a=0.1, b=0.2), [plan] * len(seeds), seeds)
     assert sorted(made) == sorted(set(seeds))  # one generator per distinct seed
-    assert all(stride % 4096 for stride in row_strides)
+    assert batch.tobytes() == np.stack(alone).tobytes()
+    assert batch[0].tobytes() == batch[2].tobytes() == batch[6].tobytes()
+    assert batch[1].tobytes() == batch[4].tobytes()
 
 
 def test_rows_sharing_a_seed_match_each_row_alone():

@@ -10,6 +10,7 @@ from turnpoint.harness import METRIC_FIELDS, AggregateRow
 from turnpoint.report import (
     AGGREGATES_CSV_COLUMNS,
     PLOT_METRICS,
+    TURNING_THRESHOLD,
     emit_report,
     turning_point,
 )
@@ -50,9 +51,9 @@ class TestTurningPoint:
         assert turning_point(pts) == 0.0
 
     def test_threshold_parameter(self):
+        assert TURNING_THRESHOLD == 0.9
         pts = [(0.0, 1.0), (0.5, 0.6), (1.0, 0.1)]
-        assert turning_point(pts, threshold=0.9) == 0.0
-        assert turning_point(pts, threshold=0.5) == 0.5
+        assert turning_point(pts) == 0.0
 
     def test_too_few_points(self):
         assert turning_point([]) is None
@@ -139,9 +140,12 @@ class TestEmitReport:
         assert (tmp_path / "ta2_step_switch.svg").exists()
 
     def test_threshold_forwarded(self, tmp_path):
-        rows = [agg_row(0.0, ta2=1.0), agg_row(0.6, ta2=0.6), agg_row(1.0, ta2=0.1)]
-        emit_report(rows, str(tmp_path), threshold=0.5)
-        assert "| General | - | 9 | 0.6 |" in (tmp_path / "summary.md").read_text()
+        # the summary states the threshold that its turning points use
+        rows = [agg_row(0.0, ta2=1.0), agg_row(0.6, ta2=0.9), agg_row(1.0, ta2=0.6)]
+        emit_report(rows, str(tmp_path))
+        text = (tmp_path / "summary.md").read_text()
+        assert "stays within 90% of its value" in text
+        assert "| General | - | 9 | 0.6 |" in text
 
     def test_two_modes_interleaved(self, tmp_path):
         rows = [

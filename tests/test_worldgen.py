@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from turnpoint.analytic import GaussianMixture, single_gaussian
+from helpers import single_gaussian
+from turnpoint.analytic import GaussianMixture
 from turnpoint.conditioning import ConditionEmbedding
 from turnpoint.worldgen import (
     CATEGORIES,
@@ -17,12 +18,10 @@ from turnpoint.worldgen import (
     blended_event,
     condition_of,
     embed_event,
-    gaussian_of,
     generate_suite,
     mean_trajectory,
     mixture_data_sampler,
     read_suite,
-    sample_trajectory,
     suite_training_pairs,
     validate_suite,
     write_suite,
@@ -173,18 +172,6 @@ def test_mean_trajectory_equals_per_frame_reference(view):
                 assert got.tobytes() == want.tobytes(), (record.id, n_frames)
 
 
-def test_sample_trajectory_noise():
-    e1, e2 = ev(0.0), ev(math.pi / 2)
-    clean = sample_trajectory(e1, e2, 6, sigma=0.0, seed=1)
-    np.testing.assert_array_equal(clean, mean_trajectory(e1, e2, 6))
-    a = sample_trajectory(e1, e2, 6, sigma=0.3, seed=1)
-    b = sample_trajectory(e1, e2, 6, sigma=0.3, seed=1)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, clean)
-    with pytest.raises(ValueError):
-        sample_trajectory(e1, e2, 6, sigma=-1.0, seed=0)
-
-
 # ---------------------------------------------------------------------------
 # conditions and data distributions
 
@@ -221,9 +208,15 @@ def test_blended_event_cancelling_drifts():
     assert blend.speed == pytest.approx(0.0, abs=1e-12)
 
 
-def test_gaussian_of_single_event_mean_is_single_event_video():
+def mixture_of(record, which, n_frames, sigma, w_mix=0.5):
+    """The mixture of ``record``'s ``which`` training pair."""
+    pairs = suite_training_pairs([record], n_frames, sigma, w_mix)
+    return pairs[("event1", "event2", "concat").index(which)][1]
+
+
+def test_training_pair_single_event_mean_is_single_event_video():
     r = rec(ev(0.3), ev(2.0))
-    mix = gaussian_of(r, "event1", 6, sigma=0.5)
+    mix = mixture_of(r, "event1", 6, sigma=0.5)
     assert mix.n_components == 1
     e1 = r.events[0]
     np.testing.assert_array_equal(
@@ -232,9 +225,9 @@ def test_gaussian_of_single_event_mean_is_single_event_video():
     np.testing.assert_allclose(mix.variances, 0.25)
 
 
-def test_gaussian_of_concat_two_components():
+def test_training_pair_concat_two_components():
     r = rec(ev(0.3), ev(2.0))
-    mix = gaussian_of(r, "concat", 6, sigma=0.5, w_mix=0.7)
+    mix = mixture_of(r, "concat", 6, sigma=0.5, w_mix=0.7)
     assert mix.n_components == 2
     np.testing.assert_allclose(mix.weights, [0.7, 0.3])
     e1, e2 = r.events
@@ -245,15 +238,15 @@ def test_gaussian_of_concat_two_components():
     )
 
 
-def test_gaussian_of_clamps_mix_weight():
+def test_training_pair_clamps_mix_weight():
     r = rec(ev(0.3), ev(2.0))
-    mix = gaussian_of(r, "concat", 6, sigma=0.5, w_mix=1.0)
+    mix = mixture_of(r, "concat", 6, sigma=0.5, w_mix=1.0)
     np.testing.assert_allclose(mix.weights, [0.99, 0.01])
 
 
-def test_gaussian_of_respects_view():
+def test_training_pair_respects_view():
     r_first = PromptRecord("r1", "EgoExo", "first", (ev(0.3), ev(2.0)), pair_id="p")
-    mix = gaussian_of(r_first, "event2", 6, sigma=0.0)
+    mix = mixture_of(r_first, "event2", 6, sigma=0.0)
     e2 = r_first.events[1]
     np.testing.assert_array_equal(
         mix.means[0], mean_trajectory(e2, e2, 6, view="first").ravel()
@@ -564,6 +557,8 @@ def test_suite_training_pairs_raise_what_per_record_construction_raises():
     # several bad records raise the error of one of them
     with pytest.raises(ValueError, match="|".join(messages.values())):
         suite_training_pairs(list(messages), 6, 0.5, 0.5)
+    with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        suite_training_pairs([rec(ev(0.5), ev(2.0))], 6, -1.0)
 
 
 def test_pair_views_hold_the_fields_of_constructed_objects():
