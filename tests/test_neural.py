@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from helpers import block_vectors
-from turnpoint.conditioning import block_split, compose_single, uniform_blocks
-from turnpoint.diffusion import build_schedule, forward_noise
+from turnpoint.conditioning import block_split, compose_single, unconditioned, uniform_blocks
+from turnpoint.diffusion import build_schedule, forward_noise, sample
 from turnpoint.neural import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -929,18 +929,76 @@ def test_neural_denoiser_predict_eps_equals_forward_across_the_small_matrix_thre
     # paths must run with the copies.  Each row has a condition of its own,
     # so both project as many condition rows: a one-row projection rounds
     # differently from a projection of several (one-row products go to gemv).
+    # Every step of the schedule runs with one slot per row, then one per row
+    # and block, then the unconditioned slot (the last) for every row, as a
+    # guided step asks: the step's time term is folded in once, read thrice.
     m = init_model(12, hidden=64, n_blocks=8, t_emb_dim=16, cond_width=7, seed=4)
     rng = np.random.default_rng(9)
     m.flat[...] += 0.05 * rng.standard_normal(m.flat.shape)
-    sched = build_schedule(20)
+    sched = build_schedule(50)
     den = NeuralDenoiser(m, sched, (6, 2))
     for rows in (1, 18, 19, 132):
-        conds = [compose_single(list(rng.standard_normal(7))) for _ in range(rows)]
+        conds = [compose_single(list(rng.standard_normal(7))) for _ in range(rows - 1)]
+        conds.append(unconditioned(7))
         vectors = np.stack([c.vector for c in conds])
-        z = rng.standard_normal((rows, m.dim))
-        got = den.predict_eps(z, 11, den.prepare(conds), np.arange(rows))
-        want = forward(m, z, 11, sched, np.repeat(vectors[:, None], m.n_blocks, axis=1))
-        assert got.tobytes() == want.tobytes(), rows
+        table = den.prepare(conds)
+        per_row = rng.permutation(rows)
+        per_block = np.stack([rng.permutation(rows) for _ in range(m.n_blocks)], axis=1)
+        uncond = np.full(rows, rows - 1)
+        for t in range(sched.n_steps - 1, -1, -1):
+            z = rng.standard_normal((rows, m.dim))
+            for slots in (per_row, per_block, uncond):
+                got = den.predict_eps(z, t, table, slots)
+                raw = np.broadcast_to(vectors[slots].reshape(rows, -1, m.cond_dim),
+                                      (rows, m.n_blocks, m.cond_dim))
+                want = forward(m, z, t, sched, raw)
+                assert got.tobytes() == want.tobytes(), (rows, t, slots.shape)
+
+
+def test_sample_leaves_the_prepared_table_unchanged(tmp_path):
+    m = init_model(6, hidden=8, n_blocks=4, t_emb_dim=4, cond_width=2, seed=3)
+    m.flat[...] += 0.1 * np.random.default_rng(3).standard_normal(m.flat.shape)
+    save_checkpoint(m, tmp_path / "model.ckpt")
+    m = load_checkpoint(tmp_path / "model.ckpt")
+    den = NeuralDenoiser(m, build_schedule(20), (3, 2))
+    a, b = compose_single([0.4, -0.2]), compose_single([-1.0, 0.3])
+    plans = [block_split(x, m.n_blocks, a, b) for x in (0.0, 0.5, 1.0)]
+    tables = []
+    prepare = den.prepare
+
+    def recorded(conds):
+        table = prepare(conds)
+        bias = table.slots
+        arrays = [bias.terms, bias.w_in, bias.b_in, *(w for block in bias.blocks for w in block),
+                  bias.w_out, bias.b_out, table.time_terms]
+        tables.append((table, arrays, [x.tobytes() for x in arrays]))
+        return table
+
+    den.prepare = recorded
+    for guidance_scale in (1.0, 3.0):
+        out = sample(den, plans, [1, 2, 1], guidance_scale=guidance_scale)
+        assert np.isfinite(out).all()
+    assert len(tables) == 2
+    for table, arrays, before in tables:
+        assert table.slots.step is None
+        assert [x.tobytes() for x in arrays] == before
+
+
+def test_forward_rejects_a_bias_folded_at_another_step():
+    m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=1)
+    sched = build_schedule(10)
+    den = NeuralDenoiser(m, sched, (3, 2))
+    table = den.prepare([compose_single([0.4, -0.2]), compose_single([-1.0, 0.3])])
+    z = np.random.default_rng(2).standard_normal((2, m.dim))
+    bias = table.bias_at(5, np.array([[0, 1]] * m.n_blocks))
+    assert bias.step == 5
+    want = forward(m, z, 5, sched, bias)
+    assert den.predict_eps(z, 5, table, [0, 1]).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="time term of step 5, not 4"):
+        forward(m, z, 4, sched, bias)
+    for t in (-1, sched.n_steps):
+        with pytest.raises(ValueError, match="outside"):
+            den.predict_eps(z, t, table, [0, 1])
 
 
 def test_prepared_state_is_a_snapshot_of_the_model():
@@ -969,7 +1027,7 @@ def test_neural_denoiser_answers_each_row_under_its_slot():
     slots = np.array([2, 0, 0, 1, 2, 1, 0])
     z = rng.standard_normal((len(slots), 6))
     prepared = den.prepare(conds)
-    assert prepared.terms.shape == (m.n_blocks, len(conds), m.hidden)
+    assert prepared.slots.terms.shape == (m.n_blocks, len(conds), m.hidden)
     got = den.predict_eps(z, 7, prepared, slots)
     for row, slot in enumerate(slots):
         want = forward(m, z[row], 7, sched, conds[slot].vector)
