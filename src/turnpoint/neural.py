@@ -34,8 +34,9 @@ time term of every block and step once, each by the one-row product
 ``t_emb @ W_t.T``, adds a step's time terms to its few projected slots
 once per step, and gathers the sums, per row and block, for that step's
 :func:`forward`, so the body adds no time term row by row.  Training's
-terms are its own, and the body adds each block's time term into them
-in place just before the block's product.  In training every block of
+terms, and a copy that :func:`forward` makes of a step-less bias's, are
+the call's own, and the body adds each block's time term into them in
+place just before the block's product.  In training every block of
 a row sees the row's one condition, so :func:`train` hands
 :func:`loss_and_grads` block-shared ``(n, cond_dim)`` conditions, which
 are projected and differentiated without a per-block copy, and it
@@ -365,12 +366,15 @@ def _forward_batch(model, z, t, bias, keep_cache=False, temb=None):
     bias's terms hold the time term of ``t``, unless ``temb``, the
     embedding of ``t``, is given: then the terms are this call's own, and
     each block adds its time term into its term in place, just before
-    the block's product.  Returns (eps, cache) where cache holds what
+    the block's product.  A bias that holds no time term, or another
+    step's, is rejected when ``temb`` is not given.  Returns (eps, cache) where cache holds what
     backprop needs: per-block (h, s) and the final hidden state.
     """
     if not isinstance(bias, ConditionBias):
         bias = condition_bias(model, bias, z.shape[0])
         temb = timestep_embedding(t, model.t_emb_dim)
+    elif temb is None and bias.step != t:
+        raise ValueError(f"condition bias holds the time term of step {bias.step}, not {t}")
     h = z @ bias.w_in
     h += bias.b_in
     cache = []
@@ -407,6 +411,7 @@ def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds) -> np.ndarray
     if not 0 <= t < sched.n_steps:
         raise ValueError(f"step index {t} outside [0, {sched.n_steps})")
     batch = z_t.reshape(-1, model.dim)
+    temb = None
     if isinstance(block_conds, ConditionBias):
         want = (model.n_blocks, batch.shape[0], model.hidden)
         if block_conds.terms.shape != want:
@@ -414,14 +419,10 @@ def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds) -> np.ndarray
                 f"condition bias has shape {block_conds.terms.shape}, expected {want}"
             )
         if block_conds.step is None:
-            (terms,) = _time_terms(block_conds, timestep_embedding([t], model.t_emb_dim))
-            terms = block_conds.terms + terms[:, None]
-            block_conds = replace(block_conds, terms=terms, step=t)
-        elif block_conds.step != t:
-            raise ValueError(
-                f"condition bias holds the time term of step {block_conds.step}, not {t}"
-            )
-    eps, _ = _forward_batch(model, batch, t, block_conds)
+            # the block body adds the time term into a copy of the caller's terms
+            block_conds = replace(block_conds, terms=block_conds.terms.copy())
+            temb = timestep_embedding(t, model.t_emb_dim)
+    eps, _ = _forward_batch(model, batch, t, block_conds, temb=temb)
     return eps[0] if z_t.ndim == 1 else eps
 
 

@@ -282,8 +282,11 @@ def test_forward_matches_unsplit_reference():
         got = forward(m, latents, 7, sched, conds)
         np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-12)
         rows = len(want)
-        prepared = forward(m, latents, 7, sched, condition_bias(m, conds, rows))
+        bias = condition_bias(m, conds, rows)
+        terms = bias.terms.tobytes()
+        prepared = forward(m, latents, 7, sched, bias)
         assert prepared.tobytes() == got.tobytes()
+        assert bias.terms.tobytes() == terms and bias.step is None  # added into a copy
 
 
 def test_forward_rejects_a_bias_for_other_rows():
@@ -930,29 +933,32 @@ def test_neural_denoiser_predict_eps_equals_forward_across_the_small_matrix_thre
     # so both project as many condition rows: a one-row projection rounds
     # differently from a projection of several (one-row products go to gemv).
     # Every step of the schedule runs with one slot per row, then one per row
-    # and block, then the unconditioned slot (the last) for every row, as a
-    # guided step asks: the step's time term is folded in once, read thrice.
+    # and block, then the last slot for every row: the step's time term is
+    # folded in once, read thrice.  The second table's last slot is the
+    # unconditioned one, which a guided step reads after the others.
     m = init_model(12, hidden=64, n_blocks=8, t_emb_dim=16, cond_width=7, seed=4)
     rng = np.random.default_rng(9)
     m.flat[...] += 0.05 * rng.standard_normal(m.flat.shape)
     sched = build_schedule(50)
     den = NeuralDenoiser(m, sched, (6, 2))
     for rows in (1, 18, 19, 132):
-        conds = [compose_single(list(rng.standard_normal(7))) for _ in range(rows - 1)]
-        conds.append(unconditioned(7))
-        vectors = np.stack([c.vector for c in conds])
-        table = den.prepare(conds)
+        conds = [compose_single(list(rng.standard_normal(7))) for _ in range(rows)]
         per_row = rng.permutation(rows)
         per_block = np.stack([rng.permutation(rows) for _ in range(m.n_blocks)], axis=1)
-        uncond = np.full(rows, rows - 1)
-        for t in range(sched.n_steps - 1, -1, -1):
-            z = rng.standard_normal((rows, m.dim))
-            for slots in (per_row, per_block, uncond):
-                got = den.predict_eps(z, t, table, slots)
-                raw = np.broadcast_to(vectors[slots].reshape(rows, -1, m.cond_dim),
-                                      (rows, m.n_blocks, m.cond_dim))
-                want = forward(m, z, t, sched, raw)
-                assert got.tobytes() == want.tobytes(), (rows, t, slots.shape)
+        last = np.full(rows, rows - 1)
+        for guided in (False, True):
+            if guided:
+                conds[-1] = unconditioned(7)
+            vectors = np.stack([c.vector for c in conds])
+            table = den.prepare(conds)
+            for t in range(sched.n_steps - 1, -1, -1):
+                z = rng.standard_normal((rows, m.dim))
+                for slots in (per_row, per_block, last):
+                    got = den.predict_eps(z, t, table, slots)
+                    raw = np.broadcast_to(vectors[slots].reshape(rows, -1, m.cond_dim),
+                                          (rows, m.n_blocks, m.cond_dim))
+                    want = forward(m, z, t, sched, raw)
+                    assert got.tobytes() == want.tobytes(), (rows, guided, t, slots.shape)
 
 
 def test_sample_leaves_the_prepared_table_unchanged(tmp_path):
@@ -996,6 +1002,10 @@ def test_forward_rejects_a_bias_folded_at_another_step():
     assert den.predict_eps(z, 5, table, [0, 1]).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="time term of step 5, not 4"):
         forward(m, z, 4, sched, bias)
+    # the block body itself adds no time term to a bias that should hold one
+    from turnpoint.neural import _forward_batch
+    with pytest.raises(ValueError, match="time term of step None, not 5"):
+        _forward_batch(m, z, 5, table.slots)
     for t in (-1, sched.n_steps):
         with pytest.raises(ValueError, match="outside"):
             den.predict_eps(z, t, table, [0, 1])
