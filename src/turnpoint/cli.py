@@ -21,6 +21,7 @@ from .harness import (
     _count,
     aggregate,
     load_config,
+    load_suite,
     load_sweep_config,
     open_checkpoint,
     read_runs_csv,
@@ -138,12 +139,7 @@ def _cmd_train(args) -> int:
         steps = config.get("diffusion_steps", SweepConfig.n_steps)
         data = SweepConfig(n_steps=steps, **given(_TRAIN_DATA_KEYS))
         sched = data.noise_schedule()
-        if data.suite is not None:
-            records = read_suite_checked(data.suite)
-        else:
-            records = generate_suite(data.suite_seed)
-        if not records:
-            raise ConfigurationError("the prompt suite is empty")
+        records = load_suite(data)
         sampler = mixture_data_sampler(
             suite_training_pairs(records, data.frames, data.sigma, data.w_mix)
         )

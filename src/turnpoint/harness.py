@@ -58,6 +58,7 @@ __all__ = [
     "load_config",
     "load_sweep_config",
     "read_suite_checked",
+    "load_suite",
     "open_checkpoint",
     "backend_for_record",
     "sample_runs",
@@ -158,7 +159,12 @@ class SweepConfig:
     beta_max: float = 0.02
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
+        try:
+            if isinstance(self.grid, str):  # would read as one ratio per character
+                raise TypeError
+            object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"grid must be a list of ratios, got {self.grid!r}") from None
         for name in _COUNT_FIELDS:
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.mode not in MODES:
@@ -193,13 +199,14 @@ class SweepConfig:
             raise ConfigurationError("sigma must be finite and >= 0")
         if not np.isfinite(self.w_mix):  # a finite w_mix is clamped by worldgen
             raise ConfigurationError("w_mix must be finite")
+        self.noise_schedule()  # checks n_steps, beta_min and beta_max
 
     def noise_schedule(self) -> NoiseSchedule:
         """The schedule every run of this config samples with."""
         try:
             return build_schedule(self.n_steps, self.beta_min, self.beta_max)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"invalid noise schedule: {exc}") from exc
 
 
 _SWEEP_KEYS = {f.name for f in fields(SweepConfig)}
@@ -326,6 +333,24 @@ def read_suite_checked(path: str) -> list[PromptRecord]:
         return read_suite(path)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
+
+
+def load_suite(cfg: SweepConfig, records=None) -> list[PromptRecord]:
+    """The prompt suite a sweep or a training run of ``cfg`` uses:
+    ``records`` if given, else ``cfg.suite``'s file if set, else the suite
+    generated from ``cfg.suite_seed``.  An empty suite or one with
+    duplicate ids is a :class:`ConfigurationError`."""
+    if records is None:
+        if cfg.suite is not None:
+            records = read_suite_checked(cfg.suite)
+        else:
+            records = generate_suite(cfg.suite_seed)
+    records = list(records)
+    if not records:
+        raise ConfigurationError("the prompt suite is empty")
+    if len({r.id for r in records}) != len(records):
+        raise ConfigurationError("the prompt suite contains duplicate ids")
+    return records
 
 
 def backend_for_record(
@@ -571,17 +596,8 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
     then ratio, then repeat, then setting), which is also the CSV row
     order regardless of worker count.
     """
-    if records is None:
-        if cfg.suite is not None:
-            records = read_suite_checked(cfg.suite)
-        else:
-            records = generate_suite(cfg.suite_seed)
-    records = list(records)
-    if not records:
-        raise ConfigurationError("the prompt suite is empty")
+    records = load_suite(cfg, records)
     records_by_id = {r.id: r for r in records}
-    if len(records_by_id) != len(records):
-        raise ConfigurationError("the prompt suite contains duplicate ids")
     model = None
     if cfg.backend != "analytic":
         model = open_checkpoint(cfg.backend, records, cfg.frames)

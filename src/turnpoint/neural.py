@@ -12,32 +12,30 @@ are reverse-mode by hand; no autodiff framework is involved.
 Each ``w1_j`` is read as three column views ``[W_h | W_t | W_c]``, so a
 block computes ``tanh(W_h h + (W_c c_j + b1_j + W_t t_emb))`` without
 concatenating its input.  The condition term ``W_c c_j + b1_j`` does not
-depend on the step: :func:`condition_bias` projects it once, and
-:class:`NeuralDenoiser` projects each of a sampling call's conditions
+depend on the step, so a sampling call projects each of its conditions
 once.  The parameter layout and the checkpoint bytes are those of the
 unsplit ``w1``.
 
-Inference and training run one block body, ``_forward_batch``, with the
-weight operands a :class:`ConditionBias` carries next to the projected
-terms, each of shape ``(in, out)`` so that a product reads ``x @ W``.
-:func:`condition_bias` makes them C-contiguous copies, which BLAS
-multiplies faster than the strided transposed views ``blk.w_h.T`` and
-``blk.w2.T``; a sampling call makes them once, when it projects its
-conditions, and the bias is then a snapshot of the model.  Training
-(:func:`loss_and_grads`) runs on the transposed views themselves, since
-one step does not repay the copies; from 19 rows up both give the same
-bits (see :func:`condition_bias`).
+Inference and training run one block body, ``_forward_batch``, on a
+tuple of weight operands, each of shape ``(in, out)`` so that a product
+reads ``x @ W``, and on each block's condition terms.  Inference runs on
+C-contiguous copies of the weights, which BLAS multiplies faster than
+the strided transposed views ``blk.w_h.T`` and ``blk.w2.T``: raw
+:func:`forward` copies them for its one call, and a :class:`SlotTable`
+once for a whole sampling call, which makes the table a snapshot of the
+model.  Training (:func:`loss_and_grads`) runs on the transposed views
+themselves, since one step does not repay the copies; from 19 rows up
+both give the same bits.
 
-A :class:`ConditionBias` records the step whose time term ``W_t t_emb``
-its terms already hold.  A sampling call's :class:`SlotTable` makes the
-time term of every block and step once, each by the one-row product
-``t_emb @ W_t.T``, adds a step's time terms to its few projected slots
-once per step, and gathers the sums, per row and block, for that step's
-:func:`forward`, so the body adds no time term row by row.  Training's
-terms, and a copy that :func:`forward` makes of a step-less bias's, are
-the call's own, and the body adds each block's time term into them in
-place just before the block's product.  In training every block of
-a row sees the row's one condition, so :func:`train` hands
+The time term ``W_t t_emb`` reaches the block body in one of two ways.
+A :class:`SlotTable` makes the time term of every block and step once,
+each by the one-row product ``t_emb @ W_t.T``, adds a step's time terms
+to its few projected slots once per step, and gathers the sums, per row
+and block, into the terms of that step's :func:`forward`, so the body
+adds no time term row by row.  Raw :func:`forward`'s terms and
+training's are the call's own, and the body adds each block's time term
+into them in place just before the block's product.  In training every
+block of a row sees the row's one condition, so :func:`train` hands
 :func:`loss_and_grads` block-shared ``(n, cond_dim)`` conditions, which
 are projected and differentiated without a per-block copy, and it
 embeds the steps through a table built once per call.  Each product and
@@ -74,7 +72,7 @@ import math
 import struct
 import time
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,14 +84,12 @@ __all__ = [
     "CheckpointError",
     "TrainingError",
     "BlockParams",
-    "ConditionBias",
     "SlotTable",
     "DenoiserModel",
     "TrainConfig",
     "AdamState",
     "timestep_embedding",
     "init_model",
-    "condition_bias",
     "forward",
     "loss_and_grads",
     "train",
@@ -258,80 +254,52 @@ def init_model(
     return model
 
 
-@dataclass(eq=False)
-class ConditionBias:
-    """Block conditions projected by :func:`condition_bias`, with the weight
-    operands of the forward pass: the state one :func:`forward` call reads.
+def _copy(a: np.ndarray) -> np.ndarray:
+    return np.array(a, order="C")
 
-    ``terms[j]`` is block j's ``W_c c_j + b1_j``, one row per latent, plus,
-    when ``step`` is not None, the time term ``W_t t_emb`` of that step.
-    The matrices are the right operands of the forward's products, ``(in,
-    out)``: ``x @ w_in`` is ``x @ model.w_in.T``; ``blocks[j]`` holds block
-    j's ``(w_h, w_t, w2, b2)``, so ``w_t`` is ``blk.w_t.T`` and so on.
-    :func:`condition_bias` fills them with copies, so its result is a
-    snapshot of the model at projection time, like ``terms``.  The
-    bias :func:`loss_and_grads` builds holds views of the model's
-    parameters instead: its one forward pass does not repay the copies.
 
-    :func:`forward` runs a bias whose ``step`` is its own step as it is,
-    adds the time term to a copy of the terms of one whose ``step`` is
-    None, as :func:`condition_bias` returns them, and rejects any other.
-    A :class:`SlotTable` keeps one bias for its sampling call and sets its
-    ``terms`` and ``step`` at each step, so no bias is built per step.
+def _operands(model, take) -> tuple:
+    """The weight operands of :func:`_forward_batch`, ``(w_in, b_in, blocks,
+    w_out, b_out)``, each matrix the right operand of its product, ``(in,
+    out)``: ``x @ w_in`` is ``x @ model.w_in.T``, and ``blocks[j]`` holds
+    block j's ``(w_h, w_t, w2, b2)``, so ``w_t`` is ``blk.w_t.T`` and so on.
+    ``take`` is :func:`_copy` or, to keep views of the model, ``np.asarray``.
+
+    The copies are C-contiguous, which BLAS multiplies faster than the
+    strided transposed views: a 132-row forward runs about 1.25x faster at
+    hidden 64, and within a few percent of the views' speed at hidden 128
+    and 256 (2-CPU Xeon, OpenBLAS 0.3.31, one thread).  They take
+    0.2-0.5 ms at hidden 64 and 5-7 ms at hidden 256, about 1% of the 50
+    forwards of a 132-row sampling call, which makes them once.  From 19
+    rows up the products are bit-identical to those with the views;
+    below, OpenBLAS's small-matrix kernels may round differently in the
+    last bits.  ``w_t`` is copied in its own orientation, because a
+    contiguous copy of ``w_t.T`` rounds the one-row time term of a
+    sampling step differently at any row count.
     """
-
-    terms: np.ndarray  # (n_blocks, rows, hidden)
-    w_in: np.ndarray  # (dim, hidden)
-    b_in: np.ndarray  # (hidden,)
-    blocks: tuple  # per block (w_h, w_t, w2, b2), matrices (in, out)
-    w_out: np.ndarray  # (hidden, dim)
-    b_out: np.ndarray  # (dim,)
-    step: int | None = None
-
-
-def _condition_bias(model, by_block, rows: int, take) -> ConditionBias:
-    """Project ``by_block[j]``, block j's ``(rows, cond_dim)`` conditions, and
-    pass the weight operands through ``take``, which copies them or, as
-    ``np.asarray``, keeps views."""
-    terms = np.empty((model.n_blocks, rows, model.hidden))
-    for term, c, blk in zip(terms, by_block, model.blocks):
-        np.matmul(c, blk.w_c.T, out=term)
-        term += blk.b1
-    # w_t keeps its orientation: see condition_bias
     blocks = tuple(
         (take(blk.w_h.T), take(blk.w_t).T, take(blk.w2.T), take(blk.b2))
         for blk in model.blocks
     )
-    return ConditionBias(terms, take(model.w_in.T), take(model.b_in), blocks,
-                         take(model.w_out.T), take(model.b_out))
+    return take(model.w_in.T), take(model.b_in), blocks, take(model.w_out.T), take(model.b_out)
 
 
-def condition_bias(model, block_conds, rows: int) -> ConditionBias:
-    """The step-invariant condition term of every block, for ``rows`` latents,
-    and a snapshot of the model's weights to run :func:`forward` with.
+def _project(model, by_block) -> np.ndarray:
+    """Each block's condition term ``W_c c + b1``, ``(n_blocks, rows,
+    hidden)``, of ``by_block[j]``, block j's ``(rows, cond_dim)``
+    conditions."""
+    terms = np.empty((model.n_blocks, len(by_block[0]), model.hidden))
+    for term, c, blk in zip(terms, by_block, model.blocks):
+        np.matmul(c, blk.w_c.T, out=term)
+        term += blk.b1
+    return terms
 
-    ``block_conds`` holds condition vectors of width ``model.cond_dim``:
-    ``(cond_dim,)`` conditions every block of every row alike,
-    ``(n_blocks, cond_dim)`` is one block stack (a condition per block)
-    for every row, and ``(rows, n_blocks, cond_dim)`` one stack per row.
-    Shared conditions are copied out to every row before the projection,
-    so a row's term does not depend on how its condition was given.
 
-    Every weight operand :func:`forward` reads is copied here, the
-    transposed ones into C-contiguous ``(in, out)`` arrays, which BLAS
-    multiplies faster than the strided transposed views of ``model``: a
-    132-row forward runs about 1.25x faster at hidden 64, and within a few
-    percent of the views' speed at hidden 128 and 256 (2-CPU Xeon,
-    OpenBLAS 0.3.31, one thread).  The copies take 0.2-0.5 ms at hidden 64
-    and 5-7 ms at hidden 256, about 1% of the 50 forwards of a 132-row
-    sampling call, which makes them once.  The result is a
-    snapshot: writing into ``model.flat`` afterwards does not change what
-    :func:`forward` computes with it.  From 19 rows up the products are
-    bit-identical to those with the views; below, OpenBLAS's small-matrix
-    kernels may round differently in the last bits.  ``w_t`` is copied
-    in its own orientation, because a contiguous copy of ``w_t.T`` rounds
-    the one-row time term of a sampling step differently at any row count.
-    """
+def _conditions_by_block(model, block_conds, rows: int) -> np.ndarray:
+    """Condition arrays in a shape :func:`forward` takes, for ``rows``
+    latents, as ``(n_blocks, rows, cond_dim)``.  Shared conditions are
+    copied out to every row, so a row's term does not depend on how its
+    condition was given."""
     full = (rows, model.n_blocks, model.cond_dim)
     conds = np.asarray(block_conds, dtype=np.float64)
     if conds.ndim == 3 and conds.shape[0] != rows:
@@ -341,44 +309,26 @@ def condition_bias(model, block_conds, rows: int) -> ConditionBias:
             f"block conditions have shape {conds.shape}; expected (cond_dim,), "
             f"(n_blocks, cond_dim) or (n, n_blocks, cond_dim) of {full}"
         )
-    by_block = np.ascontiguousarray(np.broadcast_to(conds, full).transpose(1, 0, 2))
-    return _condition_bias(model, by_block, rows, lambda a: np.array(a, order="C"))
+    return np.ascontiguousarray(np.broadcast_to(conds, full).transpose(1, 0, 2))
 
 
-def _time_terms(bias, temb) -> np.ndarray:
-    """Each block's time term ``temb[i] @ w_t`` for each step's embedding
-    ``temb[i]``, as ``(len(temb), n_blocks, hidden)``.  Each is a one-row
-    product, as numpy multiplies a stack of ``(1, t_emb_dim)`` matrices
-    row by row: one ``(len(temb), t_emb_dim)`` product rounds differently.
-    """
-    out = np.empty((len(temb), len(bias.terms), bias.terms.shape[2]))
-    for j, (_, w_t, _, _) in enumerate(bias.blocks):
-        np.matmul(temb[:, None, :], w_t, out=out[:, j, None, :])
-    return out
-
-
-def _forward_batch(model, z, t, bias, keep_cache=False, temb=None):
+def _forward_batch(ops, z, terms, temb=None, keep_cache=False):
     """Batched forward pass, the one block body of inference and training.
 
-    z (n, dim), t one step or one per row, ``bias`` a :class:`ConditionBias`
-    for n rows, whose weight operands it runs with, or condition arrays
-    that :func:`condition_bias` takes, then projected for this call.  The
-    bias's terms hold the time term of ``t``, unless ``temb``, the
-    embedding of ``t``, is given: then the terms are this call's own, and
-    each block adds its time term into its term in place, just before
-    the block's product.  A bias that holds no time term, or another
-    step's, is rejected when ``temb`` is not given.  Returns (eps, cache) where cache holds what
-    backprop needs: per-block (h, s) and the final hidden state.
+    z (n, dim), ``ops`` the weight operands of :func:`_operands` and
+    ``terms`` each block's condition term for the n rows, ``(n_blocks, n,
+    hidden)``.  Without ``temb`` the terms hold the step's time term
+    already.  With ``temb``, the embedding of the step or of each row's
+    step, the terms are the caller's to spend: each block adds its time
+    term into its term in place, just before the block's product.
+    Returns (eps, cache) where cache holds what backprop needs: per-block
+    (h, s) and the final hidden state.
     """
-    if not isinstance(bias, ConditionBias):
-        bias = condition_bias(model, bias, z.shape[0])
-        temb = timestep_embedding(t, model.t_emb_dim)
-    elif temb is None and bias.step != t:
-        raise ValueError(f"condition bias holds the time term of step {bias.step}, not {t}")
-    h = z @ bias.w_in
-    h += bias.b_in
+    w_in, b_in, blocks, w_out, b_out = ops
+    h = z @ w_in
+    h += b_in
     cache = []
-    for term, (w_h, w_t, w2, b2) in zip(bias.terms, bias.blocks):
+    for term, (w_h, w_t, w2, b2) in zip(terms, blocks):
         if temb is not None:
             term += temb @ w_t
         s = h @ w_h
@@ -390,19 +340,21 @@ def _forward_batch(model, z, t, bias, keep_cache=False, temb=None):
         h_next += h
         h_next += b2
         h = h_next
-    eps = h @ bias.w_out
-    eps += bias.b_out
+    eps = h @ w_out
+    eps += b_out
     return eps, (cache, h)
 
 
-def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds) -> np.ndarray:
+def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds, slots=None) -> np.ndarray:
     """Noise prediction for one latent ``(dim,)`` or a batch ``(n, dim)``.
 
-    ``block_conds`` is a :class:`ConditionBias` built for this many
-    latents, by :func:`condition_bias` or by :meth:`NeuralDenoiser.predict_eps`
-    for step ``t``, or condition arrays in any shape :func:`condition_bias`
-    takes, which are then projected, and the weights copied, for this call
-    alone.  A bias that holds another step's time term is rejected.
+    ``block_conds`` is either condition arrays, projected, and the weights
+    copied, for this call alone: ``(cond_dim,)`` conditions every block of
+    every row alike, ``(n_blocks, cond_dim)`` is one block stack (a
+    condition per block) for every row, and ``(n, n_blocks, cond_dim)``
+    one stack per row.  Or it is a :class:`SlotTable`, with ``slots``
+    naming each latent's slot: ``slots[r]`` conditions every block of row
+    r, and ``slots[r, j]`` block j alone.
     """
     z_t = np.asarray(z_t, dtype=np.float64)
     if z_t.ndim not in (1, 2) or z_t.shape[-1] != model.dim:
@@ -411,18 +363,14 @@ def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds) -> np.ndarray
     if not 0 <= t < sched.n_steps:
         raise ValueError(f"step index {t} outside [0, {sched.n_steps})")
     batch = z_t.reshape(-1, model.dim)
-    temb = None
-    if isinstance(block_conds, ConditionBias):
-        want = (model.n_blocks, batch.shape[0], model.hidden)
-        if block_conds.terms.shape != want:
-            raise ValueError(
-                f"condition bias has shape {block_conds.terms.shape}, expected {want}"
-            )
-        if block_conds.step is None:
-            # the block body adds the time term into a copy of the caller's terms
-            block_conds = replace(block_conds, terms=block_conds.terms.copy())
-            temb = timestep_embedding(t, model.t_emb_dim)
-    eps, _ = _forward_batch(model, batch, t, block_conds, temb=temb)
+    rows = batch.shape[0]
+    if slots is None:
+        ops = _operands(model, _copy)
+        terms = _project(model, _conditions_by_block(model, block_conds, rows))
+        temb = timestep_embedding(t, model.t_emb_dim)
+    else:
+        ops, terms, temb = block_conds._ops, block_conds._terms_at(t, slots, rows), None
+    eps, _ = _forward_batch(ops, batch, terms, temb)
     return eps[0] if z_t.ndim == 1 else eps
 
 
@@ -471,8 +419,9 @@ def loss_and_grads(model, z0, t, eps, block_conds, sched, *, temb_table=None, re
         temb_table = timestep_embedding(np.arange(sched.n_steps), model.t_emb_dim)
     temb = temb_table[t]
     # views, not copies: one training step does not repay copying the weights
-    bias = _condition_bias(model, by_block, n, np.asarray)
-    pred, (cache, h_last) = _forward_batch(model, z_t, t, bias, keep_cache=True, temb=temb)
+    ops = _operands(model, np.asarray)
+    pred, (cache, h_last) = _forward_batch(ops, z_t, _project(model, by_block), temb,
+                                           keep_cache=True)
     resid = np.subtract(pred, eps, out=pred)
     loss = float(np.mean(resid * resid))
     if not np.isfinite(loss):
@@ -767,53 +716,66 @@ def load_checkpoint(path) -> DenoiserModel:
 
 
 class SlotTable:
-    """One sampling call's state, as :meth:`NeuralDenoiser.prepare` makes it.
+    """One sampling call's inference state, as :meth:`NeuralDenoiser.prepare`
+    makes it: slot ``s`` conditions every block with ``vectors[s]``.
 
-    ``slots`` holds the call's conditions projected by
-    :func:`condition_bias`, one slot per row of its terms, with no time
-    term (its ``step`` is None); nothing writes into it.
-    ``time_terms[t, j]`` is block j's time term ``W_t t_emb`` at step t,
-    made by the one-row product :func:`forward` makes; at 50 steps, 8
-    blocks and hidden 64 it is 200 KB.  A table serves one call at a time.
+    ``terms[j, s]`` is block j's condition term ``W_c c + b1`` of slot s,
+    and ``time_terms[t, j]`` block j's time term ``W_t t_emb`` at step t,
+    each made by the one-row product that raw :func:`forward` makes; at 50
+    steps, 8 blocks and hidden 64 they take 200 KB.  The table holds
+    copies of the weight operands (see :func:`_operands`), made here, so
+    it is a snapshot of the model.  Nothing writes into these arrays.
 
-    Adding a step's time terms to the few slots, rather than to every
-    gathered row in the block body, ran a 108-row, 50-step sample call
-    through a checkpoint at 1.11x, and at 1.14x with guidance (hidden 64,
-    8 blocks; 2-CPU Xeon, OpenBLAS 0.3.31 on one thread).
+    :func:`forward` with a table adds step t's time terms to the few slots
+    once per step, into a cache the table keeps for the last step it
+    folded, and gathers the sums per row and block into the call's own
+    terms, so the block body adds no time term row by row and a guided
+    step's second call only gathers.  A table serves one call at a time.
+    Folding the slots, rather than adding the time terms to every gathered
+    row in the block body, ran a 108-row, 50-step sample call through a
+    checkpoint at 1.11x, and at 1.14x with guidance (hidden 64, 8 blocks;
+    2-CPU Xeon, OpenBLAS 0.3.31 on one thread).
     """
 
-    def __init__(self, slots: ConditionBias, time_terms: np.ndarray):
-        self.slots = slots
-        self.time_terms = time_terms  # (n_steps, n_blocks, hidden)
-        self._folded = np.empty_like(slots.terms)
-        self._blocks = np.arange(len(slots.terms))[:, None]
-        self._bias = replace(slots, terms=None)  # its step: the one _folded holds
+    def __init__(self, model: DenoiserModel, vectors, n_steps: int):
+        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[1] != model.cond_dim:
+            raise ValueError(
+                f"slot conditions have shape {vectors.shape}; expected (n, {model.cond_dim})"
+            )
+        self._ops = _operands(model, _copy)
+        self.terms = _project(model, [vectors] * model.n_blocks)
+        temb = timestep_embedding(np.arange(n_steps), model.t_emb_dim)
+        # one-row products, as numpy multiplies a stack of (1, t_emb_dim)
+        # matrices row by row: one (n_steps, t_emb_dim) product rounds differently
+        self.time_terms = np.empty((n_steps, model.n_blocks, model.hidden))
+        for j, (_, w_t, _, _) in enumerate(self._ops[2]):
+            np.matmul(temb[:, None, :], w_t, out=self.time_terms[:, j, None, :])
+        self._folded = np.empty_like(self.terms)
+        self._folded_step = None
+        self._blocks = np.arange(model.n_blocks)[:, None]
 
-    def bias_at(self, t: int, per_block: np.ndarray) -> ConditionBias:
-        """The call's one bias, set to step ``t`` for rows whose block j
-        takes slot ``per_block[j, r]``, or ``per_block[r]`` in every block:
-        step t's time terms are added to the slots' terms once per step,
-        so a guided step's second call only gathers."""
-        bias = self._bias
-        bias.terms = None  # frees the last step's rows first, so their memory is reused
-        if bias.step != t:
+    def _terms_at(self, t: int, slots, rows: int) -> np.ndarray:
+        """Step t's terms for ``rows`` latents under ``slots`` (see
+        :func:`forward`), gathered into a new array."""
+        # transposed, both shapes index (block, row) pairs once broadcast
+        per_block = np.asarray(slots).T
+        if per_block.shape[-1] != rows:
+            raise ValueError(f"slots for {per_block.shape[-1]} rows, {rows} latents")
+        if self._folded_step != t:
             if not 0 <= t < len(self.time_terms):
                 raise ValueError(f"step index {t} outside [0, {len(self.time_terms)})")
-            np.add(self.slots.terms, self.time_terms[t][:, None], out=self._folded)
-            bias.step = t
-        bias.terms = self._folded[self._blocks, per_block]
-        return bias
+            np.add(self.terms, self.time_terms[t][:, None], out=self._folded)
+            self._folded_step = t
+        return self._folded[self._blocks, per_block]
 
 
 class NeuralDenoiser:
     """Sampler-facing wrapper around a :class:`DenoiserModel`.
 
-    :meth:`prepare` projects each condition of a sampling call once, with
-    :func:`condition_bias`, as a slot that conditions every block alike,
-    and makes every step's time terms, in a :class:`SlotTable`.
-    :meth:`predict_eps` adds step t's time terms to the slots, once per
-    step, gathers each row's and block's slot from the sums into the
-    table's one :class:`ConditionBias`, and answers a batch in one
+    :meth:`prepare` projects each condition of a sampling call once, as a
+    slot of a :class:`SlotTable` that conditions every block alike, and
+    :meth:`predict_eps` answers a batch under the table in one
     :func:`forward` pass.
     """
 
@@ -851,16 +813,9 @@ class NeuralDenoiser:
 
     def prepare(self, conds) -> SlotTable:
         """Slot ``s`` of the result conditions every block with ``conds[s]``."""
-        m = self._model
-        vectors = np.stack([c.vector for c in conds])
-        shape = (len(vectors), m.n_blocks, vectors.shape[1])
-        slots = condition_bias(m, np.broadcast_to(vectors[:, None, :], shape), len(vectors))
-        temb = timestep_embedding(np.arange(self._sched.n_steps), m.t_emb_dim)
-        return SlotTable(slots, _time_terms(slots, temb))
+        return SlotTable(self._model, np.stack([c.vector for c in conds]), self._sched.n_steps)
 
     def predict_eps(self, z, t: int, table: SlotTable, slots) -> np.ndarray:
         """Row ``r`` under slot ``slots[r]`` in every block, or, for slots of
         shape ``(rows, n_blocks)``, block ``j`` under ``slots[r, j]``."""
-        # transposed, both shapes index (block, row) pairs once broadcast
-        per_block = np.asarray(slots).T
-        return forward(self._model, z, t, self._sched, table.bias_at(t, per_block))
+        return forward(self._model, z, t, self._sched, table, slots)

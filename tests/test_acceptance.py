@@ -39,7 +39,6 @@ from turnpoint.harness import (
 from turnpoint.neural import (
     NeuralDenoiser,
     TrainConfig,
-    _forward_batch,
     forward,
     init_model,
     loss_and_grads,
@@ -333,9 +332,7 @@ def test_criterion_08_trained_denoiser_approaches_oracle_mse():
     from turnpoint.diffusion import forward_noise
 
     z_t = forward_noise(z0, t, eps, sched)
-    block_conds = np.repeat(conds[:, None, :], model.n_blocks, axis=1)
-    pred, _ = _forward_batch(model, z_t, t, block_conds)
-    model_mse = float(np.mean((pred - eps) ** 2))
+    model_mse, _ = loss_and_grads(model, z0, t, eps, conds, sched)
 
     oracle_pred = np.empty_like(eps)
     mixtures = {cond.key(): mixture for cond, mixture in pairs}

@@ -303,6 +303,15 @@ class TestTrain:
         assert "w_mix must be finite" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
+    def test_suite_with_duplicate_ids_exits_1(self, tmp_path, capsys):
+        suite = tmp_path / "dup.jsonl"
+        record = generate_suite(0)[0]
+        write_suite([record, record], suite)
+        code, _ = self.train_on(str(suite), tmp_path)
+        assert code == 1
+        assert "duplicate ids" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def train_on(self, suite, tmp_path, **extra):
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"suite": suite, "frames": 6, "hidden": 8,
@@ -657,6 +666,23 @@ class TestSweepAndReport:
                                    key: value}))
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("grid", "0.5", "grid must be a list of ratios"),
+         ("beta_max", "x", "invalid noise schedule"),
+         ("beta_min", "1e-4", "invalid noise schedule")],
+    )
+    def test_mistyped_config_value_exits_1(self, small_suite, tmp_path, capsys, key, value,
+                                           message):
+        cfg = tmp_path / "sweep.json"
+        out_dir = tmp_path / "s"
+        cfg.write_text(json.dumps({"suite": small_suite, "grid": [0.0, 1.0], "repeats": 1,
+                                   "n_steps": 4, "frames": 8, "out_dir": str(out_dir),
+                                   key: value}))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_integral_float_counts_read_as_ints(self, small_suite, tmp_path):

@@ -728,18 +728,18 @@ def test_sample_projects_block_conditions_once_per_call(monkeypatch, guidance_sc
     c1, c2 = compose_single([0.7]), compose_single([-0.7])
     conditioning = [block_split(x, model.n_blocks, c1, c2) for x in (0.0, 0.5, 1.0)]
     calls = []
-    real = neural.condition_bias
+    real = neural._project
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(neural, "condition_bias", counted)
-    biases = []
+    monkeypatch.setattr(neural, "_project", counted)
+    tables = []
     real_forward = neural.forward
 
     def recorded(*args):
-        biases.append(args[4])
+        tables.append(args[4])
         return real_forward(*args)
 
     monkeypatch.setattr(neural, "forward", recorded)
@@ -747,12 +747,8 @@ def test_sample_projects_block_conditions_once_per_call(monkeypatch, guidance_sc
     assert np.isfinite(out).all()
     assert len(calls) == 1  # the unconditioned slot too, when guided
     # every step runs with the one set of weight copies that call made
-    assert len(biases) == sched.n_steps * (2 if guidance_scale != 1.0 else 1)
-
-    def operands(bias):
-        blocks = [a for block in bias.blocks for a in block]
-        return [bias.w_in, bias.b_in, *blocks, bias.w_out, bias.b_out]
-
-    first = operands(biases[0])
-    assert not any(np.shares_memory(a, model.flat) for a in first)
-    assert all(a is b for bias in biases for a, b in zip(operands(bias), first))
+    assert len(tables) == sched.n_steps * (2 if guidance_scale != 1.0 else 1)
+    assert all(table is tables[0] for table in tables)
+    w_in, b_in, blocks, w_out, b_out = tables[0]._ops
+    operands = [w_in, b_in, *(a for block in blocks for a in block), w_out, b_out]
+    assert not any(np.shares_memory(a, model.flat) for a in operands)

@@ -23,8 +23,8 @@ from turnpoint.neural import (
     CheckpointError,
     NeuralDenoiser,
     TrainConfig,
+    SlotTable,
     TrainingError,
-    condition_bias,
     forward,
     init_model,
     load_checkpoint,
@@ -281,21 +281,17 @@ def test_forward_matches_unsplit_reference():
         want, _, _ = reference_forward(m, latents.reshape(-1, m.dim), 7, full)
         got = forward(m, latents, 7, sched, conds)
         np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-12)
-        rows = len(want)
-        bias = condition_bias(m, conds, rows)
-        terms = bias.terms.tobytes()
-        prepared = forward(m, latents, 7, sched, bias)
-        assert prepared.tobytes() == got.tobytes()
-        assert bias.terms.tobytes() == terms and bias.step is None  # added into a copy
 
 
-def test_forward_rejects_a_bias_for_other_rows():
+def test_forward_rejects_slots_for_other_rows():
     m = random_model()
     sched = build_schedule(10)
-    bias = condition_bias(m, m.blocks[0].w_c[0], 3)
-    assert bias.terms.shape == (m.n_blocks, 3, m.hidden)
-    with pytest.raises(ValueError, match="condition bias has shape"):
-        forward(m, np.ones((2, m.dim)), 3, sched, bias)
+    table = SlotTable(m, np.ones((2, m.cond_dim)), sched.n_steps)
+    assert table.terms.shape == (m.n_blocks, 2, m.hidden)
+    with pytest.raises(ValueError, match="slots for 3 rows, 2 latents"):
+        forward(m, np.ones((2, m.dim)), 3, sched, table, [0, 1, 1])
+    with pytest.raises(ValueError, match="slots for 3 rows, 2 latents"):
+        forward(m, np.ones((2, m.dim)), 3, sched, table, np.zeros((3, m.n_blocks), dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +333,23 @@ def test_loss_and_grads_rejects_conditions_of_other_widths():
         loss_and_grads(m, z0, t, eps, block_conds[:3], sched)
 
 
-def test_forward_leaves_a_callers_bias_unchanged():
-    # the time term is added into terms a forward pass owns, never into these
+def test_forward_leaves_a_tables_terms_unchanged():
+    # the time terms are added into a fold and a gather a forward pass owns
     m = random_model()
     sched = build_schedule(10)
     z = np.random.default_rng(4).standard_normal((3, m.dim))
-    conds = np.random.default_rng(5).standard_normal((3, m.n_blocks, m.cond_dim))
-    bias = condition_bias(m, conds, 3)
-    terms = bias.terms.copy()
-    first = forward(m, z, 7, sched, bias)
-    assert bias.terms.tobytes() == terms.tobytes()
-    assert forward(m, z, 7, sched, bias).tobytes() == first.tobytes()
-    assert forward(m, z, 7, sched, conds).tobytes() == first.tobytes()
+    vectors = np.random.default_rng(5).standard_normal((2, m.cond_dim))
+    table = SlotTable(m, vectors, sched.n_steps)
+    terms, time_terms = table.terms.copy(), table.time_terms.copy()
+    slots = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1]])  # (rows, n_blocks)
+    first = forward(m, z, 7, sched, table, slots)
+    assert table.terms.tobytes() == terms.tobytes()
+    assert table.time_terms.tobytes() == time_terms.tobytes()
+    forward(m, z, 2, sched, table, slots)
+    assert forward(m, z, 7, sched, table, slots).tobytes() == first.tobytes()
+    assert forward(m, z, 7, sched, table, slots).tobytes() == first.tobytes()
+    raw = forward(m, z, 7, sched, vectors[slots])
+    assert raw.tobytes() == first.tobytes()
 
 
 def test_loss_matches_manual_mse():
@@ -358,11 +359,9 @@ def test_loss_matches_manual_mse():
     sched = build_schedule(10)
     z0, t, eps, block_conds = batch_inputs(m)
     loss, _ = loss_and_grads(m, z0, t, eps, block_conds, sched)
-    # recompute independently: noise forward, run the batch net, average
-    from turnpoint.neural import _forward_batch
-
+    # recompute independently: noise forward, run the unsplit net, average
     z_t = forward_noise(z0, t, eps, sched)
-    pred, _ = _forward_batch(m, z_t, t, block_conds)
+    pred, _, _ = reference_forward(m, z_t, t, block_conds)
     want = float(np.mean((pred - eps) ** 2))
     assert loss == pytest.approx(want, rel=1e-12)
 
@@ -974,9 +973,9 @@ def test_sample_leaves_the_prepared_table_unchanged(tmp_path):
 
     def recorded(conds):
         table = prepare(conds)
-        bias = table.slots
-        arrays = [bias.terms, bias.w_in, bias.b_in, *(w for block in bias.blocks for w in block),
-                  bias.w_out, bias.b_out, table.time_terms]
+        w_in, b_in, blocks, w_out, b_out = table._ops
+        arrays = [table.terms, w_in, b_in, *(w for block in blocks for w in block),
+                  w_out, b_out, table.time_terms]
         tables.append((table, arrays, [x.tobytes() for x in arrays]))
         return table
 
@@ -986,29 +985,21 @@ def test_sample_leaves_the_prepared_table_unchanged(tmp_path):
         assert np.isfinite(out).all()
     assert len(tables) == 2
     for table, arrays, before in tables:
-        assert table.slots.step is None
         assert [x.tobytes() for x in arrays] == before
 
 
-def test_forward_rejects_a_bias_folded_at_another_step():
+def test_forward_rejects_a_step_outside_the_schedule_or_the_table():
     m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=1)
     sched = build_schedule(10)
     den = NeuralDenoiser(m, sched, (3, 2))
     table = den.prepare([compose_single([0.4, -0.2]), compose_single([-1.0, 0.3])])
     z = np.random.default_rng(2).standard_normal((2, m.dim))
-    bias = table.bias_at(5, np.array([[0, 1]] * m.n_blocks))
-    assert bias.step == 5
-    want = forward(m, z, 5, sched, bias)
-    assert den.predict_eps(z, 5, table, [0, 1]).tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="time term of step 5, not 4"):
-        forward(m, z, 4, sched, bias)
-    # the block body itself adds no time term to a bias that should hold one
-    from turnpoint.neural import _forward_batch
-    with pytest.raises(ValueError, match="time term of step None, not 5"):
-        _forward_batch(m, z, 5, table.slots)
     for t in (-1, sched.n_steps):
         with pytest.raises(ValueError, match="outside"):
             den.predict_eps(z, t, table, [0, 1])
+    short = SlotTable(m, np.ones((2, m.cond_dim)), 5)
+    with pytest.raises(ValueError, match=r"step index 7 outside \[0, 5\)"):
+        forward(m, z, 7, sched, short, [0, 1])
 
 
 def test_prepared_state_is_a_snapshot_of_the_model():
@@ -1037,7 +1028,7 @@ def test_neural_denoiser_answers_each_row_under_its_slot():
     slots = np.array([2, 0, 0, 1, 2, 1, 0])
     z = rng.standard_normal((len(slots), 6))
     prepared = den.prepare(conds)
-    assert prepared.slots.terms.shape == (m.n_blocks, len(conds), m.hidden)
+    assert prepared.terms.shape == (m.n_blocks, len(conds), m.hidden)
     got = den.predict_eps(z, 7, prepared, slots)
     for row, slot in enumerate(slots):
         want = forward(m, z[row], 7, sched, conds[slot].vector)
