@@ -79,10 +79,17 @@ def _grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"grid must be comma-separated numbers, got {text!r}")
 
 
+def _require_directory_of(path: str, what: str) -> None:
+    directory = os.path.dirname(path)
+    if not os.path.isdir(directory or "."):
+        raise ConfigurationError(f"{what} directory not found: {directory}")
+
+
 # ---------------------------------------------------------------------------
 # suite gen / suite validate
 
 def _cmd_suite_gen(args) -> int:
+    _require_directory_of(args.out, "output")
     records = generate_suite(args.seed)
     report = validate_suite(records, strict_counts=args.strict_table1)
     if not report.ok:  # would mean the generator itself is broken
@@ -97,7 +104,10 @@ def _cmd_suite_gen(args) -> int:
 def _cmd_suite_validate(args) -> int:
     if not os.path.exists(args.file):
         raise ConfigurationError(f"suite file not found: {args.file}")
-    report = validate_suite(args.file, strict_counts=args.strict_table1)
+    try:
+        report = validate_suite(args.file, strict_counts=args.strict_table1)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read suite file {args.file}: {exc}") from exc
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
@@ -126,8 +136,7 @@ _TRAIN_COUNT_KEYS = (
 
 def _cmd_train(args) -> int:
     config = load_config(args.config, _TRAIN_KEYS)
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise ConfigurationError(f"checkpoint directory not found: {os.path.dirname(args.out)}")
+    _require_directory_of(args.out, "checkpoint")
 
     def given(keys) -> dict:
         return {key: config[key] for key in keys if key in config}

@@ -42,7 +42,7 @@ __all__ = [
 VIEWS = ("first", "third")
 CATEGORIES = ("General", "MotionOrder", "HumanIdentity", "ComplexPlot", "EgoExo")
 
-# Fixed category sizes of the generated benchmark suite (total 310).
+# Fixed category sizes of the generated benchmark suite (total 350).
 TABLE_COUNTS = {
     "General": 60,
     "MotionOrder": 98,
@@ -152,6 +152,30 @@ class PromptRecord:
         return 3 + 2 * self.feature_dim
 
 
+def _check_events(directions, speeds, looks) -> None:
+    """The checks of :class:`EventParams` on a stack of events:
+    ``directions`` and ``speeds`` ``(n,)``, and ``looks`` ``(n, 2, d)``,
+    each event's identity and background.  A stack that fails raises the
+    error of its first event that fails, as constructing it would."""
+    ok = (
+        np.isfinite(directions) & (directions >= 0.0) & (directions < TWO_PI)
+        & np.isfinite(speeds) & (speeds >= 0.0)
+        & np.isfinite(looks).all(axis=(1, 2))
+    )
+    if not ok.all():
+        r = int(np.argmin(ok))
+        EventParams(float(directions[r]), float(speeds[r]), *looks[r])
+
+
+def _event_view(direction: float, speed: float, identity, background) -> EventParams:
+    """An event over read-only feature rows of a stack that
+    :func:`_check_events` has passed, sharing them rather than copying and
+    checking them again."""
+    event = object.__new__(EventParams)
+    event.__dict__.update(direction=direction, speed=speed, identity=identity, background=background)
+    return event
+
+
 def embed_event(event: EventParams) -> np.ndarray:
     """Event slot vector [cos(dir), sin(dir), speed, identity..., background...]."""
     return _event_table((event,))[0, :-2]
@@ -160,21 +184,22 @@ def embed_event(event: EventParams) -> np.ndarray:
 def _event_table(events) -> np.ndarray:
     """One row per event, all of one feature dimension: its
     :func:`embed_event` slot, then ``cos(-dir), sin(-dir)``, which rotate
-    its drift into its first-person frame.  Cosines and sines are taken by
+    its drift into its first-person frame."""
+    looks = np.array([(e.identity, e.background) for e in events])
+    return _table_rows([e.direction for e in events], [e.speed for e in events], looks)
+
+
+def _table_rows(directions, speeds, looks) -> np.ndarray:
+    """:func:`_event_table` rows of events given as ``directions``,
+    ``speeds`` and ``looks`` ``(n, 2, d)``.  Cosines and sines are taken by
     Python's ``math`` one event at a time, as :attr:`EventParams.drift`
     takes them."""
-    table = np.empty((len(events), 5 + 2 * events[0].feature_dim))
+    table = np.empty((len(looks), 5 + looks[0].size))
     table[:, [0, 1, 2, -2, -1]] = [
-        (
-            math.cos(e.direction),
-            math.sin(e.direction),
-            e.speed,
-            math.cos(-e.direction),
-            math.sin(-e.direction),
-        )
-        for e in events
+        (math.cos(d), math.sin(d), s, math.cos(-d), math.sin(-d))
+        for d, s in zip(directions, speeds)
     ]
-    table[:, 3:-2] = np.array([(e.identity, e.background) for e in events]).reshape(len(events), -1)
+    table[:, 3:-2] = looks.reshape(len(looks), -1)
     return table
 
 
@@ -250,45 +275,83 @@ def condition_of(record: PromptRecord, which: str) -> ConditionEmbedding:
 
 
 def blended_event(e1: EventParams, e2: EventParams) -> EventParams:
-    """Pseudo-event averaging both drifts and both appearance vectors."""
-    v = 0.5 * (e1.drift + e2.drift)
-    speed = float(np.hypot(v[0], v[1]))
-    direction = math.atan2(v[1], v[0]) % TWO_PI if speed > 0.0 else 0.0
-    return EventParams(
-        direction,
-        speed,
-        0.5 * (e1.identity + e2.identity),
-        0.5 * (e1.background + e2.background),
-    )
+    """Pseudo-event averaging both drifts and both appearance vectors.
+
+    This is the one-row case of the blends that
+    :func:`suite_training_pairs` builds from its event table, so a blend
+    has the same bytes, and raises the same error, whichever builds it.
+    """
+    if e1.feature_dim != e2.feature_dim:
+        raise ValueError("events differ in feature dimension")
+    table = _event_table((e1, e2))
+    directions, speeds, looks = _blends(table[:1], table[1:])
+    looks.flags.writeable = False
+    return _event_view(float(directions[0]), float(speeds[0]), *looks[0])
+
+
+def _blends(one, two):
+    """``(directions, speeds, looks)`` of the blended events of the
+    :func:`_event_table` rows ``one[r]`` and ``two[r]``: the mean of their
+    drifts, as heading and speed, and of their identity and background
+    vectors, checked by :func:`_check_events`."""
+    # a drift is speed * (cos, sin), as EventParams.drift takes it
+    v = 0.5 * (one[:, 2:3] * one[:, :2] + two[:, 2:3] * two[:, :2])
+    looks = (0.5 * (one[:, 3:-2] + two[:, 3:-2])).reshape(len(one), 2, -1)
+    speeds = np.hypot(v[:, 0], v[:, 1])
+    directions = np.array([
+        math.atan2(y, x) % TWO_PI if s > 0.0 else 0.0
+        for x, y, s in zip(*v.T.tolist(), speeds.tolist())
+    ])
+    _check_events(directions, speeds, looks)
+    return directions, speeds, looks
 
 
 # ---------------------------------------------------------------------------
 # suite generation
 
-def _unit(rng: np.random.Generator) -> np.ndarray:
-    phi = rng.uniform(0.0, TWO_PI)
-    return np.array([math.cos(phi), math.sin(phi)])
+# Standard uniforms per rng.random call.  A block holds the doubles that
+# as many scalar draws would, so the size changes no value; one block
+# covers the about 1700 draws of a suite.
+_UNIFORM_BLOCK = 2048
 
 
-def _distinct_angle(rng: np.random.Generator, avoid: float) -> float:
+def _uniforms(rng: np.random.Generator):
+    """``uniform(lo, hi)`` returning what ``rng.uniform(lo, hi)`` would,
+    value for value and in order, from blocks of ``rng.random``: numpy's
+    uniform is ``lo + (hi - lo) * u`` of one standard uniform ``u``."""
+
+    def draws():
+        while True:
+            yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+    u = draws()
+    return lambda lo, hi: lo + (hi - lo) * next(u)
+
+
+def _unit(uniform) -> tuple[float, float]:
+    phi = uniform(0.0, TWO_PI)
+    return math.cos(phi), math.sin(phi)
+
+
+def _distinct_angle(uniform, avoid: float) -> float:
     while True:
-        theta = rng.uniform(0.0, TWO_PI)
+        theta = uniform(0.0, TWO_PI)
         gap = abs((theta - avoid + math.pi) % TWO_PI - math.pi)
         if gap > 1e-6:
             return theta
 
 
-def _speed(rng: np.random.Generator) -> float:
-    return float(rng.uniform(0.5, 1.5))
+def _speed(uniform) -> float:
+    return uniform(0.5, 1.5)
 
 
-def _general_events(rng: np.random.Generator) -> tuple[EventParams, EventParams]:
-    theta1 = rng.uniform(0.0, TWO_PI)
-    theta2 = _distinct_angle(rng, theta1)
-    identity, background = _unit(rng), _unit(rng)
+def _general_events(uniform):
+    theta1 = uniform(0.0, TWO_PI)
+    theta2 = _distinct_angle(uniform, theta1)
+    identity, background = _unit(uniform), _unit(uniform)
     return (
-        EventParams(theta1, _speed(rng), identity, background),
-        EventParams(theta2, _speed(rng), identity, background),
+        (theta1, _speed(uniform), identity, background),
+        (theta2, _speed(uniform), identity, background),
     )
 
 
@@ -300,56 +363,70 @@ def generate_suite(seed: int) -> list[PromptRecord]:
     identity vector; ComplexPlot changes direction, identity and
     background; EgoExo emits each event pair twice (first/third view)
     under a shared pair id.
-    """
-    rng = np.random.default_rng(seed)
-    records: list[PromptRecord] = []
 
+    Uniforms are drawn in blocks, with the values and order of one
+    ``rng.uniform`` call each.  All events are checked once, as one
+    stack, by the rules of :class:`EventParams`, and each event's
+    identity and background are read-only rows of that stack.
+    """
+    uniform = _uniforms(np.random.default_rng(seed))
+    # (record id, category, pair id, event 1, event 2), each event as
+    # (direction, speed, identity, background)
+    specs = []
     for i in range(TABLE_COUNTS["General"]):
-        records.append(
-            PromptRecord(f"general-{i:03d}", "General", "third", _general_events(rng))
-        )
+        specs.append((f"general-{i:03d}", "General", None, *_general_events(uniform)))
 
     for i in range(TABLE_COUNTS["MotionOrder"]):
-        theta1 = rng.uniform(0.0, TWO_PI)
-        speed = _speed(rng)
-        identity, background = _unit(rng), _unit(rng)
-        events = (
-            EventParams(theta1, speed, identity, background),
-            EventParams((theta1 + math.pi / 2.0) % TWO_PI, speed, identity, background),
-        )
-        records.append(PromptRecord(f"motionorder-{i:03d}", "MotionOrder", "third", events))
+        theta1 = uniform(0.0, TWO_PI)
+        speed = _speed(uniform)
+        identity, background = _unit(uniform), _unit(uniform)
+        specs.append((
+            f"motionorder-{i:03d}", "MotionOrder", None,
+            (theta1, speed, identity, background),
+            ((theta1 + math.pi / 2.0) % TWO_PI, speed, identity, background),
+        ))
 
     for i in range(TABLE_COUNTS["HumanIdentity"]):
-        theta = rng.uniform(0.0, TWO_PI)
-        speed = _speed(rng)
-        id1 = _unit(rng)
-        id2 = _unit(rng)
+        theta = uniform(0.0, TWO_PI)
+        speed = _speed(uniform)
+        id1 = _unit(uniform)
+        id2 = _unit(uniform)
         while np.allclose(id1, id2):
-            id2 = _unit(rng)
-        background = _unit(rng)
-        events = (
-            EventParams(theta, speed, id1, background),
-            EventParams(theta, speed, id2, background),
-        )
-        records.append(
-            PromptRecord(f"humanidentity-{i:03d}", "HumanIdentity", "third", events)
-        )
+            id2 = _unit(uniform)
+        background = _unit(uniform)
+        specs.append((
+            f"humanidentity-{i:03d}", "HumanIdentity", None,
+            (theta, speed, id1, background),
+            (theta, speed, id2, background),
+        ))
 
     for i in range(TABLE_COUNTS["ComplexPlot"]):
-        theta1 = rng.uniform(0.0, TWO_PI)
-        theta2 = _distinct_angle(rng, theta1)
-        events = (
-            EventParams(theta1, _speed(rng), _unit(rng), _unit(rng)),
-            EventParams(theta2, _speed(rng), _unit(rng), _unit(rng)),
-        )
-        records.append(PromptRecord(f"complexplot-{i:03d}", "ComplexPlot", "third", events))
+        theta1 = uniform(0.0, TWO_PI)
+        theta2 = _distinct_angle(uniform, theta1)
+        specs.append((
+            f"complexplot-{i:03d}", "ComplexPlot", None,
+            (theta1, _speed(uniform), _unit(uniform), _unit(uniform)),
+            (theta2, _speed(uniform), _unit(uniform), _unit(uniform)),
+        ))
 
     for i in range(TABLE_COUNTS["EgoExo"] // 2):
-        events = _general_events(rng)
         pair_id = f"egoexo-{i:03d}"
-        for view in VIEWS:
-            records.append(
-                PromptRecord(f"{pair_id}-{view}", "EgoExo", view, events, pair_id=pair_id)
+        specs.append((pair_id, "EgoExo", pair_id, *_general_events(uniform)))
+
+    directions, speeds, identities, backgrounds = zip(*(e for spec in specs for e in spec[3:]))
+    looks = np.array([identities, backgrounds]).transpose(1, 0, 2)
+    _check_events(np.array(directions), np.array(speeds), looks)
+    looks.flags.writeable = False
+    events = list(map(_event_view, directions, speeds, looks[:, 0], looks[:, 1]))
+    records: list[PromptRecord] = []
+    for k, (name, category, pair_id, _, _) in enumerate(specs):
+        pair = events[2 * k : 2 * k + 2]
+        if pair_id is None:
+            records.append(PromptRecord(name, category, "third", pair))
+        else:
+            records.extend(
+                PromptRecord(f"{name}-{view}", category, view, pair, pair_id=pair_id)
+                for view in VIEWS
             )
     return records
 
@@ -382,6 +459,9 @@ def _record_from_dict(obj) -> PromptRecord:
     missing = {"id", "category", "view", "events"} - obj.keys()
     if missing:
         raise ValueError(f"record missing fields: {sorted(missing)}")
+    for key in ("id", "pair_id"):
+        if obj.get(key) is not None and not isinstance(obj[key], str):
+            raise ValueError(f"{key} must be a string, got {type(obj[key]).__name__}")
     events_raw = obj["events"]
     if not isinstance(events_raw, list) or len(events_raw) != 2:
         raise ValueError("events must have length 2")
@@ -581,9 +661,11 @@ def suite_training_pairs(records, n_frames: int, sigma: float, w_mix: float = 0.
     neither component degenerates; ``sigma = 0`` yields point masses at
     the variance floor.  An error is one that building some record's
     pairs alone raises.  The records of one feature dimension are built
-    in one pass: one :func:`_event_table` of their events and blended
-    events, and one call of the array builder of :func:`mean_trajectory`
-    for all their mean trajectories.  The stacked weights, means and
+    in one pass: one :func:`_event_table` of their events, the rows of
+    their blended events computed from it by the builder that
+    :func:`blended_event` runs for one row, with the checks of
+    :class:`EventParams` applied per row, and one call of the array
+    builder of :func:`mean_trajectory` for all their mean trajectories.  The stacked weights, means and
     variances are checked there, once, by the checks of
     :class:`~turnpoint.analytic.GaussianMixture`, and each pair's
     condition slots and mixture arrays are read-only views into those
@@ -608,8 +690,9 @@ def suite_training_pairs(records, n_frames: int, sigma: float, w_mix: float = 0.
             # record i's events 3i, 3i + 1 and 3i + 2: event 1, event 2 and
             # their blend; its four rows: event 1 alone, event 2 alone,
             # event 1 then event 2, and the blend alone
-            events = [e for rec in group for e in (*rec.events, blended_event(*rec.events))]
-            table = _event_table(events)
+            events = _event_table([e for rec in group for e in rec.events]).reshape(len(group), 2, -1)
+            blends = _table_rows(*_blends(events[:, 0], events[:, 1]))
+            table = np.concatenate([events, blends[:, None]], axis=1).reshape(3 * len(group), -1)
             table.flags.writeable = False
             first = np.repeat([rec.view == "first" for rec in group], 3)
             at = 3 * np.arange(len(group))[:, None]

@@ -188,6 +188,31 @@ class TestSuiteCommands:
     def test_validate_missing_file(self, tmp_path):
         assert main(["suite", "validate", str(tmp_path / "ghost.jsonl")]) == 1
 
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory", "numeric_id"])
+    def test_validate_unusable_file_exits_1(self, tmp_path, capsys, kind):
+        path = tmp_path / "suite.jsonl"
+        if kind == "not_utf8":
+            path.write_bytes(b"\xff\xfe{}\n")
+        elif kind == "directory":
+            path.mkdir()
+        else:
+            write_suite(generate_suite(0)[:1], path)
+            obj = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps({**obj, "id": 5}) + "\n", encoding="utf-8")
+        assert main(["suite", "validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        if kind == "numeric_id":
+            assert "id must be a string" in captured.out
+        else:
+            assert captured.err.startswith("error: cannot read suite file")
+            assert captured.err.count("\n") == 1
+
+    def test_gen_into_missing_directory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "suite.jsonl"
+        assert main(["suite", "gen", "--seed", "0", "--out", str(out)]) == 1
+        assert "output directory not found" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_validate_detects_pair_violation(self, tmp_path, capsys):
         records = generate_suite(0)
         broken = [r for r in records if r.pair_id is None][:2]

@@ -1,13 +1,16 @@
 """Toy trajectory domain, prompt suite generation and validation."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from helpers import single_gaussian
+from turnpoint import worldgen
 from turnpoint.analytic import GaussianMixture
 from turnpoint.conditioning import ConditionEmbedding
 from turnpoint.worldgen import (
@@ -308,6 +311,57 @@ def test_generate_suite_egoexo_pairing():
         assert members[0].events == members[1].events
 
 
+# write_suite bytes of generated suites, recorded before suites were drawn
+# in uniform blocks and checked as one stack of events
+SUITE_SHA256 = {
+    0: "234b63dab2d8e4c359be2535be6edf1ffc99e26474932b45c6654256fe17f289",
+    1: "cca177ecdbc91856b110e2a693bc3122c8cf1a3453143419ef08696ca566a484",
+    12: "1b0cca2f87eb3fee24ff55396705cb7b96646ceed17fc5cf6f243546699c39c7",
+}
+
+
+def test_block_uniforms_equal_scalar_uniform_calls():
+    # past two block refills, as retry loops may draw beyond one block
+    bounds = [(0.0, 2 * math.pi), (0.5, 1.5), (-3.0, 7.25)] * 1500
+    uniform = worldgen._uniforms(np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    assert [uniform(lo, hi) for lo, hi in bounds] == [rng.uniform(lo, hi) for lo, hi in bounds]
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_SHA256))
+def test_generate_suite_bytes_are_pinned(seed, tmp_path):
+    path = tmp_path / "suite.jsonl"
+    write_suite(generate_suite(seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_SHA256[seed]
+
+
+def test_generated_and_blended_events_equal_constructed_events():
+    suite = generate_suite(1)
+    events = [e for r in suite for e in (*r.events, blended_event(*r.events))]
+    for e in events:
+        built = EventParams(e.direction, e.speed, e.identity, e.background)
+        assert e == built and vars(e).keys() == vars(built).keys()
+        assert type(e.direction) is type(e.speed) is float
+        assert not (e.identity.flags.writeable or e.background.flags.writeable)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(math.nan, 1.0, 0.0, 0.0), (2 * math.pi, 1.0, 0.0, 0.0), (1.0, -1.0, 0.0, 0.0),
+     (1.0, math.inf, 0.0, 0.0), (-1.0, math.inf, 0.0, 0.0), (1.0, 1.0, math.nan, 0.0),
+     (1.0, 1.0, 0.0, -math.inf), (1.0, 1.0, math.inf, math.nan)],
+)
+def test_event_stack_check_raises_what_the_first_bad_event_raises(bad):
+    direction, speed, identity, background = bad
+    with pytest.raises(ValueError) as built:
+        EventParams(direction, speed, [identity], [background])
+    rows = [(0.5, 1.0, 0.0, 0.0), bad, (math.nan, -1.0, math.nan, math.nan)]
+    directions, speeds, identities, backgrounds = np.array(rows).T
+    looks = np.stack([identities, backgrounds], axis=1)[:, :, None]
+    with pytest.raises(ValueError, match=re.escape(str(built.value))):
+        worldgen._check_events(directions, speeds, looks)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -354,6 +408,19 @@ def test_read_suite_rejects_wrong_event_count(tmp_path):
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="events must have length 2"):
         read_suite(path)
+
+
+@pytest.mark.parametrize("key", ["id", "pair_id"])
+def test_read_suite_rejects_non_string_ids(key, tmp_path):
+    # a numeric id would pass, but `sample --prompt-id` compares strings
+    path = tmp_path / "suite.jsonl"
+    write_suite([r for r in generate_suite(0) if r.pair_id is not None][:1], path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj[key] = 5
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line 1: {key} must be a string, got int"):
+        read_suite(path)
+    assert validate_suite(path).violations == ((None, f"line 1: {key} must be a string, got int"),)
 
 
 # ---------------------------------------------------------------------------
