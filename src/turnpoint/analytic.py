@@ -134,9 +134,10 @@ def _check_step(t, sched: NoiseSchedule) -> int:
 
 def _diffuse(means, variances, t: int, sched: NoiseSchedule):
     """Component means and floored variances pushed forward to step ``t``."""
-    a_bar = sched.alpha_bar[t]
+    coef = sched.coef
+    a_bar = coef.alpha_bar[t]
     variances = a_bar * variances + (1.0 - a_bar)
-    return np.sqrt(a_bar) * means, np.maximum(variances, VARIANCE_FLOOR)
+    return coef.sqrt_alpha_bar[t] * means, np.maximum(variances, VARIANCE_FLOOR)
 
 
 def diffused_mixture(mixture: GaussianMixture, t: int, sched: NoiseSchedule) -> GaussianMixture:
@@ -245,8 +246,9 @@ def mixture_tables(mixtures) -> MixtureTables:
     return MixtureTables(log_weights, means, variances)
 
 
-def _mixture_eps(z, t, sched, log_weights, means, variances, log_variances):
-    """The noise prediction at ``z`` (..., D) under diffused components."""
+def _mixture_eps(z, scale, log_weights, means, variances, log_variances):
+    """The noise prediction at ``z`` (..., D) under diffused components,
+    ``scale`` being ``-sqrt(1 - alpha_bar)`` at their step."""
     diff = z[..., None, :] - means
     resp = _posterior(
         log_weights, _log_component_densities(diff, variances, log_variances)
@@ -256,18 +258,18 @@ def _mixture_eps(z, t, sched, log_weights, means, variances, log_variances):
     scores /= variances
     scores *= resp[..., None]
     eps = np.sum(scores, axis=-2)
-    eps *= -np.sqrt(1.0 - sched.alpha_bar[t])
+    eps *= scale
     return eps
 
 
-def _one_component_eps(z, t, sched, means, variances):
+def _one_component_eps(z, scale, means, variances):
     """The noise prediction at ``z`` (rows, D) under one diffused component
     per row, ``means`` being overwritten; or None when ``z`` lies so far
     out that the log-density may overflow.
 
     The responsibility of a lone component is exactly 1 whenever its
     log-density is finite, so :func:`_mixture_eps` reduces to
-    ``-c * (0.0 - (z - mean) / variance)``, where the sum over one
+    ``scale * (0.0 - (z - mean) / variance)``, where the sum over one
     component adds the ``0.0``.  Computed in that order, bit for bit; and
     finite, as the distances are bounded.
     """
@@ -277,7 +279,7 @@ def _one_component_eps(z, t, sched, means, variances):
         return None
     eps /= variances
     np.subtract(0.0, eps, out=eps)
-    eps *= -np.sqrt(1.0 - sched.alpha_bar[t])
+    eps *= scale
     return eps
 
 
@@ -294,6 +296,7 @@ def predict_eps(z, t: int, cond_mixture, sched: NoiseSchedule, slots=None) -> np
     t = _check_step(t, sched)
     z = _check_point(z, cond_mixture.dim)
     means, variances = _diffuse(cond_mixture.means, cond_mixture.variances, t, sched)
+    scale = -sched.coef.sqrt_one_minus_alpha_bar[t]
     if isinstance(cond_mixture, MixtureTables):
         slots = np.asarray(slots, dtype=np.intp)
         if z.ndim != 2 or slots.shape != z.shape[:1]:
@@ -301,7 +304,7 @@ def predict_eps(z, t: int, cond_mixture, sched: NoiseSchedule, slots=None) -> np
                 f"{slots.shape} slots for points of shape {z.shape}; expected one per row"
             )
         if cond_mixture.n_components == 1:
-            eps_hat = _one_component_eps(z, t, sched, means[slots, 0], variances[slots, 0])
+            eps_hat = _one_component_eps(z, scale, means[slots, 0], variances[slots, 0])
             if eps_hat is not None:
                 return eps_hat
         log_variances = np.log(variances)
@@ -310,14 +313,14 @@ def predict_eps(z, t: int, cond_mixture, sched: NoiseSchedule, slots=None) -> np
         for start in range(0, z.shape[0], step):
             rows = slots[start : start + step]
             eps_hat[start : start + step] = _mixture_eps(
-                z[start : start + step], t, sched, cond_mixture.log_weights[rows],
+                z[start : start + step], scale, cond_mixture.log_weights[rows],
                 means[rows], variances[rows], log_variances[rows],
             )
     else:
         if slots is not None:
             raise ValueError("slots need mixture tables")
         eps_hat = _mixture_eps(
-            z, t, sched, np.log(cond_mixture.weights), means, variances, np.log(variances)
+            z, scale, np.log(cond_mixture.weights), means, variances, np.log(variances)
         )
     if not np.all(np.isfinite(eps_hat)):
         raise FloatingPointError("non-finite noise prediction from analytic denoiser")

@@ -80,6 +80,10 @@ def _grid(text: str) -> tuple[float, ...]:
 
 
 def _require_directory_of(path: str, what: str) -> None:
+    """Fail at startup unless ``path`` can be written as a file: its
+    directory exists and the path itself is not a directory."""
+    if os.path.isdir(path):
+        raise ConfigurationError(f"{what} path is a directory: {path}")
     directory = os.path.dirname(path)
     if not os.path.isdir(directory or "."):
         raise ConfigurationError(f"{what} directory not found: {directory}")

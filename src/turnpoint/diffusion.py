@@ -10,14 +10,16 @@ i = 0 .. N-1 against diffusion steps t = N-1-i (noisiest first).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Any, Protocol, runtime_checkable
+from dataclasses import dataclass, field
+from typing import Any, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
 from .conditioning import ConditionEmbedding, unconditioned
 
 __all__ = [
+    "StepCoefficients",
+    "step_coefficients",
     "NoiseSchedule",
     "DenoiserBackend",
     "build_schedule",
@@ -36,9 +38,36 @@ __all__ = [
 NOISE_BUFFER_BYTES = 1 << 22
 
 
+class StepCoefficients(NamedTuple):
+    """The per-step scalars that the sampler and the analytic oracle read
+    at every step, one Python float per step in each tuple."""
+
+    alpha_bar: tuple[float, ...]
+    sqrt_alpha_bar: tuple[float, ...]
+    sqrt_one_minus_alpha_bar: tuple[float, ...]
+    eps_coef: tuple[float, ...]  # beta / sqrt(1 - alpha_bar)
+    sqrt_alpha: tuple[float, ...]
+    sqrt_beta: tuple[float, ...]
+
+
+def step_coefficients(beta, alpha, alpha_bar) -> StepCoefficients:
+    """The coefficients of the schedule arrays ``beta``, ``alpha`` and
+    ``alpha_bar``, by the same IEEE operations as the numpy scalar
+    expressions at each step, so each has that expression's bits."""
+    sqrt_noise = np.sqrt(1.0 - alpha_bar)
+    return StepCoefficients(*(
+        tuple(arr.tolist())
+        for arr in (
+            alpha_bar, np.sqrt(alpha_bar), sqrt_noise, beta / sqrt_noise,
+            np.sqrt(alpha), np.sqrt(beta),
+        )
+    ))
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseSchedule:
-    """Arrays beta, alpha = 1 - beta and abar = cumprod(alpha).
+    """Arrays beta, alpha = 1 - beta and abar = cumprod(alpha), and their
+    :class:`StepCoefficients` ``coef``, computed once.
 
     Range checks only; :func:`build_schedule` guarantees the product
     relation between the arrays.
@@ -47,6 +76,7 @@ class NoiseSchedule:
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
+    coef: StepCoefficients = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("beta", "alpha", "alpha_bar"):
@@ -62,6 +92,9 @@ class NoiseSchedule:
             raise ValueError("alpha_bar values must lie in (0, 1]")
         if n > 1 and np.any(np.diff(self.alpha_bar) >= 0.0):
             raise ValueError("alpha_bar must decrease strictly")
+        object.__setattr__(
+            self, "coef", step_coefficients(self.beta, self.alpha, self.alpha_bar)
+        )
 
     @property
     def n_steps(self) -> int:
@@ -125,16 +158,16 @@ def ancestral_step(z_t, t, eps_hat, sched, noise) -> np.ndarray:
             f"{z_t.shape}, {eps_hat.shape}, {noise.shape}"
         )
     t = int(t)
-    n = len(sched.beta)
+    coef = sched.coef
+    n = len(coef.eps_coef)
     if not 0 <= t < n:
         raise ValueError(f"step index {t} outside [0, {n})")
-    beta = sched.beta[t]
     # one output array; the inputs are left as they are
-    out = eps_hat * (beta / np.sqrt(1.0 - sched.alpha_bar[t]))
+    out = eps_hat * coef.eps_coef[t]
     np.subtract(z_t, out, out=out)
-    out /= np.sqrt(sched.alpha[t])
+    out /= coef.sqrt_alpha[t]
     if t:
-        out += np.sqrt(beta) * noise
+        out += coef.sqrt_beta[t] * noise
     return out
 
 
@@ -187,6 +220,34 @@ def _condition_index(plans, n_steps: int, n_blocks: int | None):
         grids[:, k] = remap[plan.slots]
     index = grids.take(plan_of_row, axis=1)
     return [cond for _, cond in slots.values()], index if n_blocks else index[..., 0]
+
+
+def _rank(keys: np.ndarray):
+    """The first row holding each distinct integer key, in ascending key
+    order, and each row's rank among the distinct keys."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ranks = np.empty_like(order)
+    ranks[order] = np.cumsum(new) - 1
+    return order[new], ranks
+
+
+def _split_chains(chain_of_row: np.ndarray, slots: np.ndarray, n_conds: int):
+    """The chains after a split: one per distinct row of (chain, slots),
+    ``slots`` being ``(rows, columns)`` of condition indices below
+    ``n_conds``.  Returns each new chain's first row, in lexicographic order
+    of (chain, slots), and each row's new chain.
+
+    A row's key is ``chain * n_conds + slot``, one block column at a time,
+    compacted to its rank after each column, so it stays below
+    ``rows * n_conds``."""
+    key = chain_of_row
+    for column in slots.T:
+        first, key = _rank(key * n_conds + column)
+    return first, key
 
 
 def _chain_draws(seeds, dim: int, count: int):
@@ -289,10 +350,8 @@ def sample(
     for i in range(n):
         t = n - 1 - i
         if i in splits:
-            # one chain per distinct (chain, slots at i) row, a row's key as bytes
-            keys = np.column_stack([chain_of_row, by_row[i]])
-            keys = keys.view(np.dtype((np.void, keys.strides[0])))[:, 0]
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            # one chain per distinct (chain, slots at i) row
+            first, inverse = _split_chains(chain_of_row, by_row[i], len(conds))
             parent = chain_of_row[first]
             z, chain_seed, chain_of_row = z[parent], chain_seed[parent], inverse
             slots = index[i][first]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -53,6 +54,7 @@ __all__ = [
     "SweepConfig",
     "RunRecord",
     "AggregateRow",
+    "CsvRows",
     "fnv1a64",
     "derive_seed",
     "load_config",
@@ -262,26 +264,70 @@ class RunRecord:
 
 
 _metric_values = attrgetter(*METRIC_FIELDS)
-_NO_METRICS = (None,) * len(METRIC_FIELDS)
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
-def _record_to_row(rec: RunRecord) -> list:
-    """``rec`` as a ``runs.csv`` row.  The csv writer writes None as an
-    empty cell, a float as its ``repr`` and any other value as its ``str``."""
-    m = rec.metrics
-    return [
-        rec.run_id, rec.mode, rec.category, rec.prompt_id, rec.view, rec.x, rec.setting,
-        rec.seed, *(_NO_METRICS if m is None else _metric_values(m)), rec.wall_time_ms,
-    ]
+def _csv_text(text: str) -> str:
+    """``text`` as a csv cell, as ``csv.writer`` writes it under
+    ``QUOTE_MINIMAL``: in double quotes, with its own doubled, when it
+    holds a comma, a double quote, CR or LF."""
+    if _NEEDS_QUOTES(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+class CsvRows(dict):
+    """The csv lines of a ``runs.csv`` or ``aggregates.csv`` file, with the
+    bytes ``csv.writer`` writes for the same cells: a float as its
+    ``repr``, an int as its ``str``, None as an empty cell and a string
+    quoted under ``QUOTE_MINIMAL``.  The instance maps each distinct mode,
+    category, prompt id and view to its cell, encoded once; a run id,
+    distinct per run, is encoded with its row."""
+
+    def __missing__(self, text: str) -> str:
+        cell = self[text] = _csv_text(text)
+        return cell
+
+    @staticmethod
+    def header(columns) -> str:
+        return ",".join(map(_csv_text, columns)) + "\r\n"
+
+    def run_line(self, rec: RunRecord) -> str:
+        m, setting = rec.metrics, rec.setting
+        if m is None:
+            metrics = "," * (len(METRIC_FIELDS) - 1)
+        else:
+            frame = m.turning_frame
+            metrics = (
+                f"{m.ta1!r},{m.ta2!r},{m.ta_mean!r},{m.ic!r},{m.bc!r},"
+                f"{'' if frame is None else frame},{m.occupancy2!r}"
+            )
+        return (
+            f"{_csv_text(rec.run_id)},{self[rec.mode]},{self[rec.category]},"
+            f"{self[rec.prompt_id]},{self[rec.view]},{rec.x!r},"
+            f"{'' if setting is None else setting},{rec.seed},{metrics},{rec.wall_time_ms}\r\n"
+        )
+
+    def aggregate_line(self, row: AggregateRow) -> str:
+        setting = row.setting
+        stats = ",".join([
+            "," if pair is None else f"{pair[0]!r},{pair[1]!r}"
+            for pair in map(row.stats.get, METRIC_FIELDS)
+        ])
+        return (
+            f"{self[row.mode]},{self[row.category]},{row.x!r},"
+            f"{'' if setting is None else setting},{row.n},{stats}\r\n"
+        )
 
 
 def write_runs_csv(records, path) -> None:
     """Write ``records`` to ``path`` as ``runs.csv``, each row as soon as
     the iterable yields its record."""
+    rows = CsvRows()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUNS_CSV_COLUMNS)
-        writer.writerows(map(_record_to_row, records))
+        fh.write(rows.header(RUNS_CSV_COLUMNS))
+        fh.writelines(map(rows.run_line, records))
 
 
 def read_runs_csv(path) -> list[RunRecord]:
@@ -325,12 +371,14 @@ def read_runs_csv(path) -> list[RunRecord]:
 
 
 def read_suite_checked(path: str) -> list[PromptRecord]:
-    """``read_suite`` with a missing or malformed file reported as a
-    :class:`ConfigurationError`."""
+    """``read_suite`` with a missing, unreadable or malformed file reported
+    as a :class:`ConfigurationError`."""
     if not os.path.exists(path):
         raise ConfigurationError(f"suite file not found: {path}")
     try:
         return read_suite(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read suite file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
 

@@ -3,10 +3,9 @@ with the turning-point readout per category."""
 
 from __future__ import annotations
 
-import csv
 import os
 
-from .harness import METRIC_FIELDS, AggregateRow
+from .harness import METRIC_FIELDS, AggregateRow, CsvRows
 from .svgchart import line_chart
 
 __all__ = ["PLOT_METRICS", "TURNING_THRESHOLD", "turning_point", "emit_report"]
@@ -35,24 +34,10 @@ def turning_point(points: list[tuple[float, float]]) -> float | None:
 
 
 def _write_aggregates_csv(aggregates: list[AggregateRow], path: str) -> None:
+    rows = CsvRows()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATES_CSV_COLUMNS)
-        for row in aggregates:
-            cells = [
-                row.mode,
-                row.category,
-                repr(row.x),
-                "" if row.setting is None else str(row.setting),
-                str(row.n),
-            ]
-            for metric in METRIC_FIELDS:
-                pair = row.stats.get(metric)
-                if pair is None:
-                    cells.extend(["", ""])
-                else:
-                    cells.extend([repr(pair[0]), repr(pair[1])])
-            writer.writerow(cells)
+        fh.write(rows.header(AGGREGATES_CSV_COLUMNS))
+        fh.writelines(map(rows.aggregate_line, aggregates))
 
 
 def _series_label(category: str, setting: int | None) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from xml.sax.saxutils import escape
 
 __all__ = ["line_chart"]
@@ -107,16 +108,16 @@ def line_chart(
     for idx, (label, pts) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         if pts:
-            path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in sorted(pts))
+            # each point's coordinates, formatted once for the line and its marker
+            coords = [(p, f"{sx(p[0]):.2f}", f"{sy(p[1]):.2f}") for p in pts]
+            path = " ".join(f"{cx},{cy}" for _, cx, cy in sorted(coords, key=itemgetter(0)))
             out.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
                 f'points="{path}"/>'
             )
-            for x, y in pts:
-                out.append(
-                    f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.4" '
-                    f'fill="{color}"/>'
-                )
+            out.extend(
+                f'<circle cx="{cx}" cy="{cy}" r="2.4" fill="{color}"/>' for _, cx, cy in coords
+            )
         ly = height + 14 + 18 * idx
         out.append(
             f'<line x1="{margin_l}" y1="{ly - 4}" x2="{margin_l + 24}" '

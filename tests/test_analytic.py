@@ -7,6 +7,7 @@ import pytest
 
 from helpers import single_gaussian
 from turnpoint.analytic import (
+    SCORE_SLICE_BYTES,
     VARIANCE_FLOOR,
     AnalyticDenoiser,
     GaussianMixture,
@@ -17,7 +18,7 @@ from turnpoint.analytic import (
     responsibilities,
 )
 from turnpoint.conditioning import compose_single
-from turnpoint.diffusion import build_schedule
+from turnpoint.diffusion import build_schedule, step_coefficients
 from turnpoint.worldgen import (
     condition_of,
     generate_suite,
@@ -134,11 +135,18 @@ def test_diffused_mixture_closed_form():
 
 def test_diffused_mixture_limits_via_injected_schedule():
     mix = two_bump(var=0.5)
-    keep = SimpleNamespace(n_steps=1, alpha_bar=np.array([1.0]))
+
+    def injected(alpha_bar):
+        beta = np.array([0.5])
+        with np.errstate(divide="ignore"):  # beta / sqrt(1 - 1.0), unused here
+            coef = step_coefficients(beta, 1.0 - beta, np.array([alpha_bar]))
+        return SimpleNamespace(n_steps=1, coef=coef)
+
+    keep = injected(1.0)
     out = diffused_mixture(mix, 0, keep)
     np.testing.assert_array_equal(out.means, mix.means)
     np.testing.assert_array_equal(out.variances, mix.variances)
-    destroy = SimpleNamespace(n_steps=1, alpha_bar=np.array([1e-300]))
+    destroy = injected(1e-300)
     out = diffused_mixture(mix, 0, destroy)
     np.testing.assert_allclose(out.means, 0.0, atol=1e-140)
     np.testing.assert_allclose(out.variances, 1.0)
@@ -233,6 +241,61 @@ def test_predict_eps_on_tables_equals_each_mixture_alone():
         predict_eps(z, 0, tables, sched, slots[:3])
     with pytest.raises(ValueError, match="outside"):
         predict_eps(z, 20, tables, sched, slots)
+
+
+def _numpy_scalar_predict_eps(z, t, tables, sched, slots):
+    # mixture-table scoring with its step coefficients computed as numpy
+    # scalars at every call, one row slice at a time
+    a_bar = sched.alpha_bar[t]
+    variances = np.maximum(a_bar * tables.variances + (1.0 - a_bar), VARIANCE_FLOOR)
+    means = np.sqrt(a_bar) * tables.means
+    if tables.n_components == 1:
+        eps = np.subtract(z, means[slots, 0])
+        eps /= variances[slots, 0]
+        np.subtract(0.0, eps, out=eps)
+        eps *= -np.sqrt(1.0 - sched.alpha_bar[t])
+        return eps
+    out = np.empty_like(z)
+    step = max(1, SCORE_SLICE_BYTES // (means[0].size * means.itemsize))
+    for start in range(0, len(z), step):
+        rows = slots[start : start + step]
+        var = variances[rows]
+        diff = z[start : start + step, None, :] - means[rows]
+        terms = diff * diff
+        terms /= var
+        terms += np.log(var)
+        terms += np.log(2.0 * np.pi)
+        lw = tables.log_weights[rows] + -0.5 * np.sum(terms, axis=-1)
+        lw = lw - lw.max(axis=-1, keepdims=True)
+        w = np.exp(lw)
+        resp = w / w.sum(axis=-1, keepdims=True)
+        scores = np.negative(diff, out=diff)
+        scores /= var
+        scores *= resp[..., None]
+        eps = np.sum(scores, axis=-2)
+        eps *= -np.sqrt(1.0 - sched.alpha_bar[t])
+        out[start : start + step] = eps
+    return out
+
+
+@pytest.mark.parametrize("beta_max", [0.02, 0.3])
+@pytest.mark.parametrize("n_components", [1, 2])
+def test_predict_eps_equals_numpy_scalar_coefficients(n_components, beta_max):
+    sched = build_schedule(50, 1e-4, beta_max)
+    rng = np.random.default_rng(n_components)
+    mixtures = []
+    for _ in range(5):
+        w = rng.uniform(0.2, 1.0, n_components)
+        mixtures.append(GaussianMixture(
+            w / w.sum(), rng.normal(0, 2, (n_components, 96)),
+            rng.uniform(0.0, 1.0, (n_components, 96)),
+        ))
+    tables = mixture_tables(mixtures)
+    slots = rng.integers(0, len(mixtures), 400)
+    z = rng.normal(0, 2, (len(slots), 96))
+    for t in range(sched.n_steps):
+        want = _numpy_scalar_predict_eps(z, t, tables, sched, slots)
+        assert predict_eps(z, t, tables, sched, slots).tobytes() == want.tobytes()
 
 
 def test_one_component_tables_equal_each_gaussian_alone():

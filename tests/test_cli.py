@@ -213,6 +213,20 @@ class TestSuiteCommands:
         assert "output directory not found" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_gen_onto_a_directory_exits_1_before_generating(self, tmp_path, monkeypatch,
+                                                            capsys):
+        import turnpoint.cli as cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("suite generated")
+
+        monkeypatch.setattr(cli, "generate_suite", fail)
+        out = tmp_path / "suite.jsonl"
+        out.mkdir()
+        assert main(["suite", "gen", "--seed", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: output path is a directory: {out}\n"
+        assert list(out.iterdir()) == []
+
     def test_validate_detects_pair_violation(self, tmp_path, capsys):
         records = generate_suite(0)
         broken = [r for r in records if r.pair_id is None][:2]
@@ -380,6 +394,22 @@ class TestTrain:
         assert "checkpoint directory not found" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_out_onto_a_directory_exits_1_before_training(self, tmp_path, small_suite,
+                                                          monkeypatch, capsys):
+        import turnpoint.cli as cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "train", fail)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"suite": small_suite, "steps": 3}))
+        out = tmp_path / "model.ckpt"
+        out.mkdir()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: checkpoint path is a directory: {out}\n"
+        assert list(out.iterdir()) == []
+
 
 # ---------------------------------------------------------------------------
 # sample
@@ -530,6 +560,16 @@ class TestSweepAndReport:
         assert len(rows) == 1 + 6
         assert (out_dir / "aggregates.csv").exists()
         assert (out_dir / "summary.md").exists()
+
+    def test_sweep_on_a_suite_directory_exits_1(self, tmp_path, capsys):
+        suite = tmp_path / "suite.jsonl"
+        suite.mkdir()
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--suite", str(suite), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read suite file {suite}: ")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_sweep_config_file_with_flag_override(self, small_suite, tmp_path):
         cfg = tmp_path / "sweep.json"

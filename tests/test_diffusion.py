@@ -24,6 +24,7 @@ from turnpoint.diffusion import (
     build_schedule,
     forward_noise,
     sample,
+    step_coefficients,
 )
 from turnpoint.neural import NeuralDenoiser, forward, init_model
 from turnpoint.worldgen import condition_of, generate_suite
@@ -99,6 +100,23 @@ def test_noise_schedule_range_checks():
         NoiseSchedule(good.beta[:3], good.alpha, good.alpha_bar)
     with pytest.raises(ValueError):
         good.beta[0] = 0.5  # arrays are frozen
+
+
+@pytest.mark.parametrize("beta_max", [0.02, 0.3])
+@pytest.mark.parametrize("n_steps", [1, 2, 50, 1000])
+def test_tabled_coefficients_equal_the_numpy_scalar_expressions(n_steps, beta_max):
+    sched = build_schedule(n_steps, 1e-4, beta_max)
+    got = np.array(sched.coef)
+    want = np.empty_like(got)
+    for t in range(n_steps):
+        beta, alpha, a_bar = sched.beta[t], sched.alpha[t], sched.alpha_bar[t]
+        want[:, t] = (
+            a_bar, np.sqrt(a_bar), np.sqrt(1.0 - a_bar), beta / np.sqrt(1.0 - a_bar),
+            np.sqrt(alpha), np.sqrt(beta),
+        )
+    assert all(type(value) is float for column in sched.coef for value in column)
+    assert got.shape == (6, n_steps)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +202,12 @@ def test_ancestral_step_adds_sigma_beta_noise():
 
 def test_ancestral_step_identity_in_zero_beta_limit():
     # beta -> 0 freezes the chain: mean = z_t and no noise is injected
-    frozen = SimpleNamespace(
+    arrays = dict(
         beta=np.array([0.5, 0.0]),
         alpha=np.array([0.5, 1.0]),
         alpha_bar=np.array([0.5, 0.5]),
     )
+    frozen = SimpleNamespace(**arrays, coef=step_coefficients(**arrays))
     z = np.array([3.0, -4.0])
     got = ancestral_step(z, 1, np.array([1.0, 1.0]), frozen, np.array([9.0, 9.0]))
     np.testing.assert_array_equal(got, z)
@@ -206,6 +225,27 @@ def test_ancestral_step_equals_the_posterior_formula_and_keeps_its_inputs(t):
         want = want + np.sqrt(sched.beta[t]) * noise
     assert ancestral_step(z, t, eps, sched, noise).tobytes() == want.tobytes()
     assert all(np.array_equal(a, b) for a, b in zip((z, eps, noise), inputs))
+
+
+def _numpy_scalar_ancestral_step(z_t, t, eps_hat, sched, noise):
+    # the update with its coefficients computed as numpy scalars at every call
+    beta = sched.beta[t]
+    out = eps_hat * (beta / np.sqrt(1.0 - sched.alpha_bar[t]))
+    np.subtract(z_t, out, out=out)
+    out /= np.sqrt(sched.alpha[t])
+    if t:
+        out += np.sqrt(beta) * noise
+    return out
+
+
+@pytest.mark.parametrize("beta_max", [0.02, 0.3])
+def test_ancestral_step_equals_numpy_scalar_coefficients(beta_max):
+    sched = build_schedule(50, 1e-4, beta_max)
+    rng = np.random.default_rng(9)
+    z, eps, noise = (rng.standard_normal((33, 96)) for _ in range(3))
+    for t in range(sched.n_steps):
+        want = _numpy_scalar_ancestral_step(z, t, eps, sched, noise)
+        assert ancestral_step(z, t, eps, sched, noise).tobytes() == want.tobytes()
 
 
 def test_ancestral_step_shape_errors():
@@ -431,6 +471,66 @@ def test_checkpoint_duplicate_block_plans_match_each_row_alone(guidance_scale):
     fillers = list(range(100, 118))
     alone = [
         sample(den, [plan] + plans[:18], [seed] + fillers, guidance_scale)[0]
+        for plan, seed in zip(plans, seeds)
+    ]
+    assert batch.tobytes() == np.stack(alone).tobytes()
+
+
+class BlockLinearBackend(LinearBackend):
+    """eps_hat = a * z + the sum over blocks of (block + 1) * the block's
+    condition value: rows are computed independently, elementwise."""
+
+    n_blocks = 8
+
+    def predict_eps(self, z, t, conds, slots):
+        self.rows.append(len(z))
+        values = np.array([c.vector[0] for c in conds])[slots]
+        if values.ndim == 1:  # a step plan's rows, one slot for every block
+            values = np.repeat(values[:, None], self.n_blocks, axis=1)
+        eps = self.a * z
+        for block in range(self.n_blocks):
+            eps += (block + 1) * values[:, block, None]
+        return eps
+
+
+def _void_key_chain_counts(plans, seeds, n_steps, n_blocks):
+    # the chains at each iteration, split by ranking each row's
+    # (chain, slots) as one void byte key
+    _, index = diffusion._condition_index(plans, n_steps, n_blocks)
+    by_row = index.reshape(n_steps, len(plans), -1)
+    chain_of_row = np.unique(seeds, return_inverse=True)[1]
+    counts = []
+    for i in range(n_steps):
+        keys = np.column_stack([chain_of_row, by_row[i]])
+        keys = keys.view(np.dtype((np.void, keys.strides[0])))[:, 0]
+        _, chain_of_row = np.unique(keys, return_inverse=True)
+        counts.append(int(chain_of_row.max()) + 1)
+    return counts
+
+
+def test_mixed_step_and_block_plans_with_many_conditions_split_without_overflow():
+    # 8-block plans over 256 conditions: a key of chain and eight slots,
+    # not compacted per column, would reach chain * 2**64 and, wrapped,
+    # merge rows of different seeds whose slots agree
+    sched = build_schedule(6)
+    conds = [compose_single([0.01 * k]) for k in range(256)]
+    order = np.random.default_rng(8).permutation(len(conds))
+    plans, seeds = [], []
+    for p in range(40):
+        picked = order[np.arange(8 * p, 8 * p + 8) % len(conds)]
+        block = ConditionPlan([conds[k] for k in picked], np.arange(8)[None, :])
+        shared = ConditionPlan([conds[k] for k in picked[:2]], [[0, 0, 0, 0, 1, 1, 1, 1]])
+        step = step_switch(p / 40, sched.n_steps, conds[picked[0]], conds[picked[1]])
+        plans += [block, shared, step, step, block, block]
+        seeds += [p % 7, p % 7, p % 7, 100 + p, p % 7, 200 + p]
+    backend = BlockLinearBackend(sched, a=0.1)
+    batch = sample(backend, plans, seeds)
+    n_conds = len(diffusion._condition_index(plans, sched.n_steps, 8)[0])
+    assert n_conds == 256 and max(backend.rows) * n_conds**8 > 2**63
+    counts = _void_key_chain_counts(plans, seeds, sched.n_steps, 8)
+    assert backend.rows == counts == chain_counts(plans, seeds, sched.n_steps)
+    alone = [
+        sample(BlockLinearBackend(sched, a=0.1), [plan], [seed])[0]
         for plan, seed in zip(plans, seeds)
     ]
     assert batch.tobytes() == np.stack(alone).tobytes()

@@ -219,6 +219,40 @@ class TestRunsCsv:
             b"",
         ]
 
+    def test_row_bytes_equal_csv_writer_and_round_trip(self, tmp_path):
+        # awkward strings in every string column, each encoded once and
+        # reused; None metrics and turning frames, settings 1-4, 64-bit seeds
+        awkward = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", " leading", "plain", ""]
+        floats = [1e-05, 1e16, -0.0, 0.1 + 0.2, 1.0]
+        records = []
+        for i in range(28):
+            text = awkward[i % len(awkward)]
+            metrics = None if i % 9 == 4 else MetricsRecord(
+                ta1=floats[i % 5], ta2=floats[(i + 1) % 5], ta_mean=0.5, ic=floats[(i + 2) % 5],
+                bc=-0.0, turning_frame=None if i % 3 else i, occupancy2=floats[(i + 3) % 5],
+            )
+            records.append(RunRecord(
+                run_id=f"qualitative-{text}-x{i:02d}", mode="qualitative",
+                category=awkward[(i + 1) % len(awkward)], prompt_id=text,
+                view=awkward[(i + 2) % len(awkward)], x=floats[i % 5],
+                setting=None if i % 5 == 0 else 1 + i % 4, seed=2**64 - 1 - i,
+                metrics=metrics, wall_time_ms=i,
+            ))
+        path = tmp_path / "runs.csv"
+        write_runs_csv(records, path)
+        with open(tmp_path / "reference.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(RUNS_CSV_COLUMNS)
+            for rec in records:
+                m = rec.metrics
+                values = [None] * 7 if m is None else [getattr(m, f) for f in METRIC_FIELDS]
+                writer.writerow([
+                    rec.run_id, rec.mode, rec.category, rec.prompt_id, rec.view, rec.x,
+                    rec.setting, rec.seed, *values, rec.wall_time_ms,
+                ])
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert [repr(rec) for rec in read_runs_csv(path)] == [repr(rec) for rec in records]
+
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text("run_id,mode\nx,y\n")

@@ -11,6 +11,7 @@ from turnpoint.report import (
     AGGREGATES_CSV_COLUMNS,
     PLOT_METRICS,
     TURNING_THRESHOLD,
+    _write_aggregates_csv,
     emit_report,
     turning_point,
 )
@@ -159,6 +160,31 @@ class TestEmitReport:
         assert "## Mode: qualitative" in text and "## Mode: step_switch" in text
         assert (tmp_path / "ta1_qualitative.svg").exists()
         assert (tmp_path / "ta1_step_switch.svg").exists()
+
+
+def test_aggregates_csv_bytes_equal_csv_writer(tmp_path):
+    awkward = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", " leading", "plain"]
+    floats = [1e-05, 1e16, -0.0, 0.1 + 0.2]
+    rows = []
+    for i in range(12):
+        stats = {m: (floats[i % 4], floats[(i + j) % 4]) for j, m in enumerate(METRIC_FIELDS)}
+        stats["turning_frame"] = None if i % 2 else (7.5, 0.5)
+        rows.append(AggregateRow(
+            mode=awkward[i % 6], category=awkward[(i + 1) % 6], x=floats[i % 4],
+            setting=None if i % 5 == 0 else 1 + i % 4, n=2**64 - i, stats=stats,
+        ))
+    _write_aggregates_csv(rows, str(tmp_path / "aggregates.csv"))
+    with open(tmp_path / "reference.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(AGGREGATES_CSV_COLUMNS)
+        for row in rows:
+            pairs = [row.stats[m] or (None, None) for m in METRIC_FIELDS]
+            writer.writerow([
+                row.mode, row.category, row.x, row.setting, row.n,
+                *(value for pair in pairs for value in pair),
+            ])
+    written = (tmp_path / "aggregates.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
