@@ -17,6 +17,7 @@ import time
 
 from .harness import (
     ConfigurationError,
+    RunRecord,
     SweepConfig,
     _count,
     aggregate,
@@ -28,7 +29,7 @@ from .harness import (
     read_suite_checked,
     run_sweep,
     sample_runs,
-    score_run,
+    score_runs,
 )
 from .neural import TrainConfig, init_model, save_checkpoint, train
 from .report import emit_report
@@ -87,6 +88,16 @@ def _require_directory_of(path: str, what: str) -> None:
     directory = os.path.dirname(path)
     if not os.path.isdir(directory or "."):
         raise ConfigurationError(f"{what} directory not found: {directory}")
+
+
+def _require_directory(path: str, what: str) -> None:
+    """Fail at startup unless ``path`` is a directory or can be made one:
+    the nearest of it and its ancestors that exists is a directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigurationError(f"{what} path is not a directory: {existing}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +162,6 @@ def _cmd_train(args) -> int:
         )
         steps = config.get("diffusion_steps", SweepConfig.n_steps)
         data = SweepConfig(n_steps=steps, **given(_TRAIN_DATA_KEYS))
-        sched = data.noise_schedule()
         records = load_suite(data)
         sampler = mixture_data_sampler(
             suite_training_pairs(records, data.frames, data.sigma, data.w_mix)
@@ -169,8 +179,8 @@ def _cmd_train(args) -> int:
     start = time.perf_counter()
     grad_norms: list[float] = []
     timings: dict[str, float] = {}
-    model, trace = train(model, sampler, train_cfg, sched, grad_norms=grad_norms,
-                         timings=timings)
+    model, trace = train(model, sampler, train_cfg, data.noise_schedule,
+                         grad_norms=grad_norms, timings=timings)
     seconds = time.perf_counter() - start
     save_checkpoint(model, args.out)
     steps_per_s = train_cfg.steps / seconds
@@ -214,6 +224,7 @@ _SAMPLE_MODES = {"step": "step_switch", "block": "block_split"}
 
 
 def _cmd_sample(args) -> int:
+    _require_directory(args.out, "output")
     records = read_suite_checked(args.suite)
     record = next((r for r in records if r.id == args.prompt_id), None)
     if record is None:
@@ -234,11 +245,15 @@ def _cmd_sample(args) -> int:
         sigma=args.sigma,
         w_mix=args.w_mix,
     )
-    (traj,) = sample_runs(cfg, model, cfg.noise_schedule(), [(record, args.x, None, args.seed)])
-    metrics = score_run(traj, record)
+    run = RunRecord(f"{cfg.mode}-{record.id}", cfg.mode, record.category, record.id,
+                    record.view, args.x, None, args.seed)
+    trajs = sample_runs(cfg, model, [run], {record.id: record})
+    (metrics,) = score_runs(trajs, [record])
+    if isinstance(metrics, Exception):
+        raise metrics
 
     os.makedirs(args.out, exist_ok=True)
-    _write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
+    _write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), trajs[0])
     payload = {
         "prompt_id": record.id,
         "category": record.category,
@@ -279,6 +294,7 @@ def _cmd_sweep(args) -> int:
         w_mix=args.w_mix,
         guidance_scale=args.guidance_scale,
     )
+    _require_directory(cfg.out_dir, "output")
     records = run_sweep(cfg)
     emit_report(aggregate(records), cfg.out_dir)
     failed = sum(1 for r in records if r.metrics is None)
@@ -293,8 +309,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     if not os.path.exists(args.runs):
         raise ConfigurationError(f"runs file not found: {args.runs}")
+    _require_directory(args.out, "output")
     try:
         records = read_runs_csv(args.runs)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read runs file {args.runs}: {exc}") from exc
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
     emit_report(aggregate(records), args.out)

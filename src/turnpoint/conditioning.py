@@ -241,20 +241,19 @@ def uniform_blocks(cond: ConditionEmbedding, n_blocks: int) -> ConditionPlan:
 
 def qualitative_settings(
     x: float,
-    event1: np.ndarray,
-    event2: np.ndarray,
+    single1: ConditionEmbedding,
+    single2: ConditionEmbedding,
+    both: ConditionEmbedding,
     n_steps: int,
 ) -> list[ConditionPlan]:
-    """The four conditioning settings compared at one split ratio.
+    """The four conditioning settings compared at one split ratio, given
+    a prompt's event-1, event-2 and concatenated conditions.
 
     1. both events concatenated throughout;
     2. event 1 switching to event 2;
     3. the concatenation switching to event 1 alone;
     4. event 1 switching to the concatenation.
     """
-    single1 = compose_single(event1)
-    single2 = compose_single(event2)
-    both = compose_concat(event1, event2)
     return [
         constant_schedule(n_steps, both),
         step_switch(x, n_steps, single1, single2),

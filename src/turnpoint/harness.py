@@ -39,7 +39,6 @@ from .neural import CheckpointError, DenoiserModel, NeuralDenoiser, load_checkpo
 from .worldgen import (
     PromptRecord,
     condition_of,
-    embed_event,
     generate_suite,
     read_suite,
     suite_training_pairs,
@@ -64,7 +63,7 @@ __all__ = [
     "open_checkpoint",
     "backend_for_record",
     "sample_runs",
-    "score_run",
+    "score_runs",
     "run_sweep",
     "write_runs_csv",
     "read_runs_csv",
@@ -159,6 +158,9 @@ class SweepConfig:
     w_mix: float = 0.5
     beta_min: float = 1e-4
     beta_max: float = 0.02
+    # the schedule every run of this config samples with, built from
+    # n_steps, beta_min and beta_max
+    noise_schedule: NoiseSchedule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -169,6 +171,10 @@ class SweepConfig:
             raise ConfigurationError(f"grid must be a list of ratios, got {self.grid!r}") from None
         for name in _COUNT_FIELDS:
             object.__setattr__(self, name, _count(name, getattr(self, name)))
+        for name in ("backend", "suite", "out_dir"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value) and not (name == "suite" and value is None):
+                raise ConfigurationError(f"{name} must be a non-empty path string, got {value!r}")
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.grid:
@@ -201,17 +207,14 @@ class SweepConfig:
             raise ConfigurationError("sigma must be finite and >= 0")
         if not np.isfinite(self.w_mix):  # a finite w_mix is clamped by worldgen
             raise ConfigurationError("w_mix must be finite")
-        self.noise_schedule()  # checks n_steps, beta_min and beta_max
-
-    def noise_schedule(self) -> NoiseSchedule:
-        """The schedule every run of this config samples with."""
         try:
-            return build_schedule(self.n_steps, self.beta_min, self.beta_max)
+            sched = build_schedule(self.n_steps, self.beta_min, self.beta_max)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"invalid noise schedule: {exc}") from exc
+        object.__setattr__(self, "noise_schedule", sched)
 
 
-_SWEEP_KEYS = {f.name for f in fields(SweepConfig)}
+_SWEEP_KEYS = {f.name for f in fields(SweepConfig) if f.init}
 
 
 def load_config(path: str | None, keys, **overrides) -> dict:
@@ -248,18 +251,21 @@ def load_sweep_config(path: str | None = None, **overrides) -> SweepConfig:
         raise ConfigurationError(str(exc)) from exc
 
 
-@dataclass(frozen=True, slots=True)
-class RunRecord:
+class RunRecord(NamedTuple):
+    """One run of a sweep.  :func:`_plan_jobs` plans it with the defaults
+    below, and :func:`_execute_batch` fills in its outcome.  A tuple: one
+    is built per run, and tuples build fastest."""
+
     run_id: str
     mode: str
     category: str
     prompt_id: str
     view: str
     x: float
-    setting: int | None
+    setting: int | None  # the qualitative setting (1-4); None in the other modes
     seed: int
-    metrics: MetricsRecord | None
-    wall_time_ms: int
+    metrics: MetricsRecord | None = None
+    wall_time_ms: int = 0
     error: str | None = None  # kept programmatic; the CSV schema has no status column
 
 
@@ -340,33 +346,15 @@ def read_runs_csv(path) -> list[RunRecord]:
         for row in reader:
             if len(row) != len(RUNS_CSV_COLUMNS):
                 raise ValueError(f"malformed runs.csv row in {path}: {row}")
-            metric_cells = row[8:15]
-            if any(cell == "" for cell in metric_cells[:5]):
-                metrics = None
-            else:
+            metrics = None
+            if "" not in row[8:13]:
                 metrics = MetricsRecord(
-                    ta1=float(row[8]),
-                    ta2=float(row[9]),
-                    ta_mean=float(row[10]),
-                    ic=float(row[11]),
-                    bc=float(row[12]),
-                    turning_frame=int(row[13]) if row[13] != "" else None,
-                    occupancy2=float(row[14]),
+                    *map(float, row[8:13]), int(row[13]) if row[13] else None, float(row[14])
                 )
-            records.append(
-                RunRecord(
-                    run_id=row[0],
-                    mode=row[1],
-                    category=row[2],
-                    prompt_id=row[3],
-                    view=row[4],
-                    x=float(row[5]),
-                    setting=int(row[6]) if row[6] != "" else None,
-                    seed=int(row[7]),
-                    metrics=metrics,
-                    wall_time_ms=int(row[15]),
-                )
-            )
+            records.append(RunRecord(
+                *row[:5], float(row[5]), int(row[6]) if row[6] else None, int(row[7]),
+                metrics, int(row[15]),
+            ))
     return records
 
 
@@ -428,7 +416,7 @@ def open_checkpoint(path: str, records, frames: int | None) -> DenoiserModel:
         raise ConfigurationError(f"checkpoint not found: {path}")
     try:
         model = load_checkpoint(path)
-    except CheckpointError as exc:
+    except (CheckpointError, OSError) as exc:
         raise ConfigurationError(f"cannot load checkpoint: {exc}") from exc
     feature_dims = sorted({r.feature_dim for r in records})
     if len(feature_dims) != 1:
@@ -454,46 +442,47 @@ def open_checkpoint(path: str, records, frames: int | None) -> DenoiserModel:
     return model
 
 
-def sample_runs(cfg: SweepConfig, model, sched, runs) -> np.ndarray:
-    """Sample the trajectories of ``runs``, ``(record, x, setting, seed)``
-    tuples of one frame dimension, as ``cfg.mode`` prescribes: in one
-    call through ``model`` or, when it is None, in one call per view
-    through the analytic backend of that view's prompts.
+def sample_runs(cfg: SweepConfig, model, runs, records_by_id) -> np.ndarray:
+    """Sample the trajectories of ``runs``, planned runs whose prompts,
+    looked up in ``records_by_id``, share one frame dimension, as
+    ``cfg.mode`` prescribes: in one call through ``model``
+    or, when it is None, in one call per view through the analytic
+    backend of that view's prompts.
 
-    ``sched`` is ``cfg.noise_schedule()``; ``setting`` picks the qualitative
-    schedule (1-4) and is None in the other modes.  Returns an array of
-    shape ``(len(runs), cfg.frames, frame_dim)`` in the order of ``runs``.
+    Each prompt's conditions are built once; a run's ``setting`` picks
+    the qualitative schedule (1-4).  Returns an array of shape
+    ``(len(runs), cfg.frames, frame_dim)`` in the order of ``runs``.
     """
-    first = runs[0][0]
-    records = {record.id: record for record, *_ in runs}
+    records = {run.prompt_id: records_by_id[run.prompt_id] for run in runs}
+    first = next(iter(records.values()))
     if any(record.frame_dim != first.frame_dim for record in records.values()):
         raise ValueError("a batch samples prompts of one frame dimension")
-    event_conds = {
-        prompt: (condition_of(record, "event1"), condition_of(record, "event2"))
+    names = ("event1", "event2", "concat") if cfg.mode == "qualitative" else ("event1", "event2")
+    conds = {
+        prompt: [condition_of(record, name) for name in names]
         for prompt, record in records.items()
     }
 
-    def conditioning_at(record, x) -> list:
-        cond1, cond2 = event_conds[record.id]
+    def plans_at(prompt, x) -> list:
         if cfg.mode == "step_switch":
-            return [step_switch(x, cfg.n_steps, cond1, cond2)]
+            return [step_switch(x, cfg.n_steps, *conds[prompt])]
         if cfg.mode == "block_split":
-            return [block_split(x, model.n_blocks, cond1, cond2)]
-        return qualitative_settings(x, *map(embed_event, record.events), cfg.n_steps)
+            return [block_split(x, model.n_blocks, *conds[prompt])]
+        return qualitative_settings(x, *conds[prompt], cfg.n_steps)
 
-    keys = {(record.id, x): (record, x) for record, x, *_ in runs}
-    by_key = {key: conditioning_at(*args) for key, args in keys.items()}
+    keys = dict.fromkeys((run.prompt_id, run.x) for run in runs)
+    by_key = {key: plans_at(*key) for key in keys}
     conditioning = [
-        by_key[record.id, x][0 if setting is None else setting - 1]
-        for record, x, setting, _ in runs
+        by_key[run.prompt_id, run.x][0 if run.setting is None else run.setting - 1]
+        for run in runs
     ]
-    seeds = [seed for *_, seed in runs]
+    seeds, sched = [run.seed for run in runs], cfg.noise_schedule
     if model is not None:
         backend = NeuralDenoiser(model, sched, (cfg.frames, first.frame_dim))
         return sample(backend, conditioning, seeds, cfg.guidance_scale)
     views: dict[str, list[int]] = {}
-    for row, (record, *_) in enumerate(runs):
-        views.setdefault(record.view, []).append(row)
+    for row, run in enumerate(runs):
+        views.setdefault(run.view, []).append(row)
     trajs = np.empty((len(runs), cfg.frames, first.frame_dim))
     for view, rows in views.items():
         view_records = [record for record in records.values() if record.view == view]
@@ -505,31 +494,15 @@ def sample_runs(cfg: SweepConfig, model, sched, runs) -> np.ndarray:
     return trajs
 
 
-def score_run(traj, record) -> MetricsRecord:
-    """The metrics of one sampled trajectory of ``record``; a non-finite
-    trajectory raises ``FloatingPointError``."""
-    if not np.isfinite(traj).all():
-        raise FloatingPointError("the sampled trajectory is not finite")
-    return evaluate(traj, *record.events)
-
-
-class _Job(NamedTuple):  # a tuple: one is built per run, and tuples build fastest
-    run_id: str
-    prompt_id: str
-    x: float
-    repeat: int
-    setting: int | None
-    seed: int
-
-
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _score_batch(trajs, records) -> list:
-    """Each run's metrics, or the error that fails it: a non-finite
-    trajectory fails its run, and the finite rows are scored in one
-    ``evaluate`` call, or row by row when that call raises."""
+def score_runs(trajs, records) -> list:
+    """The metrics of each sampled trajectory of ``trajs`` against its
+    prompt in ``records``, or the error that fails its run: a non-finite
+    trajectory fails with ``FloatingPointError``, and the finite rows are
+    scored in one ``evaluate`` call, or row by row when that call raises."""
     finite = np.isfinite(trajs).all(axis=(1, 2))
     scored = [FloatingPointError("the sampled trajectory is not finite")] * len(records)
     rows = np.flatnonzero(finite).tolist()
@@ -542,7 +515,7 @@ def _score_batch(trajs, records) -> list:
         batch = []
         for r in rows:
             try:
-                batch.append(score_run(trajs[r], records[r]))
+                batch.append(evaluate(trajs[r], *records[r].events))
             except Exception as exc:
                 batch.append(exc)
     for r, result in zip(rows, batch):
@@ -550,41 +523,28 @@ def _score_batch(trajs, records) -> list:
     return scored
 
 
-def _execute_batch(jobs, cfg: SweepConfig, records_by_id, model, sched) -> list[RunRecord]:
-    """Run ``jobs``, the runs of a group of prompts, as one sampling batch.
+def _execute_batch(runs, cfg: SweepConfig, records_by_id, model) -> list[RunRecord]:
+    """Sample and score ``runs``, the planned runs of a group of prompts,
+    as one batch, and return them filled in.
 
     An error while sampling fails every run of the batch; an error while
     scoring fails only its own run, each scored against its own prompt.
     A run's wall time is its share of the batch's sampling time plus its
     share of the batch's scoring time.
     """
-    records = [records_by_id[job.prompt_id] for job in jobs]
     start = time.perf_counter()
     try:
-        trajs = sample_runs(
-            cfg, model, sched,
-            [(record, job.x, job.setting, job.seed) for record, job in zip(records, jobs)],
-        )
+        trajs = sample_runs(cfg, model, runs, records_by_id)
     except Exception as exc:  # failed runs are recorded, not fatal
-        scored = [exc] * len(jobs)
+        scored = [exc] * len(runs)
     else:
-        scored = _score_batch(trajs, records)
-    wall_ms = int(round((time.perf_counter() - start) / len(jobs) * 1000.0))
+        scored = score_runs(trajs, [records_by_id[run.prompt_id] for run in runs])
+    wall_ms = int(round((time.perf_counter() - start) / len(runs) * 1000.0))
     return [
-        RunRecord(
-            run_id=job.run_id,
-            mode=cfg.mode,
-            category=record.category,
-            prompt_id=record.id,
-            view=record.view,
-            x=job.x,
-            setting=job.setting,
-            seed=job.seed,
-            metrics=None if isinstance(result, Exception) else result,
-            wall_time_ms=wall_ms,
-            error=_error(result) if isinstance(result, Exception) else None,
-        )
-        for job, record, result in zip(jobs, records, scored)
+        run._replace(error=_error(result), wall_time_ms=wall_ms)
+        if isinstance(result, Exception)
+        else run._replace(metrics=result, wall_time_ms=wall_ms)
+        for run, result in zip(runs, scored)
     ]
 
 
@@ -596,17 +556,17 @@ def _init_worker(*state) -> None:
     _WORKER_STATE = state
 
 
-def _run_in_worker(jobs) -> list[RunRecord]:
-    return _execute_batch(jobs, *_WORKER_STATE)
+def _run_in_worker(runs) -> list[RunRecord]:
+    return _execute_batch(runs, *_WORKER_STATE)
 
 
-def _plan_jobs(cfg: SweepConfig, records) -> list[_Job]:
+def _plan_jobs(cfg: SweepConfig, records) -> list[RunRecord]:
     """The runs of ``records`` in enumeration order, each seeded with
     :func:`derive_seed` once per (prompt, repeat, setting), a seed that
     serves every ratio of the grid."""
     settings = (1, 2, 3, 4) if cfg.mode == "qualitative" else (None,)
     draws = [(repeat, setting) for repeat in range(cfg.repeats) for setting in settings]
-    jobs = []
+    runs = []
     for record in records:
         seeds = [
             derive_seed(cfg.base_seed, record.id, repeat, setting or 0)
@@ -617,8 +577,10 @@ def _plan_jobs(cfg: SweepConfig, records) -> list[_Job]:
                 run_id = f"{cfg.mode}-{record.id}-x{x_index:02d}-r{repeat}"
                 if setting is not None:
                     run_id += f"-s{setting}"
-                jobs.append(_Job(run_id, record.id, x, repeat, setting, seed))
-    return jobs
+                runs.append(RunRecord(
+                    run_id, cfg.mode, record.category, record.id, record.view, x, setting, seed
+                ))
+    return runs
 
 
 def _prompt_groups(records):
@@ -649,7 +611,6 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
     model = None
     if cfg.backend != "analytic":
         model = open_checkpoint(cfg.backend, records, cfg.frames)
-    sched = cfg.noise_schedule()
 
     batches = (_plan_jobs(cfg, group) for group in _prompt_groups(records))
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -662,13 +623,13 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
             yield from batch
 
     if cfg.workers == 1:
-        done = (_execute_batch(jobs, cfg, records_by_id, model, sched) for jobs in batches)
+        done = (_execute_batch(runs, cfg, records_by_id, model) for runs in batches)
         write_runs_csv(kept(done), out_path)
     else:
         with ProcessPoolExecutor(
             max_workers=cfg.workers,
             initializer=_init_worker,
-            initargs=(cfg, records_by_id, model, sched),
+            initargs=(cfg, records_by_id, model),
         ) as pool:
             # map() yields in submission order, keeping output deterministic
             write_runs_csv(kept(pool.map(_run_in_worker, batches)), out_path)

@@ -2,8 +2,10 @@
 for every subcommand."""
 
 import csv
+import hashlib
 import json
 import math
+import os
 import shutil
 import struct
 import subprocess
@@ -14,7 +16,13 @@ from pathlib import Path
 import pytest
 
 from turnpoint.cli import main
-from turnpoint.harness import RUNS_CSV_COLUMNS, SweepConfig, read_runs_csv, run_sweep
+from turnpoint.harness import (
+    RUNS_CSV_COLUMNS,
+    SweepConfig,
+    read_runs_csv,
+    run_sweep,
+    write_runs_csv,
+)
 from turnpoint.metrics import MetricsRecord
 from turnpoint.neural import (
     CHECKPOINT_MAGIC,
@@ -267,6 +275,16 @@ class TestTrain:
         norms = [norm for _, _, norm in log["trace"]]
         assert norms and all(math.isfinite(norm) and norm > 0 for norm in norms)
 
+    def test_non_string_suite_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"suite": 10**6, "steps": 3}))  # no open descriptor
+        out = tmp_path / "model.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: suite must be a non-empty path string, got 1000000\n"
+        )
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"hiden": 8}')
@@ -513,6 +531,36 @@ class TestSample:
         assert code == 2
         assert "not finite" in capsys.readouterr().err
 
+    def test_non_finite_step_sample_exits_2_with_the_scorer_error(
+        self, small_suite, tiny_checkpoint, tmp_path, capsys
+    ):
+        model = load_checkpoint(tiny_checkpoint)
+        model.b_out[:] = float("nan")
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(model, path)
+        prompt = read_suite(small_suite)[1].id
+        code = main(sample_args(small_suite, tmp_path / "out", prompt, backend=str(path),
+                                n_steps=6))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: FloatingPointError: the sampled trajectory is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_analytic_sample_bytes_are_pinned(self, small_suite, tmp_path):
+        # recorded when sample still had a scorer of its own, apart from
+        # the sweep's; the shared run path must not move a byte
+        prompt = read_suite(small_suite)[0].id
+        assert main(sample_args(small_suite, tmp_path, prompt, n_steps=5, frames=8)) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("trajectory.csv", "metrics.json")
+        }
+        assert digests == {
+            "trajectory.csv": "bcf19710d17211737702fffb7e54ad07fd9fe467747fc030db6eda8d620530fe",
+            "metrics.json": "b0b8c8769c2e11198a0c9abdb23e1b2d605d262d317e592045ac5284a66fd03c",
+        }
+
     def test_default_flags_take_sweep_config_defaults(self, small_suite, tmp_path):
         prompt = read_suite(small_suite)[0].id
         assert main(sample_args(small_suite, tmp_path, prompt)) == 0
@@ -712,6 +760,51 @@ class TestSweepAndReport:
         assert "w_mix must be finite" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_noise_schedule_key_exits_1(self, small_suite, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        out_dir = tmp_path / "s"
+        cfg.write_text(json.dumps({"suite": small_suite, "out_dir": str(out_dir),
+                                   "noise_schedule": [0.01, 0.02]}))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "unknown config keys: ['noise_schedule']" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        # 10**6 is no open file descriptor, which a sweep would read
+        "key, value",
+        [("suite", 10**6), ("suite", ["a.jsonl"]), ("out_dir", 3), ("backend", 10**6),
+         ("backend", 0.5)],
+    )
+    def test_non_string_path_in_config_exits_1(self, small_suite, tmp_path, capsys, key,
+                                               value):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"suite": small_suite, "grid": [0.0], "repeats": 1,
+                                   "n_steps": 4, "frames": 8,
+                                   "out_dir": str(tmp_path / "s"), key: value}))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be a non-empty path string, got {value!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+    def test_suite_given_as_an_open_file_descriptor_exits_1(self, small_suite, tmp_path):
+        # in a child process, which a sweep that read and closed the
+        # descriptor would leave in disorder instead of this one
+        fd = os.open(small_suite, os.O_RDONLY)
+        try:
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps({"suite": fd, "grid": [0.0], "repeats": 1,
+                                       "n_steps": 4, "frames": 8,
+                                       "out_dir": str(tmp_path / "s")}))
+            proc = subprocess.run(
+                [sys.executable, "-m", "turnpoint", "sweep", "--config", str(cfg)],
+                capture_output=True, text=True, pass_fds=(fd,),
+            )
+        finally:
+            os.close(fd)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: suite must be a non-empty path string, got {fd}\n"
+        assert not (tmp_path / "s").exists()
+
     def test_sweep_bad_config(self, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text('{"grid": [0.9, 0.1]}')
@@ -796,6 +889,86 @@ class TestSweepAndReport:
             ["report", "--runs", str(bad), "--out", str(tmp_path / "r")]
         )
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# paths that cannot serve
+
+
+class TestPathMistakes:
+    """An output path that cannot be a directory, a runs path that is a
+    directory and a checkpoint path that is a directory each exit 1 before
+    any work is done."""
+
+    @staticmethod
+    def forbid(monkeypatch, *names):
+        import turnpoint.cli as cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in names:
+            monkeypatch.setattr(cli, name, fail)
+
+    @staticmethod
+    def a_file(tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("keep\n")
+        return path
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_sweep_out_dir(self, small_suite, tmp_path, monkeypatch, capsys, below):
+        self.forbid(monkeypatch, "run_sweep")
+        taken = self.a_file(tmp_path)
+        out_dir = taken / "sweep" if below else taken
+        assert main(["sweep", "--suite", small_suite, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: output path is not a directory: {taken}\n"
+        assert taken.read_text() == "keep\n"
+
+    def test_sample_out(self, small_suite, tmp_path, monkeypatch, capsys):
+        self.forbid(monkeypatch, "sample_runs")
+        taken = self.a_file(tmp_path)
+        prompt = read_suite(small_suite)[0].id
+        assert main(sample_args(small_suite, taken, prompt, n_steps=4, frames=8)) == 1
+        assert capsys.readouterr().err == f"error: output path is not a directory: {taken}\n"
+        assert taken.read_text() == "keep\n"
+
+    def test_report_out(self, tmp_path, monkeypatch, capsys):
+        self.forbid(monkeypatch, "read_runs_csv", "emit_report")
+        runs = tmp_path / "runs.csv"
+        write_runs_csv([], runs)
+        taken = self.a_file(tmp_path)
+        assert main(["report", "--runs", str(runs), "--out", str(taken)]) == 1
+        assert capsys.readouterr().err == f"error: output path is not a directory: {taken}\n"
+        assert taken.read_text() == "keep\n"
+
+    def test_report_runs_directory(self, tmp_path, monkeypatch, capsys):
+        self.forbid(monkeypatch, "emit_report")
+        runs = tmp_path / "runs.csv"
+        runs.mkdir()
+        out = tmp_path / "report"
+        assert main(["report", "--runs", str(runs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read runs file {runs}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "sweep"])
+    def test_backend_directory(self, small_suite, tmp_path, monkeypatch, capsys, command):
+        self.forbid(monkeypatch, "sample_runs")
+        backend = tmp_path / "model.ckpt"
+        backend.mkdir()
+        out = tmp_path / "out"
+        if command == "sample":
+            argv = sample_args(small_suite, out, read_suite(small_suite)[0].id,
+                               mode="block", backend=str(backend))
+        else:
+            argv = ["sweep", "--suite", small_suite, "--mode", "block_split",
+                    "--backend", str(backend), "--out-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load checkpoint: ") and str(backend) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

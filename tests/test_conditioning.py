@@ -285,7 +285,7 @@ def test_qualitative_settings_structure():
     e2 = np.array([0.0, 1.0, 0.5])
     single1, single2 = compose_single(e1), compose_single(e2)
     both = compose_concat(e1, e2)
-    settings = qualitative_settings(0.5, e1, e2, 10)
+    settings = qualitative_settings(0.5, single1, single2, both, 10)
     assert len(settings) == 4
     concat_always, s12, c1, s1c = settings
     assert per_position(concat_always) == [both] * 10
@@ -296,5 +296,8 @@ def test_qualitative_settings_structure():
 
 
 def test_qualitative_settings_share_step_count():
-    settings = qualitative_settings(0.3, np.ones(3), np.zeros(3) + 2.0, 7)
+    e1, e2 = np.ones(3), np.zeros(3) + 2.0
+    settings = qualitative_settings(
+        0.3, compose_single(e1), compose_single(e2), compose_concat(e1, e2), 7
+    )
     assert [s.slots.shape for s in settings] == [(7, 1)] * 4

@@ -4,6 +4,7 @@ job planning/execution and aggregation."""
 import csv
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from turnpoint.harness import (
     read_runs_csv,
     run_sweep,
     sample_runs,
-    score_run,
+    score_runs,
     write_runs_csv,
 )
 from turnpoint.metrics import MetricsRecord, evaluate
@@ -127,9 +128,50 @@ class TestSweepConfig:
         with pytest.raises(ConfigurationError):
             SweepConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"suite": 7}, {"suite": b"suite.jsonl"}, {"suite": ""}, {"out_dir": 3},
+         {"out_dir": None}, {"backend": 1}, {"backend": None}, {"backend": ""}],
+    )
+    def test_rejects_a_path_that_is_not_a_string(self, kw):
+        (name, value), = kw.items()
+        with pytest.raises(ConfigurationError,
+                           match=f"{name} must be a non-empty path string, got {value!r}"):
+            SweepConfig(**kw)
+
     def test_block_split_allowed_with_checkpoint(self):
         cfg = SweepConfig(mode="block_split", backend="model.ckpt")
         assert cfg.backend == "model.ckpt"
+
+    def test_holds_its_noise_schedule(self):
+        cfg = SweepConfig(n_steps=7, beta_min=1e-3, beta_max=0.05)
+        want = build_schedule(7, 1e-3, 0.05)
+        assert cfg.noise_schedule.alpha_bar.tobytes() == want.alpha_bar.tobytes()
+        assert "noise_schedule" not in repr(cfg)
+
+    @pytest.mark.parametrize("change", [{"n_steps": 20}, {"beta_max": 0.3}])
+    def test_replace_rebuilds_the_schedule(self, change):
+        cfg = dataclasses.replace(SweepConfig(), **change)
+        want = build_schedule(cfg.n_steps, cfg.beta_min, cfg.beta_max)
+        for name in ("beta", "alpha", "alpha_bar"):
+            got = getattr(cfg.noise_schedule, name)
+            assert got.tobytes() == getattr(want, name).tobytes()
+        assert cfg.noise_schedule.beta[-1] == cfg.beta_max
+        assert len(cfg.noise_schedule.beta) == cfg.n_steps
+
+    def test_schedule_is_not_a_setting(self):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(SweepConfig(), noise_schedule=build_schedule(5))
+        with pytest.raises(ConfigurationError, match="noise_schedule"):
+            load_sweep_config(None, noise_schedule=build_schedule(5))
+
+    def test_equal_configs_compare_and_hash_equal(self):
+        a = SweepConfig(mode="qualitative", grid=[0, 0.5, 1], repeats=2.0)
+        b = SweepConfig(mode="qualitative", grid=(0.0, 0.5, 1.0), repeats=2)
+        assert a.noise_schedule is not b.noise_schedule
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != dataclasses.replace(b, n_steps=20)
 
 
 class TestLoadSweepConfig:
@@ -186,7 +228,7 @@ class TestRunsCsv:
         assert len(back) == 4
         # the error text is diagnostic only and is not persisted
         for orig, rec in zip(records, back):
-            assert rec == dataclasses.replace(orig, error=None)
+            assert rec == orig._replace(error=None)
         assert back[0].x == 0.1 + 0.2  # repr round-trips exactly
         assert back[2].metrics is None
 
@@ -270,6 +312,11 @@ class TestRunsCsv:
 # planning and workers
 
 
+def repeat_of(run) -> int:
+    """The repeat index in a planned run's id, ``...-r{repeat}[-s{setting}]``."""
+    return int(run.run_id.rsplit("-r", 1)[1].split("-")[0])
+
+
 class TestPlanning:
     def test_job_grid(self):
         records = generate_suite(0)[:2]
@@ -279,7 +326,7 @@ class TestPlanning:
         first = jobs[0]
         assert first.run_id == f"step_switch-{records[0].id}-x00-r0"
         assert first.seed == derive_seed(0, records[0].id, 0, 0)
-        assert jobs[-1].x == 1.0 and jobs[-1].repeat == 1
+        assert jobs[-1].x == 1.0 and repeat_of(jobs[-1]) == 1
         for base_seed in (0, -1, 2**70):
             for mode in ("step_switch", "qualitative"):
                 plan = _plan_jobs(dataclasses.replace(cfg, mode=mode, base_seed=base_seed), records)
@@ -287,13 +334,24 @@ class TestPlanning:
                 seeds = {}
                 for job in plan:
                     assert job.seed == derive_seed(
-                        base_seed, job.prompt_id, job.repeat, job.setting or 0
+                        base_seed, job.prompt_id, repeat_of(job), job.setting or 0
                     )
-                    seeds.setdefault((job.prompt_id, job.repeat, job.setting), set()).add(job.seed)
+                    seeds.setdefault((job.prompt_id, repeat_of(job), job.setting), set()).add(job.seed)
                 # a prompt's ratios share one seed; prompts, repeats and
                 # settings do not
                 assert all(len(group) == 1 for group in seeds.values())
                 assert len(set.union(*seeds.values())) == len(seeds)
+
+    def test_planned_runs_have_no_outcome_and_pickle(self):
+        records = generate_suite(0)[:2]
+        cfg = SweepConfig(mode="qualitative", grid=(0.0, 1.0), repeats=1)
+        runs = _plan_jobs(cfg, records)
+        assert all(type(run) is RunRecord for run in runs)
+        assert {(run.metrics, run.wall_time_ms, run.error) for run in runs} == {(None, 0, None)}
+        assert [(run.mode, run.category, run.view) for run in runs] == [
+            (cfg.mode, r.category, r.view) for r in records for _ in range(8)
+        ]
+        assert pickle.loads(pickle.dumps(runs)) == runs
 
     def test_qualitative_expands_settings(self):
         records = generate_suite(0)[:1]
@@ -391,13 +449,12 @@ class TestRunSweep:
     def test_batch_equals_rows_sampled_alone(self, tmp_path, mode):
         record = generate_suite(0)[0]
         cfg = small_cfg(tmp_path, mode=mode, grid=(0.0, 0.3, 1.0), repeats=2)
-        sched = cfg.noise_schedule()
-        runs = [(record, job.x, job.setting, job.seed) for job in _plan_jobs(cfg, [record])]
-        batch = sample_runs(cfg, None, sched, runs)
-        alone = [sample_runs(cfg, None, sched, [run])[0] for run in runs]
+        runs, records_by_id = _plan_jobs(cfg, [record]), {record.id: record}
+        batch = sample_runs(cfg, None, runs, records_by_id)
+        alone = [sample_runs(cfg, None, [run], records_by_id)[0] for run in runs]
         assert batch.tobytes() == np.stack(alone).tobytes()
         out = run_sweep(cfg, records=[record])
-        assert [r.metrics for r in out] == [score_run(traj, record) for traj in alone]
+        assert [r.metrics for r in out] == [evaluate(traj, *record.events) for traj in alone]
 
     def test_multi_ratio_checkpoint_parallel_matches_serial(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -410,7 +467,7 @@ class TestRunSweep:
         kw = dict(mode="block_split", backend=str(path), grid=(0.0, 0.5, 1.0), repeats=2)
         serial = run_sweep(small_cfg(tmp_path / "s", **kw), records=records)
         parallel = run_sweep(small_cfg(tmp_path / "p", workers=2, **kw), records=records)
-        strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
+        strip = lambda r: r._replace(wall_time_ms=0)
         assert all(r.metrics is not None for r in serial)
         assert len({r.metrics.ta1 for r in serial}) > 1
         assert [strip(r) for r in serial] == [strip(r) for r in parallel]
@@ -472,8 +529,35 @@ class TestRunSweep:
         parallel = run_sweep(
             small_cfg(tmp_path / "p", n_steps=3, frames=4, workers=2), records=records
         )
-        strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
+        strip = lambda r: r._replace(wall_time_ms=0)
         assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+
+
+    def test_qualitative_parallel_matches_serial(self, tmp_path):
+        # planned runs, the config and its schedule go through the pool
+        records = generate_suite(0)[:3]
+        kw = dict(mode="qualitative", grid=(0.0, 0.5), n_steps=4, frames=4)
+        serial = run_sweep(small_cfg(tmp_path / "s", **kw), records=records)
+        parallel = run_sweep(small_cfg(tmp_path / "p", workers=2, **kw), records=records)
+        strip = lambda r: r._replace(wall_time_ms=0)
+        assert len(serial) == 3 * 2 * 4
+        assert all(r.metrics is not None for r in serial)
+        assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+        assert (tmp_path / "s" / "out" / "runs.csv").read_bytes().count(b"\r\n") == 1 + 24
+
+
+class TestScoreRuns:
+    def test_scores_finite_rows_and_fails_the_rest(self, tmp_path):
+        records = generate_suite(0)[:3]
+        cfg = small_cfg(tmp_path)
+        runs = _plan_jobs(cfg, records)[::2]  # one run per prompt
+        trajs = sample_runs(cfg, None, runs, {r.id: r for r in records})
+        trajs[1, 2, 0] = np.inf
+        scored = score_runs(trajs, records)
+        assert scored[0] == evaluate(trajs[0], *records[0].events)
+        assert scored[2] == evaluate(trajs[2], *records[2].events)
+        assert type(scored[1]) is FloatingPointError
+        assert str(scored[1]) == "the sampled trajectory is not finite"
 
 
 class TestAnalyticGroups:
@@ -492,17 +576,9 @@ class TestAnalyticGroups:
         records = self.egoexo_batch()
         assert {r.view for r in records} == {"first", "third"}
         cfg = small_cfg(tmp_path, mode=mode, grid=(0.0, 0.6, 1.0), repeats=2)
-        sched = cfg.noise_schedule()
-
-        def runs_of(group):
-            return [
-                (records_by_id[job.prompt_id], job.x, job.setting, job.seed)
-                for job in _plan_jobs(cfg, group)
-            ]
-
         records_by_id = {r.id: r for r in records}
-        batch = sample_runs(cfg, None, sched, runs_of(records))
-        alone = [sample_runs(cfg, None, sched, runs_of([r])) for r in records]
+        batch = sample_runs(cfg, None, _plan_jobs(cfg, records), records_by_id)
+        alone = [sample_runs(cfg, None, _plan_jobs(cfg, [r]), records_by_id) for r in records]
         assert batch.tobytes() == np.concatenate(alone).tobytes()
 
     def test_one_sample_call_per_view(self, tmp_path, monkeypatch):
@@ -530,7 +606,7 @@ class TestAnalyticGroups:
         out = run_sweep(small_cfg(tmp_path), records=records)
         assert all(r.metrics is not None and r.error is None for r in out)
         alone = [run_sweep(small_cfg(tmp_path / r.id), records=[r]) for r in records]
-        strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
+        strip = lambda r: r._replace(wall_time_ms=0)
         assert [strip(r) for r in out] == [strip(r) for runs in alone for r in runs]
 
 
@@ -554,7 +630,7 @@ class TestCheckpointGroups:
     def test_parallel_matches_serial_across_groups(self, sweep):
         _, run = sweep
         serial, parallel = run("s"), run("p", workers=2)
-        strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
+        strip = lambda r: r._replace(wall_time_ms=0)
         assert all(r.metrics is not None for r in serial)
         assert [strip(r) for r in serial] == [strip(r) for r in parallel]
 
