@@ -14,7 +14,6 @@ from .conditioning import (
     floor_index,
     step_switch,
     unconditioned,
-    uniform_blocks,
 )
 from .diffusion import (
     NoiseSchedule,
@@ -93,7 +92,6 @@ __all__ = [
     "step_switch",
     "train",
     "unconditioned",
-    "uniform_blocks",
     "validate_suite",
     "write_suite",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "constant_schedule",
     "step_switch",
     "block_split",
-    "uniform_blocks",
     "qualitative_settings",
     "floor_index",
 ]
@@ -232,11 +231,6 @@ def block_split(
     ``x = 0`` all-``cond_b``.
     """
     return _split(x, n_blocks, cond_a, cond_b, (1, -1))
-
-
-def uniform_blocks(cond: ConditionEmbedding, n_blocks: int) -> ConditionPlan:
-    """Every block conditioned identically."""
-    return block_split(1.0, n_blocks, cond, cond)
 
 
 def qualitative_settings(

@@ -3,14 +3,15 @@ sample them in batches (optionally in parallel), and aggregate the
 metrics.
 
 A batch is the runs of ``PROMPTS_PER_BATCH`` consecutive prompts of one
-frame dimension.  A checkpoint samples the batch in one call; the
-analytic backend is built per view, since the two views of an EgoExo
-pair share their conditions but not their data, and samples each view's
-rows in one call.  Every run owns a seed derived by hashing its prompt,
-repeat and setting, which its prompt's grid ratios share, and the
-batches depend on suite order alone, so results are independent of
-worker count and completion order; rows are written in enumeration
-order and aggregation sorts before reducing.
+frame dimension.  Its prompts' conditions and mixtures come from one
+pair table, and its rows are sampled in one call per backend: a
+checkpoint is one backend for the whole batch, and the analytic backend
+is built per view, since the two views of an EgoExo pair share their
+conditions but not their data.  Every run owns a seed derived by
+hashing its prompt, repeat and setting, which its prompt's grid ratios
+share, and the batches depend on suite order alone, so results are
+independent of worker count and completion order; rows are written in
+enumeration order and aggregation sorts before reducing.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .metrics import MetricsRecord, evaluate
 from .neural import CheckpointError, DenoiserModel, NeuralDenoiser, load_checkpoint
 from .worldgen import (
     PromptRecord,
-    condition_of,
     generate_suite,
     read_suite,
     suite_training_pairs,
@@ -203,8 +203,9 @@ class SweepConfig:
             )
         if self.frames < 4:
             raise ConfigurationError("frames must be at least 4 for the metrics")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ConfigurationError("sigma must be finite and >= 0")
+        # the data variance is sigma squared, which must not overflow
+        if not (self.sigma >= 0.0 and np.isfinite(self.sigma * self.sigma)):
+            raise ConfigurationError("sigma must be >= 0 with a finite square")
         if not np.isfinite(self.w_mix):  # a finite w_mix is clamped by worldgen
             raise ConfigurationError("w_mix must be finite")
         try:
@@ -389,20 +390,14 @@ def load_suite(cfg: SweepConfig, records=None) -> list[PromptRecord]:
     return records
 
 
-def backend_for_record(
-    records,
-    sched: NoiseSchedule,
-    n_frames: int,
-    sigma: float,
-    w_mix: float = 0.5,
-) -> AnalyticDenoiser:
-    """Analytic backend with the three conditions of each of ``records``
-    registered.  The records share one view and one frame dimension: the
-    two views of an EgoExo pair share their conditions but not their
-    mixtures, which the backend refuses to hold at once."""
-    records = list(records)
-    backend = AnalyticDenoiser(sched, (n_frames, records[0].frame_dim))
-    for cond, mixture in suite_training_pairs(records, n_frames, sigma, w_mix):
+def backend_for_record(pairs, sched: NoiseSchedule, frame_shape) -> AnalyticDenoiser:
+    """Analytic backend with ``pairs``, (condition, mixture) pairs of
+    :func:`~turnpoint.worldgen.suite_training_pairs`, registered.  The
+    pairs belong to one view: the two views of an EgoExo pair share their
+    conditions but not their mixtures, which the backend refuses to hold
+    at once."""
+    backend = AnalyticDenoiser(sched, frame_shape)
+    for cond, mixture in pairs:
         backend.register(cond, mixture)
     return backend
 
@@ -445,30 +440,33 @@ def open_checkpoint(path: str, records, frames: int | None) -> DenoiserModel:
 def sample_runs(cfg: SweepConfig, model, runs, records_by_id) -> np.ndarray:
     """Sample the trajectories of ``runs``, planned runs whose prompts,
     looked up in ``records_by_id``, share one frame dimension, as
-    ``cfg.mode`` prescribes: in one call through ``model``
-    or, when it is None, in one call per view through the analytic
-    backend of that view's prompts.
+    ``cfg.mode`` prescribes, in one call per backend: ``model`` or, when
+    it is None, the analytic backend of each view's prompts.
 
-    Each prompt's conditions are built once; a run's ``setting`` picks
-    the qualitative schedule (1-4).  Returns an array of shape
-    ``(len(runs), cfg.frames, frame_dim)`` in the order of ``runs``.
+    The prompts' conditions, and the analytic backends' mixtures, come
+    from one :func:`~turnpoint.worldgen.suite_training_pairs` call; a
+    run's ``setting`` picks the qualitative schedule (1-4).  Returns an
+    array of shape ``(len(runs), cfg.frames, frame_dim)`` in the order of
+    ``runs``.
     """
     records = {run.prompt_id: records_by_id[run.prompt_id] for run in runs}
     first = next(iter(records.values()))
     if any(record.frame_dim != first.frame_dim for record in records.values()):
         raise ValueError("a batch samples prompts of one frame dimension")
-    names = ("event1", "event2", "concat") if cfg.mode == "qualitative" else ("event1", "event2")
-    conds = {
-        prompt: [condition_of(record, name) for name in names]
-        for prompt, record in records.items()
-    }
+    pairs = suite_training_pairs(records.values(), cfg.frames, cfg.sigma, cfg.w_mix)
+    conds, view_pairs = {}, {}
+    for i, (prompt, record) in enumerate(records.items()):
+        own = pairs[3 * i : 3 * i + 3]  # the event-1, event-2 and concat pairs
+        conds[prompt] = [cond for cond, _ in own]
+        view_pairs.setdefault(record.view, []).extend(own)
 
     def plans_at(prompt, x) -> list:
+        single1, single2, both = conds[prompt]
         if cfg.mode == "step_switch":
-            return [step_switch(x, cfg.n_steps, *conds[prompt])]
+            return [step_switch(x, cfg.n_steps, single1, single2)]
         if cfg.mode == "block_split":
-            return [block_split(x, model.n_blocks, *conds[prompt])]
-        return qualitative_settings(x, *conds[prompt], cfg.n_steps)
+            return [block_split(x, model.n_blocks, single1, single2)]
+        return qualitative_settings(x, single1, single2, both, cfg.n_steps)
 
     keys = dict.fromkeys((run.prompt_id, run.x) for run in runs)
     by_key = {key: plans_at(*key) for key in keys}
@@ -476,19 +474,19 @@ def sample_runs(cfg: SweepConfig, model, runs, records_by_id) -> np.ndarray:
         by_key[run.prompt_id, run.x][0 if run.setting is None else run.setting - 1]
         for run in runs
     ]
-    seeds, sched = [run.seed for run in runs], cfg.noise_schedule
-    if model is not None:
-        backend = NeuralDenoiser(model, sched, (cfg.frames, first.frame_dim))
-        return sample(backend, conditioning, seeds, cfg.guidance_scale)
-    views: dict[str, list[int]] = {}
+    sched, frame_shape = cfg.noise_schedule, (cfg.frames, first.frame_dim)
+    if model is None:
+        backends = {view: backend_for_record(own, sched, frame_shape)
+                    for view, own in view_pairs.items()}
+    else:  # one checkpoint denoises every view
+        backends = dict.fromkeys(view_pairs, NeuralDenoiser(model, sched, frame_shape))
+    groups: dict = {}
     for row, run in enumerate(runs):
-        views.setdefault(run.view, []).append(row)
-    trajs = np.empty((len(runs), cfg.frames, first.frame_dim))
-    for view, rows in views.items():
-        view_records = [record for record in records.values() if record.view == view]
-        backend = backend_for_record(view_records, sched, cfg.frames, cfg.sigma, cfg.w_mix)
+        groups.setdefault(backends[run.view], []).append(row)
+    trajs = np.empty((len(runs), *frame_shape))
+    for backend, rows in groups.items():
         trajs[rows] = sample(
-            backend, [conditioning[r] for r in rows], [seeds[r] for r in rows],
+            backend, [conditioning[r] for r in rows], [runs[r].seed for r in rows],
             cfg.guidance_scale,
         )
     return trajs

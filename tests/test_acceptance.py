@@ -26,7 +26,6 @@ from turnpoint.conditioning import (
     compose_single,
     constant_schedule,
     step_switch,
-    uniform_blocks,
 )
 from turnpoint.diffusion import ancestral_step, build_schedule, sample
 from turnpoint.harness import (
@@ -94,7 +93,9 @@ def test_criterion_01_step_switch_endpoints_match_constant_conditioning():
         seed = int(rng.integers(2**31))
         c1 = condition_of(record, "event1")
         c2 = condition_of(record, "event2")
-        analytic = backend_for_record([record], sched, frames, 0.5)
+        analytic = backend_for_record(
+            suite_training_pairs([record], frames, 0.5), sched, (frames, frame_dim)
+        )
         for backend in (analytic, neural):
             (lo,) = sample(backend, [step_switch(0.0, n_steps, c1, c2)], [seed])
             (lo_ref,) = sample(backend, [constant_schedule(n_steps, c2)], [seed])
@@ -123,9 +124,9 @@ def test_criterion_02_block_split_endpoints_match_uniform_conditioning():
         ca = compose_single(rng.standard_normal(3))
         cb = compose_single(rng.standard_normal(3))
         lo = forward(model, z, t, sched, block_vectors(block_split(0.0, 5, ca, cb)))
-        lo_ref = forward(model, z, t, sched, block_vectors(uniform_blocks(cb, 5)))
+        lo_ref = forward(model, z, t, sched, block_vectors(block_split(1.0, 5, cb, cb)))
         hi = forward(model, z, t, sched, block_vectors(block_split(1.0, 5, ca, cb)))
-        hi_ref = forward(model, z, t, sched, block_vectors(uniform_blocks(ca, 5)))
+        hi_ref = forward(model, z, t, sched, block_vectors(block_split(1.0, 5, ca, ca)))
         all_equal &= np.array_equal(lo, lo_ref) and np.array_equal(hi, hi_ref)
     dt = time.perf_counter() - t0
     _verdict(
@@ -288,7 +289,9 @@ def test_criterion_07_ancestral_sampling_recovers_gaussian_moments():
     e2 = EventParams(3.5, 0.9, np.array([0.6, -0.8]), np.array([0.3, 0.95]))
     record = PromptRecord("p", "General", "third", (e1, e2))
     sched = build_schedule(n_steps)
-    backend = backend_for_record([record], sched, frames, sigma)
+    backend = backend_for_record(
+        suite_training_pairs([record], frames, sigma), sched, (frames, record.frame_dim)
+    )
     cond = condition_of(record, "event1")
     target = backend.mixture_for(cond)  # single component for one event
     rng = np.random.default_rng(77)

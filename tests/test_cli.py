@@ -971,6 +971,31 @@ class TestPathMistakes:
         assert not out.exists()
 
 
+class TestOverflowingSigma:
+    """A sigma whose square, the data variance, overflows exits 1 before
+    any work is done."""
+
+    @pytest.mark.parametrize("command", ["sweep", "sample", "train"])
+    def test_exits_1_before_any_work(self, small_suite, tmp_path, monkeypatch, capsys,
+                                     command):
+        TestPathMistakes.forbid(
+            monkeypatch, "run_sweep", "sample_runs", "suite_training_pairs", "train"
+        )
+        out = tmp_path / "out"
+        if command == "sweep":
+            argv = ["sweep", "--suite", small_suite, "--sigma", "1e200", "--out-dir", str(out)]
+        elif command == "sample":
+            argv = sample_args(small_suite, out, read_suite(small_suite)[0].id, sigma="1e200")
+        else:
+            cfg = tmp_path / "train.json"
+            cfg.write_text(json.dumps({"suite": small_suite, "sigma": 1e200}))
+            argv = ["train", "--config", str(cfg), "--out", str(out / "model.ckpt")]
+            out.mkdir()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: sigma must be >= 0 with a finite square\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # entry points
 

@@ -17,7 +17,6 @@ from turnpoint.conditioning import (
     qualitative_settings,
     step_switch,
     unconditioned,
-    uniform_blocks,
 )
 
 
@@ -229,7 +228,7 @@ def test_constructors_reject_an_empty_range():
 
 
 # ---------------------------------------------------------------------------
-# block_split / uniform_blocks
+# block_split
 
 
 def test_block_split_table_pattern():
@@ -247,15 +246,15 @@ def test_block_split_endpoints_uniform():
     a, b = compose_single([1.0]), compose_single([2.0])
     assert per_position(block_split(0.0, 6, a, b)) == [b] * 6
     assert per_position(block_split(1.0, 6, a, b)) == [a] * 6
-    assert per_position(uniform_blocks(a, 6)) == [a] * 6
+    assert per_position(block_split(1.0, 6, a, a)) == [a] * 6
     assert block_split(0.0, 6, a, b).conds == (b,)
-    assert uniform_blocks(a, 6).conds == (a,)
+    assert block_split(1.0, 6, a, a).conds == (a,)
 
 
 def test_block_assignment_validation():
     a = compose_single([1.0])
     with pytest.raises(ValueError):
-        uniform_blocks(a, 0)
+        block_split(1.0, 0, a, a)
     with pytest.raises(ValueError, match="index its 1 conditions"):
         ConditionPlan((a,), [[0, 0, 1]])
     with pytest.raises(ValueError, match="differ in slot width"):

@@ -12,7 +12,6 @@ from turnpoint.conditioning import (
     compose_single,
     constant_schedule,
     step_switch,
-    uniform_blocks,
 )
 from turnpoint import diffusion
 from turnpoint.analytic import AnalyticDenoiser
@@ -27,7 +26,7 @@ from turnpoint.diffusion import (
     step_coefficients,
 )
 from turnpoint.neural import NeuralDenoiser, forward, init_model
-from turnpoint.worldgen import condition_of, generate_suite
+from turnpoint.worldgen import condition_of, generate_suite, suite_training_pairs
 
 
 class LinearBackend:
@@ -397,7 +396,9 @@ def test_analytic_rows_sharing_seeds_match_each_row_alone():
     # chain at iteration 0 and x = 1 never splits from it
     sched = build_schedule(12)
     records = [r for r in generate_suite(0) if r.view == "third"][:3]
-    backend = backend_for_record(records, sched, 8, 0.5)
+    backend = backend_for_record(
+        suite_training_pairs(records, 8, 0.5), sched, (8, records[0].frame_dim)
+    )
     plans, seeds = [], []
     for p, record in enumerate(records):
         e1, e2, both = (condition_of(record, w) for w in ("event1", "event2", "concat"))
@@ -429,7 +430,7 @@ def test_shared_plan_objects_index_and_sample_as_rebuilt_plans(backend_kind):
     sched = build_schedule(10)
     records = [r for r in generate_suite(1) if r.view == "third"][:3]
     if backend_kind == "analytic":
-        backend = backend_for_record(records, sched, 6, 0.5)
+        backend = backend_for_record(suite_training_pairs(records, 6, 0.5), sched, (6, 6))
     else:
         model = init_model(36, hidden=8, n_blocks=4, t_emb_dim=4, cond_width=7, seed=3)
         backend = NeuralDenoiser(model, sched, (6, 6))
@@ -624,7 +625,7 @@ def test_sample_rejects_mixed_condition_widths():
         (AnalyticDenoiser(sched, (3, 2)),
          [constant_schedule(4, narrow), constant_schedule(4, wide)]),
         (NeuralDenoiser(model, sched, (3, 2)),
-         [uniform_blocks(narrow, 3), constant_schedule(4, wide)]),
+         [block_split(1.0, 3, narrow, narrow), constant_schedule(4, wide)]),
     ):
         with pytest.raises(ValueError, match="condition slot widths 1 and 2"):
             sample(backend, plans, [0, 1])
@@ -654,7 +655,8 @@ def test_sample_step_count_mismatches():
 
 def test_sample_block_assignment_needs_block_backend():
     sched = build_schedule(4)
-    assign = uniform_blocks(compose_single([1.0]), 3)
+    cond = compose_single([1.0])
+    assign = block_split(1.0, 3, cond, cond)
     with pytest.raises(
         ValueError,
         match="block-structured denoiser backend with 3 blocks; this backend has none",
@@ -671,7 +673,7 @@ def test_sample_block_assignment_needs_as_many_blocks_as_the_backend():
         ValueError,
         match="block-structured denoiser backend with 4 blocks; this backend has 3",
     ):
-        sample(den, [uniform_blocks(c, 3), uniform_blocks(c, 4)], [0, 1])
+        sample(den, [block_split(1.0, 3, c, c), block_split(1.0, 4, c, c)], [0, 1])
 
 
 def test_both_backends_are_denoiser_backends():
@@ -716,7 +718,7 @@ def test_sample_mixes_step_and_block_plans_on_a_checkpoint():
     plans = [
         block_split(0.5, den.n_blocks, c1, c2),
         step_switch(0.5, den.noise_schedule.n_steps, c1, c2),
-        uniform_blocks(c2, den.n_blocks),
+        block_split(1.0, den.n_blocks, c2, c2),
         step_switch(0.25, den.noise_schedule.n_steps, c2, c1),
     ]
     seeds = [21, 22, 23, 24]

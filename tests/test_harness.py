@@ -3,8 +3,10 @@ job planning/execution and aggregation."""
 
 import csv
 import dataclasses
+import hashlib
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,13 @@ from turnpoint.harness import (
 )
 from turnpoint.metrics import MetricsRecord, evaluate
 from turnpoint.neural import init_model, save_checkpoint
-from turnpoint.worldgen import EventParams, PromptRecord, condition_of, generate_suite
+from turnpoint.worldgen import (
+    EventParams,
+    PromptRecord,
+    condition_of,
+    generate_suite,
+    suite_training_pairs,
+)
 
 
 def small_cfg(tmp_path, **kw):
@@ -49,6 +57,15 @@ def small_checkpoint(path, cond_width=7):
     model = init_model(8 * 6, hidden=4, n_blocks=2, t_emb_dim=4, cond_width=cond_width)
     save_checkpoint(model, path)
     return model
+
+
+def random_checkpoint(path) -> str:
+    """A :func:`small_checkpoint` with random weights, as a fresh model
+    predicts eps = 0; returns its path."""
+    model = small_checkpoint(path)
+    model.flat[...] = 0.3 * np.random.default_rng(4).standard_normal(model.flat.shape)
+    save_checkpoint(model, path)
+    return str(path)
 
 
 def metrics_with(ta1=0.5, turning_frame=3):
@@ -117,6 +134,7 @@ class TestSweepConfig:
             {"mode": "block_split"},  # analytic backend cannot split blocks
             {"frames": 3},
             {"sigma": -1.0},
+            {"sigma": 1e200},  # its square, the data variance, overflows
             {"w_mix": float("nan")},
             {"w_mix": float("inf")},
             {"guidance_scale": 2.0},  # the analytic backend has no unconditioned model
@@ -383,7 +401,8 @@ class TestRunSweep:
         (run,) = run_sweep(cfg, records=[record])
 
         sched = build_schedule(cfg.n_steps, cfg.beta_min, cfg.beta_max)
-        backend = backend_for_record([record], sched, cfg.frames, cfg.sigma, cfg.w_mix)
+        pairs = suite_training_pairs([record], cfg.frames, cfg.sigma, cfg.w_mix)
+        backend = backend_for_record(pairs, sched, (cfg.frames, record.frame_dim))
         schedule = constant_schedule(cfg.n_steps, condition_of(record, "event2"))
         (traj,) = sample(backend, [schedule], [run.seed])
         want = evaluate(traj, record.events[0], record.events[1])
@@ -477,12 +496,12 @@ class TestRunSweep:
         # backend of one, and the next batch is sampled as usual
         records = generate_suite(0)[: PROMPTS_PER_BATCH + 1]
         real = backend_for_record
+        first_cond = condition_of(records[0], "event1").key()
 
-        def flaky(view_records, *args):
-            view_records = list(view_records)
-            if records[0] in view_records:
+        def flaky(pairs, *args):
+            if any(cond.key() == first_cond for cond, _ in pairs):
                 raise RuntimeError("backend exploded")
-            return real(view_records, *args)
+            return real(pairs, *args)
 
         monkeypatch.setattr("turnpoint.harness.backend_for_record", flaky)
         out = run_sweep(small_cfg(tmp_path, grid=(0.0, 0.5, 1.0)), records=records)
@@ -615,14 +634,11 @@ class TestCheckpointGroups:
 
     @pytest.fixture
     def sweep(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        model = small_checkpoint(path)
-        model.flat[...] = 0.3 * np.random.default_rng(4).standard_normal(model.flat.shape)
-        save_checkpoint(model, path)
+        path = random_checkpoint(tmp_path / "model.ckpt")
         records = generate_suite(0)[: PROMPTS_PER_BATCH + 1]
 
-        def run(name, **kw):
-            cfg = small_cfg(tmp_path / name, mode="block_split", backend=str(path), **kw)
+        def run(name, records=records, **kw):
+            cfg = small_cfg(tmp_path / name, mode="block_split", backend=path, **kw)
             return run_sweep(cfg, records=records)
 
         return records, run
@@ -650,6 +666,24 @@ class TestCheckpointGroups:
         assert rows == [2 * PROMPTS_PER_BATCH, 2]  # two ratios per prompt
         assert [r.prompt_id for r in out[::2]] == [r.id for r in records]
 
+    def test_both_views_of_an_egoexo_pair_are_one_sample_call(self, sweep, monkeypatch):
+        import turnpoint.harness as harness
+
+        _, run = sweep
+        records = TestAnalyticGroups.egoexo_batch()
+        assert {r.view for r in records} == {"first", "third"}
+        real, rows = harness.sample, []
+
+        def counted(backend, conditioning, seeds, *args):
+            rows.append(len(seeds))
+            return real(backend, conditioning, seeds, *args)
+
+        monkeypatch.setattr(harness, "sample", counted)
+        out = run("s", records=records)
+        assert rows == [2 * len(records)]
+        assert [r.prompt_id for r in out[::2]] == [r.id for r in records]
+        assert all(r.metrics is not None for r in out)
+
     def test_sampling_error_fails_only_its_group(self, sweep, monkeypatch):
         import turnpoint.harness as harness
 
@@ -670,6 +704,48 @@ class TestCheckpointGroups:
         last = [r for r in out if r.prompt_id == records[-1].id]
         assert len(last) == 2
         assert all(r.metrics is not None and r.error is None for r in last)
+
+
+class TestBatchPairs:
+    """A batch reads its prompts' conditions, and the analytic backends
+    their mixtures, from one ``suite_training_pairs`` call, on a batch that
+    holds both views of EgoExo pairs."""
+
+    # SHA-256 of each sweep's runs.csv without its wall_time_ms column, as
+    # written when every view built its own pairs and conditions
+    RUNS_SHA256 = {
+        "step_switch": "179723b001eb3fecc562b2c448e15212cdec44666a643da076bdb29bc2a13e74",
+        "block_split": "541aed44019d39bc56d8ea891684bfb09782462ae7454f2cd2cda99758bebbaf",
+    }
+
+    @pytest.fixture(params=["analytic", "checkpoint"])
+    def cfg(self, request, tmp_path):
+        kw = dict(grid=(0.0, 0.6, 1.0), repeats=2)
+        if request.param == "checkpoint":
+            kw.update(mode="block_split", backend=random_checkpoint(tmp_path / "model.ckpt"))
+        return small_cfg(tmp_path, **kw)
+
+    def test_one_pair_table_per_batch(self, cfg, monkeypatch):
+        import turnpoint.harness as harness
+
+        records = TestAnalyticGroups.egoexo_batch()
+        real, calls = harness.suite_training_pairs, []
+
+        def counted(batch, *args):
+            batch = list(batch)
+            calls.append([r.id for r in batch])
+            return real(batch, *args)
+
+        monkeypatch.setattr(harness, "suite_training_pairs", counted)
+        out = run_sweep(cfg, records=records)
+        assert calls == [[r.id for r in records]]
+        assert all(r.metrics is not None for r in out)
+
+    def test_runs_csv_bytes_are_pinned(self, cfg):
+        run_sweep(cfg, records=TestAnalyticGroups.egoexo_batch())
+        lines = (Path(cfg.out_dir) / "runs.csv").read_bytes().split(b"\r\n")
+        stripped = b"\r\n".join(line.rpartition(b",")[0] for line in lines)
+        assert hashlib.sha256(stripped).hexdigest() == self.RUNS_SHA256[cfg.mode]
 
 
 # ---------------------------------------------------------------------------

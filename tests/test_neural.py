@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import block_vectors
-from turnpoint.conditioning import block_split, compose_single, unconditioned, uniform_blocks
+from turnpoint.conditioning import block_split, compose_single, unconditioned
 from turnpoint.diffusion import build_schedule, forward_noise, sample
 from turnpoint.neural import (
     CHECKPOINT_MAGIC,
@@ -125,7 +125,8 @@ def test_init_model_seed_determinism():
 def test_fresh_model_predicts_zero():
     m = tiny_model()
     sched = build_schedule(10)
-    assign = uniform_blocks(compose_single([0.7]), m.n_blocks)
+    cond = compose_single([0.7])
+    assign = block_split(1.0, m.n_blocks, cond, cond)
     out = forward(m, np.ones(4), 3, sched, block_vectors(assign))
     np.testing.assert_array_equal(out, np.zeros(4))
 
@@ -133,13 +134,13 @@ def test_fresh_model_predicts_zero():
 def test_forward_validation():
     m = tiny_model()
     sched = build_schedule(10)
-    assign = uniform_blocks(compose_single([0.7]), m.n_blocks)
+    cond, wide = compose_single([0.7]), compose_single([0.7, 0.1])
+    assign = block_split(1.0, m.n_blocks, cond, cond)
     with pytest.raises(ValueError):
         forward(m, np.ones(5), 3, sched, block_vectors(assign))
     with pytest.raises(ValueError):
         forward(m, np.ones(4), 10, sched, block_vectors(assign))
-    for wrong in (uniform_blocks(compose_single([0.7]), 3),
-                  uniform_blocks(compose_single([0.7, 0.1]), 2)):
+    for wrong in (block_split(1.0, 3, cond, cond), block_split(1.0, 2, wide, wide)):
         with pytest.raises(ValueError):
             forward(m, np.ones(4), 3, sched, block_vectors(wrong))
 
@@ -150,8 +151,8 @@ def test_forward_depends_on_block_conditions():
     m.w_out[...] = rng.standard_normal(m.w_out.shape)
     sched = build_schedule(10)
     plus, minus = compose_single([0.7]), compose_single([-0.7])
-    a = forward(m, np.ones(4), 3, sched, block_vectors(uniform_blocks(plus, 2)))
-    b = forward(m, np.ones(4), 3, sched, block_vectors(uniform_blocks(minus, 2)))
+    a = forward(m, np.ones(4), 3, sched, block_vectors(block_split(1.0, 2, plus, plus)))
+    b = forward(m, np.ones(4), 3, sched, block_vectors(block_split(1.0, 2, minus, minus)))
     c = forward(m, np.ones(4), 3, sched, block_vectors(block_split(0.5, 2, plus, minus)))
     assert not np.array_equal(a, b)
     assert not np.array_equal(c, a) and not np.array_equal(c, b)
@@ -186,7 +187,8 @@ def test_forward_condition_shape_rule():
     stack = block_vectors(block_split(0.5, 8, compose_single([0.7]), compose_single([-0.7])))
     want = forward(m, z, 3, sched, np.stack([stack] * 3))
     assert forward(m, z, 3, sched, stack).tobytes() == want.tobytes()
-    uniform = block_vectors(uniform_blocks(compose_single([0.7]), 8))
+    cond = compose_single([0.7])
+    uniform = block_vectors(block_split(1.0, 8, cond, cond))
     assert forward(m, z, 3, sched, uniform[0]).tobytes() == (
         forward(m, z, 3, sched, uniform).tobytes()
     )
@@ -918,7 +920,7 @@ def test_neural_denoiser_predict_eps_equals_uniform_forward():
     sched = build_schedule(10)
     den = NeuralDenoiser(m, sched, (3, 2))
     cond = compose_single([0.4, -0.2])
-    vectors = block_vectors(uniform_blocks(cond, m.n_blocks))
+    vectors = block_vectors(block_split(1.0, m.n_blocks, cond, cond))
     prepared = den.prepare([cond])
     for z in (rng.standard_normal((1, 6)), rng.standard_normal((4, 6))):
         got = den.predict_eps(z, 5, prepared, np.zeros(len(z), dtype=np.intp))
