@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import ConditionEmbedding
-from .diffusion import NoiseSchedule
+from .diffusion import NoiseSchedule, step_index
 
 __all__ = [
     "VARIANCE_FLOOR",
@@ -125,13 +125,6 @@ def _mixture_view(weights, means, variances) -> GaussianMixture:
     return mixture
 
 
-def _check_step(t, sched: NoiseSchedule) -> int:
-    t = int(t)
-    if not 0 <= t < sched.n_steps:
-        raise ValueError(f"step index {t} outside [0, {sched.n_steps})")
-    return t
-
-
 def _diffuse(means, variances, t: int, sched: NoiseSchedule):
     """Component means and floored variances pushed forward to step ``t``."""
     coef = sched.coef
@@ -142,7 +135,7 @@ def _diffuse(means, variances, t: int, sched: NoiseSchedule):
 
 def diffused_mixture(mixture: GaussianMixture, t: int, sched: NoiseSchedule) -> GaussianMixture:
     """The data mixture pushed forward to diffusion step ``t``."""
-    t = _check_step(t, sched)
+    t = step_index(sched, t)
     return GaussianMixture(
         mixture.weights, *_diffuse(mixture.means, mixture.variances, t, sched)
     )
@@ -293,7 +286,7 @@ def predict_eps(z, t: int, cond_mixture, sched: NoiseSchedule, slots=None) -> np
     in slices of about ``SCORE_SLICE_BYTES``.  Equal, bit for bit, to
     scoring under :func:`diffused_mixture`, without building that mixture.
     """
-    t = _check_step(t, sched)
+    t = step_index(sched, t)
     z = _check_point(z, cond_mixture.dim)
     means, variances = _diffuse(cond_mixture.means, cond_mixture.variances, t, sched)
     scale = -sched.coef.sqrt_one_minus_alpha_bar[t]
@@ -341,12 +334,11 @@ class AnalyticDenoiser:
     condition is an error rather than a silent fallback.
     """
 
-    def __init__(self, noise_schedule: NoiseSchedule, frame_shape: tuple[int, int]):
-        n_frames, frame_dim = frame_shape
-        if n_frames < 1 or frame_dim < 1:
-            raise ValueError(f"invalid frame shape {frame_shape}")
+    def __init__(self, noise_schedule: NoiseSchedule, dim: int):
+        if dim < 1:
+            raise ValueError(f"invalid latent dimension {dim}")
         self._sched = noise_schedule
-        self._frame_shape = (int(n_frames), int(frame_dim))
+        self._dim = int(dim)
         self._mixtures: dict[bytes, GaussianMixture] = {}
 
     @property
@@ -354,12 +346,8 @@ class AnalyticDenoiser:
         return self._sched
 
     @property
-    def frame_shape(self) -> tuple[int, int]:
-        return self._frame_shape
-
-    @property
     def dim(self) -> int:
-        return self._frame_shape[0] * self._frame_shape[1]
+        return self._dim
 
     def register(self, cond: ConditionEmbedding, mixture: GaussianMixture) -> None:
         """Answer ``cond`` from ``mixture``; registering a condition again

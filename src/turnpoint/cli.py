@@ -152,6 +152,8 @@ _TRAIN_COUNT_KEYS = (
 def _cmd_train(args) -> int:
     config = load_config(args.config, _TRAIN_KEYS)
     _require_directory_of(args.out, "checkpoint")
+    log_path = os.path.join(os.path.dirname(args.out), "train_log.json")
+    _require_directory_of(log_path, "training log")
 
     def given(keys) -> dict:
         return {key: config[key] for key in keys if key in config}
@@ -191,7 +193,6 @@ def _cmd_train(args) -> int:
         **timings,
         "trace": [[step, loss, norm] for (step, loss), norm in zip(trace, grad_norms)],
     }
-    log_path = os.path.join(os.path.dirname(args.out), "train_log.json")
     with open(log_path, "w", encoding="utf-8") as fh:
         json.dump(log, fh, indent=2, sort_keys=True)
     summary = f"trained {train_cfg.steps} steps in {seconds:.1f} s ({steps_per_s:.1f} steps/s)"

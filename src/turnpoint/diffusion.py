@@ -9,6 +9,7 @@ i = 0 .. N-1 against diffusion steps t = N-1-i (noisiest first).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Protocol, runtime_checkable
@@ -23,6 +24,7 @@ __all__ = [
     "NoiseSchedule",
     "DenoiserBackend",
     "build_schedule",
+    "step_index",
     "forward_noise",
     "ancestral_step",
     "sample",
@@ -126,6 +128,19 @@ def _check_step(sched, t) -> None:
         raise ValueError(f"step index {t} outside [0, {n})")
 
 
+def step_index(sched, t) -> int:
+    """``t``, a Python or NumPy integer, as an int checked to lie in
+    ``[0, n)``, ``n`` being the length of ``sched.coef``'s tables."""
+    try:
+        t = operator.index(t)
+    except TypeError:
+        raise ValueError(f"step index {t} is not an integer") from None
+    n = len(sched.coef.eps_coef)
+    if not 0 <= t < n:
+        raise ValueError(f"step index {t} outside [0, {n})")
+    return t
+
+
 def forward_noise(z0, t, eps, sched) -> np.ndarray:
     """Closed-form forward marginal sample at step ``t``.
 
@@ -157,11 +172,8 @@ def ancestral_step(z_t, t, eps_hat, sched, noise) -> np.ndarray:
             "z_t, eps_hat and noise differ in shape: "
             f"{z_t.shape}, {eps_hat.shape}, {noise.shape}"
         )
-    t = int(t)
+    t = step_index(sched, t)
     coef = sched.coef
-    n = len(coef.eps_coef)
-    if not 0 <= t < n:
-        raise ValueError(f"step index {t} outside [0, {n})")
     # one output array; the inputs are left as they are
     out = eps_hat * coef.eps_coef[t]
     np.subtract(z_t, out, out=out)
@@ -173,7 +185,9 @@ def ancestral_step(z_t, t, eps_hat, sched, noise) -> np.ndarray:
 
 @runtime_checkable
 class DenoiserBackend(Protocol):
-    """What the sampler needs from a denoiser.
+    """What the sampler needs from a denoiser of latents of ``dim``
+    features; what a latent stands for, such as a trajectory of frames, is
+    the caller's to know.
 
     ``prepare(conds)`` turns a sequence of conditions, the slots, into
     whatever the backend wants to reuse at every step, once per
@@ -190,9 +204,6 @@ class DenoiserBackend(Protocol):
 
     @property
     def dim(self) -> int: ...
-
-    @property
-    def frame_shape(self) -> tuple[int, int]: ...
 
     def prepare(self, conds: Sequence[ConditionEmbedding]) -> Any: ...
 
@@ -273,8 +284,8 @@ def _chain_draws(seeds, dim: int, count: int):
 def sample(
     denoiser: DenoiserBackend, conditioning, seeds, guidance_scale: float = 1.0
 ) -> np.ndarray:
-    """Run one reverse chain per row and return trajectories of shape
-    ``(rows, *denoiser.frame_shape)``.
+    """Run one reverse chain per row and return the final latents, of
+    shape ``(rows, denoiser.dim)``.
 
     ``conditioning`` holds one :class:`~turnpoint.conditioning.ConditionPlan`
     per row, of one slot width, step and block plans in any mix.  Iteration
@@ -365,4 +376,4 @@ def sample(
         # the last step (t = 0, sigma_0 = 0) ignores its noise, so none is drawn
         noise = next(draws)[chain_seed] if t else np.zeros_like(z)
         z = ancestral_step(z, t, eps_hat, sched, noise)
-    return z[chain_of_row].reshape(rows, *denoiser.frame_shape)
+    return z[chain_of_row]

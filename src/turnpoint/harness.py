@@ -390,13 +390,14 @@ def load_suite(cfg: SweepConfig, records=None) -> list[PromptRecord]:
     return records
 
 
-def backend_for_record(pairs, sched: NoiseSchedule, frame_shape) -> AnalyticDenoiser:
-    """Analytic backend with ``pairs``, (condition, mixture) pairs of
+def backend_for_record(pairs, sched: NoiseSchedule, dim: int) -> AnalyticDenoiser:
+    """Analytic backend of ``dim``-feature latents with ``pairs``,
+    (condition, mixture) pairs of
     :func:`~turnpoint.worldgen.suite_training_pairs`, registered.  The
     pairs belong to one view: the two views of an EgoExo pair share their
     conditions but not their mixtures, which the backend refuses to hold
     at once."""
-    backend = AnalyticDenoiser(sched, frame_shape)
+    backend = AnalyticDenoiser(sched, dim)
     for cond, mixture in pairs:
         backend.register(cond, mixture)
     return backend
@@ -474,22 +475,22 @@ def sample_runs(cfg: SweepConfig, model, runs, records_by_id) -> np.ndarray:
         by_key[run.prompt_id, run.x][0 if run.setting is None else run.setting - 1]
         for run in runs
     ]
-    sched, frame_shape = cfg.noise_schedule, (cfg.frames, first.frame_dim)
+    sched, dim = cfg.noise_schedule, cfg.frames * first.frame_dim
     if model is None:
-        backends = {view: backend_for_record(own, sched, frame_shape)
+        backends = {view: backend_for_record(own, sched, dim)
                     for view, own in view_pairs.items()}
     else:  # one checkpoint denoises every view
-        backends = dict.fromkeys(view_pairs, NeuralDenoiser(model, sched, frame_shape))
+        backends = dict.fromkeys(view_pairs, NeuralDenoiser(model, sched))
     groups: dict = {}
     for row, run in enumerate(runs):
         groups.setdefault(backends[run.view], []).append(row)
-    trajs = np.empty((len(runs), *frame_shape))
+    latents = np.empty((len(runs), dim))
     for backend, rows in groups.items():
-        trajs[rows] = sample(
+        latents[rows] = sample(
             backend, [conditioning[r] for r in rows], [runs[r].seed for r in rows],
             cfg.guidance_scale,
         )
-    return trajs
+    return latents.reshape(len(runs), cfg.frames, first.frame_dim)
 
 
 def _error(exc: Exception) -> str:

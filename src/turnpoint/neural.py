@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, forward_noise
+from .diffusion import NoiseSchedule, forward_noise, step_index
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -183,11 +183,13 @@ class DenoiserModel:
     dim: int
     hidden: int
     n_blocks: int
-    t_emb_dim: int
+    t_emb_dim: int  # even and >= 2, as timestep_embedding needs
     cond_width: int  # one event-slot width; block condition vectors are 2*width + 2
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.t_emb_dim < 2 or self.t_emb_dim % 2:
+            raise ValueError(f"t_emb_dim must be even and >= 2, got {self.t_emb_dim}")
         count = _param_count(self.dim, self.hidden, self.n_blocks, self.t_emb_dim,
                              self.cond_width)
         h = self.hidden
@@ -359,9 +361,7 @@ def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds, slots=None) -
     z_t = np.asarray(z_t, dtype=np.float64)
     if z_t.ndim not in (1, 2) or z_t.shape[-1] != model.dim:
         raise ValueError(f"latent has shape {z_t.shape}, model dimension is {model.dim}")
-    t = int(t)
-    if not 0 <= t < sched.n_steps:
-        raise ValueError(f"step index {t} outside [0, {sched.n_steps})")
+    t = step_index(sched, t)
     batch = z_t.reshape(-1, model.dim)
     rows = batch.shape[0]
     if slots is None:
@@ -710,7 +710,10 @@ def load_checkpoint(path) -> DenoiserModel:
         raise CheckpointError(f"truncated parameter data: {body} of {want} bytes")
     if body > want:
         raise CheckpointError(f"{body - want} trailing bytes after parameters")
-    model = DenoiserModel(*dims)
+    try:
+        model = DenoiserModel(*dims)
+    except ValueError as exc:
+        raise CheckpointError(f"invalid header dimensions: {exc}") from exc
     model.flat[...] = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     return model
 
@@ -779,17 +782,9 @@ class NeuralDenoiser:
     :func:`forward` pass.
     """
 
-    def __init__(self, model: DenoiserModel, noise_schedule: NoiseSchedule,
-                 frame_shape: tuple[int, int]):
-        n_frames, frame_dim = frame_shape
-        if n_frames * frame_dim != model.dim:
-            raise ValueError(
-                f"frame shape {frame_shape} does not flatten to model dimension "
-                f"{model.dim}"
-            )
+    def __init__(self, model: DenoiserModel, noise_schedule: NoiseSchedule):
         self._model = model
         self._sched = noise_schedule
-        self._frame_shape = (int(n_frames), int(frame_dim))
 
     @property
     def model(self) -> DenoiserModel:
@@ -798,10 +793,6 @@ class NeuralDenoiser:
     @property
     def noise_schedule(self) -> NoiseSchedule:
         return self._sched
-
-    @property
-    def frame_shape(self) -> tuple[int, int]:
-        return self._frame_shape
 
     @property
     def dim(self) -> int:

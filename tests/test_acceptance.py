@@ -87,14 +87,14 @@ def test_criterion_01_step_switch_endpoints_match_constant_conditioning():
     model = _randomized_model(
         frames * frame_dim, cond_width=3 + 2 * records[0].feature_dim, seed=31
     )
-    neural = NeuralDenoiser(model, sched, (frames, frame_dim))
+    neural = NeuralDenoiser(model, sched)
     checked, all_equal = 0, True
     for record in chosen:
         seed = int(rng.integers(2**31))
         c1 = condition_of(record, "event1")
         c2 = condition_of(record, "event2")
         analytic = backend_for_record(
-            suite_training_pairs([record], frames, 0.5), sched, (frames, frame_dim)
+            suite_training_pairs([record], frames, 0.5), sched, frames * frame_dim
         )
         for backend in (analytic, neural):
             (lo,) = sample(backend, [step_switch(0.0, n_steps, c1, c2)], [seed])
@@ -290,7 +290,7 @@ def test_criterion_07_ancestral_sampling_recovers_gaussian_moments():
     record = PromptRecord("p", "General", "third", (e1, e2))
     sched = build_schedule(n_steps)
     backend = backend_for_record(
-        suite_training_pairs([record], frames, sigma), sched, (frames, record.frame_dim)
+        suite_training_pairs([record], frames, sigma), sched, frames * record.frame_dim
     )
     cond = condition_of(record, "event1")
     target = backend.mixture_for(cond)  # single component for one event

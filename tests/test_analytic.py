@@ -158,6 +158,32 @@ def test_diffused_mixture_step_range():
         diffused_mixture(two_bump(), 5, sched)
 
 
+@pytest.mark.parametrize("t", [2.5, np.float64(2.0)])
+def test_steps_that_are_not_integers_are_refused(t):
+    sched, mix = build_schedule(5), two_bump()
+    with pytest.raises(ValueError, match="is not an integer"):
+        diffused_mixture(mix, t, sched)
+    with pytest.raises(ValueError, match="is not an integer"):
+        predict_eps(np.zeros(mix.dim), t, mix, sched)
+    tables = mixture_tables([mix])
+    with pytest.raises(ValueError, match="is not an integer"):
+        predict_eps(np.zeros((1, mix.dim)), t, tables, sched, [0])
+
+
+def test_numpy_integer_steps_equal_python_ints():
+    sched, mix = build_schedule(5), two_bump()
+    z = np.random.default_rng(8).standard_normal((4, mix.dim))
+    tables, slots = mixture_tables([mix, two_bump(dist=1.0)]), [0, 1, 1, 0]
+    for t in (0, 3):
+        got, want = diffused_mixture(mix, np.int64(t), sched), diffused_mixture(mix, t, sched)
+        assert got.means.tobytes() == want.means.tobytes()
+        assert got.variances.tobytes() == want.variances.tobytes()
+        assert (predict_eps(z, np.int64(t), mix, sched).tobytes()
+                == predict_eps(z, t, mix, sched).tobytes())
+        assert (predict_eps(z, np.int64(t), tables, sched, slots).tobytes()
+                == predict_eps(z, t, tables, sched, slots).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # predict_eps
 
@@ -393,7 +419,7 @@ def test_sample_mixture_count_validation():
 
 def test_denoiser_registry_lookup_by_value():
     sched = build_schedule(10)
-    backend = AnalyticDenoiser(sched, (1, 2))
+    backend = AnalyticDenoiser(sched, 2)
     cond = compose_single([1.0, 2.0])
     mix = two_bump()
     backend.register(cond, mix)
@@ -408,7 +434,7 @@ def test_denoiser_registry_lookup_by_value():
 
 
 def test_denoiser_unregistered_condition_is_an_error():
-    backend = AnalyticDenoiser(build_schedule(5), (1, 2))
+    backend = AnalyticDenoiser(build_schedule(5), 2)
     with pytest.raises(ValueError, match="no data distribution registered"):
         backend.mixture_for(compose_single([9.0, 9.0]))
 
@@ -420,7 +446,7 @@ def test_denoiser_refuses_a_second_mixture_for_a_condition():
     assert (first.view, third.view) == ("first", "third")
     cond = condition_of(first, "event1")
     assert cond == condition_of(third, "event1")
-    backend = AnalyticDenoiser(build_schedule(5), (8, first.frame_dim))
+    backend = AnalyticDenoiser(build_schedule(5), 8 * first.frame_dim)
     (_, mixture), *_ = suite_training_pairs([first], 8, 0.5)
     backend.register(cond, mixture)
     (_, again), *_ = suite_training_pairs([first], 8, 0.5)
@@ -432,7 +458,7 @@ def test_denoiser_refuses_a_second_mixture_for_a_condition():
 
 
 def test_denoiser_dimension_check_on_register():
-    backend = AnalyticDenoiser(build_schedule(5), (2, 3))
+    backend = AnalyticDenoiser(build_schedule(5), 6)
     assert backend.dim == 6
     with pytest.raises(ValueError):
         backend.register(compose_single([1.0]), two_bump())

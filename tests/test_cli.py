@@ -27,6 +27,7 @@ from turnpoint.metrics import MetricsRecord
 from turnpoint.neural import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    _param_count,
     init_model,
     load_checkpoint,
     save_checkpoint,
@@ -428,6 +429,34 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: checkpoint path is a directory: {out}\n"
         assert list(out.iterdir()) == []
 
+    def test_log_onto_a_directory_exits_1_before_training(self, tmp_path, small_suite,
+                                                          monkeypatch, capsys):
+        import turnpoint.cli as cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "train", fail)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"suite": small_suite, "steps": 3}))
+        log = tmp_path / "train_log.json"
+        log.mkdir()
+        out = tmp_path / "model.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: training log path is a directory: {log}\n"
+        assert not out.exists() and list(log.iterdir()) == []
+
+    @pytest.mark.parametrize("t_emb_dim", [15, 0, -2])
+    def test_bad_t_emb_dim_exits_1(self, tmp_path, small_suite, capsys, t_emb_dim):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"suite": small_suite, "t_emb_dim": t_emb_dim, "steps": 3}))
+        out = tmp_path / "model.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: t_emb_dim must be even and >= 2, got {t_emb_dim}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
 
 # ---------------------------------------------------------------------------
 # sample
@@ -741,6 +770,26 @@ class TestSweepAndReport:
                      "--n-steps", "6", "--frames", "6", "--out-dir", str(tmp_path / "s")])
         assert code == 1
         assert "cannot load checkpoint: truncated parameter data" in capsys.readouterr().err
+
+    def test_checkpoint_header_with_an_odd_t_emb_dim_exits_1(self, small_suite, tmp_path,
+                                                             capsys):
+        # the body has the size the header asks for, so only t_emb_dim is wrong
+        path = tmp_path / "odd.ckpt"
+        dims = (36, 8, 2, 3, 7)
+        path.write_bytes(struct.pack("<6sIIIIII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *dims)
+                         + b"\x00" * (8 * _param_count(*dims)))
+        message = "cannot load checkpoint: invalid header dimensions: t_emb_dim must be even"
+        code = main(["sweep", "--suite", small_suite, "--mode", "block_split",
+                     "--backend", str(path), "--grid", "0,1", "--repeats", "1",
+                     "--n-steps", "6", "--frames", "6", "--out-dir", str(tmp_path / "s")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+        prompt = read_suite(small_suite)[0].id
+        sample = sample_args(small_suite, tmp_path / "o", prompt, mode="block",
+                             backend=str(path), n_steps=6)
+        assert main(sample) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", ["-1", "nan"])
     def test_bad_guidance_scale_exits_1(self, small_suite, tiny_checkpoint, tmp_path,

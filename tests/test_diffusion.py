@@ -35,7 +35,6 @@ class LinearBackend:
     def __init__(self, sched, dim=6, a=0.0, b=0.0):
         self.noise_schedule = sched
         self.dim = dim
-        self.frame_shape = (2, dim // 2)
         self.a = a
         self.b = b
         self.calls = []
@@ -262,6 +261,21 @@ def test_ancestral_step_rejects_steps_outside_the_schedule(t):
         ancestral_step(np.zeros(2), t, np.zeros(2), sched, np.zeros(2))
 
 
+@pytest.mark.parametrize("t", [2.5, np.float64(2.0)])
+def test_ancestral_step_rejects_a_step_that_is_not_an_integer(t):
+    sched = build_schedule(3)
+    with pytest.raises(ValueError, match="is not an integer"):
+        ancestral_step(np.zeros(2), t, np.zeros(2), sched, np.zeros(2))
+
+
+def test_ancestral_step_numpy_integer_step_equals_python_int():
+    sched = build_schedule(10)
+    z, eps, noise = np.random.default_rng(4).standard_normal((3, 5, 6))
+    for t in (0, 7):
+        want = ancestral_step(z, t, eps, sched, noise).tobytes()
+        assert ancestral_step(z, np.int64(t), eps, sched, noise).tobytes() == want
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -272,7 +286,7 @@ def test_sample_deterministic_and_shaped():
     schedule = constant_schedule(10, compose_single([1.0]))
     a = sample(backend, [schedule], [5])[0]
     b = sample(backend, [schedule], [5])[0]
-    assert a.shape == backend.frame_shape
+    assert a.shape == (backend.dim,)
     np.testing.assert_array_equal(a, b)
     c = sample(backend, [schedule], [6])[0]
     assert not np.array_equal(a, c)
@@ -297,7 +311,7 @@ def test_sample_batches_rows_by_active_condition():
     schedules = [step_switch(x, 10, c1, c2) for x in (0.0, 0.3, 1.0, 0.3)]
     seeds = [1, 2, 3, 4]
     batch = sample(backend, schedules, seeds)
-    assert batch.shape == (4, *backend.frame_shape)
+    assert batch.shape == (4, backend.dim)
     assert len(backend.calls) == 20  # one call per condition in play per step
     alone = [
         sample(LinearBackend(sched, a=0.1, b=0.2), [s], [seed])[0]
@@ -328,9 +342,8 @@ def test_sample_noise_streams_match_per_step_draws():
         t = sched.n_steps - 1 - i
         eps = backend.a * z + backend.b
         z = ancestral_step(z, t, eps, sched, draw(gens))
-    want = z.reshape(rows, *backend.frame_shape)
     got = sample(backend, schedules, seeds)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == z.tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7])
@@ -397,7 +410,7 @@ def test_analytic_rows_sharing_seeds_match_each_row_alone():
     sched = build_schedule(12)
     records = [r for r in generate_suite(0) if r.view == "third"][:3]
     backend = backend_for_record(
-        suite_training_pairs(records, 8, 0.5), sched, (8, records[0].frame_dim)
+        suite_training_pairs(records, 8, 0.5), sched, 8 * records[0].frame_dim
     )
     plans, seeds = [], []
     for p, record in enumerate(records):
@@ -430,10 +443,10 @@ def test_shared_plan_objects_index_and_sample_as_rebuilt_plans(backend_kind):
     sched = build_schedule(10)
     records = [r for r in generate_suite(1) if r.view == "third"][:3]
     if backend_kind == "analytic":
-        backend = backend_for_record(suite_training_pairs(records, 6, 0.5), sched, (6, 6))
+        backend = backend_for_record(suite_training_pairs(records, 6, 0.5), sched, 36)
     else:
         model = init_model(36, hidden=8, n_blocks=4, t_emb_dim=4, cond_width=7, seed=3)
-        backend = NeuralDenoiser(model, sched, (6, 6))
+        backend = NeuralDenoiser(model, sched)
     plans, seeds = [], []
     for p, record in enumerate(records):
         e1, e2 = condition_of(record, "event1"), condition_of(record, "event2")
@@ -450,7 +463,9 @@ def test_shared_plan_objects_index_and_sample_as_rebuilt_plans(backend_kind):
     assert [c.key() for c in shared_conds] == [c.key() for c in own_conds]
     assert shared_index.shape == own_index.shape
     assert shared_index.tobytes() == own_index.tobytes()
-    assert sample(backend, plans, seeds).tobytes() == sample(backend, rebuilt, seeds).tobytes()
+    latents = sample(backend, plans, seeds)
+    assert latents.shape == (len(plans), 36)
+    assert latents.tobytes() == sample(backend, rebuilt, seeds).tobytes()
 
 
 @pytest.mark.parametrize("guidance_scale", [1.0, 2.0])
@@ -462,7 +477,7 @@ def test_checkpoint_duplicate_block_plans_match_each_row_alone(guidance_scale):
     sched = build_schedule(8)
     model = init_model(12, hidden=16, n_blocks=8, t_emb_dim=4, cond_width=1, seed=0)
     model.flat[...] = np.random.default_rng(5).standard_normal(model.flat.shape) * 0.3
-    den = NeuralDenoiser(model, sched, (4, 3))
+    den = NeuralDenoiser(model, sched)
     c1, c2 = compose_single([0.7]), compose_single([-0.7])
     grid = [i / 10 for i in range(11)]
     plans = [block_split(x, model.n_blocks, c1, c2) for _ in range(3) for x in grid]
@@ -586,7 +601,7 @@ def test_sample_with_a_single_step():
     got = sample(backend, plans, [8, 9])
     z = np.stack([np.random.default_rng(seed).standard_normal(backend.dim) for seed in (8, 9)])
     want = ancestral_step(z, 0, backend.a * z + backend.b, sched, np.zeros_like(z))
-    assert got.tobytes() == want.reshape(2, *backend.frame_shape).tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sample_propagates_a_backend_error():
@@ -622,9 +637,9 @@ def test_sample_rejects_mixed_condition_widths():
     model = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=1, seed=0)
     narrow, wide = compose_single([1.0]), compose_single([1.0, 2.0])
     for backend, plans in (
-        (AnalyticDenoiser(sched, (3, 2)),
+        (AnalyticDenoiser(sched, 6),
          [constant_schedule(4, narrow), constant_schedule(4, wide)]),
-        (NeuralDenoiser(model, sched, (3, 2)),
+        (NeuralDenoiser(model, sched),
          [block_split(1.0, 3, narrow, narrow), constant_schedule(4, wide)]),
     ):
         with pytest.raises(ValueError, match="condition slot widths 1 and 2"):
@@ -667,7 +682,7 @@ def test_sample_block_assignment_needs_block_backend():
 def test_sample_block_assignment_needs_as_many_blocks_as_the_backend():
     sched = build_schedule(4)
     model = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=1, seed=0)
-    den = NeuralDenoiser(model, sched, (3, 2))
+    den = NeuralDenoiser(model, sched)
     c = compose_single([1.0])
     with pytest.raises(
         ValueError,
@@ -679,8 +694,8 @@ def test_sample_block_assignment_needs_as_many_blocks_as_the_backend():
 def test_both_backends_are_denoiser_backends():
     sched = build_schedule(4)
     model = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=1, seed=0)
-    assert isinstance(AnalyticDenoiser(sched, (3, 2)), DenoiserBackend)
-    assert isinstance(NeuralDenoiser(model, sched, (3, 2)), DenoiserBackend)
+    assert isinstance(AnalyticDenoiser(sched, 6), DenoiserBackend)
+    assert isinstance(NeuralDenoiser(model, sched), DenoiserBackend)
 
 
 def test_sample_block_assignments_equal_per_row_forward():
@@ -689,7 +704,7 @@ def test_sample_block_assignments_equal_per_row_forward():
     sched = build_schedule(8)
     model = init_model(6, hidden=4, n_blocks=4, t_emb_dim=2, cond_width=1, seed=0)
     model.w_out[...] = np.random.default_rng(5).standard_normal(model.w_out.shape)
-    den = NeuralDenoiser(model, sched, (3, 2))
+    den = NeuralDenoiser(model, sched)
     c1, c2 = compose_single([0.7]), compose_single([-0.7])
     assigns = [block_split(x, model.n_blocks, c1, c2) for x in (0.0, 0.25, 0.5, 0.75, 1.0)]
     seeds = [11, 12, 13, 14, 15]
@@ -709,7 +724,7 @@ def _checkpoint_backend(n_steps):
     sched = build_schedule(n_steps)
     model = init_model(6, hidden=4, n_blocks=4, t_emb_dim=2, cond_width=1, seed=0)
     model.w_out[...] = np.random.default_rng(5).standard_normal(model.w_out.shape)
-    return NeuralDenoiser(model, sched, (3, 2))
+    return NeuralDenoiser(model, sched)
 
 
 def test_sample_mixes_step_and_block_plans_on_a_checkpoint():
@@ -798,7 +813,7 @@ def test_sample_builds_no_block_assignment_on_a_checkpoint(monkeypatch, guidance
     sched = build_schedule(6)
     model = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=1, seed=0)
     model.w_out[...] = np.random.default_rng(5).standard_normal(model.w_out.shape)
-    den = NeuralDenoiser(model, sched, (3, 2))
+    den = NeuralDenoiser(model, sched)
     c1, c2 = compose_single([0.7]), compose_single([-0.7])
     ratios = (0.0, 0.5, 1.0)
     batches = [
@@ -815,7 +830,7 @@ def test_sample_builds_no_block_assignment_on_a_checkpoint(monkeypatch, guidance
     monkeypatch.setattr(ConditionPlan, "__post_init__", counted)
     for conditioning in batches:
         out = sample(den, conditioning, [1, 2, 3], guidance_scale=guidance_scale)
-        assert out.shape == (3, 3, 2) and np.isfinite(out).all()
+        assert out.shape == (3, model.dim) and np.isfinite(out).all()
     assert built == []
 
 
@@ -826,7 +841,7 @@ def test_sample_projects_block_conditions_once_per_call(monkeypatch, guidance_sc
     sched = build_schedule(50)
     model = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=1, seed=0)
     model.w_out[...] = np.random.default_rng(5).standard_normal(model.w_out.shape)
-    den = NeuralDenoiser(model, sched, (3, 2))
+    den = NeuralDenoiser(model, sched)
     c1, c2 = compose_single([0.7]), compose_single([-0.7])
     conditioning = [block_split(x, model.n_blocks, c1, c2) for x in (0.0, 0.5, 1.0)]
     calls = []

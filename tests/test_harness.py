@@ -402,9 +402,10 @@ class TestRunSweep:
 
         sched = build_schedule(cfg.n_steps, cfg.beta_min, cfg.beta_max)
         pairs = suite_training_pairs([record], cfg.frames, cfg.sigma, cfg.w_mix)
-        backend = backend_for_record(pairs, sched, (cfg.frames, record.frame_dim))
+        backend = backend_for_record(pairs, sched, cfg.frames * record.frame_dim)
         schedule = constant_schedule(cfg.n_steps, condition_of(record, "event2"))
-        (traj,) = sample(backend, [schedule], [run.seed])
+        (latent,) = sample(backend, [schedule], [run.seed])
+        traj = latent.reshape(cfg.frames, record.frame_dim)
         want = evaluate(traj, record.events[0], record.events[1])
         assert run.metrics == want
 
@@ -475,6 +476,17 @@ class TestRunSweep:
         out = run_sweep(cfg, records=[record])
         assert [r.metrics for r in out] == [evaluate(traj, *record.events) for traj in alone]
 
+    @pytest.mark.parametrize("backend", ["analytic", "checkpoint"])
+    def test_sample_runs_returns_trajectories(self, tmp_path, backend):
+        # the sampler returns (rows, dim) latents; sample_runs reads each
+        # as cfg.frames frames
+        record = generate_suite(0)[0]
+        model = small_checkpoint(tmp_path / "model.ckpt") if backend == "checkpoint" else None
+        cfg = small_cfg(tmp_path, grid=(0.0, 0.5, 1.0))
+        runs = _plan_jobs(cfg, [record])
+        trajs = sample_runs(cfg, model, runs, {record.id: record})
+        assert trajs.shape == (len(runs), cfg.frames, record.frame_dim)
+
     def test_multi_ratio_checkpoint_parallel_matches_serial(self, tmp_path):
         path = tmp_path / "model.ckpt"
         model = small_checkpoint(path)
@@ -519,9 +531,9 @@ class TestRunSweep:
         calls = []
 
         def one_nan_row(*args):
-            trajs = real_sample(*args)
-            trajs[1, 0, 0] = np.nan
-            return trajs
+            latents = real_sample(*args)
+            latents[1, 0] = np.nan
+            return latents
 
         def batch_and_row_2_fail(*args):
             # call 1 scores rows 0 and 2 together; then row 0, then row 2, alone

@@ -25,6 +25,7 @@ from turnpoint.neural import (
     TrainConfig,
     SlotTable,
     TrainingError,
+    _param_count,
     forward,
     init_model,
     load_checkpoint,
@@ -170,7 +171,7 @@ def test_forward_pairs_each_row_with_its_own_assignment():
     rows = np.stack([forward(m, zi, 3, sched, block_vectors(ai)) for zi, ai in zip(z, assigns)])
     assert len({r.tobytes() for r in rows}) == len(assigns)  # every assignment matters
     np.testing.assert_allclose(forward(m, z, 3, sched, stacked), rows, rtol=1e-12, atol=1e-14)
-    den = NeuralDenoiser(m, sched, (2, 2))
+    den = NeuralDenoiser(m, sched)
     slots = np.array([[int(assign.conds[s] is b) for s in assign.slots[0]] for assign in assigns])
     got = den.predict_eps(z, 3, den.prepare([a, b]), slots)
     np.testing.assert_allclose(got, rows, rtol=1e-12, atol=1e-14)
@@ -893,6 +894,19 @@ def test_checkpoint_header_cannot_ask_for_more_than_the_body(tmp_path, dims):
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("t_emb_dim", [0, 3])
+def test_t_emb_dim_must_be_even_and_at_least_2(tmp_path, t_emb_dim):
+    with pytest.raises(ValueError, match="t_emb_dim must be even and >= 2"):
+        init_model(6, hidden=4, n_blocks=3, t_emb_dim=t_emb_dim, cond_width=2)
+    # a header whose body has the right size for its dimensions
+    dims = (6, 4, 3, t_emb_dim, 2)
+    path = tmp_path / "odd.ckpt"
+    header = struct.pack("<6sIIIIII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *dims)
+    path.write_bytes(header + b"\x00" * (8 * _param_count(*dims)))
+    with pytest.raises(CheckpointError, match="invalid header dimensions: t_emb_dim"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # sampler-facing wrapper
 
@@ -902,7 +916,7 @@ def test_neural_denoiser_uniform_equals_blocks():
     rng = np.random.default_rng(3)
     m.w_out[...] = rng.standard_normal(m.w_out.shape)
     sched = build_schedule(10)
-    den = NeuralDenoiser(m, sched, (2, 2))
+    den = NeuralDenoiser(m, sched)
     cond = compose_single([0.4])
     z = rng.standard_normal((3, 4))
     prepared = den.prepare([compose_single([-0.4]), cond])
@@ -910,7 +924,7 @@ def test_neural_denoiser_uniform_equals_blocks():
     b = den.predict_eps(z, 5, prepared, np.ones((3, m.n_blocks), dtype=np.intp))
     np.testing.assert_array_equal(a, b)
     np.testing.assert_allclose(a, forward(m, z, 5, sched, cond.vector), rtol=1e-12, atol=1e-14)
-    assert den.dim == 4 and den.frame_shape == (2, 2) and den.n_blocks == m.n_blocks
+    assert den.dim == 4 and den.n_blocks == m.n_blocks
 
 
 def test_neural_denoiser_predict_eps_equals_uniform_forward():
@@ -918,7 +932,7 @@ def test_neural_denoiser_predict_eps_equals_uniform_forward():
     rng = np.random.default_rng(6)
     m.w_out[...] = rng.standard_normal(m.w_out.shape)
     sched = build_schedule(10)
-    den = NeuralDenoiser(m, sched, (3, 2))
+    den = NeuralDenoiser(m, sched)
     cond = compose_single([0.4, -0.2])
     vectors = block_vectors(block_split(1.0, m.n_blocks, cond, cond))
     prepared = den.prepare([cond])
@@ -941,7 +955,7 @@ def test_neural_denoiser_predict_eps_equals_forward_across_the_small_matrix_thre
     rng = np.random.default_rng(9)
     m.flat[...] += 0.05 * rng.standard_normal(m.flat.shape)
     sched = build_schedule(50)
-    den = NeuralDenoiser(m, sched, (6, 2))
+    den = NeuralDenoiser(m, sched)
     for rows in (1, 18, 19, 132):
         conds = [compose_single(list(rng.standard_normal(7))) for _ in range(rows)]
         per_row = rng.permutation(rows)
@@ -967,7 +981,7 @@ def test_sample_leaves_the_prepared_table_unchanged(tmp_path):
     m.flat[...] += 0.1 * np.random.default_rng(3).standard_normal(m.flat.shape)
     save_checkpoint(m, tmp_path / "model.ckpt")
     m = load_checkpoint(tmp_path / "model.ckpt")
-    den = NeuralDenoiser(m, build_schedule(20), (3, 2))
+    den = NeuralDenoiser(m, build_schedule(20))
     a, b = compose_single([0.4, -0.2]), compose_single([-1.0, 0.3])
     plans = [block_split(x, m.n_blocks, a, b) for x in (0.0, 0.5, 1.0)]
     tables = []
@@ -993,7 +1007,7 @@ def test_sample_leaves_the_prepared_table_unchanged(tmp_path):
 def test_forward_rejects_a_step_outside_the_schedule_or_the_table():
     m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=1)
     sched = build_schedule(10)
-    den = NeuralDenoiser(m, sched, (3, 2))
+    den = NeuralDenoiser(m, sched)
     table = den.prepare([compose_single([0.4, -0.2]), compose_single([-1.0, 0.3])])
     z = np.random.default_rng(2).standard_normal((2, m.dim))
     for t in (-1, sched.n_steps):
@@ -1004,12 +1018,37 @@ def test_forward_rejects_a_step_outside_the_schedule_or_the_table():
         forward(m, z, 7, sched, short, [0, 1])
 
 
+@pytest.mark.parametrize("t", [2.5, np.float64(2.0)])
+def test_forward_rejects_a_step_that_is_not_an_integer(t):
+    m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=1)
+    sched = build_schedule(10)
+    table = SlotTable(m, compose_single([0.4, -0.2]).vector[None], sched.n_steps)
+    z = np.zeros((2, m.dim))
+    with pytest.raises(ValueError, match="is not an integer"):
+        forward(m, z, t, sched, table, [0, 0])
+    with pytest.raises(ValueError, match="is not an integer"):
+        forward(m, z, t, sched, np.ones(m.cond_dim))
+
+
+def test_forward_numpy_integer_step_equals_python_int():
+    m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=1)
+    sched = build_schedule(10)
+    vectors = np.stack([compose_single([0.4, -0.2]).vector, compose_single([-1.0, 0.3]).vector])
+    z = np.random.default_rng(2).standard_normal((2, m.dim))
+    table = SlotTable(m, vectors, sched.n_steps)
+    for t in (0, 6):
+        want = forward(m, z, t, sched, table, [0, 1]).tobytes()
+        assert forward(m, z, np.int64(t), sched, table, [0, 1]).tobytes() == want
+        want = forward(m, z, t, sched, vectors[1]).tobytes()
+        assert forward(m, z, np.int64(t), sched, vectors[1]).tobytes() == want
+
+
 def test_prepared_state_is_a_snapshot_of_the_model():
     m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=1)
     rng = np.random.default_rng(6)
     m.flat[...] += rng.standard_normal(m.flat.shape)
     sched = build_schedule(10)
-    den = NeuralDenoiser(m, sched, (3, 2))
+    den = NeuralDenoiser(m, sched)
     conds = [compose_single([0.4, -0.2]), compose_single([-1.0, 0.3])]
     prepared = den.prepare(conds)
     z = rng.standard_normal((5, 6))
@@ -1025,7 +1064,7 @@ def test_neural_denoiser_answers_each_row_under_its_slot():
     rng = np.random.default_rng(8)
     m.w_out[...] = rng.standard_normal(m.w_out.shape)
     sched = build_schedule(10)
-    den = NeuralDenoiser(m, sched, (3, 2))
+    den = NeuralDenoiser(m, sched)
     conds = [compose_single([0.4, -0.2]), compose_single([-1.0, 0.3]), compose_single([0.0, 2.0])]
     slots = np.array([2, 0, 0, 1, 2, 1, 0])
     z = rng.standard_normal((len(slots), 6))
@@ -1035,9 +1074,3 @@ def test_neural_denoiser_answers_each_row_under_its_slot():
     for row, slot in enumerate(slots):
         want = forward(m, z[row], 7, sched, conds[slot].vector)
         np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-14)
-
-
-def test_neural_denoiser_frame_shape_check():
-    m = tiny_model()
-    with pytest.raises(ValueError):
-        NeuralDenoiser(m, build_schedule(10), (3, 2))
