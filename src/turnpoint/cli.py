@@ -20,6 +20,7 @@ from .harness import (
     RunRecord,
     SweepConfig,
     _count,
+    _real,
     aggregate,
     load_config,
     load_suite,
@@ -141,12 +142,13 @@ _TRAIN_OPTIMIZER_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 _TRAIN_KEYS = {
     *_TRAIN_DATA_KEYS, "diffusion_steps", *_TRAIN_MODEL_KEYS, "init_seed", *_TRAIN_OPTIMIZER_KEYS
 }
-# read as sweep counts are (harness._count): 16.0 reads as 16, and 6.5 or
-# true exits 1
+# read as sweep counts and reals are (harness._count, _real): a count of
+# 16.0 reads as 16, and 6.5 or true exits 1, as a real true or "a" does
 _TRAIN_COUNT_KEYS = (
     "frames", "diffusion_steps", "hidden", "n_blocks", "t_emb_dim", "init_seed",
     "batch_size", "steps", "seed",
 )
+_TRAIN_REAL_KEYS = ("learning_rate", "beta1", "beta2", "eps", "ema_decay")
 
 
 def _cmd_train(args) -> int:
@@ -159,9 +161,10 @@ def _cmd_train(args) -> int:
         return {key: config[key] for key in keys if key in config}
 
     try:
-        config.update(
-            {key: _count(key, config[key]) for key in _TRAIN_COUNT_KEYS if key in config}
-        )
+        config.update({key: _count(key, config[key]) for key in _TRAIN_COUNT_KEYS if key in config})
+        for key in _TRAIN_REAL_KEYS:
+            if key in config and not (key == "ema_decay" and config[key] is None):  # no EMA
+                _real(key, config[key])
         steps = config.get("diffusion_steps", SweepConfig.n_steps)
         data = SweepConfig(n_steps=steps, **given(_TRAIN_DATA_KEYS))
         records = load_suite(data)
@@ -175,7 +178,7 @@ def _cmd_train(args) -> int:
             **given(_TRAIN_MODEL_KEYS),
         )
         train_cfg = TrainConfig(**given(_TRAIN_OPTIMIZER_KEYS))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # a real of 10**400 overflows
         raise ConfigurationError(str(exc)) from exc
 
     start = time.perf_counter()

@@ -118,44 +118,44 @@ def build_schedule(
     return NoiseSchedule(beta, alpha, np.cumprod(alpha))
 
 
-def _check_step(sched, t) -> None:
-    n = len(sched.beta)
-    t_arr = np.asarray(t)
-    if t_arr.dtype.kind not in "iu":
-        raise ValueError(f"step index {t} is not an integer")
-    # one comparison: cast to unsigned, a negative step reads as a huge one
-    if (t_arr.astype(np.uintp, copy=False) >= n).any():
-        raise ValueError(f"step index {t} outside [0, {n})")
-
-
-def step_index(sched, t) -> int:
-    """``t``, a Python or NumPy integer, as an int checked to lie in
-    ``[0, n)``, ``n`` being the length of ``sched.coef``'s tables."""
-    try:
-        t = operator.index(t)
-    except TypeError:
-        raise ValueError(f"step index {t} is not an integer") from None
+def step_index(sched, t):
+    """``t`` as steps of ``sched``: a Python or NumPy integer, returned as an
+    int, or an integer array of per-row steps, each in ``[0, n)``, ``n`` the
+    length of ``sched.coef``'s tables.  Booleans and floats are refused."""
     n = len(sched.coef.eps_coef)
-    if not 0 <= t < n:
+    try:
+        if t.__class__ is bool:  # operator.index would read True as 1
+            raise TypeError
+        step = operator.index(t)
+    except TypeError:
+        steps = np.asarray(t)
+        if steps.dtype.kind not in "iu":
+            raise ValueError(f"step index {t} is not an integer") from None
+        # one comparison: cast to unsigned, a negative step reads as a huge one
+        if (steps.astype(np.uintp, copy=False) >= n).any():
+            raise ValueError(f"step index {t} outside [0, {n})")
+        return steps
+    if not 0 <= step < n:
         raise ValueError(f"step index {t} outside [0, {n})")
-    return t
+    return step
 
 
 def forward_noise(z0, t, eps, sched) -> np.ndarray:
-    """Closed-form forward marginal sample at step ``t``.
+    """Closed-form forward marginal sample at step ``t``, from ``sched.coef``.
 
     Accepts a single vector with scalar ``t`` or a batch of rows with a
-    per-row ``t``.
+    scalar or per-row ``t``.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if z0.shape != eps.shape:
         raise ValueError(f"z0 and eps differ in shape: {z0.shape} vs {eps.shape}")
-    _check_step(sched, t)
-    a_bar = np.asarray(sched.alpha_bar)[t]
-    if z0.ndim == 2 and np.ndim(a_bar) == 1:
-        a_bar = a_bar[:, None]
-    return np.sqrt(a_bar) * z0 + np.sqrt(1.0 - a_bar) * eps
+    t = step_index(sched, t)
+    coef = sched.coef
+    root, root_noise = np.take((coef.sqrt_alpha_bar, coef.sqrt_one_minus_alpha_bar), t, axis=1)
+    if z0.ndim == 2 and np.ndim(t) == 1:
+        root, root_noise = root[:, None], root_noise[:, None]
+    return root * z0 + root_noise * eps
 
 
 def ancestral_step(z_t, t, eps_hat, sched, noise) -> np.ndarray:

@@ -140,6 +140,13 @@ def _count(name: str, value) -> int:
     raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value):
+    """``value``, refused unless it is a number; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     mode: str = "step_switch"
@@ -171,6 +178,8 @@ class SweepConfig:
             raise ConfigurationError(f"grid must be a list of ratios, got {self.grid!r}") from None
         for name in _COUNT_FIELDS:
             object.__setattr__(self, name, _count(name, getattr(self, name)))
+        for name in ("guidance_scale", "sigma", "w_mix"):  # the betas: with the schedule
+            _real(name, getattr(self, name))
         for name in ("backend", "suite", "out_dir"):
             value = getattr(self, name)
             if not (isinstance(value, str) and value) and not (name == "suite" and value is None):
@@ -209,7 +218,8 @@ class SweepConfig:
         if not np.isfinite(self.w_mix):  # a finite w_mix is clamped by worldgen
             raise ConfigurationError("w_mix must be finite")
         try:
-            sched = build_schedule(self.n_steps, self.beta_min, self.beta_max)
+            betas = (_real(name, getattr(self, name)) for name in ("beta_min", "beta_max"))
+            sched = build_schedule(self.n_steps, *betas)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"invalid noise schedule: {exc}") from exc
         object.__setattr__(self, "noise_schedule", sched)

@@ -18,29 +18,26 @@ unsplit ``w1``.
 
 Inference and training run one block body, ``_forward_batch``, on a
 tuple of weight operands, each of shape ``(in, out)`` so that a product
-reads ``x @ W``, and on each block's condition terms.  Inference runs on
-C-contiguous copies of the weights, which BLAS multiplies faster than
-the strided transposed views ``blk.w_h.T`` and ``blk.w2.T``: raw
-:func:`forward` copies them for its one call, and a :class:`SlotTable`
-once for a whole sampling call, which makes the table a snapshot of the
-model.  Training (:func:`loss_and_grads`) runs on the transposed views
-themselves, since one step does not repay the copies; from 19 rows up
-both give the same bits.
+reads ``x @ W``, and on each block's condition plus time terms.
+Inference runs on C-contiguous copies of the weights, which BLAS
+multiplies faster than the strided transposed views ``blk.w_h.T`` and
+``blk.w2.T``: raw :func:`forward` copies them for its one call, and a
+:class:`SlotTable` once for a whole sampling call, which makes the table
+a snapshot of the model.  Training (:func:`loss_and_grads`) runs on the
+transposed views themselves, since one step does not repay the copies;
+from 19 rows up both give the same bits.
 
-The time term ``W_t t_emb`` reaches the block body in one of two ways.
-A :class:`SlotTable` makes the time term of every block and step once,
-each by the one-row product ``t_emb @ W_t.T``, adds a step's time terms
-to its few projected slots once per step, and gathers the sums, per row
-and block, into the terms of that step's :func:`forward`, so the body
-adds no time term row by row.  Raw :func:`forward`'s terms and
-training's are the call's own, and the body adds each block's time term
-into them in place just before the block's product.  In training every
-block of a row sees the row's one condition, so :func:`train` hands
-:func:`loss_and_grads` block-shared ``(n, cond_dim)`` conditions, which
-are projected and differentiated without a per-block copy, and it
-embeds the steps through a table built once per call.  Each product and
-sum runs in the order of the per-block form with the time term added
-per row, so the bits are those of conditions repeated over the blocks.
+Inference makes the time term ``W_t t_emb`` by the one-row product
+``t_emb @ W_t.T``: a :class:`SlotTable` tables it once per block and
+step, and raw :func:`forward` makes its step's and adds it to its own
+terms.  :func:`loss_and_grads` adds each row's time term to its terms
+before the body.  In training every block of a row sees the row's one
+condition, so :func:`train` hands :func:`loss_and_grads` block-shared
+``(n, cond_dim)`` conditions, which are projected and differentiated
+without a per-block copy, and it embeds the steps through a table built
+once per call.  Each product and sum runs in the order of the per-block
+form with the time term added per row, so the bits are those of
+conditions repeated over the blocks.
 
 :func:`train` keeps the forward and backward passes on the calling
 thread and gives one helper thread, for the length of the call, the
@@ -314,25 +311,26 @@ def _conditions_by_block(model, block_conds, rows: int) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(conds, full).transpose(1, 0, 2))
 
 
-def _forward_batch(ops, z, terms, temb=None, keep_cache=False):
+def _time_terms(ops, steps, t_emb_dim: int) -> np.ndarray:
+    """Each block's time term at ``steps``, ``(steps, n_blocks, hidden)``, as
+    one-row products ``t_emb @ w_t``: a ``(steps, t_emb_dim)`` GEMM rounds differently."""
+    temb = timestep_embedding(steps, t_emb_dim)[:, None, :]
+    return np.concatenate([temb @ w_t for _, w_t, _, _ in ops[2]], axis=1)
+
+
+def _forward_batch(ops, z, terms, keep_cache=False):
     """Batched forward pass, the one block body of inference and training.
 
     z (n, dim), ``ops`` the weight operands of :func:`_operands` and
-    ``terms`` each block's condition term for the n rows, ``(n_blocks, n,
-    hidden)``.  Without ``temb`` the terms hold the step's time term
-    already.  With ``temb``, the embedding of the step or of each row's
-    step, the terms are the caller's to spend: each block adds its time
-    term into its term in place, just before the block's product.
-    Returns (eps, cache) where cache holds what backprop needs: per-block
-    (h, s) and the final hidden state.
+    ``terms`` each block's condition plus time term for the n rows,
+    ``(n_blocks, n, hidden)``.  Returns (eps, cache) where cache holds what
+    backprop needs: per-block (h, s) and the final hidden state.
     """
     w_in, b_in, blocks, w_out, b_out = ops
     h = z @ w_in
     h += b_in
     cache = []
-    for term, (w_h, w_t, w2, b2) in zip(terms, blocks):
-        if temb is not None:
-            term += temb @ w_t
+    for term, (w_h, _, w2, b2) in zip(terms, blocks):
         s = h @ w_h
         s += term
         np.tanh(s, out=s)
@@ -367,10 +365,10 @@ def forward(model, z_t, t: int, sched: NoiseSchedule, block_conds, slots=None) -
     if slots is None:
         ops = _operands(model, _copy)
         terms = _project(model, _conditions_by_block(model, block_conds, rows))
-        temb = timestep_embedding(t, model.t_emb_dim)
+        terms += _time_terms(ops, [t], model.t_emb_dim)[0][:, None]
     else:
-        ops, terms, temb = block_conds._ops, block_conds._terms_at(t, slots, rows), None
-    eps, _ = _forward_batch(ops, batch, terms, temb)
+        ops, terms = block_conds._ops, block_conds._terms_at(t, slots, rows)
+    eps, _ = _forward_batch(ops, batch, terms)
     return eps[0] if z_t.ndim == 1 else eps
 
 
@@ -420,8 +418,10 @@ def loss_and_grads(model, z0, t, eps, block_conds, sched, *, temb_table=None, re
     temb = temb_table[t]
     # views, not copies: one training step does not repay copying the weights
     ops = _operands(model, np.asarray)
-    pred, (cache, h_last) = _forward_batch(ops, z_t, _project(model, by_block), temb,
-                                           keep_cache=True)
+    terms = _project(model, by_block)
+    for term, (_, w_t, _, _) in zip(terms, ops[2]):
+        term += temb @ w_t  # each row's own step
+    pred, (cache, h_last) = _forward_batch(ops, z_t, terms, keep_cache=True)
     resid = np.subtract(pred, eps, out=pred)
     loss = float(np.mean(resid * resid))
     if not np.isfinite(loss):
@@ -727,17 +727,14 @@ class SlotTable:
     each made by the one-row product that raw :func:`forward` makes; at 50
     steps, 8 blocks and hidden 64 they take 200 KB.  The table holds
     copies of the weight operands (see :func:`_operands`), made here, so
-    it is a snapshot of the model.  Nothing writes into these arrays.
+    it is a snapshot of the model.  Nothing writes into these arrays, so
+    calls may interleave or run at once.
 
-    :func:`forward` with a table adds step t's time terms to the few slots
-    once per step, into a cache the table keeps for the last step it
-    folded, and gathers the sums per row and block into the call's own
-    terms, so the block body adds no time term row by row and a guided
-    step's second call only gathers.  A table serves one call at a time.
-    Folding the slots, rather than adding the time terms to every gathered
-    row in the block body, ran a 108-row, 50-step sample call through a
-    checkpoint at 1.11x, and at 1.14x with guidance (hidden 64, 8 blocks;
-    2-CPU Xeon, OpenBLAS 0.3.31 on one thread).
+    Each :func:`forward` call with a table adds its step's time terms to
+    the few slots and gathers the sums per row and block, which ran a
+    108-row, 50-step sample call through a checkpoint at 1.11x the speed
+    of adding them to every gathered row, and at 1.14x with guidance
+    (hidden 64, 8 blocks; 2-CPU Xeon, OpenBLAS 0.3.31 on one thread).
     """
 
     def __init__(self, model: DenoiserModel, vectors, n_steps: int):
@@ -748,14 +745,7 @@ class SlotTable:
             )
         self._ops = _operands(model, _copy)
         self.terms = _project(model, [vectors] * model.n_blocks)
-        temb = timestep_embedding(np.arange(n_steps), model.t_emb_dim)
-        # one-row products, as numpy multiplies a stack of (1, t_emb_dim)
-        # matrices row by row: one (n_steps, t_emb_dim) product rounds differently
-        self.time_terms = np.empty((n_steps, model.n_blocks, model.hidden))
-        for j, (_, w_t, _, _) in enumerate(self._ops[2]):
-            np.matmul(temb[:, None, :], w_t, out=self.time_terms[:, j, None, :])
-        self._folded = np.empty_like(self.terms)
-        self._folded_step = None
+        self.time_terms = _time_terms(self._ops, np.arange(n_steps), model.t_emb_dim)
         self._blocks = np.arange(model.n_blocks)[:, None]
 
     def _terms_at(self, t: int, slots, rows: int) -> np.ndarray:
@@ -765,12 +755,9 @@ class SlotTable:
         per_block = np.asarray(slots).T
         if per_block.shape[-1] != rows:
             raise ValueError(f"slots for {per_block.shape[-1]} rows, {rows} latents")
-        if self._folded_step != t:
-            if not 0 <= t < len(self.time_terms):
-                raise ValueError(f"step index {t} outside [0, {len(self.time_terms)})")
-            np.add(self.terms, self.time_terms[t][:, None], out=self._folded)
-            self._folded_step = t
-        return self._folded[self._blocks, per_block]
+        if not 0 <= t < len(self.time_terms):
+            raise ValueError(f"step index {t} outside [0, {len(self.time_terms)})")
+        return (self.terms + self.time_terms[t][:, None])[self._blocks, per_block]
 
 
 class NeuralDenoiser:

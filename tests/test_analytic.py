@@ -158,7 +158,7 @@ def test_diffused_mixture_step_range():
         diffused_mixture(two_bump(), 5, sched)
 
 
-@pytest.mark.parametrize("t", [2.5, np.float64(2.0)])
+@pytest.mark.parametrize("t", [2.5, np.float64(2.0), True, np.True_])
 def test_steps_that_are_not_integers_are_refused(t):
     sched, mix = build_schedule(5), two_bump()
     with pytest.raises(ValueError, match="is not an integer"):

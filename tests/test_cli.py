@@ -331,6 +331,31 @@ class TestTrain:
         assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("learning_rate", True), ("eps", True), ("beta1", "a"), ("beta2", False),
+         ("ema_decay", True), ("sigma", True), ("w_mix", "0.5"), ("beta_max", True)],
+    )
+    def test_non_numeric_real_in_config_exits_1(self, small_suite, tmp_path, capsys, key,
+                                                value):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"suite": small_suite, "frames": 6, "hidden": 8,
+                                   "n_blocks": 2, "diffusion_steps": 6, "steps": 2,
+                                   "batch_size": 4, key: value}))
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
+    def test_real_beyond_the_float_range_exits_1(self, small_suite, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"suite": small_suite, "frames": 6, "hidden": 8,
+                                   "diffusion_steps": 6, "steps": 2, "learning_rate": 10**400}))
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert "int too large to convert to float" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
     def test_integral_float_counts_read_as_ints(self, small_suite, tmp_path):
         counts = {"frames": 6, "hidden": 8, "n_blocks": 2, "t_emb_dim": 4,
                   "diffusion_steps": 6, "steps": 3, "batch_size": 4, "seed": 1,
@@ -873,6 +898,22 @@ class TestSweepAndReport:
                                    key: value}))
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("w_mix", True), ("guidance_scale", True), ("sigma", "a"), ("sigma", False),
+         ("beta_max", True), ("beta_min", None)],
+    )
+    def test_non_numeric_real_in_config_exits_1(self, small_suite, tmp_path, capsys, key,
+                                                value):
+        cfg = tmp_path / "sweep.json"
+        out_dir = tmp_path / "s"
+        cfg.write_text(json.dumps({"suite": small_suite, "grid": [0.0, 1.0], "repeats": 1,
+                                   "n_steps": 4, "frames": 8, "out_dir": str(out_dir),
+                                   key: value}))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(

@@ -143,12 +143,19 @@ def test_forward_noise_batch_with_per_row_t():
 
 def test_forward_noise_limits_via_injected_schedule():
     # limit values are outside what a real schedule permits, so inject a
-    # bare namespace; forward_noise only reads alpha_bar
+    # bare namespace; forward_noise only reads the tabled coefficients
     z0 = np.array([1.0, 2.0])
     eps = np.array([-1.0, 1.0])
-    clean = SimpleNamespace(beta=np.array([0.5]), alpha_bar=np.array([1.0]))
+
+    def injected(alpha_bar):
+        beta = np.array([0.5])
+        with np.errstate(divide="ignore"):  # beta / sqrt(1 - 1.0), unused here
+            coef = step_coefficients(beta, 1.0 - beta, np.array([alpha_bar]))
+        return SimpleNamespace(beta=beta, alpha_bar=np.array([alpha_bar]), coef=coef)
+
+    clean = injected(1.0)
     np.testing.assert_array_equal(forward_noise(z0, 0, eps, clean), z0)
-    noisy = SimpleNamespace(beta=np.array([0.5]), alpha_bar=np.array([1e-300]))
+    noisy = injected(1e-300)
     np.testing.assert_allclose(forward_noise(z0, 0, eps, noisy), eps, atol=1e-12)
 
 
@@ -261,11 +268,15 @@ def test_ancestral_step_rejects_steps_outside_the_schedule(t):
         ancestral_step(np.zeros(2), t, np.zeros(2), sched, np.zeros(2))
 
 
-@pytest.mark.parametrize("t", [2.5, np.float64(2.0)])
+@pytest.mark.parametrize("t", [2.5, np.float64(2.0), True, np.True_])
 def test_ancestral_step_rejects_a_step_that_is_not_an_integer(t):
     sched = build_schedule(3)
     with pytest.raises(ValueError, match="is not an integer"):
         ancestral_step(np.zeros(2), t, np.zeros(2), sched, np.zeros(2))
+    with pytest.raises(ValueError, match="is not an integer"):
+        forward_noise(np.zeros(2), t, np.zeros(2), sched)
+    with pytest.raises(ValueError, match="is not an integer"):
+        forward_noise(np.zeros((2, 2)), np.full(2, t), np.zeros((2, 2)), sched)
 
 
 def test_ancestral_step_numpy_integer_step_equals_python_int():
@@ -274,6 +285,13 @@ def test_ancestral_step_numpy_integer_step_equals_python_int():
     for t in (0, 7):
         want = ancestral_step(z, t, eps, sched, noise).tobytes()
         assert ancestral_step(z, np.int64(t), eps, sched, noise).tobytes() == want
+        want = forward_noise(z, t, eps, sched).tobytes()
+        assert forward_noise(z, np.int64(t), eps, sched).tobytes() == want
+    # per-row steps gather the bytes each row gets from its Python int
+    steps = [0, 7, 9, 7, 3]
+    got = forward_noise(z, np.array(steps, dtype=np.int64), eps, sched)
+    for row, t in enumerate(steps):
+        assert got[row].tobytes() == forward_noise(z[row], t, eps[row], sched).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,27 @@ def test_forward_leaves_a_tables_terms_unchanged():
     assert raw.tobytes() == first.tobytes()
 
 
+def test_one_table_serves_interleaved_and_guided_calls():
+    # each call folds its own step, so no call depends on the one before
+    m = random_model()
+    sched = build_schedule(10)
+    z = np.random.default_rng(4).standard_normal((3, m.dim))
+    vectors = np.random.default_rng(5).standard_normal((3, m.cond_dim))
+    table = SlotTable(m, vectors, sched.n_steps)
+
+    def fresh(t, slots):
+        return forward(m, z, t, sched, SlotTable(m, vectors, sched.n_steps), slots).tobytes()
+
+    slots = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1]])  # (rows, n_blocks)
+    for down, up in zip(range(9, -1, -1), range(10)):
+        for t, s in ((down, slots), (up, slots[:, 0])):
+            assert forward(m, z, t, sched, table, s).tobytes() == fresh(t, s)
+    uncond = np.full(3, 2)
+    for t in (6, 6, 0):
+        for s in (slots, uncond):
+            assert forward(m, z, t, sched, table, s).tobytes() == fresh(t, s)
+
+
 def test_loss_matches_manual_mse():
     m = tiny_model()
     rng = np.random.default_rng(3)
@@ -1018,7 +1039,7 @@ def test_forward_rejects_a_step_outside_the_schedule_or_the_table():
         forward(m, z, 7, sched, short, [0, 1])
 
 
-@pytest.mark.parametrize("t", [2.5, np.float64(2.0)])
+@pytest.mark.parametrize("t", [2.5, np.float64(2.0), True, np.True_])
 def test_forward_rejects_a_step_that_is_not_an_integer(t):
     m = init_model(6, hidden=4, n_blocks=3, t_emb_dim=2, cond_width=2, seed=1)
     sched = build_schedule(10)
