@@ -16,6 +16,7 @@ import sys
 import time
 
 from .harness import (
+    _SWEEP_KEYS,
     ConfigurationError,
     RunRecord,
     SweepConfig,
@@ -27,7 +28,6 @@ from .harness import (
     load_sweep_config,
     open_checkpoint,
     read_runs_csv,
-    read_suite_checked,
     run_sweep,
     sample_runs,
     score_runs,
@@ -178,7 +178,7 @@ def _cmd_train(args) -> int:
             **given(_TRAIN_MODEL_KEYS),
         )
         train_cfg = TrainConfig(**given(_TRAIN_OPTIMIZER_KEYS))
-    except (TypeError, ValueError, OverflowError) as exc:  # a real of 10**400 overflows
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(str(exc)) from exc
 
     start = time.perf_counter()
@@ -227,28 +227,27 @@ def _write_trajectory_csv(path: str, traj) -> None:
 _SAMPLE_MODES = {"step": "step_switch", "block": "block_split"}
 
 
+def _config_flags(args) -> dict:
+    """The parsed flags of ``args`` that name :class:`SweepConfig` fields,
+    by name; an absent flag is None, which ``load_sweep_config`` skips."""
+    return {key: value for key, value in vars(args).items() if key in _SWEEP_KEYS}
+
+
 def _cmd_sample(args) -> int:
     _require_directory(args.out, "output")
-    records = read_suite_checked(args.suite)
+    cfg = load_sweep_config(
+        mode=_SAMPLE_MODES[args.sample_mode], grid=(args.x,), **_config_flags(args)
+    )
+    records = load_suite(cfg)
     record = next((r for r in records if r.id == args.prompt_id), None)
     if record is None:
-        raise ConfigurationError(f"prompt id {args.prompt_id!r} not in {args.suite}")
+        raise ConfigurationError(f"prompt id {args.prompt_id!r} not in {cfg.suite}")
 
     model = None
-    frames = args.frames
-    if args.backend != "analytic":
-        model = open_checkpoint(args.backend, records, frames)
-        if frames is None:
-            frames = model.dim // record.frame_dim
-    cfg = load_sweep_config(
-        mode=_SAMPLE_MODES[args.mode],
-        grid=(args.x,),
-        backend=args.backend,
-        n_steps=args.n_steps,
-        frames=frames,
-        sigma=args.sigma,
-        w_mix=args.w_mix,
-    )
+    if cfg.backend != "analytic":
+        model = open_checkpoint(cfg.backend, records, args.frames)
+        if args.frames is None:
+            cfg = dataclasses.replace(cfg, frames=model.dim // record.frame_dim)
     run = RunRecord(f"{cfg.mode}-{record.id}", cfg.mode, record.category, record.id,
                     record.view, args.x, None, args.seed)
     trajs = sample_runs(cfg, model, [run], {record.id: record})
@@ -262,9 +261,9 @@ def _cmd_sample(args) -> int:
         "prompt_id": record.id,
         "category": record.category,
         "view": record.view,
-        "mode": args.mode,
+        "mode": args.sample_mode,
         "x": args.x,
-        "backend": args.backend,
+        "backend": cfg.backend,
         "seed": args.seed,
         "n_steps": cfg.n_steps,
         "frames": cfg.frames,
@@ -281,23 +280,7 @@ def _cmd_sample(args) -> int:
 # sweep / report
 
 def _cmd_sweep(args) -> int:
-    cfg = load_sweep_config(
-        args.config,
-        mode=args.mode,
-        grid=args.grid,
-        backend=args.backend,
-        suite=args.suite,
-        suite_seed=args.suite_seed,
-        repeats=args.repeats,
-        base_seed=args.base_seed,
-        out_dir=args.out_dir,
-        workers=args.workers,
-        n_steps=args.n_steps,
-        frames=args.frames,
-        sigma=args.sigma,
-        w_mix=args.w_mix,
-        guidance_scale=args.guidance_scale,
-    )
+    cfg = load_sweep_config(args.config, **_config_flags(args))
     _require_directory(cfg.out_dir, "output")
     records = run_sweep(cfg)
     emit_report(aggregate(records), cfg.out_dir)
@@ -368,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     sm = sub.add_parser("sample", help="sample one trajectory for a prompt")
     sm.add_argument("--prompt-id", required=True, help="record id inside the suite")
     sm.add_argument("--suite", required=True, help="suite JSONL path")
-    sm.add_argument("--mode", choices=("step", "block"), required=True)
+    # not SweepConfig.mode: step and block name its step_switch and block_split
+    sm.add_argument("--mode", dest="sample_mode", choices=("step", "block"), required=True)
     sm.add_argument("--x", type=_ratio, required=True, help="split ratio in [0, 1]")
     sm.add_argument(
         "--backend",
@@ -377,13 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sm.add_argument("--seed", type=_seed, required=True, help="sampler seed")
     sm.add_argument("--out", required=True, help="output directory")
-    sm.add_argument("--n-steps", type=int, help="denoising steps")
-    sm.add_argument(
-        "--frames", type=int,
-        help="frames per trajectory; a checkpoint backend's count by default, and it must match",
-    )
-    sm.add_argument("--sigma", type=float, help="data noise scale")
-    sm.add_argument("--w-mix", type=float, help="concat mixture weight")
     sm.set_defaults(func=_cmd_sample)
 
     sw = sub.add_parser("sweep", help="run a sweep and write runs.csv plus a report")
@@ -397,12 +374,19 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--base-seed", type=int, help="base seed for run-seed derivation")
     sw.add_argument("--out-dir", help="output directory")
     sw.add_argument("--workers", type=int, help="parallel worker processes")
-    sw.add_argument("--n-steps", type=int, help="denoising steps")
-    sw.add_argument("--frames", type=int, help="frames per trajectory")
-    sw.add_argument("--sigma", type=float, help="data noise scale")
-    sw.add_argument("--w-mix", type=float, help="concat mixture weight")
-    sw.add_argument("--guidance-scale", type=float, help="guidance strength")
     sw.set_defaults(func=_cmd_sweep)
+
+    # the data flags both commands share; each dest is the SweepConfig field it sets
+    for command, frames_help in (
+        (sm, "frames per trajectory; a checkpoint backend's count by default, and it must match"),
+        (sw, "frames per trajectory"),
+    ):
+        command.add_argument("--n-steps", type=int, help="denoising steps")
+        command.add_argument("--frames", type=int, help=frames_help)
+        command.add_argument("--sigma", type=float, help="data noise scale")
+        command.add_argument("--w-mix", type=float, help="concat mixture weight")
+    # last, where sweep's usage line has always listed it
+    sw.add_argument("--guidance-scale", type=float, help="guidance strength")
 
     rp = sub.add_parser("report", help="aggregate a runs.csv into charts and a summary")
     rp.add_argument("--runs", required=True, help="runs.csv path")

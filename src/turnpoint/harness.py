@@ -58,7 +58,6 @@ __all__ = [
     "derive_seed",
     "load_config",
     "load_sweep_config",
-    "read_suite_checked",
     "load_suite",
     "open_checkpoint",
     "backend_for_record",
@@ -141,9 +140,14 @@ def _count(name: str, value) -> int:
 
 
 def _real(name: str, value):
-    """``value``, refused unless it is a number; a boolean is not one."""
+    """``value``, refused unless it is a number within the float range; a
+    boolean is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    try:
+        float(value)  # only a Python int can lie beyond the float range
+    except OverflowError as exc:
+        raise ConfigurationError(f"{name} must lie in the float range: {exc}") from None
     return value
 
 
@@ -369,29 +373,24 @@ def read_runs_csv(path) -> list[RunRecord]:
     return records
 
 
-def read_suite_checked(path: str) -> list[PromptRecord]:
-    """``read_suite`` with a missing, unreadable or malformed file reported
-    as a :class:`ConfigurationError`."""
-    if not os.path.exists(path):
-        raise ConfigurationError(f"suite file not found: {path}")
-    try:
-        return read_suite(path)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read suite file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
-
-
 def load_suite(cfg: SweepConfig, records=None) -> list[PromptRecord]:
-    """The prompt suite a sweep or a training run of ``cfg`` uses:
-    ``records`` if given, else ``cfg.suite``'s file if set, else the suite
-    generated from ``cfg.suite_seed``.  An empty suite or one with
-    duplicate ids is a :class:`ConfigurationError`."""
+    """The prompt suite a sweep, a sample or a training run of ``cfg``
+    uses: ``records`` if given, else ``cfg.suite``'s file if set, else the
+    suite generated from ``cfg.suite_seed``.  A missing, unreadable or
+    malformed file, an empty suite and one with duplicate ids are each a
+    :class:`ConfigurationError`."""
     if records is None:
-        if cfg.suite is not None:
-            records = read_suite_checked(cfg.suite)
-        else:
+        if cfg.suite is None:
             records = generate_suite(cfg.suite_seed)
+        elif not os.path.exists(cfg.suite):
+            raise ConfigurationError(f"suite file not found: {cfg.suite}")
+        else:
+            try:
+                records = read_suite(cfg.suite)
+            except OSError as exc:
+                raise ConfigurationError(f"cannot read suite file {cfg.suite}: {exc}") from exc
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from exc
     records = list(records)
     if not records:
         raise ConfigurationError("the prompt suite is empty")

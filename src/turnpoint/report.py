@@ -44,6 +44,11 @@ def _series_label(category: str, setting: int | None) -> str:
     return category if setting is None else f"{category} / setting {setting}"
 
 
+def _points(rows: list[AggregateRow], metric: str) -> list[tuple[float, float]]:
+    """The (x, mean) points of ``metric`` on the curve of ``rows``."""
+    return [(row.x, row.stats[metric][0]) for row in rows if row.stats.get(metric) is not None]
+
+
 def emit_report(aggregates: list[AggregateRow], out_dir: str) -> None:
     """Write ``aggregates.csv``, one SVG per (metric, mode), and
     ``summary.md`` into ``out_dir``."""
@@ -54,27 +59,18 @@ def emit_report(aggregates: list[AggregateRow], out_dir: str) -> None:
     summary = ["# Sweep summary", ""]
     if not aggregates:
         summary.append("No data: the sweep produced no successful runs.")
-        with open(os.path.join(out_dir, "summary.md"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(summary) + "\n")
-        return
 
-    modes = sorted({row.mode for row in aggregates})
-    for mode in modes:
-        mode_rows = [row for row in aggregates if row.mode == mode]
-        curve_keys = sorted(
-            {(row.category, row.setting) for row in mode_rows},
-            key=lambda k: (k[0], k[1] if k[1] is not None else -1),
-        )
+    # each mode's curves: the rows of one (category, setting), in row order
+    modes: dict[str, dict[tuple, list[AggregateRow]]] = {}
+    for row in aggregates:
+        modes.setdefault(row.mode, {}).setdefault((row.category, row.setting), []).append(row)
+    for mode in sorted(modes):
+        curves = modes[mode]
+        curve_keys = sorted(curves, key=lambda k: (k[0], k[1] if k[1] is not None else -1))
         for metric in PLOT_METRICS:
             series = []
             for category, setting in curve_keys:
-                pts = [
-                    (row.x, row.stats[metric][0])
-                    for row in mode_rows
-                    if row.category == category
-                    and row.setting == setting
-                    and row.stats.get(metric) is not None
-                ]
+                pts = _points(curves[category, setting], metric)
                 if pts:
                     series.append((_series_label(category, setting), sorted(pts)))
             if not series:
@@ -101,18 +97,9 @@ def emit_report(aggregates: list[AggregateRow], out_dir: str) -> None:
         summary.append("| category | setting | runs | turning point (ta2) |")
         summary.append("| --- | --- | --- | --- |")
         for category, setting in curve_keys:
-            rows = [
-                row
-                for row in mode_rows
-                if row.category == category and row.setting == setting
-            ]
+            rows = curves[category, setting]
             n_runs = sum(row.n for row in rows)
-            pts = [
-                (row.x, row.stats["ta2"][0])
-                for row in rows
-                if row.stats.get("ta2") is not None
-            ]
-            tp = turning_point(pts)
+            tp = turning_point(_points(rows, "ta2"))
             tp_text = "n/a" if tp is None else f"{tp:g}"
             setting_text = "-" if setting is None else str(setting)
             summary.append(

@@ -1,7 +1,9 @@
 """End-to-end command-line coverage: exit codes and on-disk artifacts
 for every subcommand."""
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,9 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from turnpoint.cli import main
+from turnpoint.cli import build_parser, main
 from turnpoint.harness import (
     RUNS_CSV_COLUMNS,
+    ConfigurationError,
     SweepConfig,
     read_runs_csv,
     run_sweep,
@@ -356,6 +359,21 @@ class TestTrain:
         assert "int too large to convert to float" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
 
+    @pytest.mark.parametrize(
+        "key, prefix",
+        [("learning_rate", ""), ("beta1", ""), ("beta2", ""), ("eps", ""), ("ema_decay", ""),
+         ("sigma", ""), ("w_mix", ""), ("beta_min", "invalid noise schedule: "),
+         ("beta_max", "invalid noise schedule: ")],
+    )
+    def test_real_beyond_the_float_range_names_its_key(self, small_suite, tmp_path, capsys,
+                                                       key, prefix):
+        code, _ = self.train_on(small_suite, tmp_path, **{key: 10**400})
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {prefix}{key} must lie in the float range: int too large to convert to float\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
     def test_integral_float_counts_read_as_ints(self, small_suite, tmp_path):
         counts = {"frames": 6, "hidden": 8, "n_blocks": 2, "t_emb_dim": 4,
                   "diffusion_steps": 6, "steps": 3, "batch_size": 4, "seed": 1,
@@ -623,6 +641,23 @@ class TestSample:
         assert payload["frames"] == SweepConfig.frames
         with open(tmp_path / "trajectory.csv", newline="") as fh:
             assert len(list(csv.reader(fh))) == 1 + SweepConfig.frames
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [(0, "the prompt suite is empty"), (2, "the prompt suite contains duplicate ids")],
+        ids=["empty", "duplicate"],
+    )
+    def test_suite_checks_are_the_sweeps(self, tmp_path, capsys, count, message):
+        suite = tmp_path / "suite.jsonl"
+        record = generate_suite(0)[0]
+        write_suite([record] * count, suite)
+        sample = sample_args(str(suite), tmp_path / "sample", record.id, n_steps=4, frames=8)
+        sweep = ["sweep", "--suite", str(suite), "--n-steps", "4", "--frames", "8",
+                 "--out-dir", str(tmp_path / "sweep")]
+        for argv in (sample, sweep):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.jsonl"]
 
     def test_unknown_prompt_id(self, small_suite, tmp_path):
         code = main(sample_args(small_suite, tmp_path, "nope-999", n_steps=5))
@@ -917,6 +952,24 @@ class TestSweepAndReport:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "key, prefix",
+        [("sigma", ""), ("w_mix", ""), ("guidance_scale", ""),
+         ("beta_min", "invalid noise schedule: "), ("beta_max", "invalid noise schedule: ")],
+    )
+    def test_real_beyond_the_float_range_names_its_key(self, small_suite, tmp_path, capsys,
+                                                       key, prefix):
+        cfg = tmp_path / "sweep.json"
+        out_dir = tmp_path / "s"
+        cfg.write_text(json.dumps({"suite": small_suite, "grid": [0.0, 1.0], "repeats": 1,
+                                   "n_steps": 4, "frames": 8, "out_dir": str(out_dir),
+                                   key: 10**400}))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {prefix}{key} must lie in the float range: int too large to convert to float\n"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "key, value, message",
         [("grid", "0.5", "grid must be a list of ratios"),
          ("beta_max", "x", "invalid noise schedule"),
@@ -979,6 +1032,86 @@ class TestSweepAndReport:
             ["report", "--runs", str(bad), "--out", str(tmp_path / "r")]
         )
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# flags reach the sweep config by name
+
+SAMPLE_OWN_FLAGS = {"--prompt-id", "--mode", "--x", "--seed", "--out"}
+
+
+def _flag_dests(command: str) -> dict:
+    """Each option flag of ``command`` but ``--help``, mapped to its dest."""
+    (subcommands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        flag: action.dest
+        for action in subcommands.choices[command]._actions
+        for flag in action.option_strings
+        if action.dest != "help"
+    }
+
+
+class TestConfigFlags:
+    """sample and sweep hand every flag whose dest is a SweepConfig field
+    to ``load_sweep_config`` by name, so a flag whose dest is not one would
+    be dropped without a word."""
+
+    FIELDS = {f.name for f in dataclasses.fields(SweepConfig) if f.init}
+
+    @pytest.mark.parametrize(
+        "command, own", [("sweep", {"--config"}), ("sample", SAMPLE_OWN_FLAGS)],
+        ids=["sweep", "sample"],
+    )
+    def test_every_flag_but_the_commands_own_names_a_field(self, command, own):
+        dests = _flag_dests(command)
+        assert own <= set(dests)
+        assert {flag: dest for flag, dest in dests.items()
+                if flag not in own and dest not in self.FIELDS} == {}
+        # an own flag that took a field's name would reach the config too
+        assert not {dests[flag] for flag in own} & self.FIELDS
+
+    @staticmethod
+    def captured(monkeypatch, name) -> list:
+        """The configs ``cli.<name>`` is called with; each call exits 1."""
+        import turnpoint.cli as cli
+
+        seen = []
+
+        def capture(cfg, *args):
+            seen.append(cfg)
+            raise ConfigurationError("captured")
+
+        monkeypatch.setattr(cli, name, capture)
+        return seen
+
+    def test_sweep_flags_reach_the_config(self, small_suite, tmp_path, monkeypatch):
+        seen = self.captured(monkeypatch, "run_sweep")
+        out_dir = str(tmp_path / "s")
+        argv = ["sweep", "--mode", "qualitative", "--grid", "0,0.25", "--backend", "m.ckpt",
+                "--suite", small_suite, "--suite-seed", "3", "--repeats", "2",
+                "--base-seed", "5", "--out-dir", out_dir, "--workers", "2", "--n-steps", "7",
+                "--frames", "9", "--sigma", "0.25", "--w-mix", "0.75",
+                "--guidance-scale", "2"]
+        assert main(argv) == 1
+        assert seen == [SweepConfig(
+            mode="qualitative", grid=(0.0, 0.25), backend="m.ckpt", suite=small_suite,
+            suite_seed=3, repeats=2, base_seed=5, out_dir=out_dir, workers=2, n_steps=7,
+            frames=9, sigma=0.25, w_mix=0.75, guidance_scale=2.0,
+        )]
+
+    def test_sample_flags_reach_the_config(self, small_suite, tmp_path, monkeypatch):
+        seen = self.captured(monkeypatch, "sample_runs")
+        prompt = read_suite(small_suite)[0].id
+        argv = sample_args(small_suite, tmp_path, prompt, n_steps=7, frames=9, sigma=0.25,
+                           w_mix=0.75)
+        assert main(argv) == 1
+        assert seen == [SweepConfig(
+            mode="step_switch", grid=(0.5,), backend="analytic", suite=small_suite,
+            n_steps=7, frames=9, sigma=0.25, w_mix=0.75,
+        )]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and the markdown summary."""
 
 import csv
+import hashlib
 from xml.etree import ElementTree
 
 import pytest
@@ -185,6 +186,64 @@ def test_aggregates_csv_bytes_equal_csv_writer(tmp_path):
             ])
     written = (tmp_path / "aggregates.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
+
+
+def curve_rows():
+    """Three points on each of six curves over two modes, with one metric
+    missing at the middle ratio, in mode, category, setting, x order."""
+    rows = []
+    for mode, settings in (("qualitative", (2, 1)), ("step_switch", (None,))):
+        for category in ("General", "EgoExo"):
+            for setting in settings:
+                for i, x in enumerate((0.0, 0.5, 1.0)):
+                    rows.append(agg_row(
+                        x, ta2=1.0 - 0.3 * i * (setting or 3) / 3, mode=mode,
+                        category=category, setting=setting, n=2 + i,
+                        ic=None if x == 0.5 else (0.25 * (i + 1), 0.125),
+                    ))
+    return rows
+
+
+def report_bytes(rows, out_dir) -> dict:
+    emit_report(rows, str(out_dir))
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+class TestCurves:
+    def test_charts_and_summary_do_not_depend_on_row_order(self, tmp_path):
+        rows = curve_rows()
+        written = report_bytes(rows, tmp_path / "sorted")
+        for name, order in (("reversed", rows[::-1]), ("interleaved", rows[1::2] + rows[::2])):
+            shuffled = report_bytes(order, tmp_path / name)
+            assert written.keys() == shuffled.keys()
+            for file in written:
+                if file != "aggregates.csv":  # written in the order given
+                    assert shuffled[file] == written[file], (name, file)
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # recorded when every chart and summary row still filtered the
+        # mode's rows on its own; grouping them into curves once must
+        # not move a byte
+        digests = {
+            name: hashlib.sha256(data).hexdigest()[:16]
+            for name, data in report_bytes(curve_rows(), tmp_path).items()
+        }
+        assert digests == {
+            "aggregates.csv": "96c2afa6fff40152",
+            "bc_qualitative.svg": "b9460ed609e4cd6a",
+            "bc_step_switch.svg": "b6d7df6892f40933",
+            "ic_qualitative.svg": "feb3a19c0d5b3625",
+            "ic_step_switch.svg": "85c837317caf9a6b",
+            "occupancy2_qualitative.svg": "910938c8e269c783",
+            "occupancy2_step_switch.svg": "0f356cd0eca858f3",
+            "summary.md": "69b8502f2a478c5d",
+            "ta1_qualitative.svg": "48c74cbfd03e8c0a",
+            "ta1_step_switch.svg": "1bdf9b3571ab2694",
+            "ta2_qualitative.svg": "0969421dadf2ea78",
+            "ta2_step_switch.svg": "2576cf74eb9fedb0",
+            "ta_mean_qualitative.svg": "28c60663b6bb33c2",
+            "ta_mean_step_switch.svg": "93cd8d0385ccbf74",
+        }
 
 
 # ---------------------------------------------------------------------------
