@@ -39,6 +39,10 @@ __all__ = [
 # prompt, fills its whole stream at once in well under 4 MiB.
 NOISE_BUFFER_BYTES = 1 << 22
 
+# Longest schedule build_schedule makes, checked before it allocates: the
+# schedule takes under 300 bytes a step to build, and the sampler far more.
+MAX_STEPS = 100_000
+
 
 class StepCoefficients(NamedTuple):
     """The per-step scalars that the sampler and the analytic oracle read
@@ -107,8 +111,8 @@ def build_schedule(
     n_steps: int, beta_min: float = 1e-4, beta_max: float = 0.02
 ) -> NoiseSchedule:
     """Linear beta schedule between the two bounds."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    if not 1 <= n_steps <= MAX_STEPS:
+        raise ValueError(f"n_steps must lie in [1, {MAX_STEPS}], got {n_steps}")
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise ValueError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})"

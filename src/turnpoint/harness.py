@@ -21,7 +21,6 @@ import json
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import NamedTuple
@@ -634,6 +633,7 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
         done = (_execute_batch(runs, cfg, records_by_id, model) for runs in batches)
         write_runs_csv(kept(done), out_path)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded by a serial run
         with ProcessPoolExecutor(
             max_workers=cfg.workers,
             initializer=_init_worker,

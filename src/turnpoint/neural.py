@@ -105,6 +105,8 @@ DIVERGENCE_LIMIT = 1e6
 # 0.90x at hidden 256.  Narrower models gain less: at hidden 32 it ran at
 # 0.95x at batch 128 and 1.00x at batch 256.
 EARLY_ADAM_MIN_ROWS = 96
+# Most parameters a model may hold (16 GiB of float64), checked before any layout
+MAX_PARAMS = 1 << 31
 
 
 class CheckpointError(ValueError):
@@ -189,6 +191,8 @@ class DenoiserModel:
             raise ValueError(f"t_emb_dim must be even and >= 2, got {self.t_emb_dim}")
         count = _param_count(self.dim, self.hidden, self.n_blocks, self.t_emb_dim,
                              self.cond_width)
+        if count > MAX_PARAMS:  # before the layout, a list of n_blocks entries
+            raise ValueError(f"the model would hold {count} parameters, more than {MAX_PARAMS}")
         h = self.hidden
         head, block, tail = _param_shapes(self.dim, h, self.t_emb_dim, self.cond_width)
         self._layout = list(head.items())

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from operator import itemgetter
-from xml.sax.saxutils import escape
 
 __all__ = ["line_chart"]
 
@@ -19,9 +18,12 @@ PALETTE = (
 )
 
 
+def escape(text: str) -> str:
+    """What ``xml.sax.saxutils.escape`` does, without importing the network stack."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 

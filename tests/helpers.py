@@ -1,8 +1,29 @@
 """Helpers shared by the test modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import turnpoint
 from turnpoint.analytic import GaussianMixture
+
+SRC = str(Path(turnpoint.__file__).resolve().parents[1])
+
+
+def run_python(code: str, memory_cap: int | None = None) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter that imports this checkout's
+    package.  ``memory_cap`` caps its address space in bytes, so a call that
+    grows without bound fails fast instead of filling the host's memory."""
+    if memory_cap:
+        limit = f"resource.setrlimit(resource.RLIMIT_AS, ({memory_cap},) * 2)"
+        code = f"import resource\n{limit}\n{code}"
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
 
 
 def single_gaussian(mean, variance) -> GaussianMixture:

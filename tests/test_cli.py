@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_python
 from turnpoint.cli import build_parser, main
 from turnpoint.harness import (
     RUNS_CSV_COLUMNS,
@@ -317,6 +318,22 @@ class TestTrain:
         assert code == 1
         assert f"{next(iter(bad))} must be finite and > 0" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    def test_model_too_large_to_hold_exits_1(self, small_suite, tmp_path):
+        # in a child capped at 2 GiB: a layout built before the size check
+        # would grow until the cap stops it, and exit 2
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"suite": small_suite, "frames": 6, "n_blocks": 2**64,
+                                   "diffusion_steps": 6, "steps": 1}))
+        out = tmp_path / "m.ckpt"
+        proc = run_python(
+            "from turnpoint.cli import main\n"
+            f"raise SystemExit(main(['train', '--config', {str(cfg)!r}, '--out', {str(out)!r}]))",
+            memory_cap=2 << 30,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "more than 2147483648" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
 
     @pytest.mark.parametrize(
         "key, value",
@@ -918,6 +935,16 @@ class TestSweepAndReport:
         cfg = tmp_path / "sweep.json"
         cfg.write_text('{"grid": [0.9, 0.1]}')
         assert main(["sweep", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("n_steps", [2**40, 2**63])
+    def test_schedule_too_long_to_build_exits_1(self, small_suite, tmp_path, capsys, n_steps):
+        cfg = tmp_path / "sweep.json"
+        out_dir = tmp_path / "s"
+        cfg.write_text(json.dumps({"suite": small_suite, "n_steps": n_steps,
+                                   "out_dir": str(out_dir)}))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert f"n_steps must lie in [1, 100000], got {n_steps}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "key, value",

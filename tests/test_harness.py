@@ -6,13 +6,14 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from turnpoint.conditioning import constant_schedule
-from turnpoint.diffusion import build_schedule, sample
+from turnpoint.diffusion import MAX_STEPS, build_schedule, sample
 from turnpoint.harness import (
     METRIC_FIELDS,
     RUNS_CSV_COLUMNS,
@@ -166,6 +167,24 @@ class TestSweepConfig:
         want = build_schedule(7, 1e-3, 0.05)
         assert cfg.noise_schedule.alpha_bar.tobytes() == want.alpha_bar.tobytes()
         assert "noise_schedule" not in repr(cfg)
+
+    @pytest.mark.parametrize("n_steps", [MAX_STEPS + 1, 2**40, 2**63])
+    def test_refuses_a_schedule_too_long_to_build(self, n_steps):
+        # refused before anything is allocated: 2**40 steps would ask for
+        # 8 TiB, and 2**63 lies beyond numpy's index range
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError,
+                               match=rf"n_steps must lie in \[1, {MAX_STEPS}\], got {n_steps}"):
+                SweepConfig(n_steps=n_steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, peak
+
+    def test_builds_the_longest_schedule(self):
+        cfg = SweepConfig(n_steps=MAX_STEPS, beta_min=1e-4, beta_max=1e-4)
+        assert cfg.noise_schedule.n_steps == MAX_STEPS
 
     @pytest.mark.parametrize("change", [{"n_steps": 20}, {"beta_max": 0.3}])
     def test_replace_rebuilds_the_schedule(self, change):

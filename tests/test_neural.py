@@ -13,12 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import block_vectors
+from helpers import block_vectors, run_python
 from turnpoint.conditioning import block_split, compose_single, unconditioned
 from turnpoint.diffusion import build_schedule, forward_noise, sample
 from turnpoint.neural import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    MAX_PARAMS,
     AdamState,
     CheckpointError,
     NeuralDenoiser,
@@ -110,6 +111,25 @@ def test_parameters_are_views_of_one_flat_vector():
         assert np.shares_memory(view, named[name]), name
     m.flat[:] = 7.0  # writing the vector writes every named tensor
     assert all(np.all(p == 7.0) for p in attrs.values())
+
+
+def test_model_too_large_to_hold_is_refused_at_once():
+    # in a child capped at 2 GiB, which a layout built before the size
+    # check would fill
+    proc = run_python(
+        "import time\n"
+        "from turnpoint.neural import init_model\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    init_model(96, n_blocks=2**64)\n"
+        "except ValueError as exc:\n"
+        "    print(time.perf_counter() - start, exc)\n",
+        memory_cap=2 << 30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seconds, message = proc.stdout.split(" ", 1)
+    assert float(seconds) < 1.0
+    assert message.endswith(f"parameters, more than {MAX_PARAMS}\n")
 
 
 def test_init_model_seed_determinism():

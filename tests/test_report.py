@@ -4,6 +4,7 @@ and the markdown summary."""
 import csv
 import hashlib
 from xml.etree import ElementTree
+from xml.sax.saxutils import escape as xml_escape
 
 import pytest
 
@@ -16,7 +17,7 @@ from turnpoint.report import (
     emit_report,
     turning_point,
 )
-from turnpoint.svgchart import line_chart
+from turnpoint.svgchart import escape, line_chart
 
 
 def agg_row(x, ta2=1.0, mode="step_switch", category="General", setting=None,
@@ -262,6 +263,22 @@ class TestLineChart:
         assert root.tag.endswith("svg")
         assert "curve &amp; one" in svg  # labels are escaped
         assert "demo &lt;chart&gt;" in svg
+
+    @pytest.mark.parametrize(
+        "text", ["", "plain", "a & b", "<tag>", "&amp;", "x > 0 & y < 1", "it's \"so\"",
+                 "&&<<>>", "&lt;"],
+    )
+    def test_escape_equals_the_standard_library(self, text):
+        assert escape(text) == xml_escape(text)
+
+    def test_markup_in_every_label_parses(self):
+        title, x_label, y_label, label = "t < 1 & \"q\"", "x > 0", "y's & z", "<a>&'b'"
+        svg = line_chart(title, [(label, [(0.0, 0.1), (1.0, 0.9)])],
+                         x_label=x_label, y_label=y_label)
+        texts = [el.text for el in ElementTree.fromstring(svg).iter() if el.text]
+        for text in (title, x_label, y_label, label):
+            assert f">{xml_escape(text)}</text>" in svg
+            assert text in texts
 
     def test_empty_series_still_parses(self):
         svg = line_chart("empty", [])
