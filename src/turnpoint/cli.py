@@ -148,7 +148,7 @@ _TRAIN_COUNT_KEYS = (
     "frames", "diffusion_steps", "hidden", "n_blocks", "t_emb_dim", "init_seed",
     "batch_size", "steps", "seed",
 )
-_TRAIN_REAL_KEYS = ("learning_rate", "beta1", "beta2", "eps", "ema_decay")
+_TRAIN_REAL_KEYS = ("learning_rate",)
 
 
 def _cmd_train(args) -> int:
@@ -163,7 +163,7 @@ def _cmd_train(args) -> int:
     try:
         config.update({key: _count(key, config[key]) for key in _TRAIN_COUNT_KEYS if key in config})
         for key in _TRAIN_REAL_KEYS:
-            if key in config and not (key == "ema_decay" and config[key] is None):  # no EMA
+            if key in config:
                 _real(key, config[key])
         steps = config.get("diffusion_steps", SweepConfig.n_steps)
         data = SweepConfig(n_steps=steps, **given(_TRAIN_DATA_KEYS))
@@ -171,15 +171,21 @@ def _cmd_train(args) -> int:
         sampler = mixture_data_sampler(
             suite_training_pairs(records, data.frames, data.sigma, data.w_mix)
         )
+        init_seed = config.get("init_seed", 0)
         model = init_model(
             data.frames * records[0].frame_dim,
             cond_width=records[0].cond_width,
-            seed=config.get("init_seed", 0),
+            seed=init_seed,
             **given(_TRAIN_MODEL_KEYS),
         )
         train_cfg = TrainConfig(**given(_TRAIN_OPTIMIZER_KEYS))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(str(exc)) from exc
+    resolved = {  # every key with the value used: a config that trains this checkpoint again
+        **{key: getattr(data, key) for key in _TRAIN_DATA_KEYS}, "diffusion_steps": data.n_steps,
+        **{key: getattr(model, key) for key in _TRAIN_MODEL_KEYS}, "init_seed": init_seed,
+        **dataclasses.asdict(train_cfg),
+    }
 
     start = time.perf_counter()
     grad_norms: list[float] = []
@@ -190,6 +196,7 @@ def _cmd_train(args) -> int:
     save_checkpoint(model, args.out)
     steps_per_s = train_cfg.steps / seconds
     log = {
+        "config": resolved,
         "steps": train_cfg.steps,
         "train_s": seconds,
         "steps_per_s": steps_per_s,

@@ -110,7 +110,7 @@ class NoiseSchedule:
 def build_schedule(
     n_steps: int, beta_min: float = 1e-4, beta_max: float = 0.02
 ) -> NoiseSchedule:
-    """Linear beta schedule between the two bounds."""
+    """Linear beta schedule between the two bounds; refused where ``alpha_bar`` underflows."""
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must lie in [1, {MAX_STEPS}], got {n_steps}")
     if not (0.0 < beta_min <= beta_max < 1.0):
@@ -119,7 +119,12 @@ def build_schedule(
         )
     beta = np.linspace(beta_min, beta_max, n_steps)
     alpha = 1.0 - beta
-    return NoiseSchedule(beta, alpha, np.cumprod(alpha))
+    alpha_bar = np.cumprod(alpha)
+    stalled = np.flatnonzero(~((0.0 < alpha_bar[1:]) & (alpha_bar[1:] < alpha_bar[:-1])))
+    if stalled.size:
+        raise ValueError(f"n_steps={n_steps} with beta_min={beta_min} and beta_max={beta_max} "
+                         f"underflows: alpha_bar stops decreasing at step {stalled[0] + 1}")
+    return NoiseSchedule(beta, alpha, alpha_bar)
 
 
 def step_index(sched, t):

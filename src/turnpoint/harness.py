@@ -2,16 +2,17 @@
 sample them in batches (optionally in parallel), and aggregate the
 metrics.
 
-A batch is the runs of ``PROMPTS_PER_BATCH`` consecutive prompts of one
-frame dimension.  Its prompts' conditions and mixtures come from one
-pair table, and its rows are sampled in one call per backend: a
-checkpoint is one backend for the whole batch, and the analytic backend
-is built per view, since the two views of an EgoExo pair share their
-conditions but not their data.  Every run owns a seed derived by
-hashing its prompt, repeat and setting, which its prompt's grid ratios
-share, and the batches depend on suite order alone, so results are
-independent of worker count and completion order; rows are written in
-enumeration order and aggregation sorts before reducing.
+A batch is the runs of ``PROMPTS_PER_BATCH`` consecutive prompts of
+the suite, whose prompts share one feature dimension.  Its prompts'
+conditions and mixtures come from one pair table, and its rows are
+sampled in one call per backend: a checkpoint is one backend for the
+whole batch, and the analytic backend is built per view, since the two
+views of an EgoExo pair share their conditions but not their data.
+Every run owns a seed derived by hashing its prompt, repeat and
+setting, which its prompt's grid ratios share, and the batches depend
+on suite order alone, so results are independent of worker count and
+completion order; rows are written in enumeration order and aggregation
+sorts before reducing.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .metrics import MetricsRecord, evaluate
 from .neural import CheckpointError, DenoiserModel, NeuralDenoiser, load_checkpoint
 from .worldgen import (
     PromptRecord,
+    _mixed_feature_dims,
     generate_suite,
     read_suite,
     suite_training_pairs,
@@ -376,7 +378,8 @@ def load_suite(cfg: SweepConfig, records=None) -> list[PromptRecord]:
     """The prompt suite a sweep, a sample or a training run of ``cfg``
     uses: ``records`` if given, else ``cfg.suite``'s file if set, else the
     suite generated from ``cfg.suite_seed``.  A missing, unreadable or
-    malformed file, an empty suite and one with duplicate ids are each a
+    malformed file, an empty suite, one with duplicate ids and one whose
+    prompts do not share one feature dimension are each a
     :class:`ConfigurationError`."""
     if records is None:
         if cfg.suite is None:
@@ -395,6 +398,8 @@ def load_suite(cfg: SweepConfig, records=None) -> list[PromptRecord]:
         raise ConfigurationError("the prompt suite is empty")
     if len({r.id for r in records}) != len(records):
         raise ConfigurationError("the prompt suite contains duplicate ids")
+    if mixed := _mixed_feature_dims(records):
+        raise ConfigurationError(mixed)
     return records
 
 
@@ -413,20 +418,15 @@ def backend_for_record(pairs, sched: NoiseSchedule, dim: int) -> AnalyticDenoise
 
 def open_checkpoint(path: str, records, frames: int | None) -> DenoiserModel:
     """Load the checkpoint at ``path`` and check that it can denoise
-    ``records``: one feature dimension across the suite, the matching
-    condition width, and a dimension of ``frames`` frames, or of whole
-    frames when ``frames`` is None."""
+    ``records``, a suite of one feature dimension (see :func:`load_suite`):
+    the matching condition width, and a dimension of ``frames`` frames, or
+    of whole frames when ``frames`` is None."""
     if not os.path.exists(path):
         raise ConfigurationError(f"checkpoint not found: {path}")
     try:
         model = load_checkpoint(path)
     except (CheckpointError, OSError) as exc:
         raise ConfigurationError(f"cannot load checkpoint: {exc}") from exc
-    feature_dims = sorted({r.feature_dim for r in records})
-    if len(feature_dims) != 1:
-        raise ConfigurationError(
-            f"a checkpoint needs one feature dimension, the suite has {feature_dims}"
-        )
     record = records[0]
     if model.cond_width != record.cond_width:
         raise ConfigurationError(
@@ -447,8 +447,8 @@ def open_checkpoint(path: str, records, frames: int | None) -> DenoiserModel:
 
 
 def sample_runs(cfg: SweepConfig, model, runs, records_by_id) -> np.ndarray:
-    """Sample the trajectories of ``runs``, planned runs whose prompts,
-    looked up in ``records_by_id``, share one frame dimension, as
+    """Sample the trajectories of ``runs``, planned runs of prompts looked
+    up in ``records_by_id``, a suite of one feature dimension, as
     ``cfg.mode`` prescribes, in one call per backend: ``model`` or, when
     it is None, the analytic backend of each view's prompts.
 
@@ -460,8 +460,6 @@ def sample_runs(cfg: SweepConfig, model, runs, records_by_id) -> np.ndarray:
     """
     records = {run.prompt_id: records_by_id[run.prompt_id] for run in runs}
     first = next(iter(records.values()))
-    if any(record.frame_dim != first.frame_dim for record in records.values()):
-        raise ValueError("a batch samples prompts of one frame dimension")
     pairs = suite_training_pairs(records.values(), cfg.frames, cfg.sigma, cfg.w_mix)
     conds, view_pairs = {}, {}
     for i, (prompt, record) in enumerate(records.items()):
@@ -590,28 +588,13 @@ def _plan_jobs(cfg: SweepConfig, records) -> list[RunRecord]:
     return runs
 
 
-def _prompt_groups(records):
-    """Runs of up to ``PROMPTS_PER_BATCH`` consecutive records that share
-    one frame dimension."""
-    group: list[PromptRecord] = []
-    for record in records:
-        if group and (
-            len(group) == PROMPTS_PER_BATCH or record.frame_dim != group[0].frame_dim
-        ):
-            yield group
-            group = []
-        group.append(record)
-    yield group
-
-
 def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
     """Execute the sweep and stream ``runs.csv`` under ``cfg.out_dir``.
 
     A batch, sampled in one worker, is the runs of up to
-    ``PROMPTS_PER_BATCH`` consecutive prompts of one frame dimension.
-    Returns the run records in enumeration order (prompt,
-    then ratio, then repeat, then setting), which is also the CSV row
-    order regardless of worker count.
+    ``PROMPTS_PER_BATCH`` consecutive prompts.  Returns the run records
+    in enumeration order (prompt, then ratio, then repeat, then setting),
+    which is also the CSV row order regardless of worker count.
     """
     records = load_suite(cfg, records)
     records_by_id = {r.id: r for r in records}
@@ -619,7 +602,8 @@ def run_sweep(cfg: SweepConfig, records=None) -> list[RunRecord]:
     if cfg.backend != "analytic":
         model = open_checkpoint(cfg.backend, records, cfg.frames)
 
-    batches = (_plan_jobs(cfg, group) for group in _prompt_groups(records))
+    starts = range(0, len(records), PROMPTS_PER_BATCH)
+    batches = (_plan_jobs(cfg, records[i : i + PROMPTS_PER_BATCH]) for i in starts)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "runs.csv")
     results: list[RunRecord] = []

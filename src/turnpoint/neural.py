@@ -107,6 +107,10 @@ DIVERGENCE_LIMIT = 1e6
 EARLY_ADAM_MIN_ROWS = 96
 # Most parameters a model may hold (16 GiB of float64), checked before any layout
 MAX_PARAMS = 1 << 31
+# Adam's constants: the defaults of Kingma & Ba (arXiv 1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class CheckpointError(ValueError):
@@ -115,6 +119,13 @@ class CheckpointError(ValueError):
 
 class TrainingError(RuntimeError):
     """Training diverged or produced a non-finite loss."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, refused unless it is an integer; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def timestep_embedding(t, dim: int) -> np.ndarray:
@@ -187,6 +198,8 @@ class DenoiserModel:
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("dim", "hidden", "n_blocks", "t_emb_dim", "cond_width"):
+            setattr(self, name, _integer(name, getattr(self, name)))
         if self.t_emb_dim < 2 or self.t_emb_dim % 2:
             raise ValueError(f"t_emb_dim must be even and >= 2, got {self.t_emb_dim}")
         count = _param_count(self.dim, self.hidden, self.n_blocks, self.t_emb_dim,
@@ -248,7 +261,7 @@ def init_model(
     seed: int = 0,
 ) -> DenoiserModel:
     """Scaled-Gaussian init with zero biases and a zero output projection."""
-    model = DenoiserModel(int(dim), int(hidden), int(n_blocks), int(t_emb_dim), int(cond_width))
+    model = DenoiserModel(dim, hidden, n_blocks, t_emb_dim, cond_width)
     rng = np.random.default_rng(seed)
     model.w_in[...] = rng.standard_normal(model.w_in.shape) / np.sqrt(dim)
     for blk in model.blocks:
@@ -468,29 +481,22 @@ def loss_and_grads(model, z0, t, eps, block_conds, sched, *, temb_table=None, re
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 128
     steps: int = 20_000
     seed: int = 0
-    ema_decay: float | None = None  # disabled unless set in (0, 1)
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("Adam betas must lie in [0, 1)")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not (math.isfinite(rate) and rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {rate}")
+        for name in ("batch_size", "steps", "seed"):
+            _integer(name, getattr(self, name))
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.ema_decay is not None and not 0.0 < self.ema_decay < 1.0:
-            raise ValueError("ema_decay must lie in (0, 1) when set")
 
 
 class AdamState:
@@ -508,7 +514,7 @@ class AdamState:
         ``flat[lo:hi]``."""
         part = slice(lo, hi)
         arrays = (model.flat, grad, self.m, self.v, self._buf)
-        return (*(a[part] for a in arrays), cfg, 1.0 - cfg.beta1**step, 1.0 - cfg.beta2**step)
+        return (*(a[part] for a in arrays), cfg, 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step)
 
     def begin(self, model: DenoiserModel, grad: np.ndarray, cfg: TrainConfig,
               helper: Executor, start: int) -> tuple[int, Future]:
@@ -554,16 +560,16 @@ def _adam_passes(flat, grad, m, v, buf, cfg: TrainConfig, bc1: float, bc2: float
     # In place, with no full-size temporary, rounding in the order of
     #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
     #   flat -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
-    m *= cfg.beta1
-    np.multiply(grad, 1.0 - cfg.beta1, out=buf)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=buf)
     m += buf
-    np.multiply(grad, 1.0 - cfg.beta2, out=buf)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=buf)
     buf *= grad
-    v *= cfg.beta2
+    v *= ADAM_BETA2
     v += buf
     np.divide(v, bc2, out=buf)
     np.sqrt(buf, out=buf)
-    buf += cfg.eps
+    buf += ADAM_EPS
     np.divide(m, bc1, out=grad)
     grad *= cfg.learning_rate
     grad /= buf
@@ -600,12 +606,10 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
     (``draw_s``), :func:`loss_and_grads` (``loss_and_grads_s``, which
     includes handing the helper its early range), and the rest of each
     step, that is this thread's share of the Adam update with the wait
-    for the helper's ranges, the EMA if one is kept, and the trace
-    (``adam_s``).
+    for the helper's ranges, and the trace (``adam_s``).
     """
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(model)
-    ema = model.flat.copy() if cfg.ema_decay is not None else None
     temb_table = timestep_embedding(np.arange(sched.n_steps), model.t_emb_dim)
     trace: list[tuple[int, float]] = []
 
@@ -653,15 +657,10 @@ def train(model, data_sampler, cfg: TrainConfig, sched: NoiseSchedule, *,
                 if grad_norms is not None:
                     grad_norms.append(float(np.linalg.norm(grad)))
             adam.update(model, grad, cfg, helper, begun)
-            if ema is not None:
-                ema *= cfg.ema_decay
-                ema += (1.0 - cfg.ema_decay) * model.flat
             draw_s += drawn - mark
             grads_s += done - drawn
             mark = clock()
             adam_s += mark - done
-    if ema is not None:
-        model.flat[...] = ema
     if timings is not None:
         timings.update(draw_s=draw_s, loss_and_grads_s=grads_s, adam_s=adam_s)
     return model, trace

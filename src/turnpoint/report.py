@@ -75,13 +75,8 @@ def emit_report(aggregates: list[AggregateRow], out_dir: str) -> None:
                     series.append((_series_label(category, setting), sorted(pts)))
             if not series:
                 continue
-            svg = line_chart(
-                title=f"{metric} vs split ratio ({mode})",
-                series=series,
-                x_label="split ratio x",
-                y_label=metric,
-                y_range=(0.0, 1.05),
-            )
+            svg = line_chart(f"{metric} vs split ratio ({mode})", series,
+                             x_label="split ratio x", y_label=metric, y_range=(0.0, 1.05))
             with open(
                 os.path.join(out_dir, f"{metric}_{mode}.svg"), "w", encoding="utf-8"
             ) as fh:

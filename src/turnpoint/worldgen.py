@@ -537,12 +537,19 @@ class SuiteReport:
         return out
 
 
+def _mixed_feature_dims(records) -> str | None:
+    """The error of prompts that do not share one feature dimension, or None."""
+    dims = sorted({record.feature_dim for record in records})
+    return f"the prompt suite mixes feature dimensions {dims}" if len(dims) > 1 else None
+
+
 def validate_suite(source, strict_counts: bool = False) -> SuiteReport:
     """Validate a suite given as records or as a file path.
 
-    Per-record structural problems, duplicate ids and broken first/third
-    pairing are reported as violations; ``strict_counts`` additionally
-    pins the per-category sizes to :data:`TABLE_COUNTS`.
+    Per-record structural problems, duplicate ids, broken first/third
+    pairing and mixed feature dimensions are reported as violations;
+    ``strict_counts`` additionally pins the per-category sizes to
+    :data:`TABLE_COUNTS`.
     """
     violations: list[tuple[str | None, str]] = []
     records: list[PromptRecord] = []
@@ -566,6 +573,9 @@ def validate_suite(source, strict_counts: bool = False) -> SuiteReport:
             violations.append((record.id, "EgoExo record without pair_id"))
         if record.category != "EgoExo" and record.pair_id is not None:
             violations.append((record.id, "pair_id set on a non-EgoExo record"))
+
+    if mixed := _mixed_feature_dims(records):
+        violations.append((None, mixed))
 
     pairs: dict[str, list[PromptRecord]] = {}
     for record in records:
@@ -652,65 +662,58 @@ def suite_training_pairs(records, n_frames: int, sigma: float, w_mix: float = 0.
 
     Each record gives its ``event1``, ``event2`` and ``concat`` pairs, in
     that order, each condition byte for byte as :func:`condition_of`
-    builds it.  The data distribution a condition implies: ``event1`` and
-    ``event2`` give an isotropic Gaussian of variance ``sigma**2`` around
-    the single-event video, and ``concat`` a two-component mixture with
-    weight ``w_mix`` on the event-1-then-event-2 video and the rest on the
-    video of their :func:`blended_event`, as naming both events can come
-    out as either reading.  ``w_mix`` is clamped to [0.01, 0.99] so
-    neither component degenerates; ``sigma = 0`` yields point masses at
-    the variance floor.  An error is one that building some record's
-    pairs alone raises.  The records of one feature dimension are built
-    in one pass: one :func:`_event_table` of their events, the rows of
-    their blended events computed from it by the builder that
-    :func:`blended_event` runs for one row, with the checks of
-    :class:`EventParams` applied per row, and one call of the array
-    builder of :func:`mean_trajectory` for all their mean trajectories.  The stacked weights, means and
-    variances are checked there, once, by the checks of
-    :class:`~turnpoint.analytic.GaussianMixture`, and each pair's
-    condition slots and mixture arrays are read-only views into those
-    stacks, not validated or copied again.  Numpy's overflow warnings are
-    silenced: positions that overflow raise the non-finite error alone.
+    builds it.  ``event1`` and ``event2`` imply an isotropic Gaussian of
+    variance ``sigma**2`` around the single-event video, and ``concat`` a
+    two-component mixture with weight ``w_mix``, clamped to [0.01, 0.99],
+    on the event-1-then-event-2 video and the rest on the video of their
+    :func:`blended_event`, as naming both events can come out as either
+    reading.  ``sigma = 0`` yields point masses at the variance floor.
+
+    The records, which must share one feature dimension, are built in one
+    pass by the row builders of :func:`blended_event` and
+    :func:`mean_trajectory`; the checks of :class:`EventParams` and of
+    :class:`~turnpoint.analytic.GaussianMixture` run once on the stacks,
+    and each pair's arrays are read-only views into them.  An error is one
+    that building some record's pairs alone raises.  Numpy's overflow
+    warnings are silenced: positions that overflow raise the non-finite
+    error alone.
     """
     records = list(records)
     if not records:
         return []
+    if mixed := _mixed_feature_dims(records):
+        raise ValueError(mixed)
     if not (np.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     w = min(max(float(w_mix), 0.01), 0.99)
     single, both = np.ones(1), np.array([w, 1.0 - w])
     single.flags.writeable = both.flags.writeable = False
-    groups: dict[int, list[int]] = {}
-    for r, record in enumerate(records):
-        groups.setdefault(record.feature_dim, []).append(r)
-    pairs: list = [None] * (3 * len(records))
+    n = len(records)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in groups.values():
-            group = [records[r] for r in rows]
-            # record i's events 3i, 3i + 1 and 3i + 2: event 1, event 2 and
-            # their blend; its four rows: event 1 alone, event 2 alone,
-            # event 1 then event 2, and the blend alone
-            events = _event_table([e for rec in group for e in rec.events]).reshape(len(group), 2, -1)
-            blends = _table_rows(*_blends(events[:, 0], events[:, 1]))
-            table = np.concatenate([events, blends[:, None]], axis=1).reshape(3 * len(group), -1)
-            table.flags.writeable = False
-            first = np.repeat([rec.view == "first" for rec in group], 3)
-            at = 3 * np.arange(len(group))[:, None]
-            a, b = (at + [0, 1, 0, 2]).ravel(), (at + [0, 1, 1, 2]).ravel()
-            means = _trajectories(table, first, a, b, n_frames).reshape(len(group), 4, -1)
-            variances = np.full(means.shape, sigma * sigma, dtype=np.float64)
-            _check_mixture(single, means[:, :2, None], variances[:, :2, None])
-            _check_mixture(both, means[:, 2:], variances[:, 2:])
-            means.flags.writeable = variances.flags.writeable = False
-            slots = table[:, :-2]
-            absent = np.zeros(slots.shape[1])
-            absent.flags.writeable = False
-            for i, r in enumerate(rows):
-                mu, var = means[i], variances[i]
-                slot1, slot2 = slots[3 * i], slots[3 * i + 1]
-                pairs[3 * r : 3 * r + 3] = (
-                    (_condition_view(slot1, absent, 1, 0), _mixture_view(single, mu[:1], var[:1])),
-                    (_condition_view(slot2, absent, 1, 0), _mixture_view(single, mu[1:2], var[1:2])),
-                    (_condition_view(slot1, slot2, 1, 1), _mixture_view(both, mu[2:], var[2:])),
-                )
+        # record i's events 3i, 3i + 1 and 3i + 2: event 1, event 2 and
+        # their blend; its four rows: event 1 alone, event 2 alone, event
+        # 1 then event 2, and the blend alone
+        events = _event_table([e for rec in records for e in rec.events]).reshape(n, 2, -1)
+        blends = _table_rows(*_blends(events[:, 0], events[:, 1]))
+        table = np.concatenate([events, blends[:, None]], axis=1).reshape(3 * n, -1)
+        table.flags.writeable = False
+        first = np.repeat([rec.view == "first" for rec in records], 3)
+        at = 3 * np.arange(n)[:, None]
+        a, b = (at + [0, 1, 0, 2]).ravel(), (at + [0, 1, 1, 2]).ravel()
+        means = _trajectories(table, first, a, b, n_frames).reshape(n, 4, -1)
+        variances = np.full(means.shape, sigma * sigma, dtype=np.float64)
+        _check_mixture(single, means[:, :2, None], variances[:, :2, None])
+        _check_mixture(both, means[:, 2:], variances[:, 2:])
+    means.flags.writeable = variances.flags.writeable = False
+    slots = table[:, :-2]
+    absent = np.zeros(slots.shape[1])
+    absent.flags.writeable = False
+    pairs = []
+    for i, (mu, var) in enumerate(zip(means, variances)):
+        slot1, slot2 = slots[3 * i], slots[3 * i + 1]
+        pairs += (
+            (_condition_view(slot1, absent, 1, 0), _mixture_view(single, mu[:1], var[:1])),
+            (_condition_view(slot2, absent, 1, 0), _mixture_view(single, mu[1:2], var[1:2])),
+            (_condition_view(slot1, slot2, 1, 1), _mixture_view(both, mu[2:], var[2:])),
+        )
     return pairs

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from helpers import run_python
-from turnpoint.cli import build_parser, main
+from turnpoint.cli import _TRAIN_KEYS, build_parser, main
 from turnpoint.harness import (
     RUNS_CSV_COLUMNS,
     ConfigurationError,
@@ -39,6 +39,7 @@ from turnpoint.neural import (
 from turnpoint.worldgen import EventParams, PromptRecord, generate_suite, read_suite, write_suite
 
 METRIC_KEYS = set(MetricsRecord.__dataclass_fields__)
+MIXED_DIMS_ERROR = "error: the prompt suite mixes feature dimensions [2, 3]\n"
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +241,13 @@ class TestSuiteCommands:
         assert capsys.readouterr().err == f"error: output path is a directory: {out}\n"
         assert list(out.iterdir()) == []
 
+    def test_validate_reports_mixed_feature_dimensions(self, mixed_dim_suite, capsys):
+        assert main(["suite", "validate", mixed_dim_suite]) == 1
+        assert capsys.readouterr().out == (
+            "1 violation(s) in 3 record(s):\n"
+            "  <suite>: the prompt suite mixes feature dimensions [2, 3]\n"
+        )
+
     def test_validate_detects_pair_violation(self, tmp_path, capsys):
         records = generate_suite(0)
         broken = [r for r in records if r.pair_id is None][:2]
@@ -260,8 +268,8 @@ class TestTrain:
         # suite events carry 2 appearance features -> 6 numbers per frame
         assert model.dim == 6 * (2 + 2 * 2)
         log = json.loads(Path(tiny_checkpoint).with_name("train_log.json").read_text())
-        assert set(log) == {"steps", "train_s", "steps_per_s", "draw_s", "loss_and_grads_s",
-                            "adam_s", "trace"}
+        assert set(log) == {"config", "steps", "train_s", "steps_per_s", "draw_s",
+                            "loss_and_grads_s", "adam_s", "trace"}
         assert log["steps"] == 60
         assert math.isfinite(log["train_s"]) and log["train_s"] > 0
         assert log["steps_per_s"] == pytest.approx(60 / log["train_s"])
@@ -305,7 +313,8 @@ class TestTrain:
         assert "unknown config keys: ['conditions']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "bad", [{"learning_rate": float("nan")}, {"eps": 0}], ids=["nan_rate", "zero_eps"]
+        "bad", [{"learning_rate": float("nan")}, {"learning_rate": 0}],
+        ids=["nan_rate", "zero_rate"],
     )
     def test_bad_optimizer_setting_exits_1(self, tmp_path, small_suite, bad, capsys):
         # Adam would run and save non-finite parameters
@@ -353,8 +362,7 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("learning_rate", True), ("eps", True), ("beta1", "a"), ("beta2", False),
-         ("ema_decay", True), ("sigma", True), ("w_mix", "0.5"), ("beta_max", True)],
+        [("learning_rate", True), ("sigma", True), ("w_mix", "0.5"), ("beta_max", True)],
     )
     def test_non_numeric_real_in_config_exits_1(self, small_suite, tmp_path, capsys, key,
                                                 value):
@@ -378,8 +386,8 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "key, prefix",
-        [("learning_rate", ""), ("beta1", ""), ("beta2", ""), ("eps", ""), ("ema_decay", ""),
-         ("sigma", ""), ("w_mix", ""), ("beta_min", "invalid noise schedule: "),
+        [("learning_rate", ""), ("sigma", ""), ("w_mix", ""),
+         ("beta_min", "invalid noise schedule: "),
          ("beta_max", "invalid noise schedule: ")],
     )
     def test_real_beyond_the_float_range_names_its_key(self, small_suite, tmp_path, capsys,
@@ -445,9 +453,44 @@ class TestTrain:
     def test_suite_mixing_feature_dimensions_exits_1(self, mixed_dim_suite, tmp_path, capsys):
         code, caught = self.train_on(mixed_dim_suite, tmp_path)
         assert code == 1
-        assert capsys.readouterr().err == "error: all mixtures must share one dimension\n"
+        assert capsys.readouterr().err == MIXED_DIMS_ERROR
         assert not caught
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "ema_decay"])
+    def test_adam_constants_and_ema_are_unknown_keys(self, small_suite, tmp_path, capsys, key):
+        code, _ = self.train_on(small_suite, tmp_path, **{key: 0.5})
+        assert code == 1
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
+    def test_default_run_bytes_are_pinned(self, tmp_path):
+        # a default run cut to 101 steps; recorded before the Adam constants
+        # left TrainConfig and the EMA left train
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"steps": 101}))
+        out = tmp_path / "model.ckpt"
+        assert run_quietly(["train", "--config", str(cfg), "--out", str(out)])[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ae42c0e84aa0ee64f1f4c8b59e77e5444cb9edd6cff80491777080593eff9839"
+        )
+        log = json.loads((tmp_path / "train_log.json").read_text())
+        assert log["trace"] == [[0, 0.9924898381132566, 0.5155062471937304],
+                                [100, 0.9470670623106167, 0.39439141433336833]]
+
+    def test_log_config_trains_the_same_checkpoint(self, tiny_checkpoint, tmp_path):
+        log = json.loads(Path(tiny_checkpoint).with_name("train_log.json").read_text())
+        config = log["config"]
+        assert set(config) == _TRAIN_KEYS and len(config) == 16
+        # the keys the fixture left unset, with the defaults the run used
+        assert config["suite_seed"] == 0 and config["w_mix"] == 0.5
+        assert config["learning_rate"] == 1e-3 and config["init_seed"] == 0
+        again = tmp_path / "config.json"
+        again.write_text(json.dumps(config))
+        out = tmp_path / "model.ckpt"
+        assert run_quietly(["train", "--config", str(again), "--out", str(out)])[0] == 0
+        assert out.read_bytes() == Path(tiny_checkpoint).read_bytes()
+        assert json.loads((tmp_path / "train_log.json").read_text())["config"] == config
 
     def test_overflowing_positions_exit_1_with_the_error_alone(self, overflow_suite, tmp_path,
                                                                 capsys):
@@ -675,6 +718,16 @@ class TestSample:
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.jsonl"]
+
+    @pytest.mark.parametrize("backend", ["analytic", "checkpoint"])
+    def test_suite_mixing_feature_dimensions_exits_1(self, mixed_dim_suite, tiny_checkpoint,
+                                                     tmp_path, capsys, backend):
+        backend = tiny_checkpoint if backend == "checkpoint" else backend
+        prompt = read_suite(mixed_dim_suite)[1].id  # the 3-feature prompt
+        out = tmp_path / "out"
+        assert main(sample_args(mixed_dim_suite, out, prompt, backend=backend)) == 1
+        assert capsys.readouterr().err == MIXED_DIMS_ERROR
+        assert not out.exists()
 
     def test_unknown_prompt_id(self, small_suite, tmp_path):
         code = main(sample_args(small_suite, tmp_path, "nope-999", n_steps=5))
@@ -935,6 +988,27 @@ class TestSweepAndReport:
         cfg = tmp_path / "sweep.json"
         cfg.write_text('{"grid": [0.9, 0.1]}')
         assert main(["sweep", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("backend", ["analytic", "checkpoint"])
+    def test_suite_mixing_feature_dimensions_exits_1(self, mixed_dim_suite, tiny_checkpoint,
+                                                     tmp_path, capsys, backend):
+        backend = tiny_checkpoint if backend == "checkpoint" else backend
+        mode = "step_switch" if backend == "analytic" else "block_split"
+        out_dir = tmp_path / "s"
+        assert main(["sweep", "--suite", mixed_dim_suite, "--backend", backend, "--mode", mode,
+                     "--frames", "6", "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == MIXED_DIMS_ERROR
+        assert not out_dir.exists()
+
+    def test_schedule_that_underflows_exits_1(self, small_suite, tmp_path, capsys):
+        out_dir = tmp_path / "s"
+        assert main(["sweep", "--suite", small_suite, "--n-steps", "75000",
+                     "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid noise schedule: n_steps=75000 with beta_min=0.0001 and "
+            "beta_max=0.02 underflows: alpha_bar stops decreasing at step 74117\n"
+        )
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("n_steps", [2**40, 2**63])
     def test_schedule_too_long_to_build_exits_1(self, small_suite, tmp_path, capsys, n_steps):

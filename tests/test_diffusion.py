@@ -88,6 +88,25 @@ def test_build_schedule_validation():
         build_schedule(10, beta_max=1.0)
 
 
+@pytest.mark.parametrize(
+    "n_steps, beta_max, step", [(75000, 0.02, 74117), (4700, 0.3, 4573), (2500, 0.5, 2467)]
+)
+def test_build_schedule_names_where_alpha_bar_underflows(n_steps, beta_max, step):
+    # in subnormal floats alpha_bar stops decreasing; at beta_max 0.5 it
+    # also reaches zero, 32 steps later
+    message = (f"n_steps={n_steps} with beta_min=0.0001 and beta_max={beta_max} underflows: "
+               f"alpha_bar stops decreasing at step {step}")
+    with pytest.raises(ValueError) as caught:
+        build_schedule(n_steps, 1e-4, beta_max)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("n_steps, beta_max", [(70000, 0.02), (4000, 0.3)])
+def test_build_schedule_builds_short_of_the_underflow(n_steps, beta_max):
+    sched = build_schedule(n_steps, 1e-4, beta_max)
+    assert np.all(np.diff(sched.alpha_bar) < 0.0) and sched.alpha_bar[-1] > 0.0
+
+
 def test_noise_schedule_range_checks():
     good = build_schedule(5)
     with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from turnpoint.harness import (
     backend_for_record,
     derive_seed,
     fnv1a64,
+    load_suite,
     load_sweep_config,
     read_runs_csv,
     run_sweep,
@@ -181,6 +182,13 @@ class TestSweepConfig:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16, peak
+
+    def test_refuses_a_schedule_that_underflows(self):
+        with pytest.raises(ConfigurationError, match=(
+            r"^invalid noise schedule: n_steps=75000 with beta_min=0.0001 and beta_max=0.02 "
+            r"underflows: alpha_bar stops decreasing at step 74117$"
+        )):
+            SweepConfig(n_steps=75000)
 
     def test_builds_the_longest_schedule(self):
         cfg = SweepConfig(n_steps=MAX_STEPS, beta_min=1e-4, beta_max=1e-4)
@@ -469,8 +477,9 @@ class TestRunSweep:
         event = EventParams(0.5, 1.0, [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
         odd = PromptRecord("odd-000", "General", "third", (event, event))
         cfg = small_cfg(tmp_path, backend=str(path))
-        with pytest.raises(ConfigurationError, match="one feature dimension"):
+        with pytest.raises(ConfigurationError, match=r"mixes feature dimensions \[2, 3\]"):
             run_sweep(cfg, records=[generate_suite(0)[0], odd])
+        assert not Path(cfg.out_dir).exists()
 
     def test_non_finite_trajectory_is_a_failed_run(self, tmp_path):
         path = tmp_path / "nan.ckpt"
@@ -648,16 +657,18 @@ class TestAnalyticGroups:
         assert [r.prompt_id for r in out[::2]] == [r.id for r in records]
         assert all(r.metrics is not None for r in out)
 
-    def test_a_new_frame_dimension_starts_a_batch(self, tmp_path):
+    def test_a_suite_mixing_feature_dimensions_is_refused_before_any_work(self, tmp_path):
         event = EventParams(0.5, 1.0, [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
         odd = PromptRecord("odd-000", "General", "third", (event, event))
         suite = generate_suite(0)
         records = [suite[0], suite[1], odd, suite[2]]
-        out = run_sweep(small_cfg(tmp_path), records=records)
-        assert all(r.metrics is not None and r.error is None for r in out)
-        alone = [run_sweep(small_cfg(tmp_path / r.id), records=[r]) for r in records]
-        strip = lambda r: r._replace(wall_time_ms=0)
-        assert [strip(r) for r in out] == [strip(r) for runs in alone for r in runs]
+        cfg = small_cfg(tmp_path)
+        message = "^the prompt suite mixes feature dimensions \\[2, 3\\]$"
+        with pytest.raises(ConfigurationError, match=message):
+            load_suite(cfg, records)
+        with pytest.raises(ConfigurationError, match=message):
+            run_sweep(cfg, records=records)
+        assert not Path(cfg.out_dir).exists()
 
 
 class TestCheckpointGroups:
@@ -772,11 +783,23 @@ class TestBatchPairs:
         assert calls == [[r.id for r in records]]
         assert all(r.metrics is not None for r in out)
 
-    def test_runs_csv_bytes_are_pinned(self, cfg):
-        run_sweep(cfg, records=TestAnalyticGroups.egoexo_batch())
+    @staticmethod
+    def runs_sha256(cfg) -> str:
         lines = (Path(cfg.out_dir) / "runs.csv").read_bytes().split(b"\r\n")
         stripped = b"\r\n".join(line.rpartition(b",")[0] for line in lines)
-        assert hashlib.sha256(stripped).hexdigest() == self.RUNS_SHA256[cfg.mode]
+        return hashlib.sha256(stripped).hexdigest()
+
+    def test_runs_csv_bytes_are_pinned(self, cfg):
+        run_sweep(cfg, records=TestAnalyticGroups.egoexo_batch())
+        assert self.runs_sha256(cfg) == self.RUNS_SHA256[cfg.mode]
+
+    def test_qualitative_runs_csv_bytes_are_pinned(self, tmp_path):
+        # recorded before a suite's prompts had to share one feature dimension
+        cfg = small_cfg(tmp_path, mode="qualitative", grid=(0.0, 0.6, 1.0), repeats=2)
+        run_sweep(cfg, records=TestAnalyticGroups.egoexo_batch())
+        assert self.runs_sha256(cfg) == (
+            "394289b57641d61b68d15f98851f8bbbe1b8339e47fe6d836ef8b71311f1fd56"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -551,8 +551,7 @@ def _pair_bytes(pair):
 
 
 def _mixed_dimension_records(seed):
-    """Every fifth record of a suite, EgoExo pairs of both views among
-    them, with 1, 2 or 3 appearance features in turn."""
+    """Every fifth record of a suite, with 1, 2 or 3 appearance features in turn."""
     rng = np.random.default_rng(seed)
     records = []
     for i, r in enumerate(generate_suite(seed)[::5]):
@@ -583,14 +582,16 @@ def test_suite_training_pairs_equal_per_record_construction(seed):
         assert list(map(_pair_bytes, got)) == list(map(_pair_bytes, want)), sigma
 
 
-def test_suite_training_pairs_mixing_feature_dimensions_equal_per_record_construction():
+def test_suite_training_pairs_refuse_mixed_feature_dimensions():
     records = _mixed_dimension_records(4)
-    assert {r.feature_dim for r in records} == {1, 2, 3}
-    assert {r.view for r in records} == {"first", "third"}
-    for sigma, w_mix in ((0.0, 1.0), (0.5, 0.3)):
-        got = suite_training_pairs(records, 6, sigma, w_mix)
-        want = _per_record_pairs(records, 6, sigma, w_mix)
-        assert list(map(_pair_bytes, got)) == list(map(_pair_bytes, want))
+    message = "the prompt suite mixes feature dimensions [1, 2, 3]"
+    with pytest.raises(ValueError) as caught:
+        suite_training_pairs(records, 6, 0.5)
+    assert str(caught.value) == message
+    assert (None, message) in validate_suite(records).violations
+    one = [r for r in records if r.feature_dim == 2]
+    assert len(suite_training_pairs(one, 6, 0.5)) == 3 * len(one)
+    assert all(msg != message for _, msg in validate_suite(one).violations)
 
 
 def test_suite_training_pairs_are_read_only_views_of_shared_stacks():
